@@ -204,7 +204,7 @@ def _render_delivery_section(samples: dict[str, float]) -> list[str]:
         return []
     out = ["## Delivery"]
     out.append(
-        f"  {int(acked)} ack(s) sent, {int(resends)} resend(s), "
+        f"  {int(acked)} ack frame(s) sent, {int(resends)} resend(s), "
         f"spool depth {int(spool)}"
     )
     if suppressed:

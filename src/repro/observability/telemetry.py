@@ -292,7 +292,8 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     # Exactly-once delivery (wire protocol v2) ---------------------------
     metrics.counter(
         "repro_delivery_acked_total",
-        "Cumulative acknowledgements sent to v2 clients",
+        "Cumulative ACK frames sent to v2 clients "
+        "(one per tenant per received chunk)",
     )
     metrics.counter(
         "repro_delivery_duplicates_suppressed_total",

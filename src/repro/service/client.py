@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 import socket
 import time
+from bisect import bisect_right
 
 from repro.common.errors import DeliveryError, ValidationError
 from repro.resilience.durability import (
@@ -54,8 +55,14 @@ from repro.service.protocol import (
     parse_ack,
 )
 
-#: Handshake / single-read timeout while polling for acks.
+#: Ack-wait quantum; :meth:`DurableSender.flush` resends after four of
+#: these pass with no watermark advancing.
 DEFAULT_ACK_POLL = 0.05
+
+#: Most lines joined into one socket write: large enough that a write
+#: costs nothing per line, small enough that acks are drained between
+#: writes so neither peer ever fills the other's buffer.
+_JOIN_LINES = 512
 
 
 class DurableSender:
@@ -119,6 +126,10 @@ class DurableSender:
             )
         #: Spooled entries in send order: (tenant, seq, content).
         self._entries: list[tuple[str, int, str]] = []
+        #: The spooled sequences per tenant, ascending, so an ack's
+        #: coverage is two bisects and the unacked count stays O(1).
+        self._spooled: dict[str, list[int]] = {}
+        self._unacked = 0
         #: Next sequence to assign, per tenant (1-based).
         self._seq: dict[str, int] = {}
         #: Highest cumulative ack received, per tenant.
@@ -133,6 +144,8 @@ class DurableSender:
         self.reconnects = 0
         self._sock: socket.socket | None = None
         self._rxbuf = b""
+        #: Append handle on the spool, opened by the first send.
+        self._spool = None
         recovery = recover_jsonl(spool_path, io=self._io)
         for payload in recovery.records:
             tenant = payload.get("tenant", "")
@@ -144,10 +157,10 @@ class DurableSender:
             )
             if seq >= self._seq.get(tenant, 1):
                 self._seq[tenant] = seq + 1
-        # Recovered entries sort per tenant by construction (appends
-        # were in sequence order); the ack watermark was in-memory
-        # state of the dead process, so everything spooled counts as
-        # unacked — the server's windows absorb the over-resend.
+        # The ack watermark was in-memory state of the dead process,
+        # so everything spooled counts as unacked — the server's
+        # windows absorb the over-resend.
+        self._reindex()
 
     # -- spool ---------------------------------------------------------
 
@@ -155,25 +168,38 @@ class DurableSender:
         frame = frame_record(
             {"tenant": tenant, "seq": seq, "content": content}
         )
-        handle = self._io.open(self.spool_path, "ab")
-        try:
-            self._io.write(handle, frame)
-            self._io.flush(handle)
-        finally:
-            handle.close()
+        if self._spool is None:
+            self._spool = self._io.open(self.spool_path, "ab")
+        self._io.write(self._spool, frame)
+        self._io.flush(self._spool)
+
+    def _close_spool(self) -> None:
+        if self._spool is not None:
+            self._spool.close()
+            self._spool = None
+
+    def _reindex(self) -> None:
+        """Rebuild the per-tenant index and the unacked count."""
+        self._spooled = {}
+        for tenant, seq, _ in self._entries:
+            self._spooled.setdefault(tenant, []).append(seq)
+        for seqs in self._spooled.values():
+            seqs.sort()
+        self._unacked = len(self.unacked())
 
     def _compact(self) -> None:
         """Rewrite the spool to exactly the unacked entries."""
-        self._entries = [
-            entry for entry in self._entries
-            if entry[1] > self._acked.get(entry[0], 0)
-        ]
+        self._entries = self.unacked()
+        self._reindex()
         text = b"".join(
             frame_record(
                 {"tenant": tenant, "seq": seq, "content": content}
             )
             for tenant, seq, content in self._entries
         ).decode("utf-8")
+        # The rewrite renames a new file into place; an append handle
+        # held across it would keep writing to the unlinked one.
+        self._close_spool()
         atomic_write_text(self.spool_path, text, io=self._io)
         self._publish_depth()
 
@@ -181,11 +207,11 @@ class DurableSender:
         if self.telemetry is not None:
             self.telemetry.metrics.get(
                 "repro_delivery_spool_depth"
-            ).set(float(len(self.unacked())))
+            ).set(float(self._unacked))
 
-    def _count_resend(self, n: int = 1) -> None:
+    def _count_resend(self, n: int) -> None:
         self.resends += n
-        if self.telemetry is not None and n:
+        if self.telemetry is not None:
             self.telemetry.metrics.get(
                 "repro_delivery_resend_total"
             ).inc(n)
@@ -199,7 +225,7 @@ class DurableSender:
 
     @property
     def spool_depth(self) -> int:
-        return len(self.unacked())
+        return self._unacked
 
     # -- connection ----------------------------------------------------
 
@@ -218,8 +244,10 @@ class DurableSender:
             (self.host, self.port), timeout=self.connect_timeout
         )
         try:
+            # Both ends write whole chunks, so coalescing small writes
+            # only delays the acks (Nagle + delayed ACK).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(hello_line(self.client_id))
-            sock.settimeout(self.connect_timeout)
             reply = b""
             while b"\n" not in reply:
                 chunk = sock.recv(256)
@@ -242,7 +270,6 @@ class DurableSender:
             except OSError:  # pragma: no cover
                 pass
             raise
-        sock.settimeout(DEFAULT_ACK_POLL)
         self._sock = sock
         self._rxbuf = b""
         return sock
@@ -324,6 +351,46 @@ class DurableSender:
         if held is not None:
             sock.sendall(held)
 
+    def _transmit_suffix(self) -> None:
+        """Send every unacked line once, in spool order.
+
+        Fault-free runs leave as joined writes of up to ``_JOIN_LINES``
+        lines; a line whose transmission index is scripted, or that
+        follows a reorder hold, goes through :meth:`_transmit` alone,
+        so the fault script's index space is one per line either way.
+        Acks that arrived meanwhile are consumed between writes.
+        """
+        pending = self.unacked()
+        sent = 0
+        while sent < len(pending) and self._sock is not None:
+            next_fault = min(
+                (at for at in self.script if at >= self._tx_index),
+                default=self._tx_index + _JOIN_LINES,
+            )
+            run = min(_JOIN_LINES, next_fault - self._tx_index)
+            if self._held is not None or run == 0:
+                tenant, seq, content = pending[sent]
+                self._transmit(data_line(seq, tenant, content))
+                run = 1
+            else:
+                chunk = pending[sent:sent + run]
+                run = len(chunk)
+                self._sock.sendall(
+                    b"".join(
+                        data_line(seq, tenant, content)
+                        for tenant, seq, content in chunk
+                    )
+                )
+                self._tx_index += run
+            sent += run
+            self._count_resend(run)
+            self._read_acks(0.0)
+        if self._held is not None and self._sock is not None:
+            # A trailing reorder hold has no successor to ride behind;
+            # release it now.
+            held, self._held = self._held, None
+            self._sock.sendall(held)
+
     def _handle_ack(self, text: str) -> None:
         if self._drop_acks > 0:
             self._drop_acks -= 1
@@ -332,44 +399,53 @@ class DurableSender:
         if parsed is None:
             return  # torn or foreign line; the next ack supersedes it
         tenant, high = parsed
-        if high > self._acked.get(tenant, 0):
+        low = self._acked.get(tenant, 0)
+        if high > low:
             self._acked[tenant] = high
+            seqs = self._spooled.get(tenant, ())
+            self._unacked -= bisect_right(seqs, high) - bisect_right(seqs, low)
             self._publish_depth()
 
-    def poll(self, timeout: float = 0.0) -> int:
-        """Drain available acks; returns how many were processed.
+    def _read_acks(self, timeout: float) -> int:
+        """One read of at most *timeout* seconds (0: whatever is there).
 
-        With ``timeout=0`` only already-buffered data is consumed
-        (plus one non-blocking read); positive timeouts block up to
-        that long for the *first* byte.
+        Every complete line received goes to :meth:`_handle_ack`;
+        returns how many did.  A closed or failed connection is
+        dropped, which :meth:`flush` repairs by reconnecting.
         """
         sock = self._sock
         if sock is None:
             return 0
-        processed = 0
-        deadline = time.monotonic() + max(0.0, timeout)
-        while True:
-            while b"\n" in self._rxbuf:
-                raw, _, self._rxbuf = self._rxbuf.partition(b"\n")
-                self._handle_ack(raw.decode("utf-8", errors="replace"))
-                processed += 1
-            remaining = deadline - time.monotonic()
-            try:
-                sock.settimeout(max(0.001, min(DEFAULT_ACK_POLL, remaining)))
-                chunk = sock.recv(65536)
-            except socket.timeout:
-                chunk = None
-            except OSError:
-                self._drop()
-                return processed
-            if chunk == b"":
-                self._drop()
-                return processed
-            if chunk:
-                self._rxbuf += chunk
-                continue
-            if remaining <= 0:
-                return processed
+        sock.settimeout(timeout)
+        try:
+            chunk = sock.recv(65536)
+        except (BlockingIOError, socket.timeout):
+            chunk = None
+        except OSError:
+            chunk = b""
+        if chunk == b"":
+            self._drop()
+            return 0
+        # Writes wait as long as a connect does, not as long as a poll.
+        sock.settimeout(self.connect_timeout)
+        if chunk is None:
+            return 0
+        *lines, self._rxbuf = (self._rxbuf + chunk).split(b"\n")
+        for raw in lines:
+            self._handle_ack(raw.decode("utf-8", errors="replace"))
+        return len(lines)
+
+    def poll(self, timeout: float = 0.0) -> int:
+        """Drain available acks; returns how many were processed.
+
+        Blocks up to *timeout* for the first bytes (``timeout=0``: not
+        at all), then consumes whatever else has already arrived.
+        """
+        processed = got = self._read_acks(max(0.0, timeout))
+        while got:
+            got = self._read_acks(0.0)
+            processed += got
+        return processed
 
     # -- public surface ------------------------------------------------
 
@@ -390,52 +466,56 @@ class DurableSender:
         self._seq[tenant] = seq + 1
         self._spool_append(tenant, seq, content)
         self._entries.append((tenant, seq, content))
+        self._spooled.setdefault(tenant, []).append(seq)
+        if seq > self._acked.get(tenant, 0):
+            self._unacked += 1
         self._publish_depth()
         if self._sock is not None:
             try:
                 self._transmit(data_line(seq, tenant, content))
             except OSError:
                 self._drop()
-        self.poll(0.0)
+            self.poll(0.0)
         return seq
 
     def flush(self, timeout: float = 30.0) -> dict:
         """Deliver every unacked line or die trying; returns a summary.
 
-        Reconnects (with capped-jitter backoff), resends the unacked
-        suffix in sequence order, and polls acks until the spool is
-        clear — then compacts the spool and returns
+        A connection carries the unacked suffix once, in sequence
+        order; after that the flush only waits for acks, and returns
+        the moment the spool is clear.  The suffix is sent again only
+        over a new connection (reconnects back off with capped jitter)
+        or when a stall window — ``DEFAULT_ACK_POLL * 4`` — passes with
+        no watermark advancing, which is what recovers lines the
+        server refused without an ack and acks lost in flight.  On
+        success the spool is compacted and the summary is
         ``{"delivered": n, "resends": n, "reconnects": n}``.  Raises
         :class:`~repro.common.errors.DeliveryError` when *timeout*
         expires first; the unacked lines remain spooled.
         """
         deadline = time.monotonic() + timeout
         goal = len(self._entries)
-        while True:
-            pending = self.unacked()
-            if not pending:
-                break
-            if time.monotonic() >= deadline:
+        stall = DEFAULT_ACK_POLL * 4
+        progress_at = time.monotonic()
+        while self._unacked:
+            now = time.monotonic()
+            if now >= deadline:
                 raise DeliveryError(
-                    f"flush deadline expired with {len(pending)} "
+                    f"flush deadline expired with {self._unacked} "
                     f"line(s) unacknowledged (spool: {self.spool_path})"
                 )
-            try:
-                self._ensure_connected(deadline)
-                resent = 0
-                for tenant, seq, content in pending:
-                    self._transmit(data_line(seq, tenant, content))
-                    resent += 1
-                if self._held is not None:
-                    # A trailing reorder hold has no successor to ride
-                    # behind; release it now.
-                    held, self._held = self._held, None
-                    self._sock.sendall(held)
-                self._count_resend(resent)
-            except OSError:
-                self._drop()
+            if self._sock is None or now - progress_at >= stall:
+                try:
+                    self._ensure_connected(deadline)
+                    self._transmit_suffix()
+                except OSError:
+                    self._drop()
+                progress_at = time.monotonic()
                 continue
-            self.poll(DEFAULT_ACK_POLL * 4)
+            before = self._unacked
+            self._read_acks(min(deadline, progress_at + stall) - now)
+            if self._unacked < before:
+                progress_at = time.monotonic()
         self._compact()
         return {
             "delivered": goal,
@@ -445,6 +525,7 @@ class DurableSender:
 
     def close(self) -> None:
         self._drop()
+        self._close_spool()
 
     def __enter__(self) -> "DurableSender":
         return self

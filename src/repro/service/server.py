@@ -512,8 +512,9 @@ class LineServer:
         self._sleep = sleep
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
+        #: Live connections and their reader threads; a connection
+        #: leaves when its thread ends.
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self._lock = threading.Lock()
         self._stopping = False
 
@@ -548,8 +549,7 @@ class LineServer:
                 daemon=True,
             )
             with self._lock:
-                self._conn_threads.append(thread)
-                self._conns.append(conn)
+                self._conns[conn] = thread
             thread.start()
 
     def _count_connection(self, outcome: str) -> None:
@@ -559,10 +559,10 @@ class LineServer:
                 "repro_service_connections_total"
             ).labels(outcome=outcome).inc()
 
-    def _count_ack(self) -> None:
+    def _count_acks(self, frames: int) -> None:
         telemetry = self.service.telemetry
         if telemetry is not None:
-            telemetry.metrics.get("repro_delivery_acked_total").inc()
+            telemetry.metrics.get("repro_delivery_acked_total").inc(frames)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         origin = f"tcp:{addr[0]}:{addr[1]}"
@@ -578,6 +578,12 @@ class LineServer:
         client_id: str | None = None
         conn.settimeout(0.2)
         try:
+            # Acks leave as one write per chunk; coalescing them with
+            # later ones (Nagle + delayed ACK) only adds latency.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:  # pragma: no cover - reset before the first read
+            pass
+        try:
             while True:
                 try:
                     data = conn.recv(65536)
@@ -591,9 +597,12 @@ class LineServer:
                     break
                 if not data:
                     break
-                buffer += data
-                while b"\n" in buffer:
-                    raw, _, buffer = buffer.partition(b"\n")
+                *lines, buffer = (buffer + data).split(b"\n")
+                # Highest cumulative watermark owed per tenant for this
+                # chunk; each was returned by submit_line_v2, i.e.
+                # after the journal append.
+                owed: dict[str, int] = {}
+                for raw in lines:
                     text = raw.decode("utf-8", errors="replace")
                     if (
                         first_line
@@ -618,23 +627,15 @@ class LineServer:
                             _, tenant, high = self.service.submit_line_v2(
                                 text, client_id, origin
                             )
-                            ingested = True
-                            if tenant is not None and high is not None:
-                                try:
-                                    conn.sendall(ack_line(tenant, high))
-                                    self._count_ack()
-                                except OSError:
-                                    # The line is owned; only the ack
-                                    # was lost.  The client repairs
-                                    # that by resending on reconnect.
-                                    outcome = "reset_after_data"
-                                    buffer = b""
-                                    raise _ConnectionDone()
+                            if (
+                                tenant is not None
+                                and high is not None
+                                and high > owed.get(tenant, -1)
+                            ):
+                                owed[tenant] = high
                         else:
                             self.service.submit_line(text, origin)
-                            ingested = True
-                    except _ConnectionDone:
-                        raise
+                        ingested = True
                     except Exception as error:  # noqa: BLE001 - keep serving
                         # Shards never let tenant faults escape; anything
                         # landing here is a service bug — record it, keep
@@ -647,6 +648,24 @@ class LineServer:
                                 origin=origin,
                                 error=f"{type(error).__name__}: {error}",
                             )
+                if owed:
+                    # After the chunk's last complete line, without
+                    # waiting for more input.
+                    try:
+                        conn.sendall(
+                            b"".join(
+                                ack_line(tenant, high)
+                                for tenant, high in owed.items()
+                            )
+                        )
+                    except OSError:
+                        # The lines are owned; only the acks were lost.
+                        # The client repairs that by resending on
+                        # reconnect.
+                        outcome = "reset_after_data"
+                        buffer = b""
+                        break
+                    self._count_acks(len(owed))
         except _ConnectionDone:
             pass
         finally:
@@ -660,6 +679,8 @@ class LineServer:
                 conn.close()
             except OSError:  # pragma: no cover - already dead
                 pass
+            with self._lock:
+                self._conns.pop(conn, None)
             self._count_connection(outcome)
 
     def stop(self, drain_timeout: float = 5.0) -> None:
@@ -667,17 +688,21 @@ class LineServer:
         self._stopping = True
         if self._sock is not None:
             try:
+                # close() alone leaves a thread blocked in accept()
+                # asleep; shutdown() wakes it.
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - platform refuses
+                pass
+            try:
                 self._sock.close()
             except OSError:  # pragma: no cover
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=drain_timeout)
         with self._lock:
-            threads = list(self._conn_threads)
-            conns = list(self._conns)
-        for thread in threads:
+            live = dict(self._conns)
+        for conn, thread in live.items():
             thread.join(timeout=drain_timeout)
-        for conn in conns:
             try:
                 conn.close()
             except OSError:  # pragma: no cover

@@ -341,6 +341,371 @@ class TestDurableSenderSpool:
         assert drained["tenants"]["alpha"]["lines"] == 10
 
 
+class TestSpoolDepthGauge:
+    """Satellite: the depth gauge is an O(1) count, not a spool scan."""
+
+    def _sender(self, tmp_path, telemetry=None):
+        return DurableSender(
+            "127.0.0.1", 1, "client-a", str(tmp_path / "spool.jsonl"),
+            telemetry=telemetry,
+        )
+
+    def test_send_and_ack_never_scan_the_spool(self, tmp_path):
+        scans = []
+
+        class Counting(DurableSender):
+            def unacked(self):
+                scans.append(True)
+                return super().unacked()
+
+        sender = Counting(
+            "127.0.0.1", 1, "client-a", str(tmp_path / "spool.jsonl"),
+            telemetry=Telemetry.create(),
+        )
+        scans.clear()  # recovery may index the spool once
+        for tenant, content in _tenant_lines("alpha", 50):
+            sender.send(tenant, content)
+        for high in range(1, 51):
+            sender._handle_ack(f"ACK alpha {high}")
+        assert scans == []
+        assert sender.spool_depth == 0
+
+    def test_gauge_tracks_unacked_through_sends_acks_and_compaction(
+        self, tmp_path
+    ):
+        telemetry = Telemetry.create()
+        sender = self._sender(tmp_path, telemetry)
+
+        def check() -> int:
+            depth = len(sender.unacked())
+            assert sender.spool_depth == depth
+            assert telemetry.metrics.value(
+                "repro_delivery_spool_depth"
+            ) == depth
+            return depth
+
+        for tenant, content in _tenant_lines("alpha", 6):
+            sender.send(tenant, content)
+        for tenant, content in _tenant_lines("beta", 4):
+            sender.send(tenant, content)
+        assert check() == 10
+        sender._handle_ack("ACK alpha 2")
+        assert check() == 8
+        sender._handle_ack("ACK alpha 2")  # cumulative acks repeat
+        sender._handle_ack("ACK alpha 1")  # ...and arrive stale
+        sender._handle_ack("ACK gamma 9")  # a tenant never spooled
+        sender._handle_ack("ACK alp")  # torn
+        assert check() == 8
+        sender.send("alpha", "interleaved with the acks")
+        sender._handle_ack("ACK beta 99")  # beyond anything spooled
+        assert check() == 5
+        sender._compact()
+        assert check() == 5
+        sender._handle_ack("ACK alpha 7")
+        assert check() == 0
+        sender.close()
+        # Recovery: the compacted spool's five lines, all unacked again.
+        recovered = self._sender(tmp_path, Telemetry.create())
+        assert recovered.spool_depth == len(recovered.unacked()) == 5
+
+
+class _RecordingSocket:
+    """Socket proxy that keeps every ``sendall`` payload, in order."""
+
+    def __init__(self, sock, writes: list) -> None:
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, payload: bytes) -> None:
+        self._writes.append(payload)
+        self._sock.sendall(payload)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _RecordingSender(DurableSender):
+    """Records each socket write and each per-line ``_transmit``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.writes: list[bytes] = []
+        #: Transmission indices that went through the per-line seam.
+        self.per_line: list[int] = []
+        super().__init__(*args, **kwargs)
+
+    def _connect(self):
+        sock = super()._connect()
+        self._sock = _RecordingSocket(sock, self.writes)
+        return self._sock
+
+    def _transmit(self, payload: bytes) -> None:
+        self.per_line.append(self._tx_index)
+        super()._transmit(payload)
+
+
+class _RefuseWindow:
+    """Admission stub: refuses admissions ``first..last`` (1-based)."""
+
+    def __init__(self, first: int, last: int) -> None:
+        self.first, self.last = first, last
+        self.calls = 0
+
+    def admit(self, tenant: str):
+        self.calls += 1
+        if self.first <= self.calls <= self.last:
+            return False, "shed"
+        return True, None
+
+    def describe(self) -> str:
+        return "admission: test stub"
+
+
+def _tenant_artifacts(data_dir) -> dict[str, bytes]:
+    """Per-tenant parse outputs, keyed ``tenant/file`` (post-drain)."""
+    out = {}
+    for tenant in sorted(os.listdir(data_dir)):
+        for name in ("out.events", "out.structured"):
+            path = os.path.join(data_dir, tenant, name)
+            if os.path.exists(path):
+                with open(path, "rb") as handle:
+                    out[f"{tenant}/{name}"] = handle.read()
+    return out
+
+
+class TestChunkedWirePath:
+    """The v2 wire path moves whole chunks under the same ack contract."""
+
+    LINES = _tenant_lines("alpha", 70) + _tenant_lines("beta", 50)
+
+    def _service(self, data_dir, telemetry=None, **kwargs):
+        return IngestionService(
+            str(data_dir), _factory, protocol="v2",
+            telemetry=telemetry, **kwargs,
+        )
+
+    def _calm_artifacts(self, tmp_path) -> dict[str, bytes]:
+        service = self._service(tmp_path / "calm")
+        with LineServer(service) as server:
+            with DurableSender(
+                server.host, server.port, "certified-client",
+                str(tmp_path / "calm.spool.jsonl"),
+            ) as sender:
+                for tenant, content in self.LINES:
+                    sender.send(tenant, content)
+                sender.flush(timeout=30.0)
+        service.drain()
+        artifacts = _tenant_artifacts(tmp_path / "calm")
+        assert len(artifacts) == 4
+        return artifacts
+
+    def test_calm_flush_sends_each_line_exactly_once(self, tmp_path):
+        telemetry = Telemetry.create()
+        service = self._service(tmp_path / "data", telemetry)
+        with LineServer(service) as server:
+            sender = _RecordingSender(
+                server.host, server.port, "client-a",
+                str(tmp_path / "spool.jsonl"),
+            )
+            for tenant, content in self.LINES:
+                sender.send(tenant, content)
+            summary = sender.flush(timeout=30.0)
+            sender.close()
+        assert summary["delivered"] == len(self.LINES)
+        assert summary["resends"] == summary["delivered"]
+        for tenant in ("alpha", "beta"):
+            assert telemetry.metrics.value(
+                "repro_delivery_duplicates_suppressed_total", tenant=tenant
+            ) == 0
+        # The whole suffix left in one joined write.
+        assert len(sender.writes) == 1
+        assert sender.writes[0].count(b"\n") == len(self.LINES)
+        assert sender.per_line == []
+        # Far fewer ack frames than lines: one per tenant per chunk.
+        acked = telemetry.metrics.value("repro_delivery_acked_total")
+        assert 2 <= acked < len(self.LINES) / 4
+        drained = service.drain()
+        assert drained["tenants"]["alpha"]["lines"] == 70
+        assert drained["tenants"]["beta"]["lines"] == 50
+
+    def test_ack_frames_are_per_chunk_and_follow_ownership(self, tmp_path):
+        """Raw socket: two tenants' lines in one write.  Each ack read
+        must already be backed by the delivery journal — the ack =
+        durable-ownership contract, checked at the instant of the ack."""
+        data = tmp_path / "data"
+        service = self._service(data)
+        counts = {"alpha": 70, "beta": 50}
+        seqs = dict.fromkeys(counts, 0)
+        payload = b""
+        for tenant, content in self.LINES:
+            seqs[tenant] += 1
+            payload += data_line(seqs[tenant], tenant, content)
+
+        def journaled(tenant: str) -> set[int]:
+            return {
+                entry["seq"]
+                for entry in read_jsonl_payloads(
+                    str(data / tenant / "out.delivery.journal.jsonl")
+                )
+                if entry.get("client") == "raw-client"
+            }
+
+        frames: list[tuple[str, int]] = []
+        with LineServer(service) as server:
+            conn = socket.create_connection(
+                (server.host, server.port), timeout=10
+            )
+            conn.sendall(hello_line("raw-client"))
+            reader = conn.makefile("rb")
+            assert reader.readline() == b"OK v2\n"
+            conn.sendall(payload)
+            last = dict.fromkeys(counts, 0)
+            while last != counts:
+                tenant, high = parse_ack(reader.readline().decode().rstrip())
+                frames.append((tenant, high))
+                assert high >= last[tenant]
+                assert set(range(1, high + 1)) <= journaled(tenant)
+                last[tenant] = high
+            conn.close()
+        assert len(frames) < len(self.LINES) / 4
+        service.drain()
+
+    def test_stall_window_resends_lines_refused_without_ack(self, tmp_path):
+        telemetry = Telemetry.create()
+        # Admissions 6..12 are refused: no ownership, so no ack.
+        service = self._service(
+            tmp_path / "data", telemetry, admission=_RefuseWindow(6, 12)
+        )
+        lines = _tenant_lines("alpha", 12)
+        with LineServer(service) as server:
+            with DurableSender(
+                server.host, server.port, "client-a",
+                str(tmp_path / "spool.jsonl"),
+            ) as sender:
+                for tenant, content in lines:
+                    sender.send(tenant, content)
+                summary = sender.flush(timeout=30.0)
+        # One transmit of all 12, then — a stall window later — exactly
+        # the 7 still unacked; nothing was sent that the server had.
+        assert summary == {"delivered": 12, "resends": 19, "reconnects": 0}
+        assert telemetry.metrics.value(
+            "repro_delivery_duplicates_suppressed_total", tenant="alpha"
+        ) == 0
+        assert service.drain()["tenants"]["alpha"]["lines"] == 12
+
+    @pytest.mark.parametrize("seed", [7, 101])
+    def test_joined_writes_leave_the_fault_index_space_alone(
+        self, tmp_path, seed
+    ):
+        calm = self._calm_artifacts(tmp_path)
+        schedule = network_fault_schedule(seed, n=5, span=len(self.LINES))
+        scripted = {fault.at_line: fault for fault in schedule}
+        service = self._service(tmp_path / "faulted")
+        with LineServer(service) as server:
+            sender = _RecordingSender(
+                server.host, server.port, "certified-client",
+                str(tmp_path / "faulted.spool.jsonl"),
+                faults=schedule, base_backoff=0.01, max_backoff=0.05,
+            )
+            for tenant, content in self.LINES:
+                sender.send(tenant, content)
+            summary = sender.flush(timeout=60.0)
+            sender.close()
+        assert summary["delivered"] == len(self.LINES)
+        # Every fault whose index was reached fired once, at its index
+        # (the first pass alone covers the whole schedule's span).
+        fired = [index for index in sender.per_line if index in scripted]
+        assert fired == sorted(scripted)
+        assert max(scripted) < sender._tx_index
+        # The per-line seam carried nothing else, except the line that
+        # follows a reorder hold (the hold rides out behind it).
+        followers = {
+            index + 1
+            for index, fault in scripted.items()
+            if fault.kind == "reorder"
+        }
+        assert set(sender.per_line) <= set(scripted) | followers
+        # ...so everything between faults left as joined writes, and a
+        # faulted line never shared a write with its neighbours.
+        joined = [w for w in sender.writes if w.count(b"\n") > 1]
+        assert joined
+        for fault in schedule:
+            if fault.kind == "duplicate":
+                assert any(
+                    w.count(b"\n") == fault.repeats
+                    and w == w[: len(w) // fault.repeats] * fault.repeats
+                    for w in sender.writes
+                )
+        assert any(not w.endswith(b"\n") for w in sender.writes)  # a cut
+        service.drain()
+        assert _tenant_artifacts(tmp_path / "faulted") == calm
+
+    def test_connection_killed_before_owed_acks_converges(self, tmp_path):
+        calm = self._calm_artifacts(tmp_path)
+        telemetry = Telemetry.create()
+        service = self._service(tmp_path / "killed", telemetry)
+        sender_box = []
+        real_submit = service.submit_line_v2
+        calls = []
+
+        def kill_mid_chunk(text, client, origin="<stream>"):
+            calls.append(True)
+            if len(calls) == 10:
+                # Mid-chunk: ten lines are owned, none is acked yet.
+                sender_box[0]._sock.shutdown(socket.SHUT_RDWR)
+            return real_submit(text, client, origin)
+
+        service.submit_line_v2 = kill_mid_chunk
+        with LineServer(service) as server:
+            sender = DurableSender(
+                server.host, server.port, "certified-client",
+                str(tmp_path / "killed.spool.jsonl"),
+                base_backoff=0.01, max_backoff=0.05,
+            )
+            sender_box.append(sender)
+            for tenant, content in self.LINES:
+                sender.send(tenant, content)
+            summary = sender.flush(timeout=60.0)
+            sender.close()
+        assert summary["delivered"] == len(self.LINES)
+        assert summary["resends"] > len(self.LINES)
+        suppressed = sum(
+            telemetry.metrics.value(
+                "repro_delivery_duplicates_suppressed_total", tenant=tenant
+            )
+            for tenant in ("alpha", "beta")
+        )
+        assert suppressed >= 9
+        drained = service.drain()
+        assert drained["tenants"]["alpha"]["lines"] == 70
+        assert drained["tenants"]["beta"]["lines"] == 50
+        assert _tenant_artifacts(tmp_path / "killed") == calm
+
+    def test_sends_after_compaction_append_to_the_rewritten_spool(
+        self, tmp_path
+    ):
+        spool = str(tmp_path / "spool.jsonl")
+        sender = DurableSender("127.0.0.1", 1, "client-a", spool)
+        for tenant, content in _tenant_lines("alpha", 5):
+            sender.send(tenant, content)
+        sender._handle_ack("ACK alpha 3")
+        sender._compact()
+        assert [p["seq"] for p in read_jsonl_payloads(spool)] == [4, 5]
+        # The append handle must follow the rename, not the old inode.
+        assert sender.send("alpha", "six") == 6
+        assert sender.send("beta", "uno") == 1
+        on_disk = [
+            (p["tenant"], p["seq"]) for p in read_jsonl_payloads(spool)
+        ]
+        assert on_disk == [
+            ("alpha", 4), ("alpha", 5), ("alpha", 6), ("beta", 1)
+        ]
+        expected = sender.unacked()
+        sender.close()
+        recovered = DurableSender("127.0.0.1", 1, "client-a", spool)
+        assert recovered.unacked() == expected
+        assert recovered.send("alpha", "seven") == 7
+
+
 class TestBindRetry:
     """Satellite: both TCP front ends absorb the EADDRINUSE race."""
 

@@ -603,6 +603,75 @@ class TestLineServer:
         assert outcome_count("reset_after_data") == 1
         service.drain()
 
+    def test_stop_wakes_the_accept_thread(self, tmp_path):
+        """``stop()`` must not sit out its join timeout: closing the
+        listening socket alone leaves ``accept()`` asleep."""
+        import socket as socketlib
+        import time
+
+        service = IngestionService(str(tmp_path), self.factory)
+        idle = LineServer(service)
+        idle.start()
+        started = time.monotonic()
+        idle.stop()
+        assert time.monotonic() - started < 1.5
+        assert not idle._accept_thread.is_alive()
+
+        used = LineServer(service)
+        used.start()
+        conn = socketlib.create_connection((used.host, used.port), timeout=5)
+        conn.sendall(_lines("alpha", 3)[0].encode() + b"\n")
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and service.submitted < 1:
+            time.sleep(0.01)
+        conn.close()
+        started = time.monotonic()
+        used.stop()
+        assert time.monotonic() - started < 1.5
+        assert not used._accept_thread.is_alive()
+        service.drain()
+
+    def test_finished_connections_are_pruned(self, tmp_path):
+        import socket as socketlib
+        import time
+
+        service = IngestionService(str(tmp_path), self.factory)
+        server = LineServer(service)
+        server.start()
+        try:
+            for index in range(200):
+                conn = socketlib.create_connection(
+                    (server.host, server.port), timeout=5
+                )
+                conn.sendall(_lines("alpha", 1, start=index)[0].encode() + b"\n")
+                conn.close()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and (
+                service.submitted < 200 or server._conns
+            ):
+                time.sleep(0.01)
+            assert service.submitted == 200
+            assert len(server._conns) == 0
+            # Connections still open at stop() are joined, then closed.
+            live = [
+                socketlib.create_connection(
+                    (server.host, server.port), timeout=5
+                )
+                for _ in range(2)
+            ]
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and len(server._conns) < 2:
+                time.sleep(0.01)
+            threads = list(server._conns.values())
+            assert len(threads) == 2
+        finally:
+            server.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert server._conns == {}
+        for conn in live:
+            conn.close()
+        service.drain()
+
     def test_cli_serve_replay_mode(self, tmp_path, capsys):
         replay = tmp_path / "replay.log"
         replay.write_text(
