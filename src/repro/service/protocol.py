@@ -212,6 +212,12 @@ class BatchJournal:
     resume rebuild its :class:`DeliveryWindow` watermarks past the
     checkpoint.
 
+    Appends share one handle, opened on first use and flushed per
+    record (so an entry outlives a ``SIGKILL`` the moment ``append``
+    returns — the ack boundary; it is not fsynced, see DESIGN §14).
+    ``reset`` and ``remove`` close it first, and the next append
+    reopens the file the rewrite left behind.
+
     With ``recover=True`` the surviving entries of a previous life
     are parsed (torn tail truncated) and exposed as
     :attr:`recovered` instead of being discarded — the exactly-once
@@ -224,6 +230,9 @@ class BatchJournal:
     ) -> None:
         self.path = path
         self._io = io or RealIO()
+        #: Append handle, opened by the first append after
+        #: construction, :meth:`reset` or :meth:`remove`.
+        self._handle = None
         recovery = recover_jsonl(path, io=self._io)
         self.recovered: list[tuple[int, LogRecord, tuple | None]] = []
         if recover:
@@ -264,11 +273,22 @@ class BatchJournal:
         return int(payload.get("index", 0)), record, delivery
 
     def append(self, index: int, record: LogRecord, delivery=None) -> None:
-        handle = self._io.open(self.path, "ab")
-        try:
-            self._io.write(handle, self._frame(index, record, delivery))
-            self._io.flush(handle)
-        finally:
+        """Write + flush one entry on the held append handle.
+
+        Not thread-safe, and must not interleave with :meth:`reset`:
+        the owner serialises both under one lock (the shard's, or the
+        supervisor's), or an append lands in the inode a concurrent
+        rewrite is about to replace.
+        """
+        if self._handle is None:
+            self._handle = self._io.open(self.path, "ab")
+        self._io.write(self._handle, self._frame(index, record, delivery))
+        self._io.flush(self._handle)
+
+    def close(self) -> None:
+        """Give the append handle back; the file stays for a resume."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
             handle.close()
 
     def reset(self, entries) -> None:
@@ -280,9 +300,13 @@ class BatchJournal:
         text = b"".join(
             self._frame(*entry) for entry in entries
         ).decode("utf-8")
+        # The rewrite renames a new file into place; an append handle
+        # held across it would keep writing to the unlinked one.
+        self.close()
         atomic_write_text(self.path, text, io=self._io)
 
     def remove(self) -> None:
+        self.close()
         try:
             os.unlink(self.path)
         except FileNotFoundError:  # pragma: no cover - already gone

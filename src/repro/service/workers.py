@@ -29,10 +29,11 @@ Correctness hangs on three pieces of bookkeeping:
   worker acknowledges a checkpoint covering it.  A restarted worker
   restores the checkpoint, fast-forwards
   (:meth:`~repro.service.shard.TenantShard.fast_forward`), and the
-  supervisor replays exactly the journaled suffix.  Feed messages
-  carry global record indices; the worker skips indices below its
-  restored position, so replay after an un-acked checkpoint produces
-  no duplicates and a gap is a detectable protocol violation.
+  supervisor replays exactly the journaled suffix.  A feed message
+  carries a batch of contiguous outbox entries, each with its global
+  record index; the worker skips indices below its restored position,
+  so replay after an un-acked checkpoint produces no duplicates and a
+  gap is a detectable protocol violation.
 * **Careful replay and poison pills.**  After a death the supervisor
   replays one record at a time, each awaiting an explicit ``done``
   ack, so the record in flight when the worker dies again is known
@@ -123,6 +124,15 @@ JOURNAL_NAME = "out.journal.jsonl"
 
 #: Worker root span name (adopted into the parent trace).
 SPAN_SHARD_WORKER = "shard_worker"
+
+#: Most contiguous outbox entries one ``feed`` message carries: the
+#: pickle, the pipe write and the lock round trip are paid per message.
+_FEED_BATCH = 64
+
+#: Longest the monitor blocks on the results queue once it has nothing
+#: left to send; bounds how late it notices a submit, a drain request,
+#: a dead worker or a passed watchdog deadline.
+_POLL = 0.02
 
 
 def _mp_context():
@@ -269,50 +279,54 @@ class ShardWorker:
                 continue
             kind = message[0]
             if kind == "feed":
-                _, index, record, confirm, enqueued_at, delivery = message
-                position = shard.position
-                if index < position:
-                    outcome = REPLAYED
-                elif index > position:
-                    # A record the journal should have replayed never
-                    # arrived: refuse to parse past the hole.
-                    self.outbox.put(("gap", position, index))
-                    return 1
-                else:
-                    for fault in spec.faults:
-                        if fault.should_fire(index, spec.life):
-                            fault.fire()
-                    # CLOCK_MONOTONIC is comparable across processes
-                    # on the same boot, so the parent's enqueue stamp
-                    # prices the queue hop end to end.
-                    dequeued_at = time.monotonic()
-                    if enqueued_at is not None:
-                        self._queue_wait.observe(
-                            max(0.0, dequeued_at - enqueued_at)
+                _, entries, confirm = message
+                for index, record, enqueued_at, delivery in entries:
+                    position = shard.position
+                    if index < position:
+                        outcome = REPLAYED
+                    elif index > position:
+                        # A record the journal should have replayed
+                        # never arrived: refuse to parse past the hole.
+                        self.outbox.put(("gap", position, index))
+                        return 1
+                    else:
+                        for fault in spec.faults:
+                            if fault.should_fire(index, spec.life):
+                                fault.fire()
+                        # CLOCK_MONOTONIC is comparable across
+                        # processes on the same boot, so the parent's
+                        # enqueue stamp prices the queue hop end to end.
+                        dequeued_at = time.monotonic()
+                        if enqueued_at is not None:
+                            self._queue_wait.observe(
+                                max(0.0, dequeued_at - enqueued_at)
+                            )
+                        outcome = shard.submit(record, delivery=delivery)
+                        if enqueued_at is not None:
+                            self._latency.observe(
+                                max(0.0, time.monotonic() - enqueued_at)
+                            )
+                        fed_since_checkpoint += 1
+                    if confirm:
+                        self.outbox.put(("done", index, outcome))
+                    # Cadence is per record, so a checkpoint lands at
+                    # the same stream position wherever the batch
+                    # boundaries happened to fall.
+                    if fed_since_checkpoint >= spec.checkpoint_every:
+                        shard.checkpoint()
+                        fed_since_checkpoint = 0
+                        self.outbox.put(
+                            (
+                                "checkpointed",
+                                shard.position,
+                                self._stats(shard),
+                                self._new_spans(),
+                            )
                         )
-                    outcome = shard.submit(record, delivery=delivery)
-                    if enqueued_at is not None:
-                        self._latency.observe(
-                            max(0.0, time.monotonic() - enqueued_at)
-                        )
-                    fed_since_checkpoint += 1
-                if confirm:
-                    self.outbox.put(("done", index, outcome))
-                if fed_since_checkpoint >= spec.checkpoint_every:
-                    shard.checkpoint()
-                    fed_since_checkpoint = 0
-                    self.outbox.put(
-                        (
-                            "checkpointed",
-                            shard.position,
-                            self._stats(shard),
-                            self._new_spans(),
-                        )
-                    )
-                now = time.monotonic()
-                if now - last_heartbeat >= spec.heartbeat_interval:
-                    self.outbox.put(("hb", self._stats(shard)))
-                    last_heartbeat = now
+                    now = time.monotonic()
+                    if now - last_heartbeat >= spec.heartbeat_interval:
+                        self.outbox.put(("hb", self._stats(shard)))
+                        last_heartbeat = now
             elif kind == "poison":
                 _, index, record, detail, delivery = message
                 if index == shard.position:
@@ -600,7 +614,10 @@ class ShardSupervisor:
             if index < self._skip:
                 return REPLAYED
             self._outbox.append((index, record, enqueued_at, None))
-        self._journal.append(index, record)
+            # Under the lock, like every journal write: an append that
+            # interleaved with _prune's rewrite would land in the inode
+            # the rewrite replaces.
+            self._journal.append(index, record)
         return ACCEPTED
 
     def submit_seq(
@@ -652,12 +669,18 @@ class ShardSupervisor:
         with self._lock:
             self._checkpoint_requested = True
 
+    def begin_drain(self) -> None:
+        """Ask the worker to drain, without waiting for it.
+
+        Lets :meth:`IngestionService.drain` start every tenant's
+        drain before it collects the first summary.
+        """
+        with self._lock:
+            self._drain_requested = True
+
     def drain(self) -> dict:
         """Drain the worker; escalate SIGTERM → SIGKILL on the deadline."""
-        with self._lock:
-            if self._drained_summary is not None:
-                return self._drained_summary
-            self._drain_requested = True
+        self.begin_drain()
         if not self._done.wait(timeout=self.drain_timeout):
             self._abandon()
             self._done.wait(timeout=self.term_grace + 5.0)
@@ -803,7 +826,9 @@ class ShardSupervisor:
             trace_context=trace_context,
             **self.shard_kwargs,
         )
-        inbox = self._mp.Queue(self.queue_size)
+        # A message carries up to _FEED_BATCH records, so the bound
+        # stays one on *records* in flight.
+        inbox = self._mp.Queue(max(1, self.queue_size // _FEED_BATCH))
         results = self._mp.Queue()
         process = self._mp.Process(
             target=shard_worker_main,
@@ -835,6 +860,12 @@ class ShardSupervisor:
         return REASON_EXIT
 
     def _dispatch(self, inbox) -> None:
+        """Ship every outbox entry the inbox will take, in batches.
+
+        Careful replay and poison diversion stay one record per
+        message, each awaiting its ack, so the record in flight when
+        the worker dies is known exactly.
+        """
         while True:
             with self._lock:
                 if self._in_flight is not None:
@@ -842,24 +873,27 @@ class ShardSupervisor:
                 offset = self._sent_through - self._acked
                 if offset >= len(self._outbox):
                     return
-                index, record, enqueued_at, delivery = self._outbox[offset]
+                index = self._outbox[offset][0]
                 careful = (
                     self._mode_careful and index < self._careful_high
                 )
                 detail = self._poisoned.get(index)
+                single = careful or detail is not None
+                batch = self._outbox[
+                    offset:offset + (1 if single else _FEED_BATCH)
+                ]
             if detail is not None:
+                _, record, _, delivery = batch[0]
                 message = ("poison", index, record, detail, delivery)
             else:
-                message = (
-                    "feed", index, record, careful, enqueued_at, delivery
-                )
+                message = ("feed", batch, careful)
             try:
                 inbox.put_nowait(message)
             except queue.Full:
                 return
             with self._lock:
-                self._sent_through = index + 1
-                if careful or detail is not None:
+                self._sent_through = batch[-1][0] + 1
+                if single:
                     self._in_flight = index
 
     def _maybe_finish_replay(self) -> None:
@@ -883,11 +917,13 @@ class ShardSupervisor:
                 del self._kill_counts[index]
             for index in [i for i in self._poisoned if i < position]:
                 del self._poisoned[index]
-            remaining = [
+            # Still under the lock: a submit between computing the
+            # survivors and the rename would append to the replaced
+            # inode and leave an acked record owned by nothing.
+            self._journal.reset(
                 (index, record, delivery)
                 for index, record, _, delivery in self._outbox
-            ]
-        self._journal.reset(remaining)
+            )
 
     def _handle_message(self, message, process) -> str | None:
         kind = message[0]
@@ -953,7 +989,8 @@ class ShardSupervisor:
             if self.telemetry is not None and spans:
                 self.telemetry.tracer.adopt(spans)
             self._prune(self._next_index)
-            self._journal.remove()
+            with self._lock:
+                self._journal.remove()
             process.join(timeout=self.term_grace + 5.0)
             if process.is_alive():  # pragma: no cover - stuck exit
                 self._terminate(process)
@@ -973,6 +1010,9 @@ class ShardSupervisor:
             self.state = STATE_FENCED
             if self._drained_summary is None:
                 self._drained_summary = self._fenced_summary()
+            # Submits are refused from here on; the journal itself
+            # stays on disk for the next service life.
+            self._journal.close()
         self._emit("worker_fenced", reason=why, restarts=self.restarts)
         self._done.set()
         return "fenced"
@@ -1050,18 +1090,24 @@ class ShardSupervisor:
         drain_sent = False
         ckpt_outstanding = False
         hung = False
+        exited = False
+        # Seconds to block for the next result.  Zero while results
+        # are queued (read them all, then send); _POLL once everything
+        # sendable has been sent.
+        wait = 0.0
         try:
             while True:
                 if self._abandoned:
                     self._terminate(process)
                     return self._fence("drain deadline exceeded")
                 try:
-                    message = results.get(timeout=0.02)
+                    message = results.get(block=wait > 0, timeout=wait)
                 except queue.Empty:
                     message = None
                 except (EOFError, OSError):  # pragma: no cover
                     message = None
                 if message is not None:
+                    wait = 0.0
                     if message[0] == "ready":
                         ready = True
                     elif message[0] == "checkpointed":
@@ -1070,8 +1116,15 @@ class ShardSupervisor:
                     if verdict is not None:
                         return verdict
                     continue
-                if not process.is_alive():
+                if exited:
                     break
+                if not process.is_alive():
+                    # Its last message can land after the read above
+                    # came up empty: read the queue out before this
+                    # exit is booked as a crash.
+                    exited = True
+                    wait = 0.0
+                    continue
                 deadline = self.watchdog
                 if drain_sent:
                     deadline = max(self.watchdog, self.drain_timeout)
@@ -1079,6 +1132,7 @@ class ShardSupervisor:
                     hung = True
                     self._terminate(process)
                     break
+                wait = _POLL
                 if not ready:
                     continue
                 self._dispatch(inbox)

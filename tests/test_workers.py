@@ -24,7 +24,10 @@ wall-clock audit test pins that property at the source level.
 
 import filecmp
 import functools
+import gc
+import json
 import os
+import queue
 import threading
 import time
 
@@ -40,7 +43,7 @@ from repro.resilience import (
     process_fault_schedule,
     read_jsonl_payloads,
 )
-from repro.resilience.durability import scan_framed
+from repro.resilience.durability import RealIO, frame_record, scan_framed
 from repro.resilience.faults import (
     PROC_EXIT,
     PROC_HANG,
@@ -54,11 +57,14 @@ from repro.service import (
     TenantShard,
     replay_lines,
 )
+from repro.service.shard import CHECKPOINT_NAME
 from repro.service.workers import (
+    _FEED_BATCH,
     FENCED,
     JOURNAL_NAME,
     STATE_DRAINED,
     STATE_FENCED,
+    STATE_RUNNING,
     BatchJournal,
     supervisor_status,
 )
@@ -95,6 +101,70 @@ def _reference(tmp_path, tenant, lines):
         shard.submit(LogRecord(content=line))
     shard.drain()
     return os.path.join(ref_dir, tenant)
+
+
+def _wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert condition(), "condition not reached before the deadline"
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+
+
+class _Tap:
+    """Delegating queue proxy that logs what the monitor sends/reads.
+
+    The monitor thread is the only caller of both ends, so the shared
+    log is the true interleaving of its puts and gets.
+    """
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def put_nowait(self, message):
+        self._inner.put_nowait(message)
+        self._log.append(("put", message))
+
+    def get(self, *args, **kwargs):
+        message = self._inner.get(*args, **kwargs)
+        self._log.append(("got", message))
+        return message
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def wire_log(monkeypatch):
+    """Every message each supervisor's monitor puts or gets, per life."""
+    log = []
+    real_spawn = ShardSupervisor._spawn
+
+    def tapped_spawn(self):
+        process, inbox, results = real_spawn(self)
+        log.append(("life", self.life))
+        return process, _Tap(inbox, log), _Tap(results, log)
+
+    monkeypatch.setattr(ShardSupervisor, "_spawn", tapped_spawn)
+    return log
+
+
+def _feeds(log):
+    """The record-index batches of the ``feed`` messages in *log*."""
+    return [
+        [entry[0] for entry in message[1]]
+        for direction, message in log
+        if direction == "put" and message[0] == "feed"
+    ]
 
 
 def _assert_identical(ref_dir, got_dir, names=("out.events", "out.structured")):
@@ -166,6 +236,55 @@ class TestBatchJournal:
         payloads, _ = scan_framed(open(path, "rb").read())
         assert payloads == []
         journal.remove()
+
+    def test_append_after_reset_lands_in_the_rewritten_file(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = BatchJournal(path)
+        for index in range(3):
+            journal.append(index, LogRecord(content=f"r{index}"))
+        journal.reset([(2, LogRecord(content="r2"), ("c", 3))])
+        journal.append(3, LogRecord(content="r3"), ("c", 4))
+        journal.close()
+        recovered = BatchJournal(path, recover=True).recovered
+        assert [(index, record.content, delivery)
+                for index, record, delivery in recovered] == [
+            (2, "r2", ("c", 3)), (3, "r3", ("c", 4)),
+        ]
+
+    def test_torn_tail_of_a_held_handle_life_is_truncated(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = BatchJournal(path)
+        journal.append(0, LogRecord(content="a"))
+        journal.append(1, LogRecord(content="b"))
+        intact = os.path.getsize(path)
+        journal.close()
+        # SIGKILL mid-append: half a frame behind the flushed entries.
+        with open(path, "ab") as handle:
+            handle.write(frame_record({"index": 2, "content": "c"})[:9])
+        survivor = BatchJournal(path, recover=True)
+        assert [entry[0] for entry in survivor.recovered] == [0, 1]
+        assert os.path.getsize(path) == intact
+        survivor.append(2, LogRecord(content="c"))
+        survivor.close()
+        with open(path, "rb") as handle:
+            payloads, valid = scan_framed(handle.read())
+        assert [p["index"] for p in payloads] == [0, 1, 2]
+        assert valid == os.path.getsize(path)
+
+    @needs_proc_fd
+    def test_one_descriptor_held_and_given_back(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = BatchJournal(path)
+        baseline = _open_fds()
+        for index in range(20):
+            journal.append(index, LogRecord(content="x"))
+        assert _open_fds() == baseline + 1, "one handle, not one per record"
+        journal.reset(())
+        assert _open_fds() == baseline
+        journal.append(20, LogRecord(content="x"))
+        journal.remove()
+        assert _open_fds() == baseline
+        assert not os.path.exists(path)
 
 
 class TestSupervisedShard:
@@ -362,6 +481,365 @@ class TestSupervisedShard:
             ShardSupervisor(
                 "t", str(tmp_path), _factory(), fence_threshold=0
             )
+
+
+class TestBatchedFeed:
+    """One ``feed`` message carries up to ``_FEED_BATCH`` records; the
+    per-record protocol (gap check, faults, checkpoint cadence, SLO
+    observation) runs unchanged inside the batch.
+
+    The slow-start fault holds ``ready`` back until the whole stream
+    is in the outbox, so batch boundaries are deterministic:
+    ``[0, 64), [64, 128), ...``.
+    """
+
+    SLOW_START = ProcessFault(PROC_SLOW_START, delay_seconds=0.3)
+
+    def test_kill_mid_batch_finalizes_byte_identical(self, tmp_path, wire_log):
+        lines = _lines(300)
+        ref = _reference(tmp_path, "t", lines)
+        data = str(tmp_path / "proc")
+        kill_at = _FEED_BATCH + 1 + PROC_SEED % (_FEED_BATCH - 2)
+        sup = ShardSupervisor(
+            "t", data, _factory(), parser_name="Drain",
+            checkpoint_every=50,  # not a multiple of the batch size
+            faults=(self.SLOW_START, ProcessFault(PROC_KILL, at_record=kill_at)),
+            **FAST,
+        )
+        _feed(sup, lines)
+        summary = sup.drain()
+        fatal = next(b for b in _feeds(wire_log) if kill_at in b)
+        assert fatal[0] < kill_at < fatal[-1], "the kill landed mid-batch"
+        assert summary["restarts"] == 1
+        assert summary["lines"] == 300, "no record lost or duplicated"
+        _assert_identical(ref, os.path.join(data, "t"))
+
+    def test_checkpoint_cadence_is_per_record_not_per_message(self, tmp_path):
+        positions = []
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            checkpoint_every=50, faults=(self.SLOW_START,),
+            on_checkpoint=lambda tenant, position: positions.append(position),
+            **FAST,
+        )
+        _feed(sup, _lines(310))
+        sup.drain()
+        # Every 50th record — mid-batch each time — then the drain's
+        # own checkpoint over the remainder (which may repeat).
+        assert sorted(set(positions)) == [50, 100, 150, 200, 250, 300, 310]
+        assert positions == sorted(positions)
+
+    def test_hole_inside_a_batch_answers_gap_and_fences(self, tmp_path):
+        telemetry = Telemetry.create(trace_id="t")
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            telemetry=telemetry, faults=(self.SLOW_START,), **FAST,
+        )
+        _feed(sup, _lines(10))
+        with sup._lock:  # lose an entry the journal should have replayed
+            del sup._outbox[5]
+        _wait_for(lambda: sup.state == STATE_FENCED)
+        violations = [
+            e for e in telemetry.events.events
+            if e["kind"] == "worker_protocol_violation"
+        ]
+        assert [(e["expected"], e["got"]) for e in violations] == [(5, 6)]
+        assert sup.drain()["fenced"] is True
+
+    def test_careful_replay_is_one_record_per_message(self, tmp_path, wire_log):
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            checkpoint_every=50,
+            faults=(self.SLOW_START, ProcessFault(PROC_KILL, at_record=70)),
+            **FAST,
+        )
+        _feed(sup, _lines(150))
+        summary = sup.drain()
+        assert summary["restarts"] == 1 and summary["lines"] == 150
+        second_life = wire_log[wire_log.index(("life", 2)) + 1:]
+        # Replay confirms each record before the next one leaves.  It
+        # restarts at the checkpoint (50) — or at 0 when the SIGKILL
+        # beat the worker's feeder thread to the checkpoint ack.
+        conversation = [
+            (direction, _feeds([(direction, message)])[0])
+            if message[0] == "feed" else (direction, message[1])
+            for direction, message in second_life
+            if message[0] in ("feed", "done")
+        ]
+        start = conversation[0][1][0]
+        assert start in (0, 50)
+        expected = []
+        for index in range(start, 150):
+            expected += [("put", [index]), ("got", index)]
+        assert conversation == expected
+        assert all(
+            message[2] is True
+            for direction, message in second_life
+            if direction == "put" and message[0] == "feed"
+        ), "every careful feed asks for its confirm"
+
+    def test_calm_tenant_ships_few_messages_and_observes_every_record(
+        self, tmp_path, wire_log
+    ):
+        telemetry = Telemetry.create(trace_id="t")
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            telemetry=telemetry, **FAST,
+        )
+        _feed(sup, _lines(2000))
+        summary = sup.drain()
+        assert summary["lines"] == 2000 and summary["restarts"] == 0
+        feeds = _feeds(wire_log)
+        assert [i for batch in feeds for i in batch] == list(range(2000))
+        assert max(len(batch) for batch in feeds) <= _FEED_BATCH
+        assert len(feeds) <= 2000 // 8, "messages << records"
+        for name in (
+            "repro_tenant_queue_wait_seconds",
+            "repro_tenant_ingest_latency_seconds",
+        ):
+            child = dict(telemetry.metrics.get(name).children())[("t",)]
+            assert child.count == 2000, name
+
+
+class TestJournalOwnsEveryAck:
+    def test_submit_during_prune_rewrite_stays_journaled(self, tmp_path):
+        """An ack is a durable promise (DESIGN §14): a ``submit_seq``
+        that races the checkpoint-ack rewrite of the journal must end
+        up in the rewritten file, not in the inode it replaced."""
+
+        class RacingIO(RealIO):
+            """``replace`` gives a concurrent submit a head start."""
+
+            def __init__(self):
+                self.racer = None
+                self.raced = []
+
+            def replace(self, src, dst):
+                racer, self.racer = self.racer, None
+                if racer is not None:
+                    thread = threading.Thread(target=racer)
+                    thread.start()
+                    thread.join(timeout=0.5)
+                    self.raced.append(thread)
+                super().replace(src, dst)
+
+        io = RacingIO()
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain", io=io,
+            exactly_once=True, checkpoint_every=10_000, **FAST,
+        )
+        acked = {}
+        for seq in range(1, 6):
+            _, acked["high"] = sup.submit_seq(
+                LogRecord(content=f"conn from host1 port {seq}"), "c", seq
+            )
+
+        def late_submit():
+            _, acked["high"] = sup.submit_seq(
+                LogRecord(content="conn from host1 port 6"), "c", 6
+            )
+
+        io.racer = late_submit
+        sup.checkpoint()  # ack -> _prune -> journal rewrite -> replace
+        _wait_for(lambda: io.raced and not io.raced[0].is_alive())
+        assert acked["high"] == 6
+        tenant_dir = os.path.join(str(tmp_path), "t")
+        with open(os.path.join(tenant_dir, CHECKPOINT_NAME)) as handle:
+            covered = json.load(handle)["delivery"]["clients"]["c"]
+        journaled = {
+            payload["seq"] for payload in read_jsonl_payloads(
+                os.path.join(tenant_dir, JOURNAL_NAME)
+            )
+        }
+        owned = set(range(1, covered + 1)) | journaled
+        assert owned >= set(range(1, 7)), (
+            f"acked through 6 but only {sorted(owned)} is owned durably"
+        )
+        assert sup.drain()["lines"] == 6
+
+
+class TestExitClassification:
+    def test_last_message_racing_the_exit_is_not_a_crash(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that exits right after ``drained`` can be seen dead
+        before the message is seen at all; the queue is read out
+        before the exit is classified."""
+
+        class ExitedProcess:
+            exitcode = 0
+
+            def is_alive(self):
+                return False
+
+            def join(self, timeout=None):
+                pass
+
+            terminate = kill = join
+
+        class Inbox:
+            def put_nowait(self, message):
+                pass
+
+            def close(self):
+                pass
+
+            cancel_join_thread = close
+
+        class RacingResults(Inbox):
+            """Empty on the first read; the message lands right after."""
+
+            def __init__(self, messages):
+                self.messages = list(messages)
+                self.reads = 0
+
+            def get(self, block=True, timeout=None):
+                self.reads += 1
+                if self.reads == 1 or not self.messages:
+                    raise queue.Empty
+                return self.messages.pop(0)
+
+        summary = {"tenant": "t", "lines": 0, "events": 0, "manifest": None}
+
+        def spawn(self):
+            self.life += 1
+            return ExitedProcess(), Inbox(), RacingResults(
+                [("drained", summary, [], {})]
+            )
+
+        monkeypatch.setattr(ShardSupervisor, "_spawn", spawn)
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            sleep=lambda _s: None, **FAST,
+        )
+        drained = sup.drain()
+        assert sup.state == STATE_DRAINED
+        assert sup.restarts == 0 and drained["restarts"] == 0
+        assert not drained.get("fenced")
+
+
+class TestConcurrentDrain:
+    TENANTS = ("a", "b", "c", "d")
+
+    def _service(self, tmp_path, **worker_kwargs):
+        service = IngestionService(
+            str(tmp_path), _factory(), parser_name="Drain",
+            isolation="process",
+            worker_kwargs=dict(checkpoint_every=8, **worker_kwargs),
+        )
+        replay_lines(service, [
+            f"{self.TENANTS[i % 4]}\tconn from host{i % 5} port {i}"
+            for i in range(80)
+        ])
+        return service
+
+    def test_every_tenant_begins_before_the_first_is_collected(
+        self, tmp_path, monkeypatch
+    ):
+        service = self._service(tmp_path, **FAST)
+        shards = [service.shard(tenant) for tenant in self.TENANTS]
+        requested_at_collect = []
+        real_drain = ShardSupervisor.drain
+
+        def spying_drain(self):
+            requested_at_collect.append(
+                [shard._drain_requested for shard in shards]
+            )
+            return real_drain(self)
+
+        monkeypatch.setattr(ShardSupervisor, "drain", spying_drain)
+        summary = service.drain()
+        assert requested_at_collect[0] == [True] * 4
+        assert sorted(summary) == ["protocol_rejects", "submitted", "tenants"]
+        assert summary["submitted"] == 80 and summary["protocol_rejects"] == 0
+        assert list(summary["tenants"]) == list(self.TENANTS)
+        for tenant, shard_summary in summary["tenants"].items():
+            assert shard_summary == {
+                "tenant": tenant, "seen": 20, "accepted": 20, "lines": 20,
+                "events": shard_summary["events"], "quarantined": 0,
+                "breaker_open": False, "restarts": 0,
+                "isolation": "process",
+                "manifest": os.path.join(
+                    str(tmp_path), tenant, "out.manifest.json"
+                ),
+            }
+        assert service.drain() is summary, "idempotent"
+
+    def test_a_tenant_past_its_deadline_does_not_hold_up_the_rest(
+        self, tmp_path, monkeypatch
+    ):
+        wedged = ProcessFault(PROC_HANG, at_drain=True, hang_seconds=60.0)
+        service = self._service(
+            tmp_path, faults={"a": (wedged,)}, heartbeat_interval=0.02,
+            watchdog=0.4, drain_timeout=1.5, term_grace=0.5,
+        )
+        shards = {t: service.shard(t) for t in self.TENANTS}
+        others_done = []
+        real_drain = ShardSupervisor.drain
+
+        def spying_drain(self):
+            summary = real_drain(self)
+            if self.tenant == "a":
+                others_done.extend(
+                    shards[t].state == STATE_DRAINED for t in "bcd"
+                )
+            return summary
+
+        monkeypatch.setattr(ShardSupervisor, "drain", spying_drain)
+        summary = service.drain()["tenants"]
+        assert summary["a"]["fenced"] is True
+        assert others_done == [True] * 3, (
+            "b, c, d drained while a sat out its deadline"
+        )
+        for tenant in "bcd":
+            assert summary[tenant]["lines"] == 20
+            assert not summary[tenant].get("fenced")
+
+    def test_idle_monitor_does_not_busy_poll(self, tmp_path):
+        calls = []
+
+        def counting_clock():
+            calls.append(None)
+            return time.monotonic()
+
+        # One clock read per monitor iteration (the watchdog check)
+        # and one per worker message; a long heartbeat keeps the
+        # window free of messages.
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            heartbeat_interval=2.0, watchdog=10.0, clock=counting_clock,
+        )
+        _wait_for(lambda: sup.state == STATE_RUNNING)
+        before = len(calls)
+        time.sleep(0.5)
+        iterations = len(calls) - before
+        sup.drain()
+        assert 1 <= iterations <= 30, iterations
+
+    @needs_proc_fd
+    def test_fifty_service_lives_leak_no_descriptor(self, tmp_path):
+        def life(number, isolation):
+            service = IngestionService(
+                str(tmp_path / f"life{number}"), _factory(),
+                parser_name="Drain", protocol="v2", isolation=isolation,
+                worker_kwargs=dict(FAST) if isolation == "process" else None,
+            )
+            for seq in range(1, 4):
+                service.submit_line_v2(
+                    f"{seq} t\tconn from host1 port {seq}", "c"
+                )
+            service.checkpoint_all()  # rewrite, then append again
+            service.submit_line_v2("4 t\tconn from host1 port 4", "c")
+            assert service.drain()["tenants"]["t"]["lines"] == 4
+
+        life(0, "thread")
+        life(1, "process")
+        gc.collect()
+        baseline = _open_fds()
+        for number in range(2, 52):
+            life(number, "process" if number % 10 == 0 else "thread")
+        gc.collect()
+        assert _open_fds() <= baseline
 
 
 class TestMonotonicDeadlines:
