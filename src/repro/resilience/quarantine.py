@@ -21,6 +21,7 @@ supplies the shared answer used by :mod:`repro.datasets.loader`,
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator
 
@@ -41,6 +42,10 @@ REASON_UNDECODABLE = "undecodable"
 REASON_OVERSIZED = "oversized"
 REASON_UNPRINTABLE = "unprintable"
 REASON_PARSE_FAILURE = "parse-failure"
+
+#: What the screen rejects: C0 controls other than tab/newline/return,
+#: and the replacement character lossy decoding leaves behind.
+_UNPRINTABLE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffd]")
 
 #: How much of a rejected line is preserved in its quarantine record.
 _PREVIEW_CHARS = 200
@@ -276,9 +281,8 @@ def is_clean_content(content: str, max_len: int | None = None) -> str | None:
     """
     if max_len is not None and len(content) > max_len:
         return REASON_OVERSIZED
-    for char in content:
-        if (ord(char) < 0x20 and char not in "\t\n\r") or char == "�":
-            return REASON_UNPRINTABLE
+    if _UNPRINTABLE.search(content) is not None:
+        return REASON_UNPRINTABLE
     return None
 
 

@@ -12,6 +12,19 @@ covers this line?" in roughly O(tokens):
   token is either the line's first token or the wildcard, so a lookup
   probes exactly two buckets.
 
+Each resident template is **compiled once, at insert**, into
+``(pick, constants, count)``: an ``operator.itemgetter`` over the
+template's constant positions, what it returns for the template itself,
+and how many constants there are.  A bucket maps slot -> that triple, so
+testing a candidate is one C call and one comparison — ``pick(tokens)
+== constants`` — and the specificity tie-break reads ``count``.  The
+triple is *derived state*: :meth:`TemplateCache.state` carries only the
+token tuples, :meth:`TemplateCache.restore` recompiles through
+``insert``, and eviction/``remove``/``clear_templates`` drop it with
+its bucket entry.  Per-line budget of a template hit: one ``join``,
+three dict ``get`` s, one ``pick`` per candidate, two or three
+``OrderedDict`` updates — all C calls, no Python frame below ``match``.
+
 The cache stores opaque integer *slots* (the engine's permanent event
 table indices), never event ids: eviction forgets how to *match* a
 template but the engine still remembers the event, so a re-learned
@@ -38,6 +51,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
+from operator import itemgetter
 
 from repro.common.errors import ParserConfigurationError
 from repro.common.tokenize import is_wildcard
@@ -64,6 +78,16 @@ def subsumes(general: Sequence[str], specific: Sequence[str]) -> bool:
     return all(
         is_wildcard(g) or g == s for g, s in zip(general, specific)
     )
+
+
+def _compile(tokens: tuple[str, ...]):
+    """``(pick, constants, count)``: a line of the template's length is
+    covered iff ``pick(line) == constants``."""
+    positions = [i for i, t in enumerate(tokens) if not is_wildcard(t)]
+    if not positions:  # no constants: every line of that length matches
+        return len, len(tokens), 0
+    pick = itemgetter(*positions)  # one position yields a bare token
+    return pick, pick(tokens), len(positions)
 
 
 class TemplateCache:
@@ -104,9 +128,10 @@ class TemplateCache:
         self.telemetry = telemetry
         #: slot -> template tokens, in LRU order (least recent first).
         self._templates: OrderedDict[int, tuple[str, ...]] = OrderedDict()
-        #: (length, anchor token) -> slots; anchor is ``_ANY`` for
-        #: wildcard-first templates.
-        self._buckets: dict[tuple[int, str], list[int]] = {}
+        #: (length, anchor token) -> {slot: compiled template}, in
+        #: insertion order; anchor is ``_ANY`` for wildcard-first
+        #: templates.  Derived from ``_templates`` (see ``_compile``).
+        self._buckets: dict[tuple[int, str], dict[int, tuple]] = {}
         #: length -> slots (for subsumption scans).
         self._by_length: dict[int, list[int]] = {}
         #: tokenized signature -> slot (exact fast path, own LRU).
@@ -160,9 +185,10 @@ class TemplateCache:
         position and memoize the line's exact signature.
         """
         signature = " ".join(tokens)
-        slot = self._exact.get(signature)
+        exact = self._exact
+        slot = exact.get(signature)
         if slot is not None:
-            self._exact.move_to_end(signature)
+            exact.move_to_end(signature)
             # The slot's template may have been evicted or merged away;
             # the memoized assignment itself stays correct (the engine
             # resolves merged slots), so only refresh the LRU when the
@@ -172,27 +198,29 @@ class TemplateCache:
             self.exact_hits += 1
             return slot
         best: int | None = None
-        best_constants = -1
-        for candidate in self._candidate_slots(tokens):
-            template = self._templates[candidate]
-            if not all(
-                is_wildcard(t) or t == token
-                for t, token in zip(template, tokens)
-            ):
+        best_count = -1
+        length = len(tokens)
+        for key in ((length, _ANY), (length, tokens[0] if tokens else _ANY)):
+            bucket = self._buckets.get(key)
+            if bucket is None:
                 continue
-            constants = sum(1 for t in template if not is_wildcard(t))
-            if constants > best_constants or (
-                constants == best_constants
-                and (best is None or candidate < best)
-            ):
-                best = candidate
-                best_constants = constants
+            for candidate, (pick, constants, count) in bucket.items():
+                if pick(tokens) == constants and (
+                    count > best_count
+                    or (count == best_count and candidate < best)
+                ):
+                    best = candidate
+                    best_count = count
         if best is None:
             self.misses += 1
             return None
         self.template_hits += 1
         self._templates.move_to_end(best)
-        self.remember_exact(signature, best)
+        # remember_exact, inline: the signature is known to be absent.
+        if self.exact_capacity:
+            exact[signature] = best
+            while len(exact) > self.exact_capacity:
+                exact.popitem(last=False)
         return best
 
     def remember_exact(self, signature: str, slot: int) -> None:
@@ -214,13 +242,10 @@ class TemplateCache:
         tokens = tuple(tokens)
         self._templates[slot] = tokens
         self._buckets.setdefault(
-            (len(tokens), self._anchor(tokens)), []
-        ).append(slot)
+            (len(tokens), self._anchor(tokens)), {}
+        )[slot] = _compile(tokens)
         self._by_length.setdefault(len(tokens), []).append(slot)
-        while len(self._templates) > self.capacity:
-            victim, _ = self._templates.popitem(last=False)
-            self._unindex(victim)
-            self.evictions += 1
+        self._evict_over_capacity()
 
     def resize(self, capacity: int) -> None:
         """Change the template capacity, evicting LRU entries if needed.
@@ -236,12 +261,7 @@ class TemplateCache:
             )
         previous = self.capacity
         self.capacity = capacity
-        evicted = 0
-        while len(self._templates) > self.capacity:
-            victim, _ = self._templates.popitem(last=False)
-            self._unindex(victim)
-            self.evictions += 1
-            evicted += 1
+        evicted = self._evict_over_capacity()
         if self.telemetry is not None and capacity != previous:
             direction = "shrink" if capacity < previous else "grow"
             self.telemetry.metrics.get("repro_cache_resizes_total").labels(
@@ -256,8 +276,9 @@ class TemplateCache:
 
     def remove(self, slot: int) -> None:
         """Drop a template without counting an eviction (merges)."""
-        if self._templates.pop(slot, None) is not None:
-            self._unindex(slot)
+        tokens = self._templates.pop(slot, None)
+        if tokens is not None:
+            self._unindex(slot, tokens)
 
     def clear_templates(self) -> None:
         """Forget every template and exact memo; counters survive.
@@ -308,13 +329,25 @@ class TemplateCache:
 
     # ------------------------------------------------------------------
 
-    def _unindex(self, slot: int) -> None:
-        for index in (self._buckets, self._by_length):
-            for key, slots in list(index.items()):
-                if slot in slots:
-                    slots.remove(slot)
-                    if not slots:
-                        del index[key]
+    def _evict_over_capacity(self) -> int:
+        evicted = 0
+        while len(self._templates) > self.capacity:
+            self._unindex(*self._templates.popitem(last=False))
+            evicted += 1
+        self.evictions += evicted
+        return evicted
+
+    def _unindex(self, slot: int, tokens: tuple[str, ...]) -> None:
+        """Drop *slot* from the two index entries its *tokens* key."""
+        key = (len(tokens), self._anchor(tokens))
+        bucket = self._buckets[key]
+        del bucket[slot]
+        if not bucket:
+            del self._buckets[key]
+        slots = self._by_length[len(tokens)]
+        slots.remove(slot)
+        if not slots:
+            del self._by_length[len(tokens)]
         # Exact memos pointing at the slot are left in place: the slot
         # remains a valid event in the engine's permanent table, so a
         # stale memo still yields a correct assignment.

@@ -82,6 +82,13 @@ PENDING_EVENT_ID = "PENDING"
 OVERFLOW_MODES = ("block", "shed", "sample")
 
 
+_CROSS_THREAD = (
+    "StreamingParser.{} called from thread {} while thread {} is inside "
+    "the engine; engines are single-writer — give each thread its own "
+    "engine or serialize access (as TenantShard does)"
+)
+
+
 def _single_writer(method):
     """Enforce the engine's single-writer ownership contract.
 
@@ -95,6 +102,8 @@ def _single_writer(method):
     reentrancy (``feed`` → ``flush``) is allowed via depth counting.
     It is a detector, not a lock: two perfectly interleaved writers can
     slip past it, which is why the contract is ownership, not locking.
+    ``feed`` carries the same lines inline — a wrapper frame per line
+    is a measurable share of a cache hit.
     """
 
     def wrapper(self, *args, **kwargs):
@@ -102,10 +111,7 @@ def _single_writer(method):
         owner = self._busy_thread
         if owner is not None and owner != me:
             raise ConcurrencyError(
-                f"StreamingParser.{method.__name__} called from thread "
-                f"{me} while thread {owner} is inside the engine; "
-                "engines are single-writer — give each thread its own "
-                "engine or serialize access (as TenantShard does)"
+                _CROSS_THREAD.format(method.__name__, me, owner)
             )
         self._busy_thread = me
         self._busy_depth += 1
@@ -392,7 +398,6 @@ class StreamingParser(LogParser):
     # Streaming interface
     # ------------------------------------------------------------------
 
-    @_single_writer
     def feed(self, record: LogRecord) -> int:
         """Consume one record; returns its line number in the stream.
 
@@ -407,76 +412,91 @@ class StreamingParser(LogParser):
         ``shed``/``sample`` overflow modes) returns ``-1`` and is
         counted in ``counters.shed``.
         """
-        stream_index = self._fed
-        self._fed += 1
-        if self.error_policy is not None:
-            try:
-                content, flush_record = self._prepare(record)
-            except Exception as error:  # noqa: BLE001 - policy-routed
-                self._reject(
-                    record,
-                    stream_index,
-                    REASON_PARSE_FAILURE,
-                    f"{type(error).__name__}: {error}",
-                    error,
-                )
-                return -1
-            reason = is_clean_content(content, self.max_record_len)
-            if reason is not None:
-                self._reject(
-                    record,
-                    stream_index,
-                    reason,
-                    f"content of length {len(content)} rejected by screen",
-                    None,
-                )
-                return -1
-        else:
-            content, flush_record = self._prepare(record)
-        tokens = tuple(tokenize(content))
-        slot = self.cache.match(tokens)
-        if (
-            slot is None
-            and self.max_pending is not None
-            and len(self._pending) >= self.max_pending
-        ):
-            # Backpressure: the miss buffer is full, so the producer has
-            # outrun the flush parser.  Block drains synchronously (the
-            # producer pays the latency); shed/sample drop the line
-            # before it enters any per-line state.
-            if self.overflow == "block":
-                self.flush()
-            else:
-                self._overflowed += 1
-                admit = (
-                    self.overflow == "sample"
-                    and self._overflowed % self.overflow_sample_keep == 0
-                )
-                if not admit:
-                    self._shed += 1
+        me = threading.get_ident()  # _single_writer, inline
+        owner = self._busy_thread
+        if owner is not None and owner != me:
+            raise ConcurrencyError(_CROSS_THREAD.format("feed", me, owner))
+        self._busy_thread = me
+        self._busy_depth += 1
+        try:
+            stream_index = self._fed
+            self._fed += 1
+            content, flush_record = record.content, record
+            if self.error_policy is not None:
+                if self.preprocessor is not None:
+                    try:
+                        content, flush_record = self._prepare(record)
+                    except Exception as error:  # noqa: BLE001 - policy-routed
+                        self._reject(
+                            record,
+                            stream_index,
+                            REASON_PARSE_FAILURE,
+                            f"{type(error).__name__}: {error}",
+                            error,
+                        )
+                        return -1
+                reason = is_clean_content(content, self.max_record_len)
+                if reason is not None:
+                    self._reject(
+                        record,
+                        stream_index,
+                        reason,
+                        f"content of length {len(content)} rejected by screen",
+                        None,
+                    )
                     return -1
-        line_no = self._n_lines
-        self._n_lines += 1
-        if self.retain:
-            self._records.append(record)
-            self._assignments.append(PENDING_SLOT)
-        if self.flush_policy == "prefix":
-            self._flush_records.append(flush_record)
-        self._lines_since_flush += 1
-        if slot is not None:
-            self._assign(line_no, record, self._resolve(slot))
-        else:
-            self._pending.append(
-                _Pending(
-                    line_no=line_no,
-                    record=record,
-                    flush_record=flush_record,
-                    tokens=tokens,
+            elif self.preprocessor is not None:
+                content, flush_record = self._prepare(record)
+            tokens = content.split()  # tokenize(), minus the call
+            slot = self.cache.match(tokens)
+            if (
+                slot is None
+                and self.max_pending is not None
+                and len(self._pending) >= self.max_pending
+            ):
+                # Backpressure: the miss buffer is full, so the producer
+                # has outrun the flush parser.  Block drains now (the
+                # producer pays the latency); shed/sample drop the line
+                # before it enters any per-line state.
+                if self.overflow == "block":
+                    self.flush()
+                else:
+                    self._overflowed += 1
+                    admit = (
+                        self.overflow == "sample"
+                        and self._overflowed % self.overflow_sample_keep == 0
+                    )
+                    if not admit:
+                        self._shed += 1
+                        return -1
+            line_no = self._n_lines
+            self._n_lines += 1
+            if slot is not None and self._redirect:
+                slot = self._resolve(slot)
+            if self.retain:
+                self._records.append(record)
+                self._assignments.append(
+                    PENDING_SLOT if slot is None else slot
                 )
-            )
-            if len(self._pending) >= self.flush_size:
-                self.flush()
-        return line_no
+            if self.flush_policy == "prefix":
+                self._flush_records.append(flush_record)
+            self._lines_since_flush += 1
+            if slot is not None:  # _assign, inline
+                self._slot_counts[slot] += 1
+                if self.on_assign is not None:
+                    self.on_assign(line_no, record, slot)
+            else:
+                self._pending.append(
+                    _Pending(line_no, record, flush_record, tuple(tokens))
+                )
+                if len(self._pending) >= self.flush_size:
+                    self.flush()
+            return line_no
+        finally:
+            self._busy_depth -= 1
+            if self._busy_depth <= 0:
+                self._busy_depth = 0
+                self._busy_thread = None
 
     def feed_many(self, records: Iterable[LogRecord]) -> None:
         for record in records:
@@ -969,8 +989,6 @@ class StreamingParser(LogParser):
 
     def _prepare(self, record: LogRecord) -> tuple[str, LogRecord]:
         """Preprocessed content + the record handed to flushes."""
-        if self.preprocessor is None:
-            return record.content, record
         content = self.preprocessor(record.content)
         return content, LogRecord(
             content=content,

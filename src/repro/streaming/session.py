@@ -88,8 +88,10 @@ class ParseSession:
     ) -> None:
         self.parser = parser
         self.accumulator = EventMatrixAccumulator() if track_matrix else None
+        #: Clock reads bracketing the run; elapsed is derived on read
+        #: (see :meth:`_elapsed`), so ``feed`` reads no clock.
         self._started: float | None = None
-        self._elapsed = 0.0
+        self._finished: float | None = None
         self.telemetry = parser.telemetry
         self._run_span = None
         if self.telemetry is not None:
@@ -99,7 +101,7 @@ class ParseSession:
 
     def _collect_metrics(self) -> None:
         self.telemetry.metrics.get("repro_run_elapsed_seconds").set(
-            self._elapsed
+            self._elapsed()
         )
 
     # ------------------------------------------------------------------
@@ -121,9 +123,7 @@ class ParseSession:
                 self._run_span = self.telemetry.tracer.start(
                     SPAN_PARSE_RUN, parser=_factory_name(self.parser.factory)
                 )
-        line_no = self.parser.feed(record)
-        self._elapsed = time.perf_counter() - self._started
-        return line_no
+        return self.parser.feed(record)
 
     def consume(
         self,
@@ -149,7 +149,7 @@ class ParseSession:
         if self._started is None:
             self._started = time.perf_counter()
         self.parser.finalize()
-        self._elapsed = time.perf_counter() - self._started
+        self._finished = time.perf_counter()
         if self._run_span is not None:
             counters = self.parser.counters
             self._run_span.attrs["lines"] = counters.lines
@@ -162,9 +162,16 @@ class ParseSession:
 
     # ------------------------------------------------------------------
 
+    def _elapsed(self) -> float:
+        """Wall clock since the first ``feed``: live mid-stream, frozen
+        by :meth:`finalize` (0 before the first feed)."""
+        if self._started is None:
+            return 0.0
+        return (self._finished or time.perf_counter()) - self._started
+
     def counters(self) -> SessionCounters:
         return SessionCounters(
-            stream=self.parser.counters, elapsed_seconds=self._elapsed
+            stream=self.parser.counters, elapsed_seconds=self._elapsed()
         )
 
     def snapshot(self) -> ParseResult:

@@ -382,6 +382,32 @@ class TestRegistrySummary:
         assert metrics.value("repro_stream_flush_seconds") >= 1.0  # count
         assert metrics.value("repro_run_elapsed_seconds") > 0.0
 
+    def test_elapsed_is_read_live_and_frozen_by_finalize(self):
+        telemetry = Telemetry.create()
+        dataset = generate_dataset(get_dataset_spec("HDFS"), 200, seed=5)
+        engine = StreamingParser(_slct, flush_size=100, telemetry=telemetry)
+        session = ParseSession(engine)
+
+        def collected() -> float:
+            return telemetry.metrics.value("repro_run_elapsed_seconds")
+
+        # Before the first feed there is no run to time.
+        assert session.counters().elapsed_seconds == 0.0
+        assert collected() == 0.0
+        for record in dataset.records[:100]:
+            session.feed(record)
+        # Mid-stream the clock is read on demand, not per line.
+        first = session.counters().elapsed_seconds
+        assert 0.0 < first <= collected()
+        assert session.counters().elapsed_seconds > first
+        for record in dataset.records[100:]:
+            session.feed(record)
+        session.finalize()
+        frozen = session.counters().elapsed_seconds
+        assert frozen >= first
+        assert session.counters().elapsed_seconds == frozen
+        assert collected() == frozen
+
 
 # ---------------------------------------------------------------------------
 # CLI acceptance: stream --metrics-out / --trace-out, report subcommand

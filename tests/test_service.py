@@ -747,6 +747,28 @@ class TestSingleWriterTripwire:
         # The owning thread is gone: this thread may use the engine now.
         engine.feed(_record("miss one"))
 
+    def test_tripwire_releases_when_feed_raises(self):
+        def refuse(line_no, record, slot):
+            raise RuntimeError("downstream refused the assignment")
+
+        engine = StreamingParser(
+            lambda: make_parser("Passthrough"), flush_size=1
+        )
+        engine.feed(_record("known line"))  # learned; the repeat is a hit
+        engine.on_assign = refuse
+        with pytest.raises(RuntimeError):
+            engine.feed(_record("known line"))  # raises on feed's hit path
+        assert engine._busy_thread is None and engine._busy_depth == 0
+        with pytest.raises(RuntimeError):
+            engine.feed(_record("novel line"))  # raises inside feed -> flush
+        assert engine._busy_thread is None and engine._busy_depth == 0
+        # Nothing is left held: another thread may enter.
+        engine.on_assign = None
+        worker = threading.Thread(target=engine.feed, args=(_record("x"),))
+        worker.start()
+        worker.join(timeout=10)
+        assert engine.counters.lines == 4
+
     def test_same_thread_reentrancy_is_fine(self):
         engine = StreamingParser(
             lambda: make_parser("Drain"), flush_policy="delta", flush_size=4

@@ -1,10 +1,18 @@
 """Unit tests for the streaming engine's LRU template cache."""
 
+import hashlib
+import json
+from functools import partial
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ParserConfigurationError
 from repro.common.types import LogRecord
+from repro.datasets import generate_dataset, get_dataset_spec
+from repro.parsers import make_parser
 from repro.parsers.base import Clustering, LogParser
+from repro.resilience import load_checkpoint, save_checkpoint
 from repro.streaming import StreamingParser, TemplateCache, subsumes
 
 
@@ -133,3 +141,121 @@ def test_evicted_template_relearned_as_identical_event():
     assert first == relearned
     by_id = {e.event_id: e.template for e in result.events}
     assert by_id[first] == "alpha * *"
+
+
+# ---------------------------------------------------------------------
+# The compiled matcher against the per-token matcher it replaced
+# ---------------------------------------------------------------------
+
+
+class _ReferenceCache(TemplateCache):
+    """``match`` as it stood before templates were compiled: a per-token
+    walk over every resident template, consulting no index."""
+
+    def match(self, tokens):
+        signature = " ".join(tokens)
+        slot = self._exact.get(signature)
+        if slot is not None:
+            self._exact.move_to_end(signature)
+            if slot in self._templates:
+                self._templates.move_to_end(slot)
+            self.exact_hits += 1
+            return slot
+        best, best_constants = None, -1
+        for candidate, template in self._templates.items():
+            if len(template) != len(tokens) or not all(
+                t == "*" or t == token for t, token in zip(template, tokens)
+            ):
+                continue
+            constants = sum(1 for t in template if t != "*")
+            if constants > best_constants or (
+                constants == best_constants and candidate < best
+            ):
+                best, best_constants = candidate, constants
+        if best is None:
+            self.misses += 1
+            return None
+        self.template_hits += 1
+        self._templates.move_to_end(best)
+        self.remember_exact(signature, best)
+        return best
+
+
+# "*" is a legal *line* token too; length 0 is the empty line; the
+# alphabet is small enough that all-wildcard, zero-wildcard and
+# one-constant templates (itemgetter's scalar form) all turn up, and
+# that several residents cover one line (specificity and slot ties).
+_TOKENS = st.lists(st.sampled_from(["a", "b", "*"]), max_size=3)
+_SLOTS = st.integers(min_value=0, max_value=5)
+_MATCH = st.tuples(st.just("match"), _TOKENS)
+_INSERT = st.tuples(st.just("insert"), _SLOTS, _TOKENS)
+_OPS = st.one_of(
+    _MATCH,  # listed twice: lookups and admissions outweigh the rest
+    _MATCH,
+    _INSERT,
+    _INSERT,
+    st.tuples(st.just("remove"), _SLOTS),
+    st.tuples(st.just("resize"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("clear_templates")),
+    st.tuples(st.just("restore")),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ops=st.lists(_OPS, min_size=10, max_size=60))
+@example(  # equal specificity across the two buckets: oldest slot wins
+    ops=[("insert", 1, ["*", "b"]), ("insert", 0, ["a", "*"]), ("match", ["a", "b"])]
+)
+@example(  # equal specificity inside one bucket
+    ops=[("insert", 0, ["a"]), ("insert", 1, ["a"]), ("match", ["a"])]
+)
+@example(  # a literal "*" in the line matches wildcards only
+    ops=[("insert", 0, ["*", "a"]), ("insert", 1, ["b", "a"]),
+         ("match", ["*", "a"]), ("match", ["b", "*"])]
+)
+@example(  # the empty line, the empty template, an all-wildcard template
+    ops=[("match", []), ("insert", 0, []), ("match", []),
+         ("insert", 1, ["*", "*"]), ("match", ["a", "b"]), ("match", ["a"])]
+)
+@example(  # evicted, restored: the index follows the residents
+    ops=[("insert", 0, ["a", "*"]), ("resize", 1), ("insert", 1, ["a", "b"]),
+         ("match", ["a", "a"]), ("restore",), ("match", ["a", "b"])]
+)
+def test_compiled_match_is_the_per_token_match(ops):
+    cache = TemplateCache(capacity=3, exact_capacity=2)
+    reference = _ReferenceCache(capacity=3, exact_capacity=2)
+    for name, *args in ops:
+        if name == "restore":
+            # What a checkpoint does; the compiled form is not in it.
+            snapshot = json.loads(json.dumps(reference.state()))
+            cache.restore(snapshot)
+            reference.restore(snapshot)
+        else:
+            got = getattr(cache, name)(*args)
+            assert got == getattr(reference, name)(*args), (name, args)
+        assert cache.state() == reference.state(), (name, args)
+        # Derived state holds exactly the residents.
+        resident = sorted(cache._templates)
+        assert sorted(s for b in cache._buckets.values() for s in b) == resident
+        assert sorted(s for b in cache._by_length.values() for s in b) == resident
+    json.dumps(cache.state())  # still plain data: no compiled form in it
+
+
+def test_midrun_checkpoint_cache_state_equals_per_token_run(tmp_path):
+    records = generate_dataset(get_dataset_spec("HDFS"), 5000, seed=11).records
+    digests = []
+    for cache_type in (TemplateCache, _ReferenceCache):
+        engine = StreamingParser(
+            partial(make_parser, "Drain"), flush_size=64, cache_capacity=8
+        )
+        engine.cache = cache_type(capacity=8, exact_capacity=8192)
+        for record in records[:3000]:
+            engine.feed(record)
+        path = str(tmp_path / f"{cache_type.__name__}.json")
+        save_checkpoint(path, engine, records_consumed=3000)
+        state = load_checkpoint(path).engine["cache"]
+        assert state["evictions"] and state["template_hits"] and state["misses"]
+        digests.append(
+            hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+        )
+    assert digests[0] == digests[1]
