@@ -413,6 +413,22 @@ class MetricsRegistry:
         """Add a callback syncing source-of-truth counters before reads."""
         self._collectors.append(collector)
 
+    def sync_high_water(
+        self, marks: dict, name: str, key: str, value, **labels
+    ) -> None:
+        """Delta-sync a source-of-truth cumulative counter into *name*.
+
+        *marks* is the caller's ``key -> highest value synced`` dict.
+        A source that restores from a checkpoint re-climbs through its
+        replay, so a reported value may sit *below* the mark for a
+        while; only the excess over the mark is new work.
+        """
+        value = float(value or 0)
+        last = marks.get(key, 0.0)
+        if value > last:
+            self._families[name].labels(**labels).inc(value - last)
+            marks[key] = value
+
     # -- reads ----------------------------------------------------------
 
     def collect(self) -> None:

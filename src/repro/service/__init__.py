@@ -10,6 +10,9 @@ manifests — into that shape:
 * :mod:`~repro.service.shard` — :class:`TenantShard`, one tenant's
   isolated failure domain: own engine+cache, quarantine, checkpoint,
   optional budget/ladder, circuit breaker;
+* :mod:`~repro.service.workers` — :class:`ShardSupervisor`, the same
+  shard behind a process boundary: watchdog, restart, careful replay,
+  poison diversion, fencing;
 * :mod:`~repro.service.admission` — per-tenant token buckets plus a
   global budget valve that samples/sheds the noisiest tenant first;
 * :mod:`~repro.service.server` — the tenant router
@@ -19,8 +22,9 @@ manifests — into that shape:
   :class:`ShutdownRequested`, so an interrupted run finalizes through
   the same path as a clean one;
 * :mod:`~repro.service.protocol` — wire protocol v2: sequence-tagged
-  lines, cumulative acks, per-client :class:`DeliveryWindow` dedup,
-  and the ownership :class:`BatchJournal`;
+  lines, cumulative acks, and :class:`DeliveryFront` — per-client
+  :class:`DeliveryWindow` dedup plus the ownership
+  :class:`BatchJournal`, hosted by either kind of shard;
 * :mod:`~repro.service.client` — :class:`DurableSender`, the
   spool-backed exactly-once producer.
 
@@ -32,6 +36,8 @@ to batch), finalize per-tenant checkpoints and manifests, exit 0.
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.client import DurableSender
 from repro.service.protocol import (
+    BatchJournal,
+    DeliveryFront,
     DeliveryWindow,
     PROTOCOL_V1,
     PROTOCOL_V2,
@@ -55,7 +61,6 @@ from repro.service.shard import (
 )
 from repro.service.signals import ShutdownRequested, graceful_signals
 from repro.service.workers import (
-    BatchJournal,
     ShardSupervisor,
     ShardWorker,
     WorkerSpec,
@@ -66,6 +71,7 @@ __all__ = [
     "AdmissionController",
     "TokenBucket",
     "DurableSender",
+    "DeliveryFront",
     "DeliveryWindow",
     "PROTOCOL_V1",
     "PROTOCOL_V2",

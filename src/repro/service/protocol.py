@@ -32,12 +32,17 @@ cooperating pieces, all in this module:
   checkpoints — held-back lines were never acked, so the client
   resends them.
 
-* **:class:`BatchJournal`** — the framed-JSONL ownership journal
-  (previously private to :mod:`repro.service.workers`).  A line is
-  *owned* — and therefore ackable — once appended here: the journal
-  survives a ``SIGKILL`` and is replayed into the engine on resume,
-  which is exactly the at-least-once contract PR 8 certified for the
-  worker hop, now extended back to the network hop.
+* **:class:`BatchJournal`** — the framed-JSONL ownership journal.  A
+  line is *owned* — and therefore ackable — once appended here: the
+  journal survives a ``SIGKILL`` and is replayed into the engine on
+  resume.
+
+* **:class:`DeliveryFront`** — the one exactly-once front both shard
+  hosts (:class:`~repro.service.shard.TenantShard` inline,
+  :class:`~repro.service.workers.ShardSupervisor` across the process
+  boundary) put in front of their engine: dedup → index → journal
+  append over the tenant's single ``out.journal.jsonl``, and recovery
+  of the acked-but-uncheckpointed suffix at start.
 
 Acks are cumulative, so the ack channel is idempotent and lossy-safe:
 a dropped ack is repaired by the next one, and a resend triggered by
@@ -77,6 +82,10 @@ ERR_LINE = b"ERR unsupported-protocol\n"
 
 #: Default bound on a window's out-of-order holdback buffer.
 DEFAULT_HOLDBACK = 512
+
+#: Basename of a tenant's ownership journal (protocol v2 only; a v1
+#: service writes none).
+JOURNAL_NAME = "out.journal.jsonl"
 
 
 def hello_line(client_id: str) -> bytes:
@@ -218,11 +227,10 @@ class BatchJournal:
     ``reset`` and ``remove`` close it first, and the next append
     reopens the file the rewrite left behind.
 
-    With ``recover=True`` the surviving entries of a previous life
-    are parsed (torn tail truncated) and exposed as
-    :attr:`recovered` instead of being discarded — the exactly-once
-    resume path.  The default discards them, preserving the original
-    at-least-once contract where the *source* replays the stream.
+    With ``recover=True`` — how :class:`DeliveryFront` opens it — the
+    surviving entries of a previous life are parsed (torn tail
+    truncated) and exposed as :attr:`recovered`.  The default starts
+    from an empty file.
     """
 
     def __init__(
@@ -241,8 +249,6 @@ class BatchJournal:
                 key=lambda entry: entry[0],
             )
         else:
-            # A journal left by a previous *service* life is stale
-            # under the v1 contract: the source replays those records.
             self.reset(())
 
     @staticmethod
@@ -275,10 +281,8 @@ class BatchJournal:
     def append(self, index: int, record: LogRecord, delivery=None) -> None:
         """Write + flush one entry on the held append handle.
 
-        Not thread-safe, and must not interleave with :meth:`reset`:
-        the owner serialises both under one lock (the shard's, or the
-        supervisor's), or an append lands in the inode a concurrent
-        rewrite is about to replace.
+        Not thread-safe, and must not interleave with :meth:`reset`
+        (see :class:`DeliveryFront`, which states the invariant).
         """
         if self._handle is None:
             self._handle = self._io.open(self.path, "ab")
@@ -311,3 +315,102 @@ class BatchJournal:
             os.unlink(self.path)
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+
+
+class DeliveryFront:
+    """One tenant's exactly-once front: dedup → index → journal.
+
+    Composes one :class:`DeliveryWindow` per client, the tenant
+    stream's index allocator and the :class:`BatchJournal` over
+    ``<directory>/out.journal.jsonl`` — the same file whichever host
+    runs the engine, so a tenant killed under one isolation mode
+    resumes under the other.
+
+    Construction recovers the previous life from the checkpoint's
+    *position* and *watermarks* (client → highest acknowledged
+    sequence): journal entries below *position* are inside the
+    checkpoint and ignored; the rest are :attr:`backlog`, in index
+    order — acked, so no client resends them and the host must feed
+    them before anything new.  The windows advance over the backlog
+    and :attr:`next_index` starts past it.
+
+    Not thread-safe.  **One critical section:** the host runs
+    :meth:`admit`, :meth:`prune` and :meth:`remove` under a single
+    lock, or an admit racing a prune's rename appends to the inode it
+    replaces — an acked sequence owned by neither the journal nor,
+    until the next checkpoint, the engine.
+    """
+
+    def __init__(
+        self, directory: str, position: int, watermarks: dict, io=None
+    ) -> None:
+        self._windows = {
+            client: DeliveryWindow(high=int(high))
+            for client, high in watermarks.items()
+        }
+        self._journal = BatchJournal(
+            os.path.join(directory, JOURNAL_NAME), io=io, recover=True
+        )
+        #: ``(index, record, delivery)`` entries owned past *position*.
+        self.backlog = [
+            entry for entry in self._journal.recovered
+            if entry[0] >= position
+        ]
+        for _, _, delivery in self.backlog:
+            if delivery is not None:
+                self._window(delivery[0]).advance(delivery[1])
+        #: Stream position the next admitted record takes.
+        self.next_index = (
+            self.backlog[-1][0] + 1 if self.backlog else position
+        )
+
+    def _window(self, client: str) -> DeliveryWindow:
+        window = self._windows.get(client)
+        if window is None:
+            window = self._windows[client] = DeliveryWindow()
+        return window
+
+    def high(self, client: str) -> int:
+        """*client*'s cumulative acknowledgement watermark."""
+        return self._window(client).high
+
+    def admit(
+        self, record: LogRecord, client: str | None = None, seq: int = 0
+    ) -> tuple[str, int | None, list[tuple]]:
+        """Take ownership of one arrival: ``(status, high, entries)``.
+
+        *status* is the window's verdict (``duplicate`` / ``pending`` /
+        ``release``), *high* the watermark to acknowledge, *entries*
+        the ``(index, record, (client, seq))`` triples the arrival
+        released, in sequence order — each appended and flushed before
+        this returns, so whatever the caller then acks or feeds, a
+        ``SIGKILL`` replays.  With no *client* the record is a v1 line
+        on a v2 host: never deduplicated or acked, but indexed and
+        journaled, because a resumed worker treats a hole in the
+        journal's indices as a lost record.
+        """
+        if client is None:
+            status, high, released = "release", None, [(None, record)]
+        else:
+            window = self._window(client)
+            status, released = window.observe(seq, record)
+            high = window.high
+        entries = []
+        for rseq, rrecord in released:
+            delivery = None if client is None else (client, rseq)
+            self._journal.append(self.next_index, rrecord, delivery)
+            entries.append((self.next_index, rrecord, delivery))
+            self.next_index += 1
+        return status, high, entries
+
+    def prune(self, survivors) -> None:
+        """A checkpoint landed: rewrite the journal to *survivors*."""
+        self._journal.reset(survivors)
+
+    def close(self) -> None:
+        """Give the handle back; the file stays for the next life."""
+        self._journal.close()
+
+    def remove(self) -> None:
+        """Drained: everything owned is inside the final checkpoint."""
+        self._journal.remove()

@@ -40,6 +40,7 @@ from repro.observability.tracing import SPAN_SERVICE_DRAIN
 from repro.resilience.quarantine import QuarantineRecord, QuarantineSink
 from repro.service.admission import AdmissionController
 from repro.service.protocol import (
+    DUPLICATE,
     OK_LINE,
     PROTOCOL_V1,
     PROTOCOL_V2,
@@ -154,14 +155,10 @@ class IngestionService:
         self.worker_kwargs = dict(worker_kwargs or {})
         self.shard_kwargs = shard_kwargs
         if protocol == PROTOCOL_V2:
-            # Exactly-once state lives wherever the dedup windows do:
-            # in the shard itself under thread isolation, in the
-            # parent-side supervisor under process isolation (the
+            # Whichever host the isolation mode picks holds the
+            # delivery front (a supervisor keeps this for itself; its
             # worker's TenantShard only mirrors watermarks).
-            if isolation == ISOLATION_PROCESS:
-                self.worker_kwargs["exactly_once"] = True
-            else:
-                self.shard_kwargs["exactly_once"] = True
+            self.shard_kwargs["exactly_once"] = True
         self._shards: dict[str, TenantShard] = {}
         self._lock = threading.Lock()
         self._submitted = 0
@@ -262,25 +259,57 @@ class IngestionService:
     # Ingest
     # ------------------------------------------------------------------
 
-    def _protocol_reject(self, payload: str, origin: str, detail: str) -> None:
+    def _protocol_reject(
+        self, payload: str, origin: str, detail: str, tenant: str | None = None
+    ) -> None:
+        """Quarantine unroutable input.  A *tenant* label marks a whole
+        submitted line (counted); ``None`` a dangling fragment."""
         with self._lock:
-            index = self._submitted
             self.quarantine.add(
                 QuarantineRecord(
                     source=origin,
-                    line_no=index,
+                    line_no=self._submitted,
                     byte_offset=-1,
                     reason=REASON_PROTOCOL,
                     detail=detail,
                     preview=payload[:200],
                 )
             )
+            if tenant is not None:
+                self._submitted += 1
+        if tenant is not None:
+            self._count_rejection(tenant, PROTOCOL)
 
     def _count_rejection(self, tenant: str, cause: str) -> None:
         if self.telemetry is not None:
             self.telemetry.metrics.get(
                 "repro_service_rejected_total"
             ).labels(tenant=tenant, cause=cause).inc()
+
+    def _route(self, line: str, payload: str, origin: str, shape: str):
+        """The one router: tenant split, key validation, admission.
+
+        *payload* is the ``tenant<TAB>content`` part of *line* (all of
+        it under v1); a reject quarantines *line* and names *shape* as
+        the expected format.  Returns ``(refusal, tenant, content)``;
+        *refusal* is ``None`` when the tenant's shard should see it.
+        """
+        tenant, sep, content = payload.partition("\t")
+        if not sep or not TENANT_KEY_RE.match(tenant):
+            detail = (
+                f"invalid tenant key {tenant[:64]!r}" if sep
+                else f"no tenant key (expected {shape})"
+            )
+            self._protocol_reject(line, origin, detail, tenant or "<none>")
+            return PROTOCOL, None, content
+        with self._lock:
+            self._submitted += 1
+            if self.admission is not None:
+                admitted, cause = self.admission.admit(tenant)
+                if not admitted:
+                    self._count_rejection(tenant, cause)
+                    return cause, tenant, content
+        return None, tenant, content
 
     def submit_line(self, line: str, origin: str = "<stream>") -> str:
         """Route one tagged line; returns the outcome tag.
@@ -290,28 +319,12 @@ class IngestionService:
         (``protocol``/``rate``/``sampled``/``shed``).
         """
         line = line.rstrip("\r")
-        tenant, sep, content = line.partition("\t")
-        if not sep or not TENANT_KEY_RE.match(tenant):
-            self._protocol_reject(
-                line,
-                origin,
-                "no tenant key (expected tenant<TAB>content)"
-                if not sep
-                else f"invalid tenant key {tenant[:64]!r}",
-            )
-            self._count_rejection(tenant or "<none>", PROTOCOL)
-            with self._lock:
-                self._submitted += 1
-            return PROTOCOL
-        with self._lock:
-            self._submitted += 1
-            if self.admission is not None:
-                admitted, cause = self.admission.admit(tenant)
-                if not admitted:
-                    self._count_rejection(tenant, cause)
-                    return cause
-        outcome = self.shard(tenant).submit(LogRecord(content=content))
-        return outcome
+        refusal, tenant, content = self._route(
+            line, line, origin, "tenant<TAB>content"
+        )
+        if refusal is not None:
+            return refusal
+        return self.shard(tenant).submit(LogRecord(content=content))
 
     def submit_line_v2(
         self, line: str, client: str, origin: str = "<stream>"
@@ -332,39 +345,22 @@ class IngestionService:
         line = line.rstrip("\r")
         parsed = parse_data(line)
         if parsed is None:
-            self._protocol_reject(
-                line,
-                origin,
-                "no sequence number (expected seq<SP>tenant<TAB>content)",
-            )
-            self._count_rejection("<none>", PROTOCOL)
-            with self._lock:
-                self._submitted += 1
+            detail = "no sequence number (expected seq<SP>tenant<TAB>content)"
+            self._protocol_reject(line, origin, detail, "<none>")
             return PROTOCOL, None, None
         seq, payload = parsed
-        tenant, sep, content = payload.partition("\t")
-        if not sep or not TENANT_KEY_RE.match(tenant):
-            self._protocol_reject(
-                line,
-                origin,
-                "no tenant key (expected seq tenant<TAB>content)"
-                if not sep
-                else f"invalid tenant key {tenant[:64]!r}",
-            )
-            self._count_rejection(tenant or "<none>", PROTOCOL)
-            with self._lock:
-                self._submitted += 1
-            return PROTOCOL, None, None
-        with self._lock:
-            self._submitted += 1
-            if self.admission is not None:
-                admitted, cause = self.admission.admit(tenant)
-                if not admitted:
-                    self._count_rejection(tenant, cause)
-                    return cause, tenant, None
+        refusal, tenant, content = self._route(
+            line, payload, origin, "seq tenant<TAB>content"
+        )
+        if refusal is not None:
+            return refusal, tenant, None
         outcome, high = self.shard(tenant).submit_seq(
             LogRecord(content=content), client, seq
         )
+        if outcome == DUPLICATE and self.telemetry is not None:
+            self.telemetry.metrics.get(
+                "repro_delivery_duplicates_suppressed_total"
+            ).labels(tenant=tenant).inc()
         return outcome, tenant, high
 
     def note_partial(self, fragment: str, origin: str) -> None:
@@ -435,14 +431,11 @@ class IngestionService:
             shards = dict(self._shards)
         for tenant in sorted(shards):
             shard = shards[tenant]
-            state = getattr(shard, "state", None)
-            if state is None:
-                state = "breaker" if shard.breaker_open else "alive"
             breaker_open = bool(shard.breaker_open)
-            if breaker_open or state == "fenced":
+            if breaker_open:
                 ok = False
             tenants[tenant] = {
-                "state": state,
+                "state": shard.state,
                 "breaker_open": breaker_open,
             }
         return {

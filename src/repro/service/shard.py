@@ -43,6 +43,7 @@ so two runs of the same stream diff cleanly via ``verify-run
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -67,12 +68,7 @@ from repro.resilience.durability import (
     reconcile_jsonl,
 )
 from repro.resilience.quarantine import QuarantineRecord, QuarantineSink
-from repro.service.protocol import (
-    DUPLICATE,
-    PENDING,
-    BatchJournal,
-    DeliveryWindow,
-)
+from repro.service.protocol import DeliveryFront
 from repro.streaming.engine import StreamingParser
 from repro.streaming.session import ParseSession
 
@@ -94,9 +90,33 @@ STEM = "out"
 CHECKPOINT_NAME = f"{STEM}.checkpoint.json"
 QUARANTINE_NAME = f"{STEM}.quarantine.jsonl"
 MANIFEST_NAME = f"{STEM}.manifest.json"
-#: Thread-mode exactly-once ownership journal (protocol v2).  Process
-#: mode reuses the supervisor's ``out.journal.jsonl`` instead.
-DELIVERY_JOURNAL_NAME = f"{STEM}.delivery.journal.jsonl"
+
+
+def sync_tenant_counters(
+    metrics, marks: dict, tenant: str, stats: dict
+) -> None:
+    """Delta-sync one tenant's :meth:`TenantShard.stats` into *metrics*.
+
+    The one writer of the per-tenant SLO counter families, whether
+    *stats* was read from a live shard (thread mode) or shipped home
+    by a worker (process mode); *marks* is the caller's high-water
+    dict (see :meth:`MetricsRegistry.sync_high_water`).
+    """
+    sync = functools.partial(metrics.sync_high_water, marks, tenant=tenant)
+    sync("repro_tenant_lines_total", "tenant_lines", stats.get("lines"))
+    for kind in ("exact", "template"):
+        sync(
+            "repro_tenant_cache_hits_total", f"{kind}_hits",
+            stats.get(f"{kind}_hits"), kind=kind,
+        )
+    sync("repro_tenant_cache_misses_total", "misses", stats.get("misses"))
+    sync(
+        "repro_tenant_quarantined_total", "quarantined",
+        stats.get("quarantined"),
+    )
+    metrics.get("repro_tenant_events").labels(tenant=tenant).set(
+        float(stats.get("events") or 0)
+    )
 
 
 class TenantShard:
@@ -120,20 +140,17 @@ class TenantShard:
         ladder: rung order for the budgeted mode.
         breaker_threshold: consecutive ``feed`` crashes that trip the
             circuit breaker.
-        exactly_once: run the shard under the protocol-v2 delivery
-            contract: sequence-tagged submissions
-            (:meth:`submit_seq`) are deduplicated per client through
-            :class:`~repro.service.protocol.DeliveryWindow`, every
-            released record is journaled *before* the engine feeds it
-            (the durable-ownership point an ack certifies), and on
-            resume the journaled suffix past the checkpoint replays
-            into the engine while the restored watermarks suppress
-            client resends — so retries, duplicated packets, and
-            server restarts collapse to exactly-once effects on the
-            tenant's artifacts.  An exactly-once resume fast-forwards
-            to the checkpoint position (clients resend only the
-            unacked suffix), unlike the v1 replay-from-start
-            contract.
+        exactly_once: host a
+            :class:`~repro.service.protocol.DeliveryFront` inline
+            (protocol v2): :meth:`submit_seq` deduplicates per client
+            and journals every released record *before* the engine
+            feeds it (the durable-ownership point an ack certifies),
+            and construction replays the front's backlog — the acked
+            suffix past the checkpoint — while the restored
+            watermarks suppress client resends.  An exactly-once
+            resume starts *at* the checkpoint position (clients
+            resend only the unacked suffix), unlike the v1
+            replay-from-start contract.
         telemetry / io: observability handle and IO seam, both
             optional.
     """
@@ -194,16 +211,12 @@ class TenantShard:
         self._failures = 0
         self._budgeted = budget is not None
         self._drained: dict | None = None
-        # Exactly-once delivery state (protocol v2).  ``_ack_high`` is
-        # the checkpointed view — highest contiguous acknowledged
-        # sequence per client — maintained in *both* modes: the
-        # thread shard derives it from its live windows, the worker
-        # shard mirrors the metadata riding its feed messages so the
-        # supervisor's windows survive in its checkpoint.
-        self.exactly_once = exactly_once
+        # ``_ack_high`` is the checkpointed view of the delivery
+        # front's windows — highest acknowledged sequence per client —
+        # mirrored from the ``delivery`` metadata on every fed record,
+        # whether the front is this shard's own or the supervisor's.
         self._ack_high: dict[str, int] = {}
-        self._windows: dict[str, DeliveryWindow] = {}
-        self._djournal: BatchJournal | None = None
+        self._front: DeliveryFront | None = None
         # High-water marks for the read-time per-tenant counter sync
         # (engine counters are the source of truth; the registry child
         # catches up by delta at collect time).
@@ -271,33 +284,18 @@ class TenantShard:
 
         for client, high in (delivery_state or {}).get("clients", {}).items():
             self._ack_high[client] = int(high)
-            if exactly_once:
-                self._windows[client] = DeliveryWindow(high=int(high))
         if exactly_once:
-            # Ownership journal: recover the suffix a previous life
-            # appended after its last checkpoint and replay it into
-            # the engine.  Those lines were acked — the client will
-            # not resend them — so replay here is what makes the ack
-            # a durable promise across SIGKILL.
-            self._djournal = BatchJournal(
-                os.path.join(self.dir, DELIVERY_JOURNAL_NAME),
-                io=io,
-                recover=True,
+            self._front = DeliveryFront(
+                self.dir, self._skip, self._ack_high, io=io
             )
-            if resuming:
-                # v2 sources resend only the unacked suffix (the
-                # windows identify it); nobody replays from record 0.
-                self.seen = self._skip
-            for index, record, delivery in self._djournal.recovered:
-                if index < self._skip:
-                    continue  # already inside the checkpoint
-                if delivery is not None:
-                    window = self._windows.setdefault(
-                        delivery[0], DeliveryWindow()
-                    )
-                    window.advance(delivery[1])
-                    self._ack_high[delivery[0]] = window.high
-                self._submit_locked(record)
+            # v2 sources resend only the unacked suffix (the windows
+            # identify it); nobody replays from record 0.
+            self.seen = self._skip
+            # The backlog was acked — the client will not resend it —
+            # so feeding it here is what makes the ack a durable
+            # promise across SIGKILL.
+            for _, record, delivery in self._front.backlog:
+                self._submit_locked(record, delivery)
 
         if telemetry is not None:
             telemetry.metrics.register_collector(
@@ -305,17 +303,6 @@ class TenantShard:
             )
 
     # ------------------------------------------------------------------
-
-    def _publish_counter(
-        self, metric: str, key: str, value: float, **labels
-    ) -> None:
-        """Delta-sync one monotonic engine counter into the registry."""
-        last = self._published.get(key, 0.0)
-        if value > last:
-            self.telemetry.metrics.get(metric).labels(
-                tenant=self.tenant, **labels
-            ).inc(value - last)
-            self._published[key] = value
 
     def _collect_tenant_metrics(self) -> None:
         """Read-time sync of per-tenant SLO families (thread mode).
@@ -327,29 +314,25 @@ class TenantShard:
         takes the shard lock, so a scrape cannot stall ingest.
         """
         with self._publish_lock:
-            counters = self.engine.counters
-            self._publish_counter(
-                "repro_tenant_lines_total", "lines", counters.lines
+            sync_tenant_counters(
+                self.telemetry.metrics, self._published, self.tenant,
+                self.stats(),
             )
-            self._publish_counter(
-                "repro_tenant_cache_hits_total", "exact_hits",
-                counters.exact_hits, kind="exact",
-            )
-            self._publish_counter(
-                "repro_tenant_cache_hits_total", "template_hits",
-                counters.template_hits, kind="template",
-            )
-            self._publish_counter(
-                "repro_tenant_cache_misses_total", "misses",
-                counters.misses,
-            )
-            self._publish_counter(
-                "repro_tenant_quarantined_total", "quarantined",
-                float(len(self.quarantine)),
-            )
-            self.telemetry.metrics.get("repro_tenant_events").labels(
-                tenant=self.tenant
-            ).set(float(counters.events))
+
+    def stats(self) -> dict:
+        """Cumulative counters as plain data (a worker ships this home)."""
+        counters = self.engine.counters
+        return {
+            "lines": counters.lines,
+            "events": counters.events,
+            "pending": self.pending,
+            "quarantined": len(self.quarantine),
+            "accepted": self.accepted,
+            "position": self.position,
+            "exact_hits": counters.exact_hits,
+            "template_hits": counters.template_hits,
+            "misses": counters.misses,
+        }
 
     @property
     def pending(self) -> int:
@@ -359,6 +342,11 @@ class TenantShard:
     @property
     def resumed(self) -> bool:
         return self._skip > 0
+
+    @property
+    def state(self) -> str:
+        """Lifecycle state, as ``/healthz`` and the status line show it."""
+        return "breaker" if self.breaker_open else "alive"
 
     @property
     def position(self) -> int:
@@ -416,62 +404,55 @@ class TenantShard:
         or ``breaker`` (the circuit breaker is open).  Never raises on
         tenant-attributable faults — that is the isolation contract.
 
-        *delivery* is an optional ``(client_id, seq)`` pair: a
-        process-mode worker mirrors the supervisor's delivery
-        metadata here so its checkpoint carries the acknowledged
-        watermarks (the supervisor deduplicates; the worker only
-        persists).
+        *delivery* is the ``(client_id, seq)`` pair of a record a
+        :class:`~repro.service.protocol.DeliveryFront` released — the
+        supervisor's, riding a feed message; it is mirrored into the
+        checkpointed watermarks.  On an exactly-once shard an
+        unsequenced (v1) record passes through the shard's own front
+        first, so it is journaled like its acked neighbours.
         """
         with self._lock:
-            outcome = self._submit_locked(record)
-            if delivery is not None:
-                client, seq = delivery
-                if seq > self._ack_high.get(client, 0):
-                    self._ack_high[client] = seq
-            return outcome
+            if self._front is not None:
+                self._front.admit(record)
+            return self._submit_locked(record, delivery)
 
     def submit_seq(
         self, record: LogRecord, client: str, seq: int
     ) -> tuple[str, int]:
         """Feed one sequence-tagged record exactly once (protocol v2).
 
-        The (client, tenant) :class:`DeliveryWindow` classifies the
-        arrival: duplicates are suppressed, gaps are held back, and
-        releases are journaled (the durable-ownership point) then fed
-        in sequence order.  Returns ``(outcome, high)`` where *high*
-        is the cumulative acknowledgement watermark the caller sends
+        The front classifies the arrival: duplicates are suppressed,
+        gaps are held back, and releases are journaled (the
+        durable-ownership point) then fed in sequence order.  Returns
+        ``(outcome, high)`` where *outcome* is ``duplicate``,
+        ``pending`` or this record's :meth:`submit` tag and *high* is
+        the cumulative acknowledgement watermark the caller sends
         back to the client — by the time it is returned, every
         sequence it covers is either in the checkpointed engine or in
         the ownership journal.
         """
-        if not self.exactly_once:
+        if self._front is None:
             raise ValidationError(
                 "sequence-tagged submit requires an exactly-once "
                 "shard (protocol v2)"
             )
         with self._lock:
-            window = self._windows.get(client)
-            if window is None:
-                window = self._windows.setdefault(client, DeliveryWindow())
-            status, released = window.observe(seq, record)
-            if status == DUPLICATE:
-                if self.telemetry is not None:
-                    self.telemetry.metrics.get(
-                        "repro_delivery_duplicates_suppressed_total"
-                    ).labels(tenant=self.tenant).inc()
-                return DUPLICATE, window.high
-            if status == PENDING:
-                return PENDING, window.high
-            outcome = ACCEPTED
-            for rseq, rrecord in released:
-                self._djournal.append(self.seen, rrecord, (client, rseq))
-                result = self._submit_locked(rrecord)
-                if rseq == seq:
+            outcome, high, entries = self._front.admit(record, client, seq)
+            for _, rrecord, delivery in entries:
+                result = self._submit_locked(rrecord, delivery)
+                if delivery[1] == seq:
                     outcome = result
-            self._ack_high[client] = window.high
-            return outcome, window.high
+            return outcome, high
 
-    def _submit_locked(self, record: LogRecord) -> str:
+    def _mirror_ack(self, delivery) -> None:
+        """Fold a fed record's ``(client, seq)`` into the watermarks."""
+        client, seq = delivery
+        if seq > self._ack_high.get(client, 0):
+            self._ack_high[client] = seq
+
+    def _submit_locked(self, record: LogRecord, delivery=None) -> str:
+        if delivery is not None:
+            self._mirror_ack(delivery)
         index = self.seen
         self.seen += 1
         if self.seen <= self._skip:
@@ -539,9 +520,7 @@ class TenantShard:
             index = self.seen
             self.seen += 1
             if delivery is not None:
-                client, seq = delivery
-                if seq > self._ack_high.get(client, 0):
-                    self._ack_high[client] = seq
+                self._mirror_ack(delivery)
             self.quarantine.add(
                 QuarantineRecord(
                     source=f"poison:{self.tenant}",
@@ -596,11 +575,11 @@ class TenantShard:
             io=self.io,
             telemetry=self.telemetry,
         )
-        if self._djournal is not None:
+        if self._front is not None:
             # Every journaled record is now inside the checkpoint
-            # (append is immediately followed by the engine feed the
+            # (admit is immediately followed by the engine feed the
             # checkpoint just captured) — prune to empty.
-            self._djournal.reset(())
+            self._front.prune(())
 
     def drain(self) -> dict:
         """Finalize, write outputs + checkpoint + manifest; idempotent.
@@ -630,10 +609,10 @@ class TenantShard:
                 artifacts.append((events_path, CODEC_LINES))
                 artifacts.append((structured_path, CODEC_LINES))
             self._checkpoint_locked()
-            if self._djournal is not None:
+            if self._front is not None:
                 # Fully captured by the final checkpoint; a clean
                 # tenant directory holds only manifest-covered files.
-                self._djournal.remove()
+                self._front.remove()
             artifacts.append((self.checkpoint_path, CODEC_OPAQUE))
             self.quarantine.close()
             if os.path.exists(self.quarantine_path):

@@ -23,17 +23,17 @@ physical:
 
 Correctness hangs on three pieces of bookkeeping:
 
-* **The batch journal.**  Every record is appended (framed JSONL,
-  :func:`~repro.resilience.durability.frame_record`) to
-  ``out.journal.jsonl`` *before* dispatch, and only pruned when the
-  worker acknowledges a checkpoint covering it.  A restarted worker
-  restores the checkpoint, fast-forwards
+* **The outbox.**  Every record waits in the supervisor's in-memory
+  outbox until the worker acknowledges a checkpoint covering it.  A
+  restarted worker restores the checkpoint, fast-forwards
   (:meth:`~repro.service.shard.TenantShard.fast_forward`), and the
-  supervisor replays exactly the journaled suffix.  A feed message
+  supervisor replays exactly the outbox suffix.  A feed message
   carries a batch of contiguous outbox entries, each with its global
   record index; the worker skips indices below its restored position,
   so replay after an un-acked checkpoint produces no duplicates and a
-  gap is a detectable protocol violation.
+  gap is a detectable protocol violation.  Under protocol v2 a
+  :class:`~repro.service.protocol.DeliveryFront` fills the outbox and
+  its journal carries it across *service* lives; v1 journals nothing.
 * **Careful replay and poison pills.**  After a death the supervisor
   replays one record at a time, each awaiting an explicit ``done``
   ack, so the record in flight when the worker dies again is known
@@ -78,17 +78,13 @@ from repro.observability.metrics import (
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import Tracer
 from repro.resilience.supervisor import CircuitBreaker, RetryPolicy
-from repro.service.protocol import (
-    DUPLICATE,
-    PENDING,
-    BatchJournal,
-    DeliveryWindow,
-)
+from repro.service.protocol import JOURNAL_NAME, DeliveryFront
 from repro.service.shard import (
     ACCEPTED,
     CHECKPOINT_NAME,
     REPLAYED,
     TenantShard,
+    sync_tenant_counters,
 )
 
 #: One more outcome tag beside the shard's: the shard is fenced and no
@@ -118,9 +114,6 @@ REASON_SIGNAL = "signal"
 REASON_EXIT = "exit"
 REASON_HUNG = "hung"
 REASON_DEADLINE = "drain-deadline"
-
-#: Name of the supervisor's in-flight batch journal in the tenant dir.
-JOURNAL_NAME = "out.journal.jsonl"
 
 #: Worker root span name (adopted into the parent trace).
 SPAN_SHARD_WORKER = "shard_worker"
@@ -228,17 +221,8 @@ class ShardWorker:
         return shard
 
     def _stats(self, shard: TenantShard) -> dict:
-        counters = shard.engine.counters
         return {
-            "lines": counters.lines,
-            "events": counters.events,
-            "pending": shard.pending,
-            "quarantined": len(shard.quarantine),
-            "accepted": shard.accepted,
-            "position": shard.position,
-            "exact_hits": counters.exact_hits,
-            "template_hits": counters.template_hits,
-            "misses": counters.misses,
+            **shard.stats(),
             "latency": self._latency.state(),
             "queue_wait": self._queue_wait.state(),
         }
@@ -394,7 +378,7 @@ class ShardSupervisor:
     the entire worker lifecycle — spawn, heartbeat watchdog, dispatch,
     death classification, backoff restart, careful replay, poison
     diversion, fencing, drain — so ``submit`` from connection threads
-    only appends to the journal-backed outbox.
+    only appends to the outbox.
 
     Args:
         watchdog: seconds without any worker message before the
@@ -492,26 +476,37 @@ class ShardSupervisor:
         self._sleep = sleep
         self._mp = _mp_context()
 
-        self.exactly_once = exactly_once
-        #: Per-client exactly-once dedup windows (protocol v2).  The
-        #: shard is per-tenant, so (client, tenant) collapses to the
-        #: client id here.
-        self._windows: dict[str, DeliveryWindow] = {}
-
         self._lock = threading.Lock()
+        self._skip, watermarks = self._read_checkpoint_meta()
         # (index, record, enqueued_at monotonic stamp, delivery meta)
         # quadruples; delivery is None for v1 lines.
         self._outbox: list[tuple[int, LogRecord, float, tuple | None]] = []
-        self._skip, delivery_state = self._read_checkpoint_meta()
-        # v1 resume replays the whole stream from the source and skips
-        # to the checkpoint; exactly-once resume starts *at* the
-        # checkpoint (the delivery journal replays the suffix).
-        self._next_index = self._skip if exactly_once else 0
+        #: The exactly-once front (protocol v2); ``None`` under v1.
+        self._front: DeliveryFront | None = None
+        if exactly_once:
+            # Resume *at* the checkpoint: the front's backlog — acked
+            # by the previous service life, so no source resends it —
+            # is the head of this life's outbox.
+            self._front = DeliveryFront(
+                self.dir, self._skip, watermarks, io=io
+            )
+            now = time.monotonic()
+            self._outbox = [
+                (index, record, now, delivery)
+                for index, record, delivery in self._front.backlog
+            ]
+            self._next_index = self._front.next_index
+        else:
+            # v1 resume replays the whole stream from the source and
+            # skips to the checkpoint; a journal left by a v2 life
+            # promises lines this service cannot deduplicate.
+            self._next_index = 0
+            try:
+                os.unlink(os.path.join(self.dir, JOURNAL_NAME))
+            except FileNotFoundError:
+                pass
         self._acked = self._skip
         self._sent_through = self._skip
-        if exactly_once and delivery_state:
-            for client, high in delivery_state.get("clients", {}).items():
-                self._windows[client] = DeliveryWindow(high=int(high))
         self._mode_careful = False
         self._careful_high = self._skip
         self._in_flight: int | None = None
@@ -543,29 +538,6 @@ class ShardSupervisor:
         }
         self._on_checkpoint = on_checkpoint
         self._done = threading.Event()
-        self._journal = BatchJournal(
-            os.path.join(self.dir, JOURNAL_NAME), io=io,
-            recover=exactly_once,
-        )
-        if exactly_once:
-            # Records journaled but not checkpoint-covered by the
-            # previous *service* life: they were acked to clients, so
-            # this life must re-feed them itself (no source replay).
-            now = time.monotonic()
-            preload = [
-                entry for entry in self._journal.recovered
-                if entry[0] >= self._skip
-            ]
-            for index, record, delivery in preload:
-                self._outbox.append((index, record, now, delivery))
-                if delivery is not None:
-                    self._windows.setdefault(
-                        delivery[0], DeliveryWindow()
-                    ).advance(delivery[1])
-            if preload:
-                self._next_index = max(
-                    self._next_index, preload[-1][0] + 1
-                )
         self._breaker = CircuitBreaker(
             failure_threshold=fence_threshold,
             reset_timeout=fence_reset,
@@ -609,16 +581,22 @@ class ShardSupervisor:
         with self._lock:
             if self.state == STATE_FENCED:
                 return FENCED
-            index = self._next_index
-            self._next_index += 1
-            if index < self._skip:
+            if self._front is not None:
+                # An unsequenced line on a v2 service: owned (and
+                # indexed) by the front like its acked neighbours.
+                _, _, entries = self._front.admit(record)
+            elif self._next_index < self._skip:
+                self._next_index += 1
                 return REPLAYED
-            self._outbox.append((index, record, enqueued_at, None))
-            # Under the lock, like every journal write: an append that
-            # interleaved with _prune's rewrite would land in the inode
-            # the rewrite replaces.
-            self._journal.append(index, record)
+            else:
+                entries = [(self._next_index, record, None)]
+            self._enqueue(entries, enqueued_at)
         return ACCEPTED
+
+    def _enqueue(self, entries, enqueued_at: float) -> None:
+        for index, record, delivery in entries:
+            self._outbox.append((index, record, enqueued_at, delivery))
+            self._next_index = index + 1
 
     def submit_seq(
         self, record: LogRecord, client: str, seq: int
@@ -627,42 +605,25 @@ class ShardSupervisor:
 
         Returns ``(outcome, high)`` where *high* is the client's
         cumulative ack watermark.  The ack contract: *high* covers a
-        sequence only once its record is journal-owned — appended to
-        ``out.journal.jsonl`` — so a ``SIGKILL`` at any later point
-        replays it from the journal instead of losing it.
+        sequence only once its record is journal-owned — admitted by
+        the front — so a ``SIGKILL`` at any later point replays it
+        from the journal instead of losing it.
         """
-        if not self.exactly_once:
+        if self._front is None:
             raise ValidationError(
                 "submit_seq requires an exactly_once supervisor"
             )
         enqueued_at = time.monotonic()
         with self._lock:
-            window = self._windows.setdefault(client, DeliveryWindow())
             if self.state == STATE_FENCED:
-                return FENCED, window.high
-            status, released = window.observe(seq, record)
-            if status == DUPLICATE:
-                if self.telemetry is not None:
-                    self.telemetry.metrics.get(
-                        "repro_delivery_duplicates_suppressed_total"
-                    ).labels(tenant=self.tenant).inc()
-                return DUPLICATE, window.high
-            if status == PENDING:
-                return PENDING, window.high
-            # Journal under the lock: appends from concurrent
+                return FENCED, self._front.high(client)
+            # Admit under the lock: appends from concurrent
             # connections must land in index order, or a crash between
             # out-of-order appends would leave an index gap the
             # restarted worker's feed gap-check fences on.
-            for rseq, rrecord in released:
-                index = self._next_index
-                self._next_index += 1
-                self._outbox.append(
-                    (index, rrecord, enqueued_at, (client, rseq))
-                )
-                self._journal.append(
-                    index, rrecord, delivery=(client, rseq)
-                )
-            return ACCEPTED, window.high
+            status, high, entries = self._front.admit(record, client, seq)
+            self._enqueue(entries, enqueued_at)
+            return (ACCEPTED if entries else status), high
 
     def checkpoint(self) -> None:
         """Request an out-of-band worker checkpoint (asynchronous)."""
@@ -700,20 +661,20 @@ class ShardSupervisor:
 
     # -- internals -----------------------------------------------------
 
-    def _read_checkpoint_meta(self) -> tuple[int, dict | None]:
-        """Stream position and delivery state of the shard checkpoint."""
+    def _read_checkpoint_meta(self) -> tuple[int, dict]:
+        """Stream position and ack watermarks of the shard checkpoint."""
         path = os.path.join(self.dir, CHECKPOINT_NAME)
         if not os.path.exists(path):
-            return 0, None
+            return 0, {}
         try:
             with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
             return (
                 int(data.get("records_consumed", 0)),
-                data.get("delivery"),
+                (data.get("delivery") or {}).get("clients", {}),
             )
         except (OSError, ValueError):  # pragma: no cover - torn file
-            return 0, None
+            return 0, {}
 
     def _collect_metrics(self) -> None:
         metrics = self.telemetry.metrics
@@ -728,24 +689,6 @@ class ShardSupervisor:
                 tenant=self.tenant, state=state
             ).set(1.0 if state == self.state else 0.0)
 
-    def _sync_counter(
-        self, metric: str, key: str, value: float, **labels
-    ) -> None:
-        """High-water-mark delta sync of one worker-cumulative counter.
-
-        Worker counters restore from the checkpoint and re-climb
-        through journal replay after a restart, so a freshly-reported
-        value may sit *below* the high-water mark for a while; only
-        the excess over the mark is new work.
-        """
-        value = float(value or 0)
-        last = self._synced.get(key, 0.0)
-        if value > last:
-            self.telemetry.metrics.get(metric).labels(
-                tenant=self.tenant, **labels
-            ).inc(value - last)
-            self._synced[key] = value
-
     def _sync_stats(self, stats: dict) -> None:
         """Fold a worker stats message into the parent registry, live.
 
@@ -758,30 +701,11 @@ class ShardSupervisor:
         if self.telemetry is None:
             return
         metrics = self.telemetry.metrics
-        lines = stats.get("lines", 0)
-        self._sync_counter("repro_service_lines_total", "lines", lines)
-        self._sync_counter(
-            "repro_tenant_lines_total", "tenant_lines", lines
+        metrics.sync_high_water(
+            self._synced, "repro_service_lines_total", "lines",
+            stats.get("lines"), tenant=self.tenant,
         )
-        self._sync_counter(
-            "repro_tenant_cache_hits_total", "exact_hits",
-            stats.get("exact_hits", 0), kind="exact",
-        )
-        self._sync_counter(
-            "repro_tenant_cache_hits_total", "template_hits",
-            stats.get("template_hits", 0), kind="template",
-        )
-        self._sync_counter(
-            "repro_tenant_cache_misses_total", "misses",
-            stats.get("misses", 0),
-        )
-        self._sync_counter(
-            "repro_tenant_quarantined_total", "quarantined",
-            stats.get("quarantined", 0),
-        )
-        metrics.get("repro_tenant_events").labels(tenant=self.tenant).set(
-            float(stats.get("events", 0) or 0)
-        )
+        sync_tenant_counters(metrics, self._synced, self.tenant, stats)
         for key, metric in (
             ("latency", "repro_tenant_ingest_latency_seconds"),
             ("queue_wait", "repro_tenant_queue_wait_seconds"),
@@ -917,13 +841,13 @@ class ShardSupervisor:
                 del self._kill_counts[index]
             for index in [i for i in self._poisoned if i < position]:
                 del self._poisoned[index]
-            # Still under the lock: a submit between computing the
-            # survivors and the rename would append to the replaced
-            # inode and leave an acked record owned by nothing.
-            self._journal.reset(
-                (index, record, delivery)
-                for index, record, _, delivery in self._outbox
-            )
+            if self._front is not None:
+                # Still under the lock — the front's one critical
+                # section.
+                self._front.prune(
+                    (index, record, delivery)
+                    for index, record, _, delivery in self._outbox
+                )
 
     def _handle_message(self, message, process) -> str | None:
         kind = message[0]
@@ -989,8 +913,9 @@ class ShardSupervisor:
             if self.telemetry is not None and spans:
                 self.telemetry.tracer.adopt(spans)
             self._prune(self._next_index)
-            with self._lock:
-                self._journal.remove()
+            if self._front is not None:
+                with self._lock:
+                    self._front.remove()
             process.join(timeout=self.term_grace + 5.0)
             if process.is_alive():  # pragma: no cover - stuck exit
                 self._terminate(process)
@@ -1012,7 +937,8 @@ class ShardSupervisor:
                 self._drained_summary = self._fenced_summary()
             # Submits are refused from here on; the journal itself
             # stays on disk for the next service life.
-            self._journal.close()
+            if self._front is not None:
+                self._front.close()
         self._emit("worker_fenced", reason=why, restarts=self.restarts)
         self._done.set()
         return "fenced"
@@ -1212,9 +1138,6 @@ def supervisor_status(service) -> dict:
     tenants: dict[str, dict] = {}
     for tenant in service.tenants():
         shard = service.shard(tenant)
-        state = getattr(shard, "state", None)
-        if state is None:
-            state = "breaker" if shard.breaker_open else "alive"
         restarts = 0.0
         queue_depth = float(shard.pending)
         lines = 0.0
@@ -1250,7 +1173,7 @@ def supervisor_status(service) -> dict:
                 "repro_worker_heartbeat_age_seconds", tenant=tenant
             )
         tenants[tenant] = {
-            "state": state,
+            "state": shard.state,
             "restarts": int(restarts),
             "queue": int(queue_depth),
             "lines": int(lines),

@@ -15,7 +15,8 @@ Four layers of the delivery contract:
 * **Certification** — a network-faulted run whose serve process is
   SIGKILLed mid-run (no drain) must, after restart + client resend,
   land per-tenant artifacts *byte-identical* to a calm run — in BOTH
-  thread and process isolation — with
+  thread and process isolation, and killed under either and resumed
+  under the other — with
   ``repro_delivery_duplicates_suppressed_total > 0`` proving the dedup
   windows (restored from journal replay / checkpoints) did real work.
 
@@ -37,6 +38,7 @@ import pytest
 
 from repro.cli import main
 from repro.common.errors import DeliveryError, ValidationError
+from repro.common.types import LogRecord
 from repro.common.net import bind_with_retry, retry_eaddrinuse
 from repro.observability import Telemetry, TelemetryServer
 from repro.parsers import make_parser
@@ -50,7 +52,10 @@ from repro.resilience.faults import NET_PARTITION
 from repro.service import DurableSender, IngestionService, LineServer
 from repro.service.protocol import (
     DUPLICATE,
+    JOURNAL_NAME,
     PENDING,
+    BatchJournal,
+    DeliveryFront,
     DeliveryWindow,
     ack_line,
     data_line,
@@ -180,6 +185,71 @@ class TestDeliveryWindow:
             DeliveryWindow(holdback=0)
         with pytest.raises(ValidationError):
             DeliveryWindow().observe(0, "x")
+
+
+class TestDeliveryFrontRecovery:
+    def _record(self, index: int) -> LogRecord:
+        return LogRecord(content=f"line {index}")
+
+    def test_backlog_windows_and_next_index_from_a_killed_life(
+        self, tmp_path
+    ):
+        # A life that checkpointed at position 3 (client a through
+        # seq 2, client b through 1) and was killed before the prune:
+        # the journal still holds entries the checkpoint covers.
+        journal = BatchJournal(str(tmp_path / JOURNAL_NAME))
+        deliveries = [
+            ("a", 1), ("b", 1), ("a", 2), ("a", 3), None, ("b", 2),
+        ]
+        for index, delivery in enumerate(deliveries):
+            journal.append(index, self._record(index), delivery)
+        journal.close()
+        intact = os.path.getsize(tmp_path / JOURNAL_NAME)
+        with open(tmp_path / JOURNAL_NAME, "ab") as handle:
+            handle.write(b"torn mid-append by the SIGK")
+
+        front = DeliveryFront(str(tmp_path), 3, {"a": 2, "b": 1})
+        assert os.path.getsize(tmp_path / JOURNAL_NAME) == intact
+        assert [
+            (index, record.content, delivery)
+            for index, record, delivery in front.backlog
+        ] == [
+            (3, "line 3", ("a", 3)), (4, "line 4", None),
+            (5, "line 5", ("b", 2)),
+        ]
+        assert (front.high("a"), front.high("b")) == (3, 2)
+        assert front.high("never-seen") == 0
+        assert front.next_index == 6
+
+        # Resends of the backlog are duplicates; new work takes the
+        # next index and is on disk before admit returns.
+        assert front.admit(self._record(3), "a", 3) == (DUPLICATE, 3, [])
+        status, high, entries = front.admit(self._record(6), "b", 3)
+        assert (status, high) == ("release", 3)
+        assert [(i, d) for i, _, d in entries] == [(6, ("b", 3))]
+        assert read_jsonl_payloads(str(tmp_path / JOURNAL_NAME))[-1][
+            "index"
+        ] == 6
+        front.close()
+
+    def test_gap_is_held_then_released_in_sequence_order(self, tmp_path):
+        front = DeliveryFront(str(tmp_path), 0, {})
+        assert front.admit(self._record(2), "a", 2) == (PENDING, 0, [])
+        assert not os.path.exists(tmp_path / JOURNAL_NAME), "held ≠ owned"
+        status, high, entries = front.admit(self._record(1), "a", 1)
+        assert (status, high) == ("release", 2)
+        assert [(i, r.content, d) for i, r, d in entries] == [
+            (0, "line 1", ("a", 1)), (1, "line 2", ("a", 2)),
+        ]
+        # An unsequenced line is owned and indexed, never acked.
+        assert front.admit(self._record(9)) == (
+            "release", None, [(2, self._record(9), None)]
+        )
+        front.prune(entries[1:])
+        front.close()
+        assert [e[0] for e in DeliveryFront(str(tmp_path), 0, {}).backlog] == [1]
+        front.remove()
+        assert not os.path.exists(tmp_path / JOURNAL_NAME)
 
 
 class TestNetworkFaultSchedule:
@@ -529,7 +599,7 @@ class TestChunkedWirePath:
 
     def test_ack_frames_are_per_chunk_and_follow_ownership(self, tmp_path):
         """Raw socket: two tenants' lines in one write.  Each ack read
-        must already be backed by the delivery journal — the ack =
+        must already be backed by the ownership journal — the ack =
         durable-ownership contract, checked at the instant of the ack."""
         data = tmp_path / "data"
         service = self._service(data)
@@ -544,7 +614,7 @@ class TestChunkedWirePath:
             return {
                 entry["seq"]
                 for entry in read_jsonl_payloads(
-                    str(data / tenant / "out.delivery.journal.jsonl")
+                    str(data / tenant / "out.journal.jsonl")
                 )
                 if entry.get("client") == "raw-client"
             }
@@ -921,8 +991,16 @@ class TestExactlyOnceCertification(_ServeHarness):
                 self._kill_group(proc, signal.SIGKILL)
         assert proc.returncode == 0, out
 
-    def _faulted_run(self, data_dir, *extra: str) -> str:
-        """Two serve lives around a SIGKILL; returns the metrics path."""
+    PROCESS = ("--isolation", "process", "--checkpoint-every", "8")
+
+    def _faulted_run(self, data_dir, life1=(), life2=None) -> str:
+        """Two serve lives around a SIGKILL; returns the metrics path.
+
+        *life1* / *life2* are each life's extra ``serve`` arguments
+        (life 2 repeats life 1's unless given its own).
+        """
+        if life2 is None:
+            life2 = life1
         spool = str(data_dir.parent / f"{data_dir.name}.spool.jsonl")
         crashed = str(
             data_dir.parent / f"{data_dir.name}.crashed.spool.jsonl"
@@ -933,7 +1011,7 @@ class TestExactlyOnceCertification(_ServeHarness):
         # storm.  Every line is acked (flush returns), so the server
         # durably owns the whole stream — then SIGKILL, before any
         # drain: no manifests, no finalized artifacts.
-        proc = self._serve(data_dir, *extra)
+        proc = self._serve(data_dir, *life1)
         try:
             port = self._port(proc)
             faults = network_fault_schedule(
@@ -963,7 +1041,7 @@ class TestExactlyOnceCertification(_ServeHarness):
         # windows must suppress every byte, then a graceful drain
         # finalizes the artifacts.
         metrics = str(data_dir.parent / f"{data_dir.name}.metrics.json")
-        proc = self._serve(data_dir, "--metrics-out", metrics, *extra)
+        proc = self._serve(data_dir, "--metrics-out", metrics, *life2)
         try:
             port = self._port(proc)
             sender = DurableSender(
@@ -993,6 +1071,13 @@ class TestExactlyOnceCertification(_ServeHarness):
                 ]
             )
             assert code == 0, f"{tenant} diverged from the calm run"
+            # Drained clean: nothing (a stale journal, say) outside
+            # the manifest.
+            with open(faulted_dir / tenant / "out.manifest.json") as handle:
+                covered = set(json.load(handle)["artifacts"])
+            assert set(os.listdir(faulted_dir / tenant)) == covered | {
+                "out.manifest.json"
+            }
         samples = json.loads(open(metrics_path).read())["samples"]
         for tenant in ("alpha", "beta"):
             suppressed = samples.get(
@@ -1017,9 +1102,23 @@ class TestExactlyOnceCertification(_ServeHarness):
         calm = tmp_path / "calm"
         self._calm_run(calm)
         faulted = tmp_path / "faulted-proc"
-        metrics = self._faulted_run(
-            faulted, "--isolation", "process", "--checkpoint-every", "8"
-        )
+        metrics = self._faulted_run(faulted, self.PROCESS)
+        self._certify(calm, faulted, metrics)
+
+    @pytest.mark.parametrize(
+        "life1, life2",
+        [((), PROCESS), (PROCESS, ())],
+        ids=["thread-then-process", "process-then-thread"],
+    )
+    def test_resume_under_the_other_isolation_converges(
+        self, tmp_path, life1, life2
+    ):
+        """One front, one journal file: what either host acked before
+        the SIGKILL, the other replays."""
+        calm = tmp_path / "calm"
+        self._calm_run(calm)
+        faulted = tmp_path / "faulted-cross"
+        metrics = self._faulted_run(faulted, life1, life2)
         self._certify(calm, faulted, metrics)
 
 

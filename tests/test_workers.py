@@ -57,15 +57,14 @@ from repro.service import (
     TenantShard,
     replay_lines,
 )
+from repro.service.protocol import JOURNAL_NAME, BatchJournal
 from repro.service.shard import CHECKPOINT_NAME
 from repro.service.workers import (
     _FEED_BATCH,
     FENCED,
-    JOURNAL_NAME,
     STATE_DRAINED,
     STATE_FENCED,
     STATE_RUNNING,
-    BatchJournal,
     supervisor_status,
 )
 
@@ -292,19 +291,32 @@ class TestSupervisedShard:
         lines = _lines(60)
         ref = _reference(tmp_path, "t", lines)
         data = str(tmp_path / "proc")
+        # A v1 supervisor journals nothing (its source replays the
+        # stream) and retires what a v2 life left behind.
+        journal = os.path.join(data, "t", JOURNAL_NAME)
+        os.makedirs(os.path.dirname(journal))
+        with open(journal, "wb") as handle:
+            handle.write(frame_record({"index": 0, "content": "stale"}))
+        sightings = []
         sup = ShardSupervisor(
             "t", data, _factory(), parser_name="Drain",
-            checkpoint_every=16, **FAST,
+            checkpoint_every=16,
+            on_checkpoint=lambda *_: sightings.append(
+                os.path.exists(journal)
+            ),
+            **FAST,
         )
-        _feed(sup, lines)
+        for line in lines:
+            sightings.append(os.path.exists(journal))
+            sup.submit(LogRecord(content=line))
         summary = sup.drain()
         assert summary["lines"] == 60
         assert summary["restarts"] == 0
         assert summary["isolation"] == "process"
         assert sup.state == STATE_DRAINED
         _assert_identical(ref, os.path.join(data, "t"))
-        # drained → journal fully retired
-        assert not os.path.exists(os.path.join(data, "t", JOURNAL_NAME))
+        assert len(sightings) > 60, "checkpoint acks were sampled too"
+        assert not any(sightings) and not os.path.exists(journal)
 
     @pytest.mark.parametrize(
         "fault",
@@ -602,32 +614,44 @@ class TestBatchedFeed:
 
 
 class TestJournalOwnsEveryAck:
-    def test_submit_during_prune_rewrite_stays_journaled(self, tmp_path):
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_submit_during_prune_rewrite_stays_journaled(
+        self, tmp_path, host
+    ):
         """An ack is a durable promise (DESIGN §14): a ``submit_seq``
-        that races the checkpoint-ack rewrite of the journal must end
-        up in the rewritten file, not in the inode it replaced."""
+        that races the checkpoint's rewrite of the journal must end
+        up in the rewritten file, not in the inode it replaced —
+        whichever host holds the front."""
 
         class RacingIO(RealIO):
-            """``replace`` gives a concurrent submit a head start."""
+            """The journal's ``replace`` gives a concurrent submit a
+            head start."""
 
             def __init__(self):
                 self.racer = None
                 self.raced = []
 
             def replace(self, src, dst):
-                racer, self.racer = self.racer, None
-                if racer is not None:
-                    thread = threading.Thread(target=racer)
-                    thread.start()
-                    thread.join(timeout=0.5)
-                    self.raced.append(thread)
+                if dst.endswith(JOURNAL_NAME):
+                    racer, self.racer = self.racer, None
+                    if racer is not None:
+                        thread = threading.Thread(target=racer)
+                        thread.start()
+                        thread.join(timeout=0.5)
+                        self.raced.append(thread)
                 super().replace(src, dst)
 
         io = RacingIO()
-        sup = ShardSupervisor(
-            "t", str(tmp_path), _factory(), parser_name="Drain", io=io,
-            exactly_once=True, checkpoint_every=10_000, **FAST,
-        )
+        if host == "process":
+            sup = ShardSupervisor(
+                "t", str(tmp_path), _factory(), parser_name="Drain",
+                io=io, exactly_once=True, checkpoint_every=10_000, **FAST,
+            )
+        else:
+            sup = TenantShard(
+                "t", str(tmp_path), _factory(), parser_name="Drain",
+                io=io, exactly_once=True,
+            )
         acked = {}
         for seq in range(1, 6):
             _, acked["high"] = sup.submit_seq(
@@ -640,7 +664,8 @@ class TestJournalOwnsEveryAck:
             )
 
         io.racer = late_submit
-        sup.checkpoint()  # ack -> _prune -> journal rewrite -> replace
+        # process: ack -> _prune -> rewrite; thread: inline, same lock
+        sup.checkpoint()
         _wait_for(lambda: io.raced and not io.raced[0].is_alive())
         assert acked["high"] == 6
         tenant_dir = os.path.join(str(tmp_path), "t")
@@ -656,6 +681,62 @@ class TestJournalOwnsEveryAck:
             f"acked through 6 but only {sorted(owned)} is owned durably"
         )
         assert sup.drain()["lines"] == 6
+
+
+class TestOneFrontTwoHosts:
+    """What one host acked and never checkpointed, the other replays —
+    with no client resend to paper over a lost journal."""
+
+    def _ack(self, host, seqs):
+        for seq in seqs:
+            _, high = host.submit_seq(
+                LogRecord(content=f"conn from host1 port {seq}"), "c", seq
+            )
+            assert high == seq
+
+    def test_thread_host_dies_process_host_resumes(self, tmp_path):
+        shard = TenantShard(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            exactly_once=True,
+        )
+        self._ack(shard, range(1, 11))
+        shard._front.close()  # SIGKILL: no checkpoint, no drain
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            exactly_once=True, **FAST,
+        )
+        assert sup.submit_seq(LogRecord(content="dup"), "c", 10) == (
+            "duplicate", 10
+        )
+        self._ack(sup, [11])
+        assert sup.drain()["lines"] == 11
+        assert sorted(os.listdir(os.path.join(str(tmp_path), "t"))) == [
+            "out.checkpoint.json", "out.events", "out.manifest.json",
+            "out.structured",
+        ]
+
+    def test_process_host_dies_thread_host_resumes(self, tmp_path):
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            exactly_once=True, checkpoint_every=4, **FAST,
+        )
+        self._ack(sup, range(1, 11))
+        _wait_for(lambda: sup._acked >= 8)
+        # The closest in-process stand-in for a SIGKILLed service: the
+        # worker is killed, the journal suffix stays on disk.
+        sup._abandon()
+        _wait_for(lambda: sup.state == STATE_FENCED)
+        shard = TenantShard(
+            "t", str(tmp_path), _factory(), parser_name="Drain",
+            exactly_once=True,
+        )
+        assert shard.position == 10
+        assert shard.submit_seq(LogRecord(content="dup"), "c", 10) == (
+            "duplicate", 10
+        )
+        self._ack(shard, [11])
+        summary = shard.drain()
+        assert (summary["seen"], summary["lines"]) == (11, 11)
 
 
 class TestExitClassification:
