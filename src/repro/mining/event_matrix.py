@@ -63,21 +63,28 @@ def build_event_matrix(result: ParseResult) -> EventCountMatrix:
     """
     session_index: dict[str, int] = {}
     event_index: dict[str, int] = {}
-    triples: list[tuple[int, int]] = []
-    for structured in result.structured():
-        session_id = structured.record.session_id
+    rows: list[int] = []
+    columns: list[int] = []
+    for record, event_id in zip(result.records, result.assignments):
+        session_id = record.session_id
         if not session_id:
             continue
-        row = session_index.setdefault(session_id, len(session_index))
-        column = event_index.setdefault(structured.event_id, len(event_index))
-        triples.append((row, column))
+        rows.append(session_index.setdefault(session_id, len(session_index)))
+        columns.append(event_index.setdefault(event_id, len(event_index)))
     if not session_index:
         raise MiningError(
             "no records carry a session id; cannot build an event matrix"
         )
-    matrix = np.zeros((len(session_index), len(event_index)), dtype=float)
-    for row, column in triples:
-        matrix[row, column] += 1.0
+    n_sessions, n_events = len(session_index), len(event_index)
+    cells = np.array(rows, dtype=np.intp) * n_events + np.array(
+        columns, dtype=np.intp
+    )
+    # Whole counts are exact in float64: same cells as ``+= 1.0`` each.
+    matrix = (
+        np.bincount(cells, minlength=n_sessions * n_events)
+        .reshape(n_sessions, n_events)
+        .astype(float)
+    )
     return EventCountMatrix(
         matrix=matrix,
         session_ids=tuple(session_index),

@@ -16,9 +16,9 @@ original work).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from repro.common.errors import MiningError
 
@@ -51,7 +51,7 @@ def q_statistic_threshold(
     if h0 <= 0:
         # Degenerate spectrum; fall back to the 3-sigma-style bound.
         return theta1 + 3.0 * np.sqrt(theta2)
-    c_alpha = stats.norm.ppf(1.0 - alpha)
+    c_alpha = NormalDist().inv_cdf(1.0 - alpha)
     term = (
         c_alpha * np.sqrt(2.0 * theta2 * h0**2) / theta1
         + 1.0

@@ -24,11 +24,11 @@ from repro.common.types import ParseResult
 def event_sequences(result: ParseResult) -> dict[str, tuple[str, ...]]:
     """Map each session id to its ordered event-id sequence."""
     sequences: dict[str, list[str]] = {}
-    for structured in result.structured():
-        session_id = structured.record.session_id
+    for record, event_id in zip(result.records, result.assignments):
+        session_id = record.session_id
         if not session_id:
             continue
-        sequences.setdefault(session_id, []).append(structured.event_id)
+        sequences.setdefault(session_id, []).append(event_id)
     return {
         session_id: tuple(events)
         for session_id, events in sequences.items()

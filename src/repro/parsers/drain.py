@@ -35,9 +35,10 @@ in the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 
 from repro.common.errors import ParserConfigurationError
-from repro.common.tokenize import WILDCARD, generalize, is_wildcard
+from repro.common.tokenize import WILDCARD, generalize
 from repro.parsers.base import Clustering, LogParser
 
 #: Branch label shared by parameter-like and overflow tokens.
@@ -49,7 +50,8 @@ _EMPTY_BRANCH = ""
 
 def _looks_variable(token: str) -> bool:
     """Heuristic of the Drain paper: digit-bearing tokens are parameters."""
-    return any(character.isdigit() for character in token)
+    # ``str.isdigit``, not ``\d``: the two disagree on e.g. ``²``.
+    return any(map(str.isdigit, token))
 
 
 @dataclass
@@ -58,6 +60,9 @@ class _Group:
 
     group_id: int
     template: list[str]
+    #: Non-wildcard positions of ``template``; a line agreeing on all of
+    #: them is already covered and leaves the template unchanged.
+    constants: int
     size: int = 0
 
 
@@ -135,28 +140,34 @@ class DrainTree:
         change afterwards.
         """
         leaf = self._descend(tokens)
-        group = self._best_match(leaf, tokens)
+        group, matching = self._best_match(leaf, tokens)
         if group is None:
-            group = _Group(group_id=len(self._groups), template=list(tokens))
+            group = _Group(
+                group_id=len(self._groups),
+                template=list(tokens),
+                constants=len(tokens) - tokens.count(WILDCARD),
+            )
             self._groups.append(group)
             leaf.groups.append(group)
-        else:
+        elif matching != group.constants:
+            # The merged template keeps exactly the agreeing positions.
             group.template = generalize(group.template, tokens)
+            group.constants = matching
         group.size += 1
         return group.group_id
 
     def _descend(self, tokens: list[str]) -> _Node:
         """Walk (building as needed) root → length → leading tokens."""
         node = self._branch(self._root, str(len(tokens)), bounded=False)
-        for position in range(self.depth - 2):
-            if position >= len(tokens):
-                break
-            token = tokens[position]
-            if _looks_variable(token):
-                token = _WILDCARD_BRANCH
-            elif token == _EMPTY_BRANCH:  # pragma: no cover - tokenize()
-                token = _WILDCARD_BRANCH  # never yields empty tokens
-            node = self._branch(node, token, bounded=True)
+        for token in tokens[: self.depth - 2]:
+            child = node.children.get(token)
+            if child is None:
+                # Only constants and the wildcard are ever branch keys,
+                # so just a miss needs the digit scan.
+                if token == _EMPTY_BRANCH or _looks_variable(token):
+                    token = _WILDCARD_BRANCH  # tokenize() never yields ""
+                child = self._branch(node, token, bounded=True)
+            node = child
         return node
 
     def _branch(self, node: _Node, token: str, *, bounded: bool) -> _Node:
@@ -172,34 +183,36 @@ class DrainTree:
             node.children[token] = child
         return child
 
-    def _best_match(self, leaf: _Node, tokens: list[str]) -> _Group | None:
-        """Most similar group at *leaf* reaching the threshold, if any."""
-        best: _Group | None = None
-        best_score = -1.0
-        for group in leaf.groups:
-            score = self._similarity(group.template, tokens)
-            if score > best_score:
-                best, best_score = group, score
-        if best is not None and best_score >= self.sim_threshold:
-            return best
-        return None
+    def _best_match(
+        self, leaf: _Node, tokens: list[str]
+    ) -> tuple[_Group | None, int]:
+        """Most similar group at *leaf* reaching the threshold, if any.
 
-    @staticmethod
-    def _similarity(template: list[str], tokens: list[str]) -> float:
-        """Positional agreement ratio; wildcards never count as equal.
-
-        Groups under one leaf always share a token count (the length
-        level guarantees it), so the comparison is positional.  The
-        empty message is identical to the empty template (1.0).
+        Returned with its positional agreement count; wildcards never
+        count as equal, on either side.  Groups under one leaf always
+        share a token count (the length level guarantees it), so the
+        comparison is positional and the counts rank like the
+        similarity ratios ``matching / len(tokens)``.  The empty
+        message is identical to the empty template (1.0).
         """
-        if not tokens:
-            return 1.0
-        matching = sum(
-            1
-            for expected, actual in zip(template, tokens)
-            if expected == actual and not is_wildcard(expected)
+        # A literal ``*`` in the line (preprocessing writes them) must
+        # not agree with a template wildcard: no template holds ``None``.
+        probe = (
+            [None if token == WILDCARD else token for token in tokens]
+            if WILDCARD in tokens
+            else tokens
         )
-        return matching / len(tokens)
+        best: _Group | None = None
+        best_matching = -1
+        for group in leaf.groups:
+            matching = sum(map(eq, group.template, probe))
+            if matching > best_matching:
+                best, best_matching = group, matching
+        if best is not None and (
+            not tokens or best_matching / len(tokens) >= self.sim_threshold
+        ):
+            return best, best_matching
+        return None, 0
 
     # ------------------------------------------------------------------
     # Introspection (invariant checks, tests)

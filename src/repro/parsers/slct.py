@@ -21,6 +21,7 @@ fraction of the input size (matching the original tool's ``-s`` option).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import chain
 
 from repro.common.errors import ParserConfigurationError
 from repro.common.tokenize import WILDCARD
@@ -58,20 +59,17 @@ class Slct(LogParser):
         support = self._absolute_support(len(token_lists))
 
         # Pass 1: word vocabulary (position, word) -> frequency.
-        vocabulary: Counter[tuple[int, str]] = Counter()
-        for tokens in token_lists:
-            vocabulary.update(enumerate(tokens))
+        vocabulary = Counter(chain.from_iterable(map(enumerate, token_lists)))
+        frequent_words = {
+            pair for pair, count in vocabulary.items() if count >= support
+        }
 
         # Pass 2: map each line to its cluster candidate.
         candidate_members: dict[
             tuple[int, frozenset[tuple[int, str]]], list[int]
         ] = defaultdict(list)
         for line_no, tokens in enumerate(token_lists):
-            frequent = frozenset(
-                (position, word)
-                for position, word in enumerate(tokens)
-                if vocabulary[(position, word)] >= support
-            )
+            frequent = frozenset(frequent_words.intersection(enumerate(tokens)))
             candidate_members[(len(tokens), frequent)].append(line_no)
 
         # Step 3: select clusters and emit templates.

@@ -538,6 +538,7 @@ class ShardSupervisor:
         }
         self._on_checkpoint = on_checkpoint
         self._done = threading.Event()
+        self._spawned = threading.Event()
         self._breaker = CircuitBreaker(
             failure_threshold=fence_threshold,
             reset_timeout=fence_reset,
@@ -549,6 +550,11 @@ class ShardSupervisor:
             target=self._run, name=f"shard-supervisor-{tenant}", daemon=True
         )
         self._thread.start()
+        # A shard that exists has a worker: the first life is forked
+        # before the constructor returns, not whenever its supervisor
+        # next wins the GIL from the submitter (which left 2-4 of four
+        # tenants' workers running at the end of a 4k-line replay).
+        self._spawned.wait()
 
     # -- public surface (mirrors TenantShard) --------------------------
 
@@ -1011,7 +1017,10 @@ class ShardSupervisor:
         return "restart"
 
     def _run_one_life(self) -> str:
-        process, inbox, results = self._spawn()
+        try:
+            process, inbox, results = self._spawn()
+        finally:
+            self._spawned.set()
         ready = False
         drain_sent = False
         ckpt_outstanding = False

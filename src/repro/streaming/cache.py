@@ -168,13 +168,17 @@ class TemplateCache:
     def _anchor(tokens: Sequence[str]) -> str:
         return _ANY if not tokens or is_wildcard(tokens[0]) else tokens[0]
 
-    def _candidate_slots(self, tokens: Sequence[str]) -> list[int]:
-        """Slots whose templates could possibly cover *tokens*."""
+    def _candidates(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
+        """``(slot, constant count)`` of templates that could cover *tokens*."""
         length = len(tokens)
-        candidates = list(self._buckets.get((length, _ANY), ()))
+        keys = [(length, _ANY)]
         if tokens and not is_wildcard(tokens[0]):
-            candidates.extend(self._buckets.get((length, tokens[0]), ()))
-        return candidates
+            keys.append((length, tokens[0]))
+        return [
+            (slot, count)
+            for key in keys
+            for slot, (_, _, count) in self._buckets.get(key, {}).items()
+        ]
 
     def match(self, tokens: Sequence[str]) -> int | None:
         """Return the slot of the template covering *tokens*, or None.
@@ -216,11 +220,7 @@ class TemplateCache:
             return None
         self.template_hits += 1
         self._templates.move_to_end(best)
-        # remember_exact, inline: the signature is known to be absent.
-        if self.exact_capacity:
-            exact[signature] = best
-            while len(exact) > self.exact_capacity:
-                exact.popitem(last=False)
+        self.remember_exact(signature, best)
         return best
 
     def remember_exact(self, signature: str, slot: int) -> None:
@@ -358,11 +358,10 @@ class TemplateCache:
         """A cached template that subsumes *tokens* (most general wins)."""
         best: int | None = None
         best_constants: int | None = None
-        for candidate in self._candidate_slots(tokens):
+        for candidate, constants in self._candidates(tokens):
             template = self._templates[candidate]
             if template == tuple(tokens) or not subsumes(template, tokens):
                 continue
-            constants = sum(1 for t in template if not is_wildcard(t))
             if best_constants is None or constants < best_constants:
                 best = candidate
                 best_constants = constants

@@ -1,11 +1,19 @@
 """Drain parser: unit behavior and property-based tree invariants."""
 
+from operator import eq
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ParserConfigurationError
-from repro.common.tokenize import WILDCARD
-from repro.parsers import DrainParser, DrainTree, make_parser
+from repro.common.tokenize import WILDCARD, tokenize
+from repro.datasets import generate_dataset, get_dataset_spec
+from repro.parsers import (
+    DrainParser,
+    DrainTree,
+    default_preprocessor,
+    make_parser,
+)
 
 token = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
@@ -161,3 +169,153 @@ class TestTreeInvariants:
                 expected == actual or expected == WILDCARD
                 for expected, actual in zip(template, tokens)
             )
+
+
+# ---------------------------------------------------------------------
+# The C-level passes against the per-token tree they replaced
+# ---------------------------------------------------------------------
+
+
+class _ReferenceTree:
+    """``DrainTree`` as it stood before the batch-path rewrite: a digit
+    scan on every routed token, a per-token similarity that consults
+    ``is_wildcard`` per position and ranks float ratios, and a
+    ``generalize`` on every absorbed line."""
+
+    def __init__(self, depth, sim_threshold, max_children):
+        self.depth = depth
+        self.sim_threshold = sim_threshold
+        self.max_children = max_children
+        self.root = ({}, [])  # node: (branch token -> node, group ids)
+        self.groups = []  # group id -> template
+
+    def templates(self):
+        return [list(template) for template in self.groups]
+
+    def _branch(self, node, token, bounded):
+        children = node[0]
+        if token not in children:
+            if bounded and token != "*" and len(children) >= self.max_children:
+                return self._branch(node, "*", bounded=False)
+            children[token] = ({}, [])
+        return children[token]
+
+    def feed(self, tokens):
+        node = self._branch(self.root, str(len(tokens)), bounded=False)
+        for token in tokens[: self.depth - 2]:
+            if token == "" or any(ch.isdigit() for ch in token):
+                token = "*"
+            node = self._branch(node, token, bounded=True)
+        leaf = node[1]
+        best, best_score = None, -1.0
+        for group_id in leaf:
+            template = self.groups[group_id]
+            score = 1.0 if not tokens else sum(
+                1 for expected, actual in zip(template, tokens)
+                if expected == actual and expected != "*"
+            ) / len(tokens)
+            if score > best_score:
+                best, best_score = group_id, score
+        if best is None or best_score < self.sim_threshold:
+            leaf.append(len(self.groups))
+            self.groups.append(list(tokens))
+            return len(self.groups) - 1
+        self.groups[best] = [
+            a if a == b and a != "*" and b != "*" else "*"
+            for a, b in zip(self.groups[best], tokens)
+        ]
+        return best
+
+
+class _StarAgreesMutant(DrainTree):
+    """Counts a literal ``*`` in the line as agreeing with a wildcard."""
+
+    def _best_match(self, leaf, tokens):
+        best, best_matching = None, -1
+        for group in leaf.groups:
+            matching = sum(map(eq, group.template, tokens))
+            if matching > best_matching:
+                best, best_matching = group, matching
+        if best is not None and (
+            not tokens or best_matching / len(tokens) >= self.sim_threshold
+        ):
+            return best, best_matching
+        return None, 0
+
+
+class _SkipsGeneralizeMutant(DrainTree):
+    """Treats "reached the threshold" as "already covered"."""
+
+    def feed(self, tokens):
+        leaf = self._descend(tokens)
+        group, matching = self._best_match(leaf, tokens)
+        if group is not None:  # matching / len >= threshold, by contract
+            group.size += 1
+            return group.group_id
+        return super().feed(tokens)
+
+
+def _same_as_reference(tree_type, corpus, **config):
+    tree, reference = tree_type(**config), _ReferenceTree(**config)
+    for tokens in corpus:
+        if tree.feed(list(tokens)) != reference.feed(list(tokens)):
+            return False
+    return tree.templates() == reference.templates()
+
+
+# ``²`` and ``٣`` are digits to ``str.isdigit``; ``\d`` accepts only the
+# second, so the routing scan must stay ``isdigit``.  ``*`` is a legal
+# *line* token (preprocessing writes it); the small alphabet makes
+# repeated lines, shared prefixes and branch overflow all turn up.
+_ROUTED = st.sampled_from(["a", "b", "c", "*", "7", "x1", "²", "٣", "é", ""])
+_LINES = st.lists(st.lists(_ROUTED, max_size=5), max_size=40)
+
+
+class TestPerTokenEquivalence:
+    @given(
+        corpus=_LINES,
+        depth=st.sampled_from([3, 4, 6]),
+        sim_threshold=st.sampled_from([0.4, 0.5, 0.7]),
+        max_children=st.sampled_from([1, 2, 100]),
+    )
+    @example(  # a line's own "*" never agrees with a template wildcard
+        corpus=[["*", "a", "b"], ["*", "a", "c"]],
+        depth=4, sim_threshold=0.5, max_children=100,
+    )
+    @example(  # covered line, then one that needs the merge
+        corpus=[["a", "b", "c"], ["a", "b", "c"], ["a", "b", "d"]],
+        depth=4, sim_threshold=0.4, max_children=100,
+    )
+    @example(  # overflow: "b" and the digit token share the "*" branch
+        corpus=[["a", "x"], ["b", "x"], ["²", "x"], ["b", "y"], []],
+        depth=3, sim_threshold=0.4, max_children=1,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_tree_is_the_per_token_tree(self, corpus, **config):
+        assert _same_as_reference(DrainTree, corpus, **config)
+
+    def test_mutants_fail_the_differential_check(self):
+        config = {"depth": 4, "sim_threshold": 0.5, "max_children": 100}
+        star = [["*", "a", "b"], ["*", "a", "c"]]
+        merge = [["a", "b", "c"], ["a", "b", "d"]]
+        for corpus in (star, merge):
+            assert _same_as_reference(DrainTree, corpus, **config)
+        assert not _same_as_reference(_StarAgreesMutant, star, **config)
+        assert not _same_as_reference(_SkipsGeneralizeMutant, merge, **config)
+
+    @pytest.mark.parametrize("sim_threshold", [0.4, 0.5, 0.7])
+    @pytest.mark.parametrize("preprocess", [False, True])
+    @pytest.mark.parametrize(
+        "dataset", ["BGL", "HPC", "HDFS", "Zookeeper", "Proxifier"]
+    )
+    def test_dataset_output_identity(self, dataset, preprocess, sim_threshold):
+        records = generate_dataset(get_dataset_spec(dataset), 2000, seed=1).records
+        preprocessor = default_preprocessor(dataset) if preprocess else None
+        contents = [record.content for record in records]
+        if preprocessor is not None:  # Proxifier has no rules: raw again
+            contents = [preprocessor(content) for content in contents]
+        assert _same_as_reference(
+            DrainTree,
+            [tokenize(content) for content in contents],
+            depth=4, sim_threshold=sim_threshold, max_children=100,
+        )

@@ -1,5 +1,9 @@
 """Tests for remaining edge branches across modules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,28 @@ class TestQStatisticDegenerateSpectra:
     def test_k_zero_uses_whole_spectrum(self):
         threshold = q_statistic_threshold(np.array([3.0, 2.0, 1.0]), k=0)
         assert np.isfinite(threshold)
+
+
+    def test_default_quantile_is_the_double_scipy_returned(self):
+        # statistics.NormalDist().inv_cdf(0.999) == scipy.stats.norm
+        # .ppf(0.999) bit for bit, so Table III cannot move.
+        residual = np.array([2.0, 1.0])
+        t1, t2, t3 = residual.sum(), (residual**2).sum(), (residual**3).sum()
+        h0 = 1.0 - 2.0 * t1 * t3 / (3.0 * t2**2)
+        expected = t1 * (
+            3.090232306167813 * np.sqrt(2.0 * t2 * h0**2) / t1
+            + 1.0 + t2 * h0 * (h0 - 1.0) / t1**2
+        ) ** (1.0 / h0)
+        spectrum = np.array([3.0, 2.0, 1.0])
+        assert q_statistic_threshold(spectrum, k=1) == expected
+
+    def test_importing_the_program_does_not_import_scipy(self):
+        # scipy.stats was ~45 MiB of heap in the CLI, the bench and
+        # (by fork) every shard worker, for one normal quantile.
+        code = "import sys, repro.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env)
+        assert done.returncode == 0
 
 
 class TestHdfsEventRecovery:

@@ -180,6 +180,25 @@ class _ReferenceCache(TemplateCache):
         self.remember_exact(signature, best)
         return best
 
+    def find_generalizer(self, tokens):
+        # Candidate order is the index's (wildcard-first bucket, then
+        # the first token's; insertion order inside each) — ties keep
+        # the first — but every constant count is a per-token recount.
+        keys = [(len(tokens), "")]
+        if tokens and tokens[0] != "*":
+            keys.append((len(tokens), tokens[0]))
+        best, best_constants = None, None
+        for candidate in [s for key in keys for s in self._buckets.get(key, ())]:
+            template = self._templates[candidate]
+            if template == tuple(tokens) or not all(
+                t == "*" or t == token for t, token in zip(template, tokens)
+            ):
+                continue
+            constants = sum(1 for t in template if t != "*")
+            if best_constants is None or constants < best_constants:
+                best, best_constants = candidate, constants
+        return best
+
 
 # "*" is a legal *line* token too; length 0 is the empty line; the
 # alphabet is small enough that all-wildcard, zero-wildcard and
@@ -194,6 +213,7 @@ _OPS = st.one_of(
     _MATCH,
     _INSERT,
     _INSERT,
+    st.tuples(st.just("find_generalizer"), _TOKENS),
     st.tuples(st.just("remove"), _SLOTS),
     st.tuples(st.just("resize"), st.integers(min_value=1, max_value=4)),
     st.tuples(st.just("clear_templates")),

@@ -26,6 +26,7 @@ import filecmp
 import functools
 import gc
 import json
+import multiprocessing
 import os
 import queue
 import threading
@@ -875,6 +876,30 @@ class TestConcurrentDrain:
         for tenant in "bcd":
             assert summary[tenant]["lines"] == 20
             assert not summary[tenant].get("fenced")
+
+    def test_worker_exists_when_the_constructor_returns(self, tmp_path):
+        # Forked by the supervisor thread, but before the submitter
+        # gets the shard back: how many workers a service has never
+        # depends on which thread won the GIL.
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain", **FAST
+        )
+        names = [child.name for child in multiprocessing.active_children()]
+        assert sup.life == 1 and "shard-t-1" in names
+        sup.drain()
+
+    def test_failed_first_spawn_fences_and_does_not_hang(
+        self, tmp_path, monkeypatch
+    ):
+        def spawn(self):
+            raise OSError("fork: out of memory")
+
+        monkeypatch.setattr(ShardSupervisor, "_spawn", spawn)
+        sup = ShardSupervisor(
+            "t", str(tmp_path), _factory(), parser_name="Drain", **FAST
+        )
+        _wait_for(lambda: sup.state == STATE_FENCED)
+        assert sup.drain().get("fenced")
 
     def test_idle_monitor_does_not_busy_poll(self, tmp_path):
         calls = []
