@@ -1,7 +1,8 @@
-"""CI performance gate over ``benchmarks/results/BENCH_stream.json``.
+"""Throughput regression gate over one ``lines_per_second`` JSON result.
 
-The streaming benchmark commits a machine-readable throughput artifact
-every run; this gate turns that artifact into a regression tripwire:
+Not wired into CI: the artifact it used to read (``BENCH_stream.json``)
+went with ``benchmarks/test_bench_stream.py`` in PR 23, and ``bench/``
+carries its own noise model.  What remains is the policy:
 
 * a JSONL **history** file (cached across CI runs) accumulates one
   entry per passing run;

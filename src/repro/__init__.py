@@ -63,7 +63,6 @@ from repro.observability import (
     summary_from_registry,
 )
 from repro.parsers import (
-    ChunkedParallelParser,
     DrainParser,
     DrainTree,
     Iplom,
@@ -135,3 +134,12 @@ __all__ = [
     "iter_raw_log",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy for the reason given in repro.parsers.__getattr__.
+    if name == "ChunkedParallelParser":
+        from repro.parsers.parallel import ChunkedParallelParser
+
+        return ChunkedParallelParser
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

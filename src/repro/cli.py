@@ -227,28 +227,7 @@ def _add_parse(subparsers) -> None:
         default=None,
         help="stem for .events/.structured outputs (default: input path)",
     )
-    cmd.add_argument(
-        "--preprocess-dataset",
-        default=None,
-        help="apply this dataset's domain-knowledge preprocessing rules",
-    )
-    cmd.add_argument(
-        "--groups",
-        type=int,
-        default=50,
-        help="LogSig only: number of signature groups",
-    )
-    cmd.add_argument("--support", type=float, default=0.005, help="SLCT only")
-    cmd.add_argument(
-        "--sim-threshold",
-        type=float,
-        default=0.4,
-        help="Drain only: template-merge similarity threshold",
-    )
-    cmd.add_argument(
-        "--depth", type=int, default=4, help="Drain only: fixed tree depth"
-    )
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_parser_param_flags(cmd)
 
 
 def _add_evaluate(subparsers) -> None:
@@ -360,11 +339,6 @@ def _add_stream(subparsers) -> None:
     cmd.add_argument("--cache-capacity", type=int, default=4096)
     cmd.add_argument("--max-retries", type=int, default=3)
     cmd.add_argument(
-        "--workers", type=int, default=1,
-        help="flush through a ChunkedParallelParser with this many processes",
-    )
-    cmd.add_argument("--chunk-size", type=int, default=10_000)
-    cmd.add_argument(
         "--report-every", type=int, default=0,
         help="print a progress line every N streamed lines",
     )
@@ -388,25 +362,7 @@ def _add_stream(subparsers) -> None:
         default=None,
         help="write .events/.structured outputs of the finalized parse",
     )
-    cmd.add_argument(
-        "--preprocess-dataset",
-        default=None,
-        help="apply this dataset's domain-knowledge preprocessing rules",
-    )
-    cmd.add_argument(
-        "--groups", type=int, default=50, help="LogSig only"
-    )
-    cmd.add_argument("--support", type=float, default=0.005, help="SLCT only")
-    cmd.add_argument(
-        "--sim-threshold",
-        type=float,
-        default=0.4,
-        help="Drain only: template-merge similarity threshold",
-    )
-    cmd.add_argument(
-        "--depth", type=int, default=4, help="Drain only: fixed tree depth"
-    )
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_parser_param_flags(cmd)
     cmd.add_argument(
         "--max-pending",
         type=int,
@@ -477,6 +433,36 @@ def _add_stream(subparsers) -> None:
         help="restore engine state from --checkpoint and skip the "
         "records it already consumed",
     )
+
+
+def _add_parser_param_flags(cmd, *, preprocess: bool = True) -> None:
+    """Per-parser construction flags (read back by :func:`_parser_params`).
+
+    ``serve`` shards apply no preprocessing, so it skips that flag.
+    """
+    if preprocess:
+        cmd.add_argument(
+            "--preprocess-dataset",
+            default=None,
+            help="apply this dataset's domain-knowledge preprocessing rules",
+        )
+    cmd.add_argument(
+        "--groups",
+        type=int,
+        default=50,
+        help="LogSig only: number of signature groups",
+    )
+    cmd.add_argument("--support", type=float, default=0.005, help="SLCT only")
+    cmd.add_argument(
+        "--sim-threshold",
+        type=float,
+        default=0.4,
+        help="Drain only: template-merge similarity threshold",
+    )
+    cmd.add_argument(
+        "--depth", type=int, default=4, help="Drain only: fixed tree depth"
+    )
+    cmd.add_argument("--seed", type=int, default=None)
 
 
 def _add_hardening_flags(cmd) -> None:
@@ -753,25 +739,7 @@ def _add_supervise(subparsers) -> None:
         help="re-parse the clean records with the winning parser "
         "un-supervised and diff the results",
     )
-    cmd.add_argument(
-        "--preprocess-dataset",
-        default=None,
-        help="apply this dataset's domain-knowledge preprocessing rules",
-    )
-    cmd.add_argument(
-        "--groups", type=int, default=50, help="LogSig only"
-    )
-    cmd.add_argument("--support", type=float, default=0.005, help="SLCT only")
-    cmd.add_argument(
-        "--sim-threshold",
-        type=float,
-        default=0.4,
-        help="Drain only: template-merge similarity threshold",
-    )
-    cmd.add_argument(
-        "--depth", type=int, default=4, help="Drain only: fixed tree depth"
-    )
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_parser_param_flags(cmd)
 
 
 def _add_soak(subparsers) -> None:
@@ -997,18 +965,7 @@ def _add_serve(subparsers) -> None:
         help="print (and journal to the event log) a one-line "
         "per-tenant supervisor status every SECONDS",
     )
-    cmd.add_argument("--groups", type=int, default=50, help="LogSig only")
-    cmd.add_argument("--support", type=float, default=0.005, help="SLCT only")
-    cmd.add_argument(
-        "--sim-threshold",
-        type=float,
-        default=0.4,
-        help="Drain only: template-merge similarity threshold",
-    )
-    cmd.add_argument(
-        "--depth", type=int, default=4, help="Drain only: fixed tree depth"
-    )
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_parser_param_flags(cmd, preprocess=False)
     cmd.add_argument(
         "--io-faults",
         type=int,
@@ -1221,16 +1178,11 @@ def _cmd_parse(args) -> int:
         if args.preprocess_dataset
         else None
     )
-    params: dict = {"preprocessor": preprocessor}
-    if args.parser == "LogSig":
-        params.update(groups=args.groups, seed=args.seed)
-    elif args.parser == "SLCT":
-        params.update(support=args.support)
-    elif args.parser == "LKE":
-        params.update(seed=args.seed)
-    elif args.parser == "Drain":
-        params.update(sim_threshold=args.sim_threshold, depth=args.depth)
-    parser = make_parser(args.parser, **params)
+    parser = make_parser(
+        args.parser,
+        preprocessor=preprocessor,
+        **_parser_params(args.parser, args),
+    )
     result = parser.parse(records)
     stem = args.output_stem or args.input
     events_path, structured_path = write_parse_result(result, stem)
@@ -1391,7 +1343,7 @@ def _cmd_mine(args) -> int:
 
 
 def _parser_params(name: str, args) -> dict:
-    """Per-parser construction keywords shared by stream/supervise."""
+    """Per-parser construction keywords from the shared flags."""
     params: dict = {}
     if name == "LogSig":
         params.update(groups=args.groups, seed=args.seed)
@@ -1567,8 +1519,6 @@ def _run_plain_stream(
             checkpoint,
             factory,
             preprocessor=preprocessor,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
             error_policy=policy_mode,
             quarantine=sink,
             max_record_len=args.max_record_len,
@@ -1582,8 +1532,6 @@ def _run_plain_stream(
             flush_size=args.flush_size,
             cache_capacity=args.cache_capacity,
             max_flush_retries=args.max_retries,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
             retain=not args.no_retain,
             preprocessor=preprocessor,
             error_policy=policy_mode,

@@ -136,14 +136,12 @@ class TelemetryServer:
         status: Callable[[], dict] | None = None,
         health: Callable[[], dict] | None = None,
         bind_retries: int = 5,
-        bind_backoff: float = 0.05,
         sleep=None,
     ) -> None:
         self.registry = registry
         self.host = host
         self.port = port
         self.bind_retries = bind_retries
-        self.bind_backoff = bind_backoff
         self._sleep = sleep or time.sleep
         self._status = status or (lambda: {})
         self._health = health or (lambda: {"ok": True})
@@ -160,7 +158,6 @@ class TelemetryServer:
                 (self.host, self.port), _TelemetryHandler
             ),
             retries=self.bind_retries,
-            backoff=self.bind_backoff,
             sleep=self._sleep,
         )
         httpd.daemon_threads = True

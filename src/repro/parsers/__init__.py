@@ -41,7 +41,6 @@ from repro.parsers.registry import (
     make_parser,
     resolve_parser_name,
 )
-from repro.parsers.parallel import ChunkedParallelParser
 from repro.parsers.tagged import TaggedLogParser, tag_records
 
 __all__ = [
@@ -66,3 +65,15 @@ __all__ = [
     "TaggedLogParser",
     "tag_records",
 ]
+
+
+def __getattr__(name: str):
+    """Export :class:`~repro.parsers.parallel.ChunkedParallelParser` on
+    first use: nothing in the package depends on it (parallel parsing
+    is a parser a caller passes in), so importing a parser, the engine
+    or the service does not load ``concurrent.futures.process``."""
+    if name == "ChunkedParallelParser":
+        from repro.parsers.parallel import ChunkedParallelParser
+
+        return ChunkedParallelParser
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

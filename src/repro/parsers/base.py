@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.common.errors import ParserConfigurationError, ValidationError
 from repro.common.tokenize import WILDCARD, render_template, tokenize
@@ -99,3 +99,9 @@ class LogParser(abc.ABC):
     def _wildcard_template(length: int) -> list[str]:
         """An all-wildcard template of the given token length."""
         return [WILDCARD] * length
+
+
+#: A zero-argument callable building a fresh parser (must be picklable
+#: when it crosses a process boundary: a module-level function or a
+#: functools.partial over picklable arguments).
+ParserFactory = Callable[[], LogParser]

@@ -106,7 +106,10 @@ class LogSig(LogParser):
         n = len(messages)
         k = min(self.groups, n)
 
-        pairs = [word_pairs(message) for message in messages]
+        # Sorted once: _best_group sums float scores pair by pair, so a
+        # set's iteration order (which follows PYTHONHASHSEED) would
+        # pick near-tie winners differently from run to run.
+        pairs = [sorted(word_pairs(message)) for message in messages]
 
         rng = spawn(self.seed, f"logsig:{n}:{k}")
         assignment = [rng.randrange(k) for _ in range(n)]
@@ -165,7 +168,7 @@ class LogSig(LogParser):
 
     @staticmethod
     def _best_group(
-        message_pairs: frozenset[tuple[str, str]],
+        message_pairs: list[tuple[str, str]],
         pair_counts: dict[tuple[str, str], dict[int, float]],
         group_sizes: list[float],
         k: int,
@@ -198,7 +201,7 @@ class LogSig(LogParser):
         source: int,
         target: int,
         weight: float,
-        pairs: list[frozenset[tuple[str, str]]],
+        pairs: list[list[tuple[str, str]]],
         pair_counts: dict[tuple[str, str], dict[int, float]],
         group_sizes: list[float],
     ) -> None:

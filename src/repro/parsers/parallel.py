@@ -11,21 +11,23 @@ functions of a cluster's members (SLCT, IPLoM) and approximate for the
 randomized clustering parsers — the trade-off the paper's discussion
 anticipates.
 
-Dispatch is **supervised**: a chunk whose worker raises, dies (broken
-pool), or exceeds ``chunk_timeout`` is re-dispatched into a fresh pool
-with exponential backoff, and after ``max_chunk_attempts`` worker
-tries the chunk is parsed in-process as a last resort — so one bad
-worker (or one poisoned chunk of input) degrades throughput instead of
-killing the whole parse.  Every attempt is recorded in
-:attr:`ChunkedParallelParser.last_recovery`; only when the in-process
-fallback itself fails does
+Dispatch is **supervised** and has one path: every chunk parse is a
+:func:`_run_chunk` call behind a :class:`~concurrent.futures.Future`
+(already resolved when there is no pool).  A chunk whose worker raises,
+dies (broken pool), or exceeds ``chunk_timeout`` is re-dispatched into
+a fresh pool with exponential backoff, and after
+``max_chunk_attempts`` worker tries the chunk is parsed in-process as
+a last resort — so one bad worker (or one poisoned chunk of input)
+degrades throughput instead of killing the whole parse.  Every attempt
+is recorded in :attr:`ChunkedParallelParser.last_recovery`; only when
+the in-process fallback itself fails does
 :class:`~repro.common.errors.WorkerCrashError` propagate.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
@@ -33,12 +35,7 @@ from collections.abc import Callable, Sequence
 from repro.common.errors import ParserConfigurationError, WorkerCrashError
 from repro.common.types import EventTemplate, LogRecord, ParseResult
 from repro.observability.tracing import SPAN_PARSER_CALL, Tracer
-from repro.parsers.base import LogParser
-
-#: A zero-argument callable building a fresh parser (must be picklable
-#: for multi-process use: a module-level function or functools.partial
-#: over picklable arguments).
-ParserFactory = Callable[[], LogParser]
+from repro.parsers.base import LogParser, ParserFactory
 
 #: Chunk attempt status tags.
 CHUNK_OK = "ok"
@@ -46,15 +43,21 @@ CHUNK_ERROR = "error"
 CHUNK_TIMEOUT = "timeout"
 CHUNK_FALLBACK = "fallback-ok"
 
+#: The re-dispatch delay after the n-th failed wave is
+#: ``min(BACKOFF_MAX, BACKOFF_BASE * 2**(n-1))`` seconds.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
 
-def _parse_chunk(
+
+def _run_chunk(
     factory: ParserFactory,
     records: list[LogRecord],
-    chunk_index: int = 0,
-    attempt: int = 1,
-    fault=None,
-    in_process: bool = True,
-) -> ParseResult:
+    chunk_index: int,
+    attempt: int,
+    fault,
+    in_process: bool,
+    trace_context: dict | None,
+) -> tuple[ParseResult, list[dict]]:
     """Parse one chunk, firing any scheduled injected fault first.
 
     *fault* is anything with ``should_fire(chunk_index, attempt,
@@ -62,50 +65,32 @@ def _parse_chunk(
     :class:`~repro.resilience.faults.ChunkFault` — and is consulted
     here, inside the (possibly worker-side) call, so crashes happen
     exactly where real ones would.
+
+    With a *trace_context* (the dispatcher's serialized tracer context:
+    same trace id, parent span id, collision-free id prefix) the parse
+    is timed where it runs, as a ``parser_call`` span on a throwaway
+    tracer, and the finished spans ride home as plain dicts beside the
+    result for the dispatcher to
+    :meth:`~repro.observability.tracing.Tracer.adopt`; untraced, the
+    span list is empty.  Must stay module-level (picklable).
     """
+    parser = factory()
+    tracer = span = None
+    if trace_context is not None:
+        tracer = Tracer.from_worker_context(trace_context)
+        span = tracer.start_root(
+            SPAN_PARSER_CALL,
+            parser=getattr(parser, "name", type(parser).__name__),
+            chunk=chunk_index,
+            attempt=attempt,
+            records=len(records),
+            in_process=in_process,
+        )
     if fault is not None and fault.should_fire(chunk_index, attempt, in_process):
         fault.fire(chunk_index, attempt)
-    return factory().parse(records)
-
-
-def _parse_chunk_traced(
-    factory: ParserFactory,
-    records: list[LogRecord],
-    chunk_index: int,
-    attempt: int,
-    fault,
-    in_process: bool,
-    trace_context: dict,
-) -> tuple[ParseResult, list[dict]]:
-    """Worker-side traced chunk parse: spans cross the process boundary.
-
-    The worker builds a throwaway tracer from the parent's serialized
-    context (same trace id, parent span id, collision-free id prefix),
-    times the actual ``parser_call`` where it runs, and ships the
-    finished spans home as plain dicts alongside the result — the
-    parent :meth:`~repro.observability.tracing.Tracer.adopt`\\ s them.
-    Must stay module-level (picklable) like :func:`_parse_chunk`.
-    """
-    tracer = Tracer.from_worker_context(trace_context)
-    parser = factory()
-    span = tracer.start_root(
-        SPAN_PARSER_CALL,
-        parser=getattr(parser, "name", type(parser).__name__),
-        chunk=chunk_index,
-        attempt=attempt,
-        records=len(records),
-    )
-    try:
-        if fault is not None and fault.should_fire(
-            chunk_index, attempt, in_process
-        ):
-            fault.fire(chunk_index, attempt)
-        result = parser.parse(records)
-    except BaseException as error:
-        span.attrs["status"] = "error"
-        span.attrs["error"] = type(error).__name__
-        tracer.finish(span)
-        raise
+    result = parser.parse(records)
+    if tracer is None:
+        return result, []
     tracer.finish(span)
     return result, tracer.serialize()
 
@@ -170,8 +155,8 @@ class ChunkedParallelParser(LogParser):
             in-process (useful for tests and for measuring the merge
             overhead in isolation).
         max_chunk_attempts: dispatches a chunk gets before the
-            in-process fallback (each failed dispatch backs off
-            exponentially).
+            in-process fallback (each failed wave backs off
+            exponentially, see :data:`BACKOFF_BASE`).
         chunk_timeout: per-chunk wall-clock deadline in seconds; a
             chunk still running past it is treated as hung, its worker
             abandoned, and the chunk re-dispatched.  ``None`` waits
@@ -179,16 +164,13 @@ class ChunkedParallelParser(LogParser):
         fault: optional injected-fault schedule (see
             :class:`~repro.resilience.faults.ChunkFault`), consulted
             inside every chunk parse.
-        backoff_base / backoff_max: the re-dispatch delay after the
-            n-th failed wave is ``min(backoff_max, backoff_base *
-            2**(n-1))`` seconds.
         sleep: injectable sleep for tests.
         telemetry: optional
             :class:`~repro.observability.telemetry.Telemetry` handle.
             When set, every chunk dispatch is counted by outcome and
-            every chunk parse gets a ``parser_call`` span — recorded
-            worker-side and serialized back across the process
-            boundary for pool dispatches, locally for in-process ones.
+            every successful chunk parse ships a ``parser_call`` span,
+            recorded where the parse ran and adopted under the span
+            open at dispatch time.
     """
 
     name = "Chunked"
@@ -202,8 +184,6 @@ class ChunkedParallelParser(LogParser):
         max_chunk_attempts: int = 3,
         chunk_timeout: float | None = None,
         fault=None,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
         telemetry=None,
     ) -> None:
@@ -230,8 +210,6 @@ class ChunkedParallelParser(LogParser):
         self.max_chunk_attempts = max_chunk_attempts
         self.chunk_timeout = chunk_timeout
         self.fault = fault
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self._sleep = sleep
         self.telemetry = telemetry
         #: Monotonic dispatch counter — worker tracer id prefixes are
@@ -239,14 +217,6 @@ class ChunkedParallelParser(LogParser):
         self._dispatches = 0
         #: Recovery report of the most recent :meth:`parse` call.
         self.last_recovery: ChunkRecoveryReport | None = None
-
-    def _record_attempt(self, report: ChunkRecoveryReport, attempt: ChunkAttempt) -> None:
-        """Append to the recovery report and count the outcome."""
-        report.attempts.append(attempt)
-        if self.telemetry is not None:
-            self.telemetry.metrics.get(
-                "repro_parallel_chunk_attempts_total"
-            ).labels(status=attempt.status).inc()
 
     def parse(self, records: Sequence[LogRecord]) -> ParseResult:
         records = list(records)
@@ -258,8 +228,7 @@ class ChunkedParallelParser(LogParser):
         self.last_recovery = report
         if not chunks:
             return ParseResult(events=[], assignments=[], records=[])
-        results = self._dispatch(chunks, report)
-        return self._merge(records, [results[i] for i in range(len(chunks))])
+        return self._merge(records, self._dispatch(chunks, report))
 
     # ------------------------------------------------------------------
     # Supervised dispatch
@@ -267,210 +236,128 @@ class ChunkedParallelParser(LogParser):
 
     def _dispatch(
         self, chunks: list[list[LogRecord]], report: ChunkRecoveryReport
-    ) -> dict[int, ParseResult]:
-        """Parse every chunk, surviving worker crashes and hangs."""
+    ) -> list[ParseResult]:
+        """Parse every chunk, surviving worker crashes and hangs.
+
+        The pool is disposable — one per wave — and that *is* the crash
+        containment: a wave poisoned by a dead or hung worker cannot
+        leak into the next, because on exit its pool is shut down
+        without waiting, abandoning any still-running (hung) workers
+        exactly like
+        :func:`~repro.resilience.supervisor.run_with_deadline` abandons
+        an overrunning thread.
+        """
         in_process = self.workers == 1 or len(chunks) == 1
-        results: dict[int, ParseResult] = {}
-        attempts = {index: 0 for index in range(len(chunks))}
-        pending = set(attempts)
+        results: list[ParseResult | None] = [None] * len(chunks)
+        attempts = [0] * len(chunks)
+        pending = list(range(len(chunks)))
         wave = 0
         while pending:
             wave += 1
-            ordered = sorted(pending)
-            for index in ordered:
-                attempts[index] += 1
-            if in_process:
-                failed = self._run_wave_in_process(
-                    ordered, chunks, attempts, results, report
-                )
-            else:
-                failed = self._run_wave_in_pool(
-                    ordered, chunks, attempts, results, report
-                )
-            pending.difference_update(set(ordered) - set(failed))
+            pool = (
+                None
+                if in_process
+                else ProcessPoolExecutor(max_workers=self.workers)
+            )
+            try:
+                futures = {}
+                for index in pending:
+                    attempts[index] += 1
+                    futures[index] = self._submit(
+                        pool, index, chunks[index], attempts[index]
+                    )
+                for index in pending:
+                    results[index] = self._collect(
+                        futures[index], index, attempts[index], report
+                    )
+            finally:
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
+            failed = [index for index in pending if results[index] is None]
+            pending = []
             for index in failed:
-                if attempts[index] >= self.max_chunk_attempts:
-                    self._fallback(index, chunks, attempts, results, report)
-                    pending.discard(index)
-            if pending:
-                self._sleep(
-                    min(self.backoff_max, self.backoff_base * 2 ** (wave - 1))
+                if attempts[index] < self.max_chunk_attempts:
+                    pending.append(index)
+                    continue
+                # Last resort: parse the chunk in this process.  Escapes
+                # a poisoned worker environment entirely; injected
+                # faults marked ``worker_only`` deliberately do not fire
+                # here.  A failure now is a genuine parser bug on this
+                # input.
+                attempts[index] += 1
+                future = self._submit(
+                    None, index, chunks[index], attempts[index]
                 )
+                results[index] = self._collect(
+                    future, index, attempts[index], report, ok=CHUNK_FALLBACK
+                )
+                if results[index] is None:
+                    raise WorkerCrashError(
+                        f"chunk {index} failed its in-process fallback "
+                        f"after {attempts[index]} attempts:\n"
+                        f"{report.describe()}"
+                    ) from future.exception()
+            if pending:
+                self._sleep(min(BACKOFF_MAX, BACKOFF_BASE * 2 ** (wave - 1)))
         return results
 
-    def _run_wave_in_process(
-        self, ordered, chunks, attempts, results, report
-    ) -> list[int]:
-        failed = []
-        for index in ordered:
-            try:
-                results[index] = self._parse_in_process(
-                    chunks[index], index, attempts[index]
-                )
-            except Exception as error:  # noqa: BLE001 - retried
-                failed.append(index)
-                self._record_attempt(
-                    report,
-                    ChunkAttempt(
-                        chunk=index,
-                        attempt=attempts[index],
-                        status=CHUNK_ERROR,
-                        error=f"{type(error).__name__}: {error}",
-                    ),
-                )
-            else:
-                self._record_attempt(
-                    report,
-                    ChunkAttempt(
-                        chunk=index, attempt=attempts[index], status=CHUNK_OK
-                    ),
-                )
-        return failed
-
-    def _parse_in_process(
-        self, chunk: list[LogRecord], index: int, attempt: int
-    ) -> ParseResult:
-        """One in-process chunk parse, with a local span when traced."""
-        if self.telemetry is None:
-            return _parse_chunk(
-                self.factory, chunk, index, attempt, self.fault, True
+    def _submit(
+        self,
+        pool: ProcessPoolExecutor | None,
+        index: int,
+        chunk: list[LogRecord],
+        attempt: int,
+    ) -> Future:
+        """Start one chunk parse; without a pool it runs here, now."""
+        context = None
+        if self.telemetry is not None:
+            self._dispatches += 1
+            context = self.telemetry.tracer.worker_context(
+                prefix=f"w{self._dispatches}-"
             )
-        with self.telemetry.tracer.span(
-            SPAN_PARSER_CALL,
-            chunk=index,
-            attempt=attempt,
-            records=len(chunk),
-            in_process=True,
-        ):
-            return _parse_chunk(
-                self.factory, chunk, index, attempt, self.fault, True
-            )
-
-    def _run_wave_in_pool(
-        self, ordered, chunks, attempts, results, report
-    ) -> list[int]:
-        """One parallel dispatch wave; the pool is disposable.
-
-        A fresh pool per wave means a wave poisoned by a dead or hung
-        worker cannot leak into the next: on exit the pool is shut
-        down without waiting, abandoning any still-running (hung)
-        workers exactly like
-        :func:`~repro.resilience.supervisor.run_with_deadline`
-        abandons an overrunning thread.
-        """
-        failed = []
-        traced = self.telemetry is not None
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            futures = {}
-            for index in ordered:
-                if traced:
-                    self._dispatches += 1
-                    context = self.telemetry.tracer.worker_context(
-                        prefix=f"w{self._dispatches}-"
-                    )
-                    futures[index] = pool.submit(
-                        _parse_chunk_traced,
-                        self.factory,
-                        chunks[index],
-                        index,
-                        attempts[index],
-                        self.fault,
-                        False,
-                        context,
-                    )
-                else:
-                    futures[index] = pool.submit(
-                        _parse_chunk,
-                        self.factory,
-                        chunks[index],
-                        index,
-                        attempts[index],
-                        self.fault,
-                        False,
-                    )
-            for index in ordered:
-                try:
-                    outcome = futures[index].result(
-                        timeout=self.chunk_timeout
-                    )
-                    if traced:
-                        results[index], worker_spans = outcome
-                        self.telemetry.tracer.adopt(worker_spans)
-                    else:
-                        results[index] = outcome
-                except FuturesTimeoutError:
-                    failed.append(index)
-                    self._record_attempt(
-                        report,
-                        ChunkAttempt(
-                            chunk=index,
-                            attempt=attempts[index],
-                            status=CHUNK_TIMEOUT,
-                            error=(
-                                f"no result within {self.chunk_timeout}s; "
-                                "worker abandoned"
-                            ),
-                        ),
-                    )
-                except Exception as error:  # noqa: BLE001 - retried
-                    failed.append(index)
-                    self._record_attempt(
-                        report,
-                        ChunkAttempt(
-                            chunk=index,
-                            attempt=attempts[index],
-                            status=CHUNK_ERROR,
-                            error=f"{type(error).__name__}: {error}",
-                        ),
-                    )
-                else:
-                    self._record_attempt(
-                        report,
-                        ChunkAttempt(
-                            chunk=index,
-                            attempt=attempts[index],
-                            status=CHUNK_OK,
-                        ),
-                    )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return failed
-
-    def _fallback(self, index, chunks, attempts, results, report) -> None:
-        """Last resort: parse the chunk in this process.
-
-        Escapes a poisoned worker environment entirely; injected
-        faults marked ``worker_only`` deliberately do not fire here.
-        A failure at this point is a genuine parser bug on this input,
-        surfaced as :class:`WorkerCrashError` with the full recovery
-        report chained in.
-        """
-        attempts[index] += 1
-        try:
-            results[index] = self._parse_in_process(
-                chunks[index], index, attempts[index]
-            )
-        except Exception as error:  # noqa: BLE001 - rethrown
-            self._record_attempt(
-                report,
-                ChunkAttempt(
-                    chunk=index,
-                    attempt=attempts[index],
-                    status=CHUNK_ERROR,
-                    error=f"{type(error).__name__}: {error}",
-                ),
-            )
-            raise WorkerCrashError(
-                f"chunk {index} failed its in-process fallback after "
-                f"{attempts[index]} attempts:\n{report.describe()}"
-            ) from error
-        self._record_attempt(
-            report,
-            ChunkAttempt(
-                chunk=index, attempt=attempts[index], status=CHUNK_FALLBACK
-            ),
+        args = (
+            self.factory, chunk, index, attempt, self.fault, pool is None,
+            context,
         )
+        future: Future = Future()
+        try:
+            if pool is not None:
+                # Raises when an earlier worker of this wave already
+                # broke the pool: that is this chunk's failed attempt.
+                return pool.submit(_run_chunk, *args)
+            future.set_result(_run_chunk(*args))
+        except Exception as error:  # noqa: BLE001 - booked by _collect
+            future.set_exception(error)
+        return future
+
+    def _collect(
+        self,
+        future: Future,
+        index: int,
+        attempt: int,
+        report: ChunkRecoveryReport,
+        ok: str = CHUNK_OK,
+    ) -> ParseResult | None:
+        """Wait for one chunk and book the attempt; ``None`` = failed."""
+        result, status, error = None, ok, None
+        try:
+            result, spans = future.result(timeout=self.chunk_timeout)
+        except FuturesTimeoutError:
+            status = CHUNK_TIMEOUT
+            error = f"no result within {self.chunk_timeout}s; worker abandoned"
+        except Exception as exc:  # noqa: BLE001 - retried
+            status, error = CHUNK_ERROR, f"{type(exc).__name__}: {exc}"
+        else:
+            if spans:
+                self.telemetry.tracer.adopt(spans)
+        report.attempts.append(
+            ChunkAttempt(chunk=index, attempt=attempt, status=status, error=error)
+        )
+        if self.telemetry is not None:
+            self.telemetry.metrics.get(
+                "repro_parallel_chunk_attempts_total"
+            ).labels(status=status).inc()
+        return result
 
     @staticmethod
     def _merge(

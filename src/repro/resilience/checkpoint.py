@@ -41,7 +41,7 @@ from repro.resilience.durability import RealIO, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mining.event_matrix import EventMatrixAccumulator
-    from repro.parsers.parallel import ParserFactory
+    from repro.parsers.base import ParserFactory
     from repro.parsers.preprocess import Preprocessor
     from repro.streaming.engine import StreamingParser
 
@@ -227,8 +227,6 @@ def restore_streaming_parser(
     factory: "ParserFactory",
     *,
     preprocessor: "Preprocessor | None" = None,
-    workers: int = 1,
-    chunk_size: int = 10_000,
     error_policy=None,
     quarantine=None,
     max_record_len: int | None = None,
@@ -258,8 +256,6 @@ def restore_streaming_parser(
             retain=config["retain"],
             max_pending=config.get("max_pending"),
             overflow=config.get("overflow", "block"),
-            workers=workers,
-            chunk_size=chunk_size,
             preprocessor=preprocessor,
             error_policy=error_policy,
             quarantine=quarantine,

@@ -47,8 +47,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.common.errors import ReproError, ValidationError
 from repro.common.types import LogRecord, ParseResult
-from repro.parsers.base import LogParser
-from repro.parsers.parallel import ParserFactory
+from repro.parsers.base import LogParser, ParserFactory
 from repro.resilience.durability import RealIO
 
 _SIGKILL = getattr(_signal_module, "SIGKILL", _signal_module.SIGTERM)

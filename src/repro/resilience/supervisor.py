@@ -43,7 +43,7 @@ from repro.common.errors import (
 )
 from repro.common.types import LogRecord, ParseResult
 from repro.observability.tracing import SPAN_PARSER_CALL
-from repro.parsers.parallel import ParserFactory
+from repro.parsers.base import ParserFactory
 
 #: Attempt status tags.
 STATUS_OK = "ok"

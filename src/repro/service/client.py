@@ -14,7 +14,11 @@ cumulative ``ACK`` covers its sequence number.  The consequences:
   duplicates — the client errs toward resending, the server dedups;
 * a client process crash loses nothing: the spool survives, sequence
   counters rebuild from it, and recovery conservatively treats every
-  spooled line as unacked (the ack watermark is in-memory state).
+  spooled line as unacked (the ack watermark is in-memory state);
+* a clean exit loses nothing either: compaction leaves a per-tenant
+  sequence *floor* frame wherever it removed a tenant's last entry, so
+  the next process over the same spool continues the numbering — a
+  restart at 1 would be dropped as duplicates by the server's window.
 
 Reconnects back off exponentially with jitter, capped at
 ``max_backoff`` — a thundering herd of senders re-finding a restarted
@@ -149,6 +153,9 @@ class DurableSender:
         recovery = recover_jsonl(spool_path, io=self._io)
         for payload in recovery.records:
             tenant = payload.get("tenant", "")
+            floor = int(payload.get("floor", 0))
+            if tenant and floor > self._seq.get(tenant, 1):
+                self._seq[tenant] = floor  # compaction's floor frame
             seq = int(payload.get("seq", 0))
             if not tenant or seq < 1:
                 continue  # torn or foreign frame; skip, never invent
@@ -188,15 +195,26 @@ class DurableSender:
         self._unacked = len(self.unacked())
 
     def _compact(self) -> None:
-        """Rewrite the spool to exactly the unacked entries."""
+        """Rewrite the spool to exactly the unacked entries.
+
+        A tenant whose newest sequence is not among them gets a floor
+        frame (``{"tenant", "floor": next sequence}``): recovery reads
+        it into the sequence counter and never into the entries.
+        """
         self._entries = self.unacked()
         self._reindex()
-        text = b"".join(
+        frames = [
+            frame_record({"tenant": tenant, "floor": next_seq})
+            for tenant, next_seq in self._seq.items()
+            if self._spooled.get(tenant, (0,))[-1] < next_seq - 1
+        ]
+        frames.extend(
             frame_record(
                 {"tenant": tenant, "seq": seq, "content": content}
             )
             for tenant, seq, content in self._entries
-        ).decode("utf-8")
+        )
+        text = b"".join(frames).decode("utf-8")
         # The rewrite renames a new file into place; an append handle
         # held across it would keep writing to the unlinked one.
         self._close_spool()

@@ -501,7 +501,6 @@ class LineServer:
         *,
         backlog: int = 16,
         bind_retries: int = 5,
-        bind_backoff: float = 0.05,
         sleep=time.sleep,
     ) -> None:
         self.service = service
@@ -509,7 +508,6 @@ class LineServer:
         self.port = port
         self.backlog = backlog
         self.bind_retries = bind_retries
-        self.bind_backoff = bind_backoff
         self._sleep = sleep
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -526,7 +524,6 @@ class LineServer:
             self.host,
             self.port,
             retries=self.bind_retries,
-            backoff=self.bind_backoff,
             sleep=self._sleep,
         )
         sock.listen(self.backlog)

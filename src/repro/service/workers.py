@@ -122,6 +122,16 @@ SPAN_SHARD_WORKER = "shard_worker"
 #: pickle, the pipe write and the lock round trip are paid per message.
 _FEED_BATCH = 64
 
+#: Records in flight to a worker before the monitor's ``put`` blocks.
+_QUEUE_RECORDS = 512
+
+#: Backoff between worker restarts (only ``delay`` is consulted; the
+#: fence threshold, not ``attempts``, bounds the retries).
+_RESTART_BACKOFF = RetryPolicy(base_delay=0.05, backoff=2.0, max_delay=1.0)
+
+#: Seconds a fenced shard's breaker stays open.
+_FENCE_RESET = 3600.0
+
 #: Longest the monitor blocks on the results queue once it has nothing
 #: left to send; bounds how late it notices a submit, a drain request,
 #: a dead worker or a passed watchdog deadline.
@@ -391,7 +401,6 @@ class ShardSupervisor:
             record before it is diverted to quarantine.
         fence_threshold: consecutive deaths (without a completed
             replay between) before the shard is fenced.
-        restart_policy: exponential backoff between restarts.
         drain_timeout: drain deadline; on expiry the worker is
             escalated SIGTERM → SIGKILL and the shard fenced.
         term_grace: seconds between SIGTERM and SIGKILL.
@@ -412,11 +421,8 @@ class ShardSupervisor:
         watchdog: float = 5.0,
         heartbeat_interval: float = 0.2,
         checkpoint_every: int = 500,
-        queue_size: int = 512,
         poison_threshold: int = 3,
         fence_threshold: int = 5,
-        restart_policy: RetryPolicy | None = None,
-        fence_reset: float = 3600.0,
         drain_timeout: float = 60.0,
         term_grace: float = 2.0,
         faults=(),
@@ -459,15 +465,8 @@ class ShardSupervisor:
         self.watchdog = watchdog
         self.heartbeat_interval = heartbeat_interval
         self.checkpoint_every = checkpoint_every
-        self.queue_size = queue_size
         self.poison_threshold = poison_threshold
         self.fence_threshold = fence_threshold
-        self.restart_policy = restart_policy or RetryPolicy(
-            attempts=fence_threshold + 1,
-            base_delay=0.05,
-            backoff=2.0,
-            max_delay=1.0,
-        )
         self.drain_timeout = drain_timeout
         self.term_grace = term_grace
         self.faults = tuple(faults)
@@ -541,7 +540,7 @@ class ShardSupervisor:
         self._spawned = threading.Event()
         self._breaker = CircuitBreaker(
             failure_threshold=fence_threshold,
-            reset_timeout=fence_reset,
+            reset_timeout=_FENCE_RESET,
             clock=clock,
         )
         if telemetry is not None:
@@ -758,7 +757,7 @@ class ShardSupervisor:
         )
         # A message carries up to _FEED_BATCH records, so the bound
         # stays one on *records* in flight.
-        inbox = self._mp.Queue(max(1, self.queue_size // _FEED_BATCH))
+        inbox = self._mp.Queue(_QUEUE_RECORDS // _FEED_BATCH)
         results = self._mp.Queue()
         process = self._mp.Process(
             target=shard_worker_main,
@@ -1010,7 +1009,7 @@ class ShardSupervisor:
                 f"{self._deaths_in_row} consecutive deaths "
                 f"(last reason: {reason})"
             )
-        delay = self.restart_policy.delay(min(self._deaths_in_row, 16))
+        delay = _RESTART_BACKOFF.delay(min(self._deaths_in_row, 16))
         if delay > 0:
             self._sleep(delay)
         self._emit("worker_restart", life=self.life + 1, backoff=delay)

@@ -5,11 +5,13 @@ streams one record at a time.  Each line is first matched against the
 :class:`~repro.streaming.cache.TemplateCache`; a hit assigns the line
 immediately in O(tokens).  Misses accumulate in a bounded buffer and,
 once ``flush_size`` of them are waiting, are parsed together by the
-wrapped *batch* parser (any parser from
-:mod:`repro.parsers.registry`, or a
-:class:`~repro.parsers.parallel.ChunkedParallelParser` over it when
-``workers > 1``).  Templates the flush discovers are merged back into
-the cache, so the next occurrence of each event is a cache hit.
+wrapped *batch* parser — whatever the *factory* builds: any parser from
+:mod:`repro.parsers.registry`, or anything else with a ``parse()``
+(``functools.partial(ChunkedParallelParser, factory, ...)`` is how a
+caller asks for the paper's §V chunked flushes; the engine has no
+parallel mode of its own).  Templates the flush discovers are merged
+back into the cache, so the next occurrence of each event is a cache
+hit.
 
 Two flush policies trade fidelity against cost, mirroring the
 exact/approximate split already documented for
@@ -60,8 +62,7 @@ from repro.common.errors import (
 from repro.common.tokenize import render_template, tokenize
 from repro.common.types import EventTemplate, LogRecord, ParseResult
 from repro.observability.tracing import SPAN_CHUNK, SPAN_PARSER_CALL
-from repro.parsers.base import LogParser
-from repro.parsers.parallel import ChunkedParallelParser, ParserFactory
+from repro.parsers.base import LogParser, ParserFactory
 from repro.parsers.preprocess import Preprocessor
 from repro.resilience.quarantine import (
     ErrorPolicy,
@@ -171,8 +172,7 @@ class StreamingParser(LogParser):
 
     Args:
         factory: zero-argument callable building the batch parser used
-            to cluster flushed cache misses (must be picklable when
-            ``workers > 1``).
+            to cluster flushed cache misses.
         flush_policy: ``"delta"`` flushes only the buffered misses
             (fast, approximate); ``"prefix"`` re-parses the whole
             retained prefix on each flush, making the finalized result
@@ -182,10 +182,6 @@ class StreamingParser(LogParser):
         exact_capacity: LRU capacity of the exact-signature memo.
         max_flush_retries: how many flushes a line may go through
             before it is declared a permanent outlier.
-        workers: when > 1, flushes run through a
-            :class:`ChunkedParallelParser` over *factory* with this
-            many worker processes.
-        chunk_size: chunk size of the parallel flush backend.
         retain: keep records and per-line assignments so
             :meth:`result` can build a full
             :class:`~repro.common.types.ParseResult`.  ``False`` keeps
@@ -235,10 +231,10 @@ class StreamingParser(LogParser):
             When set, the engine registers a metrics collector syncing
             its counters (lines, flushes, cache hits/misses/evictions,
             outliers, backpressure) into the registry, records a
-            ``chunk`` span plus latency/size histograms per flush, and
-            threads the handle into the cache and any parallel flush
-            backend.  The default ``None`` keeps the per-line fast
-            path untouched — flushes pay one ``is None`` check.
+            ``chunk`` + ``parser_call`` span pair plus latency/size
+            histograms per flush, and threads the handle into the
+            cache.  The default ``None`` keeps the per-line fast path
+            untouched — flushes pay one ``is None`` check.
     """
 
     name = "Streaming"
@@ -252,8 +248,6 @@ class StreamingParser(LogParser):
         cache_capacity: int = 4096,
         exact_capacity: int = 8192,
         max_flush_retries: int = 3,
-        workers: int = 1,
-        chunk_size: int = 10_000,
         retain: bool = True,
         preprocessor: Preprocessor | None = None,
         error_policy: ErrorPolicy | str | None = None,
@@ -303,8 +297,6 @@ class StreamingParser(LogParser):
         self.cache_capacity = cache_capacity
         self.exact_capacity = exact_capacity
         self.max_flush_retries = max_flush_retries
-        self.workers = workers
-        self.chunk_size = chunk_size
         self.retain = retain
         self.error_policy = (
             ErrorPolicy.coerce(error_policy, sink=quarantine)
@@ -322,15 +314,7 @@ class StreamingParser(LogParser):
         #: Single-writer tripwire state (see :func:`_single_writer`).
         self._busy_thread: int | None = None
         self._busy_depth = 0
-        if workers > 1:
-            self._flush_parser: LogParser = ChunkedParallelParser(
-                factory,
-                chunk_size=chunk_size,
-                workers=workers,
-                telemetry=telemetry,
-            )
-        else:
-            self._flush_parser = factory()
+        self._flush_parser: LogParser = factory()
         if telemetry is not None:
             telemetry.metrics.register_collector(self._collect_metrics)
         self.reset()
@@ -629,15 +613,7 @@ class StreamingParser(LogParser):
         applied: dict = {}
         if factory is not None:
             self.factory = factory
-            if self.workers > 1:
-                self._flush_parser = ChunkedParallelParser(
-                    factory,
-                    chunk_size=self.chunk_size,
-                    workers=self.workers,
-                    telemetry=self.telemetry,
-                )
-            else:
-                self._flush_parser = factory()
+            self._flush_parser = factory()
             applied["flush_parser"] = getattr(
                 self._flush_parser, "name", type(self._flush_parser).__name__
             )
@@ -934,10 +910,9 @@ class StreamingParser(LogParser):
         """Run the flush parser, recording the chunk when instrumented.
 
         Each flush is one ``chunk`` span; the parser invocation inside
-        is a ``parser_call`` span — except when the flush backend is a
-        telemetry-carrying :class:`ChunkedParallelParser`, which emits
-        its own per-dispatch ``parser_call`` spans (worker-side, shipped
-        back across the process boundary) under this chunk.
+        is a ``parser_call`` span (a flush parser that traces its own
+        work, e.g. a telemetry-carrying ``ChunkedParallelParser``,
+        nests its spans under it).
         """
         if self.telemetry is None:
             return self._flush_parser.parse(records)
@@ -946,19 +921,16 @@ class StreamingParser(LogParser):
         with tracer.span(
             SPAN_CHUNK, scope=scope, size=len(records), flush=self._flushes + 1
         ):
-            if isinstance(self._flush_parser, ChunkedParallelParser):
+            with tracer.span(
+                SPAN_PARSER_CALL,
+                parser=getattr(
+                    self._flush_parser,
+                    "name",
+                    type(self._flush_parser).__name__,
+                ),
+                records=len(records),
+            ):
                 result = self._flush_parser.parse(records)
-            else:
-                with tracer.span(
-                    SPAN_PARSER_CALL,
-                    parser=getattr(
-                        self._flush_parser,
-                        "name",
-                        type(self._flush_parser).__name__,
-                    ),
-                    records=len(records),
-                ):
-                    result = self._flush_parser.parse(records)
         elapsed = time.perf_counter() - started
         metrics = self.telemetry.metrics
         metrics.get("repro_stream_flush_seconds").observe(elapsed)

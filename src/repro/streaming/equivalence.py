@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.common.types import LogRecord, ParseResult
-from repro.parsers.parallel import ParserFactory
+from repro.parsers.base import ParserFactory
 from repro.streaming.engine import StreamingParser
 
 
@@ -111,7 +111,6 @@ def compare_stream_to_batch(
     flush_size: int = 512,
     cache_capacity: int = 4096,
     max_flush_retries: int = 3,
-    workers: int = 1,
 ) -> EquivalenceReport:
     """Parse *records* both ways and diff the canonicalized results.
 
@@ -131,7 +130,6 @@ def compare_stream_to_batch(
         flush_size=flush_size,
         cache_capacity=cache_capacity,
         max_flush_retries=max_flush_retries,
-        workers=workers,
     )
     stream = streaming.parse(records)
     return diff_results(batch_parser.name, batch, stream)

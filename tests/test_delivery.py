@@ -411,6 +411,34 @@ class TestDurableSenderSpool:
         assert drained["tenants"]["alpha"]["lines"] == 10
 
 
+    def test_second_life_after_a_clean_flush_continues_the_sequence(
+        self, tmp_path
+    ):
+        """A fully acked flush compacts every entry away; the floor
+        frame it leaves keeps the next process over the same spool and
+        client id from restarting at 1, where the server's window
+        would drop fresh lines as duplicates (10 + 5 sent, 10 kept)."""
+        service = IngestionService(
+            str(tmp_path / "data"), _factory, protocol="v2"
+        )
+        spool = str(tmp_path / "spool.jsonl")
+        with LineServer(service) as server:
+            for start, count in ((0, 10), (10, 5)):
+                with DurableSender(
+                    server.host, server.port, "client-a", spool
+                ) as life:
+                    assert life.spool_depth == 0
+                    for tenant, content in _tenant_lines(
+                        "alpha", count, start
+                    ):
+                        life.send(tenant, content)
+                    assert life.flush(timeout=30.0)["delivered"] == count
+        assert service.drain()["tenants"]["alpha"]["lines"] == 15
+        assert [
+            p.get("floor") for p in read_jsonl_payloads(spool)
+        ] == [16]
+
+
 class TestSpoolDepthGauge:
     """Satellite: the depth gauge is an O(1) count, not a spool scan."""
 

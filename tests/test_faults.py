@@ -15,6 +15,7 @@ from repro.datasets import (
     read_raw_log,
     write_raw_log,
 )
+from repro.observability import Telemetry
 from repro.parsers import make_parser
 from repro.parsers.parallel import ChunkedParallelParser
 from repro.resilience import (
@@ -343,6 +344,52 @@ class TestChunkRecovery:
         assert not fault.should_fire(2, 3, in_process=False)
         assert not fault.should_fire(1, 1, in_process=False)
         assert not fault.should_fire(0, 1, in_process=True)  # worker_only
+
+    @pytest.mark.parametrize("mode", ["raise", "exit", "hang"])
+    def test_recovery_books_the_same_attempts_traced_and_untraced(self, mode):
+        # One _run_chunk / _submit / _collect serves every dispatch, so
+        # telemetry can only add spans and counters: the recovery report
+        # cannot diverge between a traced and an untraced parse.  Every
+        # chunk is sabotaged, so no outcome hangs on which worker a
+        # broken pool caught mid-chunk.
+        records = _records(40)
+        baseline = self._baseline(records)
+
+        def run(telemetry):
+            parser = ChunkedParallelParser(
+                _parser_factory,
+                chunk_size=20,
+                workers=2,
+                max_chunk_attempts=2,
+                chunk_timeout=0.25 if mode == "hang" else None,
+                fault=ChunkFault(
+                    chunks=(0, 1), attempts=2, mode=mode, hang_seconds=3.0
+                ),
+                sleep=_no_sleep,
+                telemetry=telemetry,
+            )
+            result = parser.parse(records)
+            assert result.events_file_lines() == baseline.events_file_lines()
+            return [
+                (a.chunk, a.attempt, a.status)
+                for a in parser.last_recovery.attempts
+            ]
+
+        telemetry = Telemetry.create()
+        traced = run(telemetry)
+        assert traced == run(None)
+        # Both pool waves lose both chunks; the in-process last resort
+        # (where a worker_only fault does not fire) rescues them.
+        failed = "timeout" if mode == "hang" else "error"
+        assert traced == [
+            (0, 1, failed), (1, 1, failed),
+            (0, 2, failed), (1, 2, failed),
+            (0, 3, "fallback-ok"), (1, 3, "fallback-ok"),
+        ]
+        calls = [
+            s for s in telemetry.tracer.spans if s.name == "parser_call"
+        ]
+        assert [s.attrs["in_process"] for s in calls] == [True, True]
 
     def test_fault_free_run_reports_clean(self):
         records = _records(40)

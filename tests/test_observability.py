@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import pytest
 
@@ -295,6 +296,38 @@ class TestWorkerSpanPropagation:
             "repro_parallel_chunk_attempts_total", status="ok"
         ) == 3.0
 
+    def test_parallel_factory_spans_nest_under_the_engines_flush_spans(self):
+        # The engine has no parallel mode: the paper's §V design is a
+        # factory the caller passes in, and its worker spans re-parent
+        # under the chunk > parser_call pair the engine always opens.
+        telemetry = Telemetry.create()
+        engine = StreamingParser(
+            partial(
+                ChunkedParallelParser,
+                _slct,
+                chunk_size=200,
+                workers=2,
+                telemetry=telemetry,
+            ),
+            flush_size=400,
+            telemetry=telemetry,
+        )
+        engine.parse(
+            generate_dataset(get_dataset_spec("HDFS"), 800, seed=3).records
+        )
+        by_id = {s.span_id: s for s in telemetry.tracer._closed_spans()}
+        worker_calls = [
+            s
+            for s in by_id.values()
+            if s.name == "parser_call" and s.span_id.startswith("w")
+        ]
+        assert any(not s.attrs["in_process"] for s in worker_calls)
+        for call in worker_calls:
+            flush_call = by_id[call.parent_id]
+            assert flush_call.name == "parser_call"
+            assert flush_call.attrs["parser"] == "Chunked"
+            assert by_id[flush_call.parent_id].name == "chunk"
+
 
 # ---------------------------------------------------------------------------
 # Event timeline
@@ -457,28 +490,6 @@ class TestCliTelemetry:
                 assert span.start_us >= by_id[span.parent_id].start_us
         # A clean run leaves a valid (empty) timeline artifact.
         assert events_path.exists()
-
-    def test_stream_workers_trace_crosses_process_boundary(
-        self, tmp_path, capsys
-    ):
-        trace_path = tmp_path / "t.jsonl"
-        assert main(
-            [
-                "stream", "SLCT", "--dataset", "HDFS", "--size", "800",
-                "--seed", "3", "--flush-size", "400", "--workers", "2",
-                "--chunk-size", "200", "--trace-out", str(trace_path),
-            ]
-        ) == 0
-        capsys.readouterr()
-        spans = load_jsonl_spans(str(trace_path))
-        worker_calls = [
-            s
-            for s in spans
-            if s.name == "parser_call" and s.span_id.startswith("w")
-        ]
-        chunk_ids = {s.span_id for s in spans if s.name == "chunk"}
-        assert worker_calls
-        assert all(s.parent_id in chunk_ids for s in worker_calls)
 
     def test_budgeted_stream_emits_ladder_telemetry(self, tmp_path, capsys):
         metrics_path = tmp_path / "m.json"

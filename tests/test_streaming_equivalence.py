@@ -10,6 +10,8 @@ LKE/LogSig's data-dependent seeding), so delta streaming is
 approximate by nature.
 """
 
+import subprocess
+import sys
 from functools import partial
 
 import pytest
@@ -68,6 +70,23 @@ def test_prefix_streaming_identical_to_batch(parser_name, dataset):
         factory, records, flush_policy="prefix", flush_size=flush
     )
     assert report.equivalent, report.describe()
+
+
+def test_prefix_certification_has_no_parallel_mode():
+    # Chunked flushes broke prefix batch-identity (25k BGL lines: 71 /
+    # 34 / 47 mismatched for SLCT / IPLoM / Drain), so the engine has no
+    # such switch — a caller who wants §V passes a ChunkedParallelParser
+    # factory — and does not even load the module.
+    factory, records, _flush = _case("SLCT", "HDFS")
+    with pytest.raises(TypeError):
+        StreamingParser(factory, flush_policy="prefix", workers=2)
+    with pytest.raises(TypeError):
+        compare_stream_to_batch(factory, records, workers=2)
+    probe = (
+        "import sys; import repro.streaming.engine; "
+        "sys.exit('repro.parsers.parallel' in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
 
 
 class _FirstTokenParser(LogParser):
