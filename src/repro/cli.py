@@ -139,6 +139,8 @@ from repro.resilience import (
     ErrorPolicy,
     FaultyIO,
     FlakyFactory,
+    IoFault,
+    NetworkFault,
     ParserSupervisor,
     QuarantineSink,
     RetryPolicy,
@@ -147,9 +149,8 @@ from repro.resilience import (
     crash_storm_schedule,
     diff_manifests,
     ensure_artifact,
-    io_fault_schedule,
+    fault_schedule,
     load_checkpoint,
-    network_fault_schedule,
     reconcile_jsonl,
     restore_accumulator,
     restore_streaming_parser,
@@ -532,7 +533,7 @@ def _make_io(args) -> "FaultyIO | None":
     seed = getattr(args, "io_faults", None)
     if seed is None:
         return None
-    return FaultyIO(io_fault_schedule(seed))
+    return FaultyIO(fault_schedule(IoFault, seed))
 
 
 def _add_telemetry_flags(cmd) -> None:
@@ -2104,7 +2105,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_send(args) -> int:
     faults = (
-        network_fault_schedule(args.net_faults)
+        fault_schedule(NetworkFault, args.net_faults)
         if args.net_faults is not None
         else ()
     )

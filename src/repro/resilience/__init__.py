@@ -20,9 +20,11 @@ containment layer, in four parts:
   finalizes to the identical (prefix-policy: byte-identical) result;
 * :mod:`~repro.resilience.faults` — a deterministic, seeded
   fault-injection harness (corrupt records, crashing/stalling
-  parsers, killed chunk workers, scripted IO faults) so every
-  recovery path above is exercised by tests and the ``repro
-  supervise`` / ``repro stream --faults`` CLI;
+  parsers, killed chunk workers) plus one seeded scheduler,
+  :func:`fault_schedule`, for IO, worker-process, and network fault
+  scripts, so every recovery path above is exercised by tests and the
+  ``repro supervise`` / ``stream --faults --io-faults`` / ``serve
+  --proc-faults`` / ``send --net-faults`` CLI;
 * :mod:`~repro.resilience.durability` — crash-consistent artifact IO:
   atomic whole-file writes (temp + fsync + rename + dir fsync),
   length+CRC32-framed JSONL with torn-tail recovery, and run-end
@@ -55,22 +57,17 @@ from repro.resilience.durability import (
 )
 from repro.resilience.faults import (
     ChunkFault,
-    ConnectionFault,
     FaultyIO,
-    FaultyLineSender,
     FlakyFactory,
     InjectedFault,
     IoFault,
     NET_KINDS,
     NetworkFault,
     ProcessFault,
-    connection_fault_schedule,
     corrupt_raw_file,
     corrupt_records,
     crash_storm_schedule,
-    io_fault_schedule,
-    network_fault_schedule,
-    process_fault_schedule,
+    fault_schedule,
 )
 from repro.resilience.quarantine import (
     ERROR_POLICIES,
@@ -112,22 +109,17 @@ __all__ = [
     "recover_jsonl",
     "verify_manifest",
     "ChunkFault",
-    "ConnectionFault",
     "FaultyIO",
-    "FaultyLineSender",
     "FlakyFactory",
     "InjectedFault",
     "IoFault",
     "NET_KINDS",
     "NetworkFault",
     "ProcessFault",
-    "connection_fault_schedule",
     "corrupt_raw_file",
     "corrupt_records",
     "crash_storm_schedule",
-    "io_fault_schedule",
-    "network_fault_schedule",
-    "process_fault_schedule",
+    "fault_schedule",
     "ERROR_POLICIES",
     "ErrorPolicy",
     "QuarantineRecord",

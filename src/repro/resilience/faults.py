@@ -1,10 +1,11 @@
 """Deterministic, seeded fault injection for the resilience suite.
 
 Every recovery path in the runtime — quarantine, retry, circuit
-breaking, worker re-dispatch, checkpoint resume — is only trustworthy
-if it is *exercised*, and real faults are rare and irreproducible.
-This module manufactures them on a fixed schedule derived from a seed,
-so a failing resilience test replays bit-for-bit:
+breaking, worker re-dispatch, checkpoint resume, exactly-once
+delivery — is only trustworthy if it is *exercised*, and real faults
+are rare and irreproducible.  This module manufactures them on a fixed
+schedule derived from a seed, so a failing resilience test replays
+bit-for-bit:
 
 * :func:`corrupt_records` / :func:`corrupt_raw_file` dirty an input
   stream (binary garbage, oversized payloads, mid-token truncation,
@@ -18,16 +19,22 @@ so a failing resilience test replays bit-for-bit:
   ``(chunk, attempt)`` pairs — exercised against
   :class:`~repro.parsers.parallel.ChunkedParallelParser` re-dispatch
   and in-process fallback;
-* :class:`FaultyIO` interposes on the durability layer's IO seam
-  (:class:`~repro.resilience.durability.RealIO`), injecting ``EIO``,
-  ``ENOSPC``, fsync failures, and partial/torn writes at scripted
-  byte offsets — exercised against every durable writer's
-  retry/divert/recover contract;
-* :class:`FaultyLineSender` plays a misbehaving network client
-  against the ingestion service's TCP front end — mid-line
-  disconnects, lost partial lines, slow writers, reconnect storms —
-  on a :func:`connection_fault_schedule` derived from a seed
-  (the ``REPRO_CONN_SEED`` CI matrix).
+* :class:`IoFault` (EIO, ENOSPC, fsync failure, torn write — enacted
+  by :class:`FaultyIO`), :class:`ProcessFault` (killed, exited, or
+  wedged shard workers), and :class:`NetworkFault` (partition,
+  half-close, duplicate, reorder, ack-drop — enacted by
+  :class:`~repro.service.client.DurableSender`) scripts — exercised
+  against the durable writers, the shard supervisor, and exactly-once
+  delivery.
+
+**The seeded scheduler.**  One function, :func:`fault_schedule`, draws
+all three families: it validates once, seeds one ``Random(seed)``,
+and places one fault in each of ``n`` disjoint windows of
+``span // n`` (bytes, records, or transmissions), so faults never
+stack and each resolves before the next lands.  A family supplies
+only its draw rule, in a fixed RNG call order, so a seed replays the
+same script forever; :func:`crash_storm_schedule` is the same
+scheduler per tenant.
 
 Everything here is picklable (plain module-level classes over plain
 data) so faults survive the trip into worker processes.
@@ -38,12 +45,11 @@ from __future__ import annotations
 import errno
 import os
 import signal as _signal_module
-import zlib
-import socket
 import time
-from dataclasses import dataclass
-from random import Random
+import zlib
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from random import Random
 
 from repro.common.errors import ReproError, ValidationError
 from repro.common.types import LogRecord, ParseResult
@@ -313,15 +319,8 @@ IO_FSYNC = "fsync"
 IO_TORN = "torn"
 IO_KINDS = (IO_EIO, IO_ENOSPC, IO_FSYNC, IO_TORN)
 
-_IO_ERRNO = {
-    IO_EIO: errno.EIO,
-    IO_ENOSPC: errno.ENOSPC,
-    IO_FSYNC: errno.EIO,
-    IO_TORN: errno.EIO,
-}
 
-
-@dataclass
+@dataclass(frozen=True)
 class IoFault:
     """One scripted IO failure.
 
@@ -342,9 +341,12 @@ class IoFault:
             ``times=N``).
         path_contains: only writes/fsyncs whose path contains this
             substring are eligible (``None`` matches every path).
-        times: how many times the fault fires before disarming — 1
-            models a transient hiccup a retry survives, a large value
-            models a persistently failing device.
+        times: how many times the fault fires in each
+            :class:`FaultyIO` before disarming there — 1 models a
+            transient hiccup a retry survives, a large value models a
+            persistently failing device.  The count is the
+            :class:`FaultyIO`'s state, so one script arms any number
+            of lives alike.
     """
 
     kind: str
@@ -377,12 +379,13 @@ class FaultyIO(RealIO):
     raising, so recovery code faces real half-written files, not
     pretend ones.
 
-    Use :func:`io_fault_schedule` to derive a reproducible script from
-    a seed (the ``REPRO_IO_SEED`` CI matrix does).
+    Use ``fault_schedule(IoFault, seed)`` to derive a reproducible
+    script from a seed (the ``REPRO_IO_SEED`` CI matrix does).
     """
 
     def __init__(self, script: Sequence[IoFault] = ()) -> None:
-        self.script = list(script)
+        #: ``[fault, firings left]`` per still-armed fault.
+        self._armed = [[fault, fault.times] for fault in script]
         self.bytes_written = 0
         self.fsync_calls = 0
         self.fired: list[IoFault] = []
@@ -396,31 +399,30 @@ class FaultyIO(RealIO):
     def _path_of(self, handle) -> str:
         return self._paths.get(id(handle), getattr(handle, "name", "?"))
 
-    def _arm(self, fault: IoFault) -> None:
-        fault.times -= 1
-        self.fired.append(fault)
-        if fault.times == 0:
-            self.script.remove(fault)
+    def _arm(self, slot: list) -> None:
+        slot[1] -= 1
+        self.fired.append(slot[0])
+        if slot[1] == 0:
+            self._armed.remove(slot)
 
     def write(self, handle, data: bytes) -> None:
         path = self._path_of(handle)
         start = self.bytes_written
         end = start + len(data)
-        for fault in list(self.script):
-            if fault.kind not in (IO_EIO, IO_ENOSPC, IO_TORN):
-                continue
-            if not fault.matches_path(path):
+        for slot in list(self._armed):
+            fault = slot[0]
+            if fault.kind == IO_FSYNC or not fault.matches_path(path):
                 continue
             if not (start <= fault.at_bytes < end):
                 continue
-            self._arm(fault)
+            self._arm(slot)
             keep = fault.at_bytes - start
             if fault.kind != IO_EIO and keep:
                 super().write(handle, data[:keep])
                 super().flush(handle)
                 self.bytes_written += keep
             raise OSError(
-                _IO_ERRNO[fault.kind],
+                errno.ENOSPC if fault.kind == IO_ENOSPC else errno.EIO,
                 f"injected {fault.kind} at byte {fault.at_bytes} "
                 f"of {path}",
             )
@@ -430,274 +432,19 @@ class FaultyIO(RealIO):
     def fsync(self, handle) -> None:
         self.fsync_calls += 1
         path = self._path_of(handle)
-        for fault in list(self.script):
+        for slot in list(self._armed):
+            fault = slot[0]
             if fault.kind != IO_FSYNC or not fault.matches_path(path):
                 continue
             if self.fsync_calls < fault.at_call:
                 continue
-            self._arm(fault)
+            self._arm(slot)
             raise OSError(
-                _IO_ERRNO[IO_FSYNC],
+                errno.EIO,
                 f"injected fsync failure (call {self.fsync_calls}) "
                 f"on {path}",
             )
         super().fsync(handle)
-
-
-def io_fault_schedule(
-    seed: int,
-    *,
-    n: int = 4,
-    max_bytes: int = 4096,
-    kinds: Sequence[str] = IO_KINDS,
-    path_contains: str | None = None,
-    times: int = 1,
-) -> list[IoFault]:
-    """A reproducible IO fault script drawn from *seed*.
-
-    The same seed always yields the same script, so a failing
-    durability test replays bit-for-bit.  Faults are spaced so a
-    single-retry writer can survive each one individually: byte
-    offsets land in disjoint windows at least half a window apart,
-    and fsync call numbers keep a gap of two so the retry's fsync
-    falls between faults rather than on the next one.  Stacking
-    ``times`` (or tightening the spacing by hand) is how tests model
-    a persistently failing device.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    for kind in kinds:
-        if kind not in IO_KINDS:
-            raise ValidationError(
-                f"unknown io fault kind {kind!r}; choose from {IO_KINDS}"
-            )
-    rng = Random(seed)
-    window = max(1024, max_bytes // n)
-    script = []
-    fsync_call = 0
-    for index in range(n):
-        kind = rng.choice(list(kinds))
-        fsync_call += rng.randint(2, 5)
-        script.append(
-            IoFault(
-                kind=kind,
-                at_bytes=index * window + rng.randrange(window // 2),
-                at_call=fsync_call,
-                path_contains=path_contains,
-                times=times,
-            )
-        )
-    return script
-
-
-# ----------------------------------------------------------------------
-# Connection faults (service front end)
-# ----------------------------------------------------------------------
-
-#: Connection fault kinds.
-CONN_DISCONNECT = "disconnect"
-CONN_PARTIAL = "partial"
-CONN_SLOW = "slow"
-CONN_STORM = "storm"
-CONN_KINDS = (CONN_DISCONNECT, CONN_PARTIAL, CONN_SLOW, CONN_STORM)
-
-
-@dataclass(frozen=True)
-class ConnectionFault:
-    """One scripted misbehavior of a network log producer.
-
-    Args:
-        kind: ``disconnect`` (the socket closes mid-line; the client
-            reconnects and resends the whole line, so the server sees
-            a dangling partial *and* the full line again),
-            ``partial`` (the socket closes mid-line and the tail is
-            *lost* — the line never arrives whole, modeling a crashed
-            writer), ``slow`` (the line is written in two halves with
-            a stall between them, modeling a slow writer the server
-            must not block other tenants on), ``storm`` (the client
-            drops and re-establishes the connection ``repeats`` times
-            back-to-back before sending the line normally).
-        at_line: 0-based index (within one sender's line sequence) at
-            which the fault fires.
-        cut_fraction: for ``disconnect``/``partial``: where within the
-            encoded line the cut lands, as a fraction of its length.
-        delay_seconds: for ``slow``: the mid-line stall.
-        repeats: for ``storm``: how many rapid reconnect cycles.
-    """
-
-    kind: str
-    at_line: int
-    cut_fraction: float = 0.5
-    delay_seconds: float = 0.05
-    repeats: int = 3
-
-    def __post_init__(self) -> None:
-        if self.kind not in CONN_KINDS:
-            raise ValidationError(
-                f"connection fault kind must be one of {CONN_KINDS}, "
-                f"got {self.kind!r}"
-            )
-        if self.at_line < 0:
-            raise ValidationError(
-                f"at_line must be >= 0, got {self.at_line}"
-            )
-        if not 0.0 <= self.cut_fraction <= 1.0:
-            raise ValidationError(
-                f"cut_fraction must be in [0, 1], got {self.cut_fraction}"
-            )
-        if self.repeats < 1:
-            raise ValidationError(
-                f"repeats must be >= 1, got {self.repeats}"
-            )
-
-
-def connection_fault_schedule(
-    seed: int,
-    *,
-    n: int = 4,
-    span: int = 200,
-    kinds: Sequence[str] = CONN_KINDS,
-    delay_seconds: float = 0.02,
-) -> list[ConnectionFault]:
-    """A reproducible connection fault script drawn from *seed*.
-
-    Fault lines land in disjoint windows of ``span // n`` lines, so
-    faults never stack on one line and the same seed replays the same
-    script bit-for-bit.  *span* should be the number of lines the
-    faulty sender will send.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if span < n:
-        raise ValidationError(
-            f"span must be >= n ({n}), got {span}"
-        )
-    for kind in kinds:
-        if kind not in CONN_KINDS:
-            raise ValidationError(
-                f"unknown connection fault kind {kind!r}; "
-                f"choose from {CONN_KINDS}"
-            )
-    rng = Random(seed)
-    window = span // n
-    return [
-        ConnectionFault(
-            kind=rng.choice(list(kinds)),
-            at_line=index * window + rng.randrange(window),
-            cut_fraction=rng.uniform(0.2, 0.8),
-            delay_seconds=delay_seconds,
-            repeats=rng.randint(2, 4),
-        )
-        for index in range(n)
-    ]
-
-
-class FaultyLineSender:
-    """A misbehaving TCP log producer, scripted by :class:`ConnectionFault`.
-
-    Connects to the ingestion service's line front end and sends each
-    line terminated by ``\\n``, enacting the script deterministically:
-    the same script against the same lines always misbehaves at the
-    same bytes.  Tracks what actually happened so tests can assert on
-    it (``fired``, ``reconnects``, ``lost_lines``).
-
-    The sender is the *client* half of connection fault injection: the
-    server under test must survive dangling partials (quarantining the
-    fragment, never crashing the tenant's neighbors), absorb reconnect
-    storms, and keep slow writers from stalling other connections.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        script: Sequence[ConnectionFault] = (),
-        *,
-        connect_timeout: float = 5.0,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.script = {fault.at_line: fault for fault in script}
-        if len(self.script) != len(script):
-            raise ValidationError(
-                "connection fault script has two faults on one line; "
-                "use disjoint at_line values"
-            )
-        self.connect_timeout = connect_timeout
-        self.fired: list[ConnectionFault] = []
-        self.reconnects = 0
-        self.lost_lines = 0
-        self._sock: socket.socket | None = None
-
-    def _connect(self) -> socket.socket:
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout
-        )
-        self._sock = sock
-        return sock
-
-    def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    def _reconnect(self) -> socket.socket:
-        self._drop()
-        self.reconnects += 1
-        return self._connect()
-
-    def send_lines(self, lines: Iterable[str]) -> dict:
-        """Send *lines*, misbehaving on schedule; returns a summary.
-
-        Returns ``{"sent": n, "lost": n, "fired": n, "reconnects": n}``
-        where ``sent`` counts lines the server eventually received
-        whole and ``lost`` counts ``partial``-fault lines whose tail
-        never arrived.
-        """
-        sock = self._sock or self._connect()
-        sent = 0
-        try:
-            for index, line in enumerate(lines):
-                payload = line.encode("utf-8") + b"\n"
-                fault = self.script.get(index)
-                if fault is None:
-                    sock.sendall(payload)
-                    sent += 1
-                    continue
-                self.fired.append(fault)
-                cut = max(1, int(len(payload) * fault.cut_fraction))
-                if fault.kind == CONN_DISCONNECT:
-                    sock.sendall(payload[:cut])
-                    sock = self._reconnect()
-                    sock.sendall(payload)
-                    sent += 1
-                elif fault.kind == CONN_PARTIAL:
-                    sock.sendall(payload[:cut])
-                    sock = self._reconnect()
-                    self.lost_lines += 1
-                elif fault.kind == CONN_SLOW:
-                    sock.sendall(payload[:cut])
-                    time.sleep(fault.delay_seconds)
-                    sock.sendall(payload[cut:])
-                    sent += 1
-                else:  # storm
-                    for _ in range(fault.repeats):
-                        sock = self._reconnect()
-                    sock.sendall(payload)
-                    sent += 1
-        finally:
-            self.close()
-        return {
-            "sent": sent,
-            "lost": self.lost_lines,
-            "fired": len(self.fired),
-            "reconnects": self.reconnects,
-        }
-
-    def close(self) -> None:
-        self._drop()
 
 
 # ----------------------------------------------------------------------
@@ -795,53 +542,6 @@ class ProcessFault:
             time.sleep(self.delay_seconds)
 
 
-def process_fault_schedule(
-    seed: int,
-    *,
-    n: int = 3,
-    span: int = 200,
-    kinds: Sequence[str] = (PROC_KILL, PROC_EXIT, PROC_HANG),
-    lives: tuple[int, ...] | None = None,
-    hang_seconds: float = 60.0,
-) -> list[ProcessFault]:
-    """A reproducible per-tenant crash script drawn from *seed*.
-
-    Fault records land in disjoint windows of ``span // n`` records
-    (same discipline as :func:`connection_fault_schedule`), so each
-    crash resolves — restart, careful replay — before the next one
-    lands, and the same seed replays the same script bit-for-bit.
-    *span* should be the number of records the tenant will receive.
-
-    By default fault *i* is armed in worker life ``i + 1``: the first
-    fault kills the original worker, the second kills its replacement
-    once it has replayed past the first window, and so on — every
-    scheduled fault actually fires.  Pass *lives* explicitly to arm
-    all faults in the same incarnations instead (e.g. a poison pill).
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if span < n:
-        raise ValidationError(f"span must be >= n ({n}), got {span}")
-    for kind in kinds:
-        if kind not in PROC_KINDS or kind == PROC_SLOW_START:
-            raise ValidationError(
-                f"unschedulable process fault kind {kind!r}; "
-                f"choose from {(PROC_KILL, PROC_EXIT, PROC_HANG)}"
-            )
-    rng = Random(seed)
-    window = span // n
-    return [
-        ProcessFault(
-            kind=rng.choice(list(kinds)),
-            at_record=index * window + rng.randrange(window),
-            lives=lives if lives is not None else (index + 1,),
-            exit_code=rng.randint(1, 125),
-            hang_seconds=hang_seconds,
-        )
-        for index in range(n)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Network faults (exactly-once delivery layer, protocol v2)
 # ----------------------------------------------------------------------
@@ -865,12 +565,11 @@ NET_KINDS = (
 class NetworkFault:
     """One scripted network-level misbehavior on a v2 delivery stream.
 
-    Where :class:`ConnectionFault` models a *misbehaving producer*
-    against the fire-and-forget v1 front end, a ``NetworkFault``
-    models the *network itself* misbehaving under a client that is
+    Models the *network itself* misbehaving under a client that is
     trying to be correct — the
     :class:`~repro.service.client.DurableSender` enacts the script and
-    must still converge to exactly-once server-side effects.
+    must still converge to exactly-once server-side effects, while the
+    server quarantines the torn fragments the cuts leave behind.
 
     Args:
         kind: ``partition`` (the connection drops mid-line; the
@@ -925,51 +624,99 @@ class NetworkFault:
             )
 
 
-def network_fault_schedule(
+# ----------------------------------------------------------------------
+# The seeded scheduler
+# ----------------------------------------------------------------------
+
+
+def _draw_io(rng: Random, kinds, starts: range, window: int):
+    # Offsets in each window's first half; fsync calls 2-5 apart, so a
+    # single-retry writer's own fsync lands between two faults.
+    fsync_call = 0
+    for start in starts:
+        kind = rng.choice(kinds)
+        fsync_call += rng.randint(2, 5)
+        yield IoFault(
+            kind,
+            at_bytes=start + rng.randrange(window // 2),
+            at_call=fsync_call,
+        )
+
+
+def _draw_process(rng: Random, kinds, starts: range, window: int):
+    # Fault i is armed in worker life i + 1: each kills the replacement
+    # of the last once it has replayed past that window, so all fire.
+    for life, start in enumerate(starts, 1):
+        yield ProcessFault(
+            rng.choice(kinds),
+            at_record=start + rng.randrange(window),
+            lives=(life,),
+            exit_code=rng.randint(1, 125),
+        )
+
+
+def _draw_network(rng: Random, kinds, starts: range, window: int):
+    # Kinds are a shuffled, repeated cycle drawn before any window, so
+    # with n >= len(kinds) a storm certifies every kind it names.
+    cycle: list[str] = []
+    while len(cycle) < len(starts):
+        batch = list(kinds)
+        rng.shuffle(batch)
+        cycle.extend(batch)
+    for kind, start in zip(cycle, starts):
+        yield NetworkFault(
+            kind,
+            at_line=start + rng.randrange(window),
+            cut_fraction=rng.uniform(0.2, 0.8),
+            repeats=rng.randint(2, 3),
+            drop_acks=rng.randint(1, 3),
+        )
+
+
+#: Family -> (schedulable kinds, default n, default span, draw rule);
+#: a span counts bytes written, records fed, or lines transmitted.
+_FAMILIES = {
+    IoFault: (IO_KINDS, 4, 4096, _draw_io),
+    ProcessFault: ((PROC_KILL, PROC_EXIT, PROC_HANG), 3, 200, _draw_process),
+    NetworkFault: (NET_KINDS, 5, 200, _draw_network),
+}
+
+
+def fault_schedule(
+    family: type,
     seed: int,
     *,
-    n: int = 5,
-    span: int = 200,
-    kinds: Sequence[str] = NET_KINDS,
-) -> list[NetworkFault]:
-    """A reproducible network fault storm drawn from *seed*.
+    n: int | None = None,
+    span: int | None = None,
+    kinds: Sequence[str] | None = None,
+) -> list:
+    """A reproducible script of *family* faults drawn from *seed*.
 
-    Fault lines land in disjoint windows of ``span // n`` lines (the
-    same discipline as :func:`connection_fault_schedule`), so each
-    fault resolves before the next fires and the same seed replays the
-    same storm bit-for-bit.  Kinds are assigned by shuffled repeated
-    cycle rather than independent draws, so whenever ``n >=
-    len(kinds)`` every kind appears at least once — a certification
-    run that claims to cover partitions, duplicates, reorders, and ack
-    drops actually does.
+    *family* is :class:`IoFault`, :class:`ProcessFault`, or
+    :class:`NetworkFault`.  One fault lands in each of *n* disjoint
+    windows of ``span // n`` (*span* should cover what the run will
+    write, feed, or send), drawn by the family's rule from one
+    ``Random(seed)``.  Unset, *n* × *span* is 4 × 4096 bytes,
+    3 × 200 records, or 5 × 200 lines, and *kinds* every schedulable
+    kind.
     """
+    allowed, default_n, default_span, draw = _FAMILIES[family]
+    n = default_n if n is None else n
+    span = default_span if span is None else span
+    kinds = allowed if kinds is None else kinds
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if span < n:
         raise ValidationError(f"span must be >= n ({n}), got {span}")
     for kind in kinds:
-        if kind not in NET_KINDS:
+        if kind not in allowed:
             raise ValidationError(
-                f"unknown network fault kind {kind!r}; "
-                f"choose from {NET_KINDS}"
+                f"unschedulable {family.__name__} kind {kind!r}; "
+                f"choose from {allowed}"
             )
-    rng = Random(seed)
     window = span // n
-    assigned: list[str] = []
-    while len(assigned) < n:
-        cycle = list(kinds)
-        rng.shuffle(cycle)
-        assigned.extend(cycle)
-    return [
-        NetworkFault(
-            kind=assigned[index],
-            at_line=index * window + rng.randrange(window),
-            cut_fraction=rng.uniform(0.2, 0.8),
-            repeats=rng.randint(2, 3),
-            drop_acks=rng.randint(1, 3),
-        )
-        for index in range(n)
-    ]
+    starts = range(0, n * window, window)
+    return list(draw(Random(seed), list(kinds), starts, window))
 
 
 def crash_storm_schedule(
@@ -978,23 +725,26 @@ def crash_storm_schedule(
     *,
     faults_per_tenant: int = 2,
     span: int = 200,
-    kinds: Sequence[str] = (PROC_KILL, PROC_EXIT, PROC_HANG),
     hang_seconds: float = 60.0,
 ) -> dict[str, list[ProcessFault]]:
     """Per-tenant crash scripts for a whole-service chaos run.
 
-    Each tenant's sub-seed mixes *seed* with the tenant key, so adding
-    a tenant does not reshuffle the others' scripts.
+    Each tenant's script is ``fault_schedule(ProcessFault, ...)`` at a
+    sub-seed mixing *seed* with the tenant key, so adding a tenant
+    does not reshuffle the others' scripts.  *hang_seconds* is not
+    drawn; it is set on every drawn fault.
     """
     if not tenants:
         raise ValidationError("crash storm needs at least one tenant")
     return {
-        tenant: process_fault_schedule(
-            seed ^ (zlib.crc32(tenant.encode("utf-8")) & 0x7FFFFFFF),
-            n=faults_per_tenant,
-            span=span,
-            kinds=kinds,
-            hang_seconds=hang_seconds,
-        )
+        tenant: [
+            replace(fault, hang_seconds=hang_seconds)
+            for fault in fault_schedule(
+                ProcessFault,
+                seed ^ (zlib.crc32(tenant.encode("utf-8")) & 0x7FFFFFFF),
+                n=faults_per_tenant,
+                span=span,
+            )
+        ]
         for tenant in tenants
     }

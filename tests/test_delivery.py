@@ -3,8 +3,9 @@
 Four layers of the delivery contract:
 
 * **Wire format + dedup state** — HELLO/ACK/data-line round trips,
-  :class:`DeliveryWindow` watermark/holdback semantics, and the seeded
-  :func:`network_fault_schedule` shape (disjoint windows, all kinds).
+  :class:`DeliveryWindow` watermark/holdback semantics, and the shape
+  of a seeded :class:`NetworkFault` schedule (disjoint windows, all
+  kinds).
 * **Durable client spool** — :class:`DurableSender` spools before it
   wires, rebuilds sequence counters from a recovered spool, resends
   the unacked suffix, and raises :class:`DeliveryError` (exit 4 at the
@@ -45,7 +46,7 @@ from repro.parsers import make_parser
 from repro.resilience import (
     NET_KINDS,
     NetworkFault,
-    network_fault_schedule,
+    fault_schedule,
 )
 from repro.resilience.durability import read_jsonl_payloads
 from repro.resilience.faults import NET_PARTITION
@@ -254,15 +255,17 @@ class TestDeliveryFrontRecovery:
 
 class TestNetworkFaultSchedule:
     def test_deterministic_for_a_seed(self):
-        assert network_fault_schedule(NET_SEED) == (
-            network_fault_schedule(NET_SEED)
+        assert fault_schedule(NetworkFault, NET_SEED) == (
+            fault_schedule(NetworkFault, NET_SEED)
         )
 
     def test_different_seeds_differ(self):
-        assert network_fault_schedule(7) != network_fault_schedule(101)
+        assert fault_schedule(NetworkFault, 7) != fault_schedule(
+            NetworkFault, 101
+        )
 
     def test_disjoint_windows_and_full_kind_coverage(self):
-        schedule = network_fault_schedule(NET_SEED, n=5, span=200)
+        schedule = fault_schedule(NetworkFault, NET_SEED, n=5, span=200)
         assert len(schedule) == 5
         positions = [fault.at_line for fault in schedule]
         assert positions == sorted(positions)
@@ -695,7 +698,9 @@ class TestChunkedWirePath:
         self, tmp_path, seed
     ):
         calm = self._calm_artifacts(tmp_path)
-        schedule = network_fault_schedule(seed, n=5, span=len(self.LINES))
+        schedule = fault_schedule(
+            NetworkFault, seed, n=5, span=len(self.LINES)
+        )
         scripted = {fault.at_line: fault for fault in schedule}
         service = self._service(tmp_path / "faulted")
         with LineServer(service) as server:
@@ -1042,8 +1047,8 @@ class TestExactlyOnceCertification(_ServeHarness):
         proc = self._serve(data_dir, *life1)
         try:
             port = self._port(proc)
-            faults = network_fault_schedule(
-                NET_SEED, n=5, span=len(lines)
+            faults = fault_schedule(
+                NetworkFault, NET_SEED, n=5, span=len(lines)
             )
             sender = DurableSender(
                 "127.0.0.1", port, "certified-client", spool,

@@ -47,7 +47,7 @@ from repro.resilience.faults import (
     IO_TORN,
     FaultyIO,
     IoFault,
-    io_fault_schedule,
+    fault_schedule,
 )
 from repro.resilience.quarantine import QuarantineRecord, QuarantineSink
 
@@ -113,6 +113,24 @@ class TestAtomicWriter:
         atomic_write_text(str(path), "retried content\n", io=io)
         assert path.read_text() == "retried content\n"
         assert len(io.fired) == 1
+
+    def test_one_script_arms_every_life_alike(self, tmp_path):
+        """A script shared by two FaultyIO lives fires its one-shot
+        fault once in each: the firings left are the layer's count,
+        never a field of the caller's fault."""
+        script = [IoFault(kind=IO_FSYNC, at_call=3)]
+        for life in ("first", "second"):
+            io = FaultyIO(script)
+            failed = 0
+            for index in range(8):
+                try:
+                    atomic_write_text(
+                        str(tmp_path / f"{life}-{index}.txt"), "x\n", io=io
+                    )
+                except ArtifactWriteError:
+                    failed += 1
+            assert (failed, len(io.fired)) == (0, 1), life
+        assert script == [IoFault(kind=IO_FSYNC, at_call=3)]
 
     def test_atomic_write_text_exhausts_retries(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -499,11 +517,15 @@ class TestVerifyRunCli:
 
 class TestIoFaultSchedule:
     def test_deterministic_for_a_seed(self):
-        assert io_fault_schedule(IO_SEED) == io_fault_schedule(IO_SEED)
+        assert fault_schedule(IoFault, IO_SEED) == fault_schedule(
+            IoFault, IO_SEED
+        )
 
     def test_different_seeds_differ(self):
         schedules = {
-            tuple((f.kind, f.at_bytes) for f in io_fault_schedule(seed))
+            tuple(
+                (f.kind, f.at_bytes) for f in fault_schedule(IoFault, seed)
+            )
             for seed in range(20)
         }
         assert len(schedules) > 1

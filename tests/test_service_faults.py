@@ -2,11 +2,12 @@
 
 Three contracts from the service model:
 
-* **Noisy-neighbor isolation** — seeded connection faults plus a
+* **Noisy-neighbor isolation** — a seeded network-fault storm plus a
   corrupt flood on tenant A must leave tenants B and C with artifacts
   *byte-identical* to a fault-free run that never saw A at all
   (certified through ``verify-run --against``), while A's garbage sits
-  in A's own quarantine with provenance.
+  in A's own quarantine with provenance and the fragments A's torn
+  lines leave sit in the service's ``protocol`` quarantine.
 * **Graceful drain** — SIGTERM against a live ``serve`` subprocess
   finalizes every tenant's checkpoint and manifest and exits 0; a
   resumed service replaying the full stream continues with no
@@ -15,9 +16,9 @@ Three contracts from the service model:
   exits ``128+15`` with a finalized checkpoint and manifest, and a
   ``--resume`` run completes cleanly from it.
 
-The connection-fault schedule is seeded; CI sweeps ``REPRO_CONN_SEED``
-so different disconnect/partial/slow/storm scripts all certify the
-same invariants.
+A's fault storm is seeded; CI sweeps ``REPRO_NET_SEED`` so different
+partition/half-close/duplicate/reorder/ack-drop scripts all certify
+the same invariants.
 """
 
 import json
@@ -28,24 +29,27 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro.cli import main
 from repro.parsers import make_parser
 from repro.resilience import (
-    ConnectionFault,
-    FaultyLineSender,
+    NET_KINDS,
+    NetworkFault,
     ProcessFault,
-    connection_fault_schedule,
     diff_manifests,
+    fault_schedule,
     verify_manifest,
 )
-from repro.resilience.faults import CONN_KINDS, PROC_KILL
+from repro.resilience.faults import PROC_KILL
 from repro.resilience.durability import read_jsonl_payloads
-from repro.service import IngestionService, LineServer, replay_lines
+from repro.service import (
+    DurableSender,
+    IngestionService,
+    LineServer,
+    replay_lines,
+)
 
 #: CI sweeps this; local runs use the default.
-CONN_SEED = int(os.environ.get("REPRO_CONN_SEED", "7"))
+NET_SEED = int(os.environ.get("REPRO_NET_SEED", "7"))
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,39 +74,6 @@ def _tenant_lines(tenant: str, n: int, start: int = 0) -> list[str]:
     ]
 
 
-class TestConnectionFaultSchedule:
-    def test_deterministic_for_a_seed(self):
-        first = connection_fault_schedule(CONN_SEED, n=4, span=200)
-        second = connection_fault_schedule(CONN_SEED, n=4, span=200)
-        assert first == second
-
-    def test_different_seeds_differ(self):
-        assert connection_fault_schedule(7, n=4, span=200) != (
-            connection_fault_schedule(101, n=4, span=200)
-        )
-
-    def test_faults_land_in_disjoint_windows(self):
-        schedule = connection_fault_schedule(CONN_SEED, n=4, span=200)
-        assert len(schedule) == 4
-        positions = [fault.at_line for fault in schedule]
-        assert positions == sorted(positions)
-        for index, fault in enumerate(schedule):
-            assert index * 50 <= fault.at_line < (index + 1) * 50
-            assert fault.kind in CONN_KINDS
-            assert 0.0 < fault.cut_fraction < 1.0
-
-    def test_sender_script_rejects_duplicate_lines(self):
-        from repro.common.errors import ValidationError
-        from repro.resilience.faults import CONN_DISCONNECT
-
-        faults = [
-            ConnectionFault(kind=CONN_DISCONNECT, at_line=3),
-            ConnectionFault(kind=CONN_DISCONNECT, at_line=3),
-        ]
-        with pytest.raises(ValidationError):
-            FaultyLineSender("127.0.0.1", 1, faults)
-
-
 class TestNoisyNeighborIsolation:
     """Tenant A floods and faults; B and C must not notice."""
 
@@ -119,27 +90,37 @@ class TestNoisyNeighborIsolation:
         )
         return service.drain()
 
-    def _faulty_run(self, data_dir: str) -> tuple[dict, dict]:
-        """B and C clean over TCP; A floods with faults + corruption."""
-        service = IngestionService(str(data_dir), _factory)
+    def _faulty_run(self, tmp_path) -> tuple[dict, list[NetworkFault]]:
+        """B and C clean over raw v1 sockets; A floods through a
+        seeded fault storm from an exactly-once v2 sender."""
+        service = IngestionService(
+            str(tmp_path / "faulty"), _factory, protocol="v2"
+        )
         with LineServer(service) as server:
             addr = (server.host, server.port)
-            # A: seeded connection faults + corrupt flood.  Every third
-            # line carries control bytes the screen rejects; the rest
-            # interleave with the connection fault script.
-            a_lines = []
-            for i in range(90):
-                if i % 3 == 0:
-                    a_lines.append(f"tenant-a\tcorrupt \x00\x01 blob {i}")
-                else:
-                    a_lines.append(f"tenant-a\tflood line {i} from attacker")
-            schedule = connection_fault_schedule(
-                CONN_SEED, n=3, span=len(a_lines), delay_seconds=0.01
+            # A: every third line carries control bytes the screen
+            # rejects; n >= len(NET_KINDS), so every kind is scheduled.
+            # A flushes line by line, so a cut line reaches the server
+            # alone: a torn tail that shares a read with lines still
+            # owed an ack is dropped with the ack when the peer resets.
+            schedule = fault_schedule(
+                NetworkFault, NET_SEED, n=len(NET_KINDS), span=90
             )
-            sender = FaultyLineSender(*addr, schedule)
-            stats = sender.send_lines(a_lines)
+            with DurableSender(
+                *addr, "tenant-a-client", str(tmp_path / "a.spool.jsonl"),
+                faults=schedule, base_backoff=0.01, max_backoff=0.05,
+            ) as sender:
+                for i in range(90):
+                    sender.send(
+                        "tenant-a",
+                        f"corrupt \x00\x01 blob {i}" if i % 3 == 0
+                        else f"flood line {i} from attacker",
+                    )
+                    sender.flush(timeout=60.0)
+                # Every line went out at least once: every fault fired.
+                assert sender._tx_index > max(f.at_line for f in schedule)
 
-            # B and C: ordinary well-behaved clients.
+            # B and C: ordinary well-behaved v1 clients.
             for tenant, count in (
                 ("tenant-b", self.B_LINES), ("tenant-c", self.C_LINES),
             ):
@@ -151,7 +132,6 @@ class TestNoisyNeighborIsolation:
                 conn.close()
 
             deadline = time.monotonic() + 20
-            expected_min = self.B_LINES + self.C_LINES
             while time.monotonic() < deadline:
                 shards = service.tenants()
                 if (
@@ -162,17 +142,18 @@ class TestNoisyNeighborIsolation:
                 ):
                     break
                 time.sleep(0.05)
-            assert service.submitted >= expected_min
-        return service.drain(), stats
+        return service.drain(), schedule
 
     def test_b_and_c_byte_identical_to_fault_free_run(self, tmp_path):
         clean_dir = tmp_path / "clean"
         faulty_dir = tmp_path / "faulty"
         clean = self._clean_run(clean_dir)
-        faulty, stats = self._faulty_run(faulty_dir)
+        faulty, schedule = self._faulty_run(tmp_path)
 
-        # The fault script actually fired.
-        assert stats["fired"] >= 1
+        # The storm covered every kind, and A's stream landed exactly
+        # once through it: 60 parseable lines, 30 quarantined.
+        assert {fault.kind for fault in schedule} == set(NET_KINDS)
+        assert faulty["tenants"]["tenant-a"]["lines"] == 60
 
         # B and C consumed their full streams in both runs.
         for summary in (clean, faulty):
@@ -199,9 +180,22 @@ class TestNoisyNeighborIsolation:
         a_quarantine = faulty_dir / "tenant-a" / "out.quarantine.jsonl"
         assert a_quarantine.exists()
         payloads = read_jsonl_payloads(str(a_quarantine))
-        assert payloads, "corrupt flood left no quarantine records"
+        assert len(payloads) == 30, "each corrupt line, exactly once"
         assert all(
             record["source"] == "tenant:tenant-a" for record in payloads
+        )
+        # The partition and half-close cuts left torn fragments; each
+        # is a service-level protocol record, never a tenant record.
+        fragments = [
+            record
+            for record in read_jsonl_payloads(
+                str(faulty_dir / "service.quarantine.jsonl")
+            )
+            if record["reason"] == "protocol"
+        ]
+        assert fragments, "no torn fragment reached the protocol quarantine"
+        assert all(
+            record["source"].startswith("tcp:") for record in fragments
         )
         # Nothing of A's leaked into B's or C's space.
         for tenant in ("tenant-b", "tenant-c"):
@@ -211,30 +205,6 @@ class TestNoisyNeighborIsolation:
             structured = (faulty_dir / tenant / "out.structured").read_text()
             assert "attacker" not in structured
             assert "corrupt" not in structured
-
-    def test_faulty_sender_semantics_accounted(self, tmp_path):
-        """Partial-cut lines are lost to the tail, disconnect resends."""
-        service = IngestionService(str(tmp_path), _factory)
-        with LineServer(service) as server:
-            schedule = connection_fault_schedule(
-                CONN_SEED, n=3, span=60, delay_seconds=0.01
-            )
-            sender = FaultyLineSender(server.host, server.port, schedule)
-            stats = sender.send_lines(_tenant_lines("tenant-a", 60))
-            deadline = time.monotonic() + 10
-            while (
-                time.monotonic() < deadline
-                and service.submitted < stats["sent"]
-            ):
-                time.sleep(0.05)
-        summary = service.drain()
-        shard = summary["tenants"]["tenant-a"]
-        # Whole lines that reached the wire were all consumed; lines a
-        # partial-cut destroyed are lost at the *sender*, and the torn
-        # fragments became protocol quarantine records, never tenant
-        # records.
-        assert shard["lines"] == 60 - stats["lost"]
-        assert stats["fired"] == 3
 
 
 class TestGracefulDrainSubprocess:

@@ -41,7 +41,7 @@ from repro.parsers import make_parser
 from repro.resilience import (
     ProcessFault,
     crash_storm_schedule,
-    process_fault_schedule,
+    fault_schedule,
     read_jsonl_payloads,
 )
 from repro.resilience.durability import RealIO, frame_record, scan_framed
@@ -179,13 +179,15 @@ def _assert_identical(ref_dir, got_dir, names=("out.events", "out.structured")):
 
 class TestProcessFaultSchedule:
     def test_same_seed_same_script(self):
-        assert process_fault_schedule(PROC_SEED) == process_fault_schedule(
-            PROC_SEED
+        assert fault_schedule(ProcessFault, PROC_SEED) == fault_schedule(
+            ProcessFault, PROC_SEED
         )
-        assert process_fault_schedule(1) != process_fault_schedule(2)
+        assert fault_schedule(ProcessFault, 1) != fault_schedule(
+            ProcessFault, 2
+        )
 
     def test_faults_land_in_disjoint_windows(self):
-        faults = process_fault_schedule(PROC_SEED, n=4, span=100)
+        faults = fault_schedule(ProcessFault, PROC_SEED, n=4, span=100)
         records = [fault.at_record for fault in faults]
         assert records == sorted(records)
         for index, record in enumerate(records):
@@ -200,11 +202,11 @@ class TestProcessFaultSchedule:
 
     def test_rejects_unschedulable_kinds_and_bad_shapes(self):
         with pytest.raises(ValidationError):
-            process_fault_schedule(1, kinds=(PROC_SLOW_START,))
+            fault_schedule(ProcessFault, 1, kinds=(PROC_SLOW_START,))
         with pytest.raises(ValidationError):
-            process_fault_schedule(1, n=0)
+            fault_schedule(ProcessFault, 1, n=0)
         with pytest.raises(ValidationError):
-            process_fault_schedule(1, n=10, span=5)
+            fault_schedule(ProcessFault, 1, n=10, span=5)
         with pytest.raises(ValidationError):
             crash_storm_schedule(1, [])
         with pytest.raises(ValidationError):
