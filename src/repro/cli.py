@@ -1505,7 +1505,9 @@ def _run_plain_stream(
 ) -> int:
     """The historical ``stream`` path: one parser, optional checkpoints."""
     if args.resume:
-        checkpoint = load_checkpoint(args.checkpoint, telemetry=telemetry)
+        checkpoint = load_checkpoint(
+            args.checkpoint, telemetry=telemetry, parser=args.parser
+        )
         # Roll append-mode artifacts back to the offsets the checkpoint
         # pinned: appends made after the snapshot belong to records the
         # resumed run is about to re-feed.

@@ -249,7 +249,7 @@ class TenantShard:
             self.engine = self._session.engine
         elif resuming:
             checkpoint = load_checkpoint(
-                self.checkpoint_path, telemetry=telemetry
+                self.checkpoint_path, telemetry=telemetry, parser=parser_name
             )
             for path, offsets in checkpoint.artifacts.items():
                 reconcile_jsonl(

@@ -56,7 +56,6 @@ wall-clock steps (see ``tests/test_workers.py``).
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import queue
@@ -77,6 +76,7 @@ from repro.observability.metrics import (
 )
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import Tracer
+from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.supervisor import CircuitBreaker, RetryPolicy
 from repro.service.protocol import JOURNAL_NAME, DeliveryFront
 from repro.service.shard import (
@@ -476,7 +476,13 @@ class ShardSupervisor:
         self._mp = _mp_context()
 
         self._lock = threading.Lock()
-        self._skip, watermarks = self._read_checkpoint_meta()
+        # A torn checkpoint, or another parser's, refuses the shard here.
+        self._skip, watermarks = 0, {}
+        checkpoint_path = os.path.join(self.dir, CHECKPOINT_NAME)
+        if os.path.exists(checkpoint_path):
+            checkpoint = load_checkpoint(checkpoint_path, parser=parser_name)
+            self._skip = checkpoint.records_consumed
+            watermarks = (checkpoint.delivery or {}).get("clients", {})
         # (index, record, enqueued_at monotonic stamp, delivery meta)
         # quadruples; delivery is None for v1 lines.
         self._outbox: list[tuple[int, LogRecord, float, tuple | None]] = []
@@ -665,21 +671,6 @@ class ShardSupervisor:
         )
 
     # -- internals -----------------------------------------------------
-
-    def _read_checkpoint_meta(self) -> tuple[int, dict]:
-        """Stream position and ack watermarks of the shard checkpoint."""
-        path = os.path.join(self.dir, CHECKPOINT_NAME)
-        if not os.path.exists(path):
-            return 0, {}
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-            return (
-                int(data.get("records_consumed", 0)),
-                (data.get("delivery") or {}).get("clients", {}),
-            )
-        except (OSError, ValueError):  # pragma: no cover - torn file
-            return 0, {}
 
     def _collect_metrics(self) -> None:
         metrics = self.telemetry.metrics

@@ -48,3 +48,9 @@ def session_records() -> list[LogRecord]:
         LogRecord(content=content, session_id=session, truth_event=event)
         for session, event, content in rows
     ]
+
+
+@pytest.fixture(scope="session")
+def calm_root(tmp_path_factory):
+    """Where ``certify.calm_run`` caches calm references per session."""
+    return tmp_path_factory.mktemp("calm")

@@ -14,7 +14,8 @@ Contracts certified here:
   histograms accumulate across worker lives.
 * **Scrape isolation** — N threads hammering ``/metrics`` throughout
   a multi-tenant replay leave the run's artifacts byte-identical to
-  an unscraped run (manifest-certified).
+  an unscraped run: a row of the certification matrix
+  (``tests/certify.py``).
 * **Alert rules** — threshold and multi-window burn-rate rules are
   deterministic under an injected clock; only state *transitions*
   emit events; the durable alert log survives a torn tail.
@@ -25,7 +26,6 @@ Contracts certified here:
   with non-empty HELP text (S5).
 """
 
-import functools
 import json
 import os
 import re
@@ -36,6 +36,8 @@ import urllib.request
 
 import pytest
 
+import certify
+from certify import FAST, FakeClock, conn_lines, factory, wait_for
 from repro.cli import main
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
@@ -55,40 +57,10 @@ from repro.observability import (
 from repro.observability.alerts import SEV_PAGE, STATE_FIRING, STATE_RESOLVED
 from repro.observability.httpd import PROMETHEUS_CONTENT_TYPE
 from repro.observability.tracing import Tracer
-from repro.parsers import make_parser
-from repro.resilience import ProcessFault, diff_manifests
+from repro.resilience import ProcessFault
 from repro.resilience.faults import PROC_KILL
 from repro.service import IngestionService, ShardSupervisor, replay_lines
 from repro.service.workers import STATE_FENCED
-
-FAST = dict(
-    heartbeat_interval=0.02,
-    watchdog=0.4,
-    drain_timeout=60.0,
-)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self._lock = threading.Lock()
-
-    def __call__(self):
-        with self._lock:
-            return self.now
-
-    def advance(self, seconds):
-        with self._lock:
-            self.now += seconds
-
-
-def _factory():
-    return functools.partial(make_parser, "Drain")
-
-
-def _lines(n, start=0):
-    return [f"conn from host{i % 5} port {i}" for i in range(start, start + n)]
-
 
 def _get(url, timeout=5.0):
     with urllib.request.urlopen(url, timeout=timeout) as response:
@@ -479,7 +451,7 @@ class TestLiveProcessSync:
         telemetry = Telemetry.create(trace_id="t")
         service = IngestionService(
             str(tmp_path / "data"),
-            _factory(),
+            factory(),
             parser_name="Drain",
             telemetry=telemetry,
             isolation="process",
@@ -547,11 +519,11 @@ class TestLiveProcessSync:
         telemetry = Telemetry.create(trace_id="t")
         pill = ProcessFault(PROC_KILL, at_record=30, lives=(1,))
         sup = ShardSupervisor(
-            "t", str(tmp_path), _factory(), parser_name="Drain",
+            "t", str(tmp_path), factory(), parser_name="Drain",
             telemetry=telemetry, checkpoint_every=10, faults=(pill,),
             poison_threshold=5, fence_threshold=10, **FAST,
         )
-        for line in _lines(60):
+        for line in conn_lines(60):
             sup.submit(LogRecord(content=line))
         summary = sup.drain()
         assert summary["lines"] == 60
@@ -566,11 +538,11 @@ class TestLiveProcessSync:
         telemetry = Telemetry.create(trace_id="t")
         pill = ProcessFault(PROC_KILL, at_record=25, lives=(1,))
         sup = ShardSupervisor(
-            "t", str(tmp_path), _factory(), parser_name="Drain",
+            "t", str(tmp_path), factory(), parser_name="Drain",
             telemetry=telemetry, checkpoint_every=10, faults=(pill,),
             poison_threshold=5, fence_threshold=10, **FAST,
         )
-        for line in _lines(60):
+        for line in conn_lines(60):
             sup.submit(LogRecord(content=line))
         sup.drain()
         family = telemetry.metrics.get("repro_tenant_ingest_latency_seconds")
@@ -588,7 +560,7 @@ class TestLiveProcessSync:
         )
         service = IngestionService(
             str(tmp_path / "data"),
-            _factory(),
+            factory(),
             parser_name="Drain",
             telemetry=telemetry,
             isolation="process",
@@ -605,16 +577,10 @@ class TestLiveProcessSync:
         ) as server:
             status, body = _get(f"{server.url}/healthz")
             assert status == 200, "healthy before any tenant exists"
-            for line in _lines(20):
+            for line in conn_lines(20):
                 service.submit_line(f"t\t{line}")
             shard = service.shard("t")
-            deadline = time.monotonic() + 30
-            while (
-                shard.state != STATE_FENCED
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            assert shard.state == STATE_FENCED
+            wait_for(lambda: shard.state == STATE_FENCED)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"{server.url}/healthz")
             assert excinfo.value.code == 503
@@ -635,7 +601,7 @@ class TestLiveProcessSync:
             PROC_KILL, at_record=30, lives=(1, 2, 3, 4, 5, 6)
         )
         sup = ShardSupervisor(
-            "t", str(tmp_path / "data"), _factory(), parser_name="Drain",
+            "t", str(tmp_path / "data"), factory(), parser_name="Drain",
             telemetry=telemetry, checkpoint_every=10, faults=(pill,),
             poison_threshold=2, fence_threshold=10, **FAST,
         )
@@ -646,17 +612,13 @@ class TestLiveProcessSync:
         )
         # Feed clean traffic and wait for the live sync to surface it,
         # so the rule sees a pre-storm baseline sample for the tenant.
-        for line in _lines(20):
+        for line in conn_lines(20):
             sup.submit(LogRecord(content=line))
-        deadline = time.monotonic() + 15
-        while time.monotonic() < deadline:
-            if telemetry.metrics.value(
-                "repro_tenant_lines_total", tenant="t"
-            ) > 0:
-                break
-            time.sleep(0.02)
+        wait_for(lambda: telemetry.metrics.value(
+            "repro_tenant_lines_total", tenant="t"
+        ) > 0)
         engine.tick()  # clean baseline sample
-        for line in _lines(40, start=20):
+        for line in conn_lines(40, start=20):
             sup.submit(LogRecord(content=line))
         summary = sup.drain()
         assert summary["quarantined"] == 1, "the pill was diverted"
@@ -679,66 +641,10 @@ class TestLiveProcessSync:
 
 
 class TestScrapeIsolation:
-    def _run(self, data_dir, lines, *, hammer):
-        telemetry = Telemetry.create(trace_id="t")
-        service = IngestionService(
-            data_dir, _factory(), parser_name="Drain", telemetry=telemetry
-        )
-        errors: list[Exception] = []
-        if hammer:
-            stop = threading.Event()
-
-            def _hammer(server_url):
-                while not stop.is_set():
-                    try:
-                        _, body = _get(f"{server_url}/metrics")
-                        parse_prometheus(body)
-                    except Exception as error:  # noqa: BLE001
-                        errors.append(error)
-                        return
-
-            with TelemetryServer(telemetry.metrics) as server:
-                threads = [
-                    threading.Thread(
-                        target=_hammer, args=(server.url,), daemon=True
-                    )
-                    for _ in range(4)
-                ]
-                for thread in threads:
-                    thread.start()
-                replay_lines(service, lines)
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=10)
-        else:
-            replay_lines(service, lines)
-        service.drain()
-        return errors
-
     def test_hammered_scrapes_leave_artifacts_byte_identical(
-        self, tmp_path
+        self, tmp_path, calm_root
     ):
-        lines = []
-        for i in range(3000):
-            lines.append(f"alpha\tproc a{i % 7} started on node-{i % 13}")
-            lines.append(f"beta\tconn b{i % 5} closed from host-{i % 11}")
-        scraped = str(tmp_path / "scraped")
-        plain = str(tmp_path / "plain")
-        errors = self._run(scraped, lines, hammer=True)
-        assert errors == [], f"a scrape failed validation: {errors[:1]}"
-        assert self._run(plain, lines, hammer=False) == []
-        for tenant in ("alpha", "beta"):
-            for name in ("out.events", "out.structured"):
-                with open(os.path.join(scraped, tenant, name), "rb") as a:
-                    got = a.read()
-                with open(os.path.join(plain, tenant, name), "rb") as b:
-                    want = b.read()
-                assert got == want, f"{tenant}/{name} diverged"
-            differences = diff_manifests(
-                os.path.join(scraped, tenant, "out.manifest.json"),
-                os.path.join(plain, tenant, "out.manifest.json"),
-            )
-            assert differences == [], differences
+        certify.certify("thread-v1-scrape-hammer", tmp_path, calm_root)
 
 
 # ---------------------------------------------------------------------------
@@ -755,10 +661,10 @@ class TestHeartbeatReadTime:
         no status ticker or supervisor_status call anywhere."""
         telemetry = Telemetry.create(trace_id="t")
         sup = ShardSupervisor(
-            "t", str(tmp_path), _factory(), parser_name="Drain",
+            "t", str(tmp_path), factory(), parser_name="Drain",
             telemetry=telemetry, **FAST,
         )
-        for line in _lines(5):
+        for line in conn_lines(5):
             sup.submit(LogRecord(content=line))
         sup.drain()
         # After drain the monitor thread is gone: _last_seen is frozen,
@@ -853,11 +759,11 @@ class TestThreadModeTenantMetrics:
         telemetry = Telemetry.create(trace_id="t")
         service = IngestionService(
             str(tmp_path / "data"),
-            _factory(),
+            factory(),
             parser_name="Drain",
             telemetry=telemetry,
         )
-        for line in _lines(120):
+        for line in conn_lines(120):
             service.submit_line(f"a\t{line}")
         value = telemetry.metrics.value
         assert value("repro_tenant_lines_total", tenant="a") == 120.0
@@ -882,11 +788,11 @@ class TestThreadModeTenantMetrics:
         telemetry = Telemetry.create(trace_id="t")
         service = IngestionService(
             str(tmp_path / "data"),
-            _factory(),
+            factory(),
             parser_name="Drain",
             telemetry=telemetry,
         )
-        for line in _lines(50):
+        for line in conn_lines(50):
             service.submit_line(f"a\t{line}")
         value = telemetry.metrics.value
         for _ in range(5):  # repeated scrapes must not re-apply deltas
