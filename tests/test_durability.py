@@ -346,14 +346,16 @@ class TestCheckpointDurability:
         path = str(tmp_path / "cp.json")
         engine = self._engine()
         engine.feed(LogRecord(content="alpha one"))
-        save_checkpoint(path, engine, records_consumed=1)
+        save_checkpoint(path, engine, records_consumed=1, parser="SLCT")
         before = open(path, "rb").read()
         engine.feed(LogRecord(content="alpha two"))
         io = FaultyIO([IoFault(kind=IO_FSYNC, at_call=1, times=4)])
         with pytest.raises(CheckpointError):
-            save_checkpoint(path, engine, records_consumed=2, io=io)
+            save_checkpoint(
+                path, engine, records_consumed=2, parser="SLCT", io=io
+            )
         assert open(path, "rb").read() == before
-        assert load_checkpoint(path).records_consumed == 1
+        assert load_checkpoint(path, parser="SLCT").records_consumed == 1
 
     def test_checkpoint_records_artifact_offsets(self, tmp_path):
         from repro.common.types import LogRecord
@@ -366,9 +368,10 @@ class TestCheckpointDurability:
             path,
             engine,
             records_consumed=1,
+            parser="SLCT",
             artifacts={"q.jsonl": {"bytes": 120, "records": 2}},
         )
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, parser="SLCT")
         assert loaded.artifacts == {
             "q.jsonl": {"bytes": 120, "records": 2}
         }

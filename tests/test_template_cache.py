@@ -272,8 +272,8 @@ def test_midrun_checkpoint_cache_state_equals_per_token_run(tmp_path):
         for record in records[:3000]:
             engine.feed(record)
         path = str(tmp_path / f"{cache_type.__name__}.json")
-        save_checkpoint(path, engine, records_consumed=3000)
-        state = load_checkpoint(path).engine["cache"]
+        save_checkpoint(path, engine, records_consumed=3000, parser="Drain")
+        state = load_checkpoint(path, parser="Drain").engine["cache"]
         assert state["evictions"] and state["template_hits"] and state["misses"]
         digests.append(
             hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
