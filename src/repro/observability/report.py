@@ -230,7 +230,7 @@ def _render_shard_section(samples: dict[str, float]) -> list[str]:
             )
             tenant = labels.get("tenant", "?")
             restarts.setdefault(tenant, {})[
-                labels.get("reason", "?")
+                labels.get("status", "?")
             ] = int(value)
         elif sample.startswith("repro_shard_poison_records_total{") and value:
             tenant = (
@@ -244,12 +244,12 @@ def _render_shard_section(samples: dict[str, float]) -> list[str]:
     out = ["## Shards"]
     for tenant in sorted(set(restarts) | set(poison)):
         parts = []
-        reasons = restarts.get(tenant, {})
-        if reasons:
-            total = sum(reasons.values())
+        statuses = restarts.get(tenant, {})
+        if statuses:
+            total = sum(statuses.values())
             detail = ", ".join(
-                f"{count} {reason}"
-                for reason, count in sorted(reasons.items())
+                f"{count} {status}"
+                for status, count in sorted(statuses.items())
             )
             parts.append(f"{total} restart(s) ({detail})")
         if tenant in poison:

@@ -152,7 +152,7 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     )
     metrics.counter(
         "repro_supervisor_attempts_total",
-        "Supervised parser attempts by outcome",
+        "Supervised attempts (parses, chunk tries) by chain entry and outcome",
         labelnames=("parser", "status"),
     )
     metrics.counter(
@@ -164,11 +164,6 @@ def _register_schema(metrics: MetricsRegistry) -> None:
         "repro_breaker_transitions_total",
         "Circuit-breaker state entries",
         labelnames=("parser", "state"),
-    )
-    metrics.counter(
-        "repro_parallel_chunk_attempts_total",
-        "Parallel chunk dispatches by outcome",
-        labelnames=("status",),
     )
     # Degradation --------------------------------------------------------
     metrics.counter(
@@ -266,8 +261,8 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     # Process isolation (shard workers + supervision) --------------------
     metrics.counter(
         "repro_shard_restarts_total",
-        "Worker restarts by tenant and death reason",
-        labelnames=("tenant", "reason"),
+        "Worker restarts by tenant and death status",
+        labelnames=("tenant", "status"),
     )
     metrics.counter(
         "repro_shard_poison_records_total",

@@ -11,42 +11,35 @@ functions of a cluster's members (SLCT, IPLoM) and approximate for the
 randomized clustering parsers — the trade-off the paper's discussion
 anticipates.
 
-Dispatch is **supervised** and has one path: every chunk parse is a
-:func:`_run_chunk` call behind a :class:`~concurrent.futures.Future`
-(already resolved when there is no pool).  A chunk whose worker raises,
-dies (broken pool), or exceeds ``chunk_timeout`` is re-dispatched into
-a fresh pool with exponential backoff, and after
-``max_chunk_attempts`` worker tries the chunk is parsed in-process as
-a last resort — so one bad worker (or one poisoned chunk of input)
-degrades throughput instead of killing the whole parse.  Every attempt
-is recorded in :attr:`ChunkedParallelParser.last_recovery`; only when
-the in-process fallback itself fails does
-:class:`~repro.common.errors.WorkerCrashError` propagate.
+Dispatch is **supervised** on the one attempt loop,
+:func:`~repro.resilience.supervisor.run_chain`: each chunk walks a
+two-entry chain — ``max_chunk_attempts`` tries in a fresh worker pool
+per wave, then one in-process try — so one bad worker (or one poisoned
+chunk of input) degrades throughput instead of killing the parse.
+Every attempt is booked in :attr:`ChunkedParallelParser.last_recovery`;
+only a failed in-process try raises
+:class:`~repro.common.errors.WorkerCrashError`.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from collections.abc import Callable, Sequence
 
 from repro.common.errors import ParserConfigurationError, WorkerCrashError
 from repro.common.types import EventTemplate, LogRecord, ParseResult
 from repro.observability.tracing import SPAN_PARSER_CALL, Tracer
 from repro.parsers.base import LogParser, ParserFactory
-
-#: Chunk attempt status tags.
-CHUNK_OK = "ok"
-CHUNK_ERROR = "error"
-CHUNK_TIMEOUT = "timeout"
-CHUNK_FALLBACK = "fallback-ok"
-
-#: The re-dispatch delay after the n-th failed wave is
-#: ``min(BACKOFF_MAX, BACKOFF_BASE * 2**(n-1))`` seconds.
-BACKOFF_BASE = 0.05
-BACKOFF_MAX = 2.0
+from repro.resilience.supervisor import (
+    ChainEntry,
+    FailureReport,
+    RetryPolicy,
+    run_chain,
+    stop_process,
+)
 
 
 def _run_chunk(
@@ -95,56 +88,6 @@ def _run_chunk(
     return result, tracer.serialize()
 
 
-@dataclass(frozen=True)
-class ChunkAttempt:
-    """One dispatch of one chunk."""
-
-    chunk: int
-    attempt: int
-    status: str
-    error: str | None = None
-
-    def describe(self) -> str:
-        tail = f": {self.error}" if self.error else ""
-        return f"chunk {self.chunk} attempt {self.attempt}: {self.status}{tail}"
-
-
-@dataclass
-class ChunkRecoveryReport:
-    """Every chunk attempt of one :meth:`ChunkedParallelParser.parse`."""
-
-    attempts: list[ChunkAttempt] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[ChunkAttempt]:
-        return [
-            a
-            for a in self.attempts
-            if a.status in (CHUNK_ERROR, CHUNK_TIMEOUT)
-        ]
-
-    @property
-    def redispatched_chunks(self) -> set[int]:
-        """Chunks that needed more than one attempt."""
-        return {a.chunk for a in self.attempts if a.attempt > 1}
-
-    @property
-    def fallback_chunks(self) -> set[int]:
-        """Chunks rescued by the in-process fallback."""
-        return {a.chunk for a in self.attempts if a.status == CHUNK_FALLBACK}
-
-    def describe(self) -> str:
-        if not self.failures:
-            return "all chunks parsed on first dispatch"
-        lines = [a.describe() for a in self.attempts]
-        summary = (
-            f"{len(self.failures)} failed attempts, "
-            f"{len(self.redispatched_chunks)} chunks re-dispatched, "
-            f"{len(self.fallback_chunks)} rescued in-process"
-        )
-        return "\n".join([*lines, summary])
-
-
 class ChunkedParallelParser(LogParser):
     """Parse chunks independently and merge equal templates.
 
@@ -154,21 +97,23 @@ class ChunkedParallelParser(LogParser):
         workers: worker processes; 1 parses chunks sequentially
             in-process (useful for tests and for measuring the merge
             overhead in isolation).
-        max_chunk_attempts: dispatches a chunk gets before the
-            in-process fallback (each failed wave backs off
-            exponentially, see :data:`BACKOFF_BASE`).
+        max_chunk_attempts: worker tries a chunk gets before the
+            in-process last resort (each failed wave backs off per
+            the default :class:`RetryPolicy`).
         chunk_timeout: per-chunk wall-clock deadline in seconds; a
-            chunk still running past it is treated as hung, its worker
-            abandoned, and the chunk re-dispatched.  ``None`` waits
-            forever (the historical behavior).
+            chunk still running past it is booked ``timeout``, its
+            wave's workers are stopped (SIGTERM, then SIGKILL), and
+            the chunk is retried.  ``None`` waits forever.
         fault: optional injected-fault schedule (see
             :class:`~repro.resilience.faults.ChunkFault`), consulted
             inside every chunk parse.
         sleep: injectable sleep for tests.
         telemetry: optional
             :class:`~repro.observability.telemetry.Telemetry` handle.
-            When set, every chunk dispatch is counted by outcome and
-            every successful chunk parse ships a ``parser_call`` span,
+            When set, every chunk try is counted on
+            ``repro_supervisor_attempts_total`` (its chain entry,
+            ``pool`` or ``in-process``, as the parser) and every
+            successful chunk parse ships a ``parser_call`` span,
             recorded where the parse ran and adopted under the span
             open at dispatch time.
     """
@@ -212,11 +157,9 @@ class ChunkedParallelParser(LogParser):
         self.fault = fault
         self._sleep = sleep
         self.telemetry = telemetry
-        #: Monotonic dispatch counter — worker tracer id prefixes are
-        #: derived from it so span ids never collide across flushes.
         self._dispatches = 0
         #: Recovery report of the most recent :meth:`parse` call.
-        self.last_recovery: ChunkRecoveryReport | None = None
+        self.last_recovery: FailureReport | None = None
 
     def parse(self, records: Sequence[LogRecord]) -> ParseResult:
         records = list(records)
@@ -224,140 +167,90 @@ class ChunkedParallelParser(LogParser):
             records[start : start + self.chunk_size]
             for start in range(0, len(records), self.chunk_size)
         ]
-        report = ChunkRecoveryReport()
+        report = FailureReport()
         self.last_recovery = report
-        if not chunks:
-            return ParseResult(events=[], assignments=[], records=[])
-        return self._merge(records, self._dispatch(chunks, report))
-
-    # ------------------------------------------------------------------
-    # Supervised dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(
-        self, chunks: list[list[LogRecord]], report: ChunkRecoveryReport
-    ) -> list[ParseResult]:
-        """Parse every chunk, surviving worker crashes and hangs.
-
-        The pool is disposable — one per wave — and that *is* the crash
-        containment: a wave poisoned by a dead or hung worker cannot
-        leak into the next, because on exit its pool is shut down
-        without waiting, abandoning any still-running (hung) workers
-        exactly like
-        :func:`~repro.resilience.supervisor.run_with_deadline` abandons
-        an overrunning thread.
-        """
-        in_process = self.workers == 1 or len(chunks) == 1
-        results: list[ParseResult | None] = [None] * len(chunks)
-        attempts = [0] * len(chunks)
-        pending = list(range(len(chunks)))
-        wave = 0
-        while pending:
-            wave += 1
-            pool = (
-                None
-                if in_process
-                else ProcessPoolExecutor(max_workers=self.workers)
-            )
-            try:
-                futures = {}
-                for index in pending:
-                    attempts[index] += 1
-                    futures[index] = self._submit(
-                        pool, index, chunks[index], attempts[index]
-                    )
-                for index in pending:
-                    results[index] = self._collect(
-                        futures[index], index, attempts[index], report
-                    )
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-            failed = [index for index in pending if results[index] is None]
-            pending = []
-            for index in failed:
-                if attempts[index] < self.max_chunk_attempts:
-                    pending.append(index)
-                    continue
-                # Last resort: parse the chunk in this process.  Escapes
-                # a poisoned worker environment entirely; injected
-                # faults marked ``worker_only`` deliberately do not fire
-                # here.  A failure now is a genuine parser bug on this
-                # input.
-                attempts[index] += 1
-                future = self._submit(
-                    None, index, chunks[index], attempts[index]
-                )
-                results[index] = self._collect(
-                    future, index, attempts[index], report, ok=CHUNK_FALLBACK
-                )
-                if results[index] is None:
-                    raise WorkerCrashError(
-                        f"chunk {index} failed its in-process fallback "
-                        f"after {attempts[index]} attempts:\n"
-                        f"{report.describe()}"
-                    ) from future.exception()
-            if pending:
-                self._sleep(min(BACKOFF_MAX, BACKOFF_BASE * 2 ** (wave - 1)))
-        return results
-
-    def _submit(
-        self,
-        pool: ProcessPoolExecutor | None,
-        index: int,
-        chunk: list[LogRecord],
-        attempt: int,
-    ) -> Future:
-        """Start one chunk parse; without a pool it runs here, now."""
-        context = None
-        if self.telemetry is not None:
-            self._dispatches += 1
-            context = self.telemetry.tracer.worker_context(
-                prefix=f"w{self._dispatches}-"
-            )
-        args = (
-            self.factory, chunk, index, attempt, self.fault, pool is None,
-            context,
+        pooled = self.workers > 1 and len(chunks) > 1
+        last = self.max_chunk_attempts + 1
+        chain = [
+            ChainEntry(
+                "pool" if pooled else "in-process",
+                self.max_chunk_attempts,
+                partial(self._wave, chunks, pooled),
+            ),
+            # The last resort escapes a poisoned worker environment
+            # (faults marked ``worker_only`` do not fire here), so a
+            # failure now is a genuine parser bug on this input.
+            ChainEntry(
+                "in-process", 1, partial(self._wave, chunks, False),
+                first=last,
+            ),
+        ]
+        done = run_chain(
+            range(len(chunks)), chain, report, retry=RetryPolicy(),
+            sleep=self._sleep, telemetry=self.telemetry,
         )
-        future: Future = Future()
-        try:
-            if pool is not None:
-                # Raises when an earlier worker of this wave already
-                # broke the pool: that is this chunk's failed attempt.
-                return pool.submit(_run_chunk, *args)
-            future.set_result(_run_chunk(*args))
-        except Exception as error:  # noqa: BLE001 - booked by _collect
-            future.set_exception(error)
-        return future
-
-    def _collect(
-        self,
-        future: Future,
-        index: int,
-        attempt: int,
-        report: ChunkRecoveryReport,
-        ok: str = CHUNK_OK,
-    ) -> ParseResult | None:
-        """Wait for one chunk and book the attempt; ``None`` = failed."""
-        result, status, error = None, ok, None
-        try:
-            result, spans = future.result(timeout=self.chunk_timeout)
-        except FuturesTimeoutError:
-            status = CHUNK_TIMEOUT
-            error = f"no result within {self.chunk_timeout}s; worker abandoned"
-        except Exception as exc:  # noqa: BLE001 - retried
-            status, error = CHUNK_ERROR, f"{type(exc).__name__}: {exc}"
-        else:
+        results = []
+        for index in range(len(chunks)):
+            if index not in done:
+                raise WorkerCrashError(
+                    f"chunk {index} failed its in-process fallback after "
+                    f"{last} attempts:\n{report.describe()}"
+                )
+            result, spans = done[index]
             if spans:
                 self.telemetry.tracer.adopt(spans)
-        report.attempts.append(
-            ChunkAttempt(chunk=index, attempt=attempt, status=status, error=error)
-        )
-        if self.telemetry is not None:
-            self.telemetry.metrics.get(
-                "repro_parallel_chunk_attempts_total"
-            ).labels(status=status).inc()
-        return result
+            results.append(result)
+        return self._merge(records, results)
+
+    @contextmanager
+    def _wave(self, chunks, pooled: bool, indices: list[int], attempt: int):
+        """One try of every chunk in *indices*, in a fresh pool or here.
+
+        The pool is disposable — one per wave — and that *is* the crash
+        containment: a dead or hung worker cannot leak into the next
+        wave.  A wave that leaves a try unsettled (timed out) stops its
+        workers, so a hung one does not run on.
+        """
+        jobs = []
+        for index in indices:
+            context = None
+            if self.telemetry is not None:
+                # Worker tracer id prefixes come from a monotonic
+                # dispatch count, so span ids never collide.
+                self._dispatches += 1
+                context = self.telemetry.tracer.worker_context(
+                    prefix=f"w{self._dispatches}-"
+                )
+            jobs.append(partial(
+                _run_chunk, self.factory, chunks[index], index, attempt,
+                self.fault, not pooled, context,
+            ))
+        if not pooled:
+            yield jobs
+            return
+        pool = ProcessPoolExecutor(self.workers)
+        futures = []
+        try:
+            for job in jobs:
+                try:
+                    futures.append(pool.submit(job))
+                except BrokenExecutor as error:
+                    # An earlier worker of this wave broke the pool:
+                    # that is this chunk's failed try.
+                    futures.append(Future())
+                    futures[-1].set_exception(error)
+            yield [
+                partial(future.result, self.chunk_timeout)
+                for future in futures
+            ]
+        finally:
+            hung = []
+            if not all(future.done() for future in futures):
+                # The executor has no public handle on its workers.
+                hung = list(pool._processes.values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for process in hung:
+                stop_process(process)
 
     @staticmethod
     def _merge(

@@ -21,6 +21,13 @@ a deadline, fall back to the cheap one when it times out or crashes.
   a structured :class:`FailureReport` so "what happened" is never a
   matter of scrolling logs.
 
+The attempt loop itself is :func:`run_chain`, and it is the only one:
+:class:`~repro.parsers.parallel.ChunkedParallelParser` walks each chunk
+down a two-entry chain (a fresh worker pool per wave, then one
+in-process try) on the same loop, and
+:class:`~repro.service.workers.ShardSupervisor` books every worker
+death as an :class:`Attempt` in the same status set.
+
 All time sources (``sleep``, ``clock``) are injectable, which the test
 suite uses to drive breaker transitions and backoff schedules without
 real waiting.
@@ -30,9 +37,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable, Hashable, Sequence
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
-
+from functools import partial
 from random import Random
 
 from repro.common.errors import (
@@ -45,7 +53,9 @@ from repro.common.types import LogRecord, ParseResult
 from repro.observability.tracing import SPAN_PARSER_CALL
 from repro.parsers.base import ParserFactory
 
-#: Attempt status tags.
+#: Attempt status tags — the one outcome vocabulary of every
+#: supervision stack (a worker killed by a signal or exiting nonzero is
+#: an ``error``; a hung one is a ``timeout``).
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
@@ -189,18 +199,24 @@ class CircuitBreaker:
 
 @dataclass(frozen=True)
 class Attempt:
-    """One supervised parse attempt (or breaker skip)."""
+    """One try of one unit on one chain entry (or a breaker skip).
+
+    *parser* names the chain entry; *unit* names what was tried when
+    a loop runs more than one (a chunk index, a tenant), else ``None``.
+    """
 
     parser: str
     attempt: int
     status: str
     seconds: float = 0.0
     error: str | None = None
+    unit: Hashable = None
 
     def describe(self) -> str:
+        head = "" if self.unit is None else f"[{self.unit}] "
         tail = f": {self.error}" if self.error else ""
         return (
-            f"{self.parser} attempt {self.attempt}: {self.status} "
+            f"{head}{self.parser} attempt {self.attempt}: {self.status} "
             f"({self.seconds:.3f}s){tail}"
         )
 
@@ -208,6 +224,7 @@ class Attempt:
         """Structured-event-log shape (common ``kind`` envelope)."""
         return {
             "kind": "supervisor_attempt",
+            "unit": self.unit,
             "parser": self.parser,
             "attempt": self.attempt,
             "status": self.status,
@@ -218,7 +235,10 @@ class Attempt:
 
 @dataclass
 class FailureReport:
-    """Structured record of every attempt a supervised parse made.
+    """Structured record of every attempt a supervised run made.
+
+    ``winner`` is the chain entry that settled the last unit to
+    succeed: the parser that won, for a single parse.
 
     ``leaked_threads`` counts deadline-expired parses whose worker
     thread was still running after the grace-period join — abandoned
@@ -293,8 +313,8 @@ def run_with_deadline(
     be abandoned: the thread keeps burning its CPU until the parse
     returns, but the supervisor (and the process at exit) no longer
     waits for it.  That is the honest best available in-process —
-    Python offers no safe preemptive cancellation — and mirrors how
-    the chunked parallel backend abandons hung worker processes.
+    Python offers no safe preemptive cancellation.  A hung worker
+    *process* can be stopped, and is (:func:`stop_process`).
 
     A deadline-expired worker gets one more ``grace``-second join
     before being abandoned (many "overruns" are parses finishing just
@@ -329,6 +349,125 @@ def run_with_deadline(
     if "error" in box:
         raise box["error"]  # type: ignore[misc]
     return box["result"]  # type: ignore[return-value]
+
+
+def stop_process(process, grace: float = 2.0) -> None:
+    """SIGTERM, *grace* seconds, then SIGKILL; always reaps *process*."""
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=grace)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=grace + 5.0)
+    else:
+        process.join(timeout=1.0)
+
+
+@dataclass(frozen=True)
+class ChainEntry:
+    """One entry of a chain :func:`run_chain` walks.
+
+    ``wave(units, attempt)`` is a context manager that starts try
+    *attempt* of every unit and yields one callable per unit, which
+    returns its result or raises once the try's deadline passes.  The
+    loop books every try before the context exits.
+    """
+
+    name: str
+    tries: int
+    wave: Callable[[list, int], AbstractContextManager[list]]
+    breaker: CircuitBreaker | None = None
+    first: int = 1  # number of the entry's first try
+
+
+def run_chain(
+    units: Sequence[Hashable],
+    chain: Sequence[ChainEntry],
+    report: FailureReport,
+    *,
+    retry: RetryPolicy,
+    sleep: Callable[[float], None] = time.sleep,
+    clock: Callable[[], float] = time.monotonic,
+    rng: Random | None = None,
+    telemetry=None,
+) -> dict:
+    """Walk every unit down *chain*: the one attempt loop.
+
+    Each try is settled into one status, booked as an :class:`Attempt`
+    and counted on ``repro_supervisor_attempts_total``.  After an
+    entry's n-th wave its failed units wait ``retry.delay(n)`` and try
+    again; they move on to the next entry when its tries are spent or
+    its breaker opens, and at once on ``budget`` — a blown budget does
+    not heal by re-running.  An entry whose breaker is open is booked
+    ``skipped`` (attempt 0).  Returns ``{unit: result}`` of the units
+    some entry settled ``ok``.
+    """
+    # concurrent.futures' own deadline error before Python 3.11; a
+    # local import, so the vocabulary alone loads no executor module.
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+
+    def book(attempt: Attempt) -> None:
+        report.attempts.append(attempt)
+        if telemetry is not None:
+            telemetry.metrics.get("repro_supervisor_attempts_total").labels(
+                parser=attempt.parser, status=attempt.status
+            ).inc()
+
+    done: dict = {}
+    pending = list(units)
+    for entry in chain:
+        if not pending:
+            break
+        breaker = entry.breaker
+        if breaker is not None and not breaker.allow():
+            for unit in pending:
+                book(Attempt(entry.name, 0, STATUS_SKIPPED, unit=unit,
+                             error="circuit breaker open"))
+            continue
+        # From here on *pending* collects the next entry's units.
+        trying, pending = pending, []
+        for n in range(1, entry.tries + 1):
+            attempt, started, failed = entry.first + n - 1, clock(), []
+            with entry.wave(trying, attempt) as calls:
+                for unit, call in zip(trying, calls):
+                    status, error = STATUS_OK, None
+                    try:
+                        done[unit] = call()
+                    except (FuturesTimeoutError, ParserTimeoutError) as exc:
+                        status = STATUS_TIMEOUT
+                        error = str(exc) or "no result before the deadline"
+                        if getattr(exc, "leaked_thread", False):
+                            report.leaked_threads += 1
+                    except BudgetExceededError as exc:
+                        status, error = STATUS_BUDGET, str(exc)
+                    except Exception as exc:  # noqa: BLE001 - booked
+                        status = STATUS_ERROR
+                        error = f"{type(exc).__name__}: {exc}"
+                    if breaker is not None:
+                        if status == STATUS_OK:
+                            breaker.record_success()
+                        else:
+                            breaker.record_failure()
+                    book(Attempt(entry.name, attempt, status,
+                                 clock() - started, error, unit))
+                    if status == STATUS_OK:
+                        report.winner = entry.name
+                    elif status == STATUS_BUDGET:
+                        pending.append(unit)  # straight to the next entry
+                    else:
+                        failed.append(unit)
+            if not failed:
+                break
+            if n == entry.tries or (breaker is not None and not breaker.allow()):
+                pending += failed
+                break
+            if telemetry is not None:
+                telemetry.metrics.get("repro_supervisor_retries_total").labels(
+                    parser=entry.name
+                ).inc(len(failed))
+            sleep(retry.delay(n, rng))
+            trying = failed
+    return done
 
 
 class ParserSupervisor:
@@ -421,100 +560,46 @@ class ParserSupervisor:
 
         return observe
 
-    def _note_attempt(self, report: FailureReport, attempt: Attempt) -> None:
-        """Append to the report and mirror into telemetry."""
-        report.attempts.append(attempt)
-        if self.telemetry is not None:
-            self.telemetry.metrics.get(
-                "repro_supervisor_attempts_total"
-            ).labels(parser=attempt.parser, status=attempt.status).inc()
-
     def parse(self, records: Sequence[LogRecord]) -> SupervisedResult:
         records = list(records)
-        report = FailureReport()
-        self.last_report = report
-        for name, factory in self.chain:
-            breaker = self.breakers[name]
-            if not breaker.allow():
-                self._note_attempt(
-                    report,
-                    Attempt(
-                        parser=name,
-                        attempt=0,
-                        status=STATUS_SKIPPED,
-                        error="circuit breaker open",
-                    ),
-                )
-                continue
-            for attempt in range(1, self.retry.attempts + 1):
-                started = self._clock()
-                span = (
-                    self.telemetry.tracer.start(
-                        SPAN_PARSER_CALL, parser=name, attempt=attempt
-                    )
-                    if self.telemetry is not None
-                    else None
-                )
-                try:
-                    result = run_with_deadline(
-                        lambda: factory().parse(records), self.timeout
-                    )
-                except ParserTimeoutError as error:
-                    status, detail = STATUS_TIMEOUT, str(error)
-                    if getattr(error, "leaked_thread", False):
-                        report.leaked_threads += 1
-                except BudgetExceededError as error:
-                    status, detail = STATUS_BUDGET, str(error)
-                except Exception as error:  # noqa: BLE001 - recorded
-                    status, detail = STATUS_ERROR, f"{type(error).__name__}: {error}"
-                else:
-                    if span is not None:
-                        span.attrs["status"] = STATUS_OK
-                        self.telemetry.tracer.finish(span)
-                    breaker.record_success()
-                    self._note_attempt(
-                        report,
-                        Attempt(
-                            parser=name,
-                            attempt=attempt,
-                            status=STATUS_OK,
-                            seconds=self._clock() - started,
-                        ),
-                    )
-                    report.winner = name
-                    if self.telemetry is not None:
-                        self.telemetry.events.record(report)
-                    return SupervisedResult(
-                        result=result, parser=name, report=report
-                    )
-                if span is not None:
-                    span.attrs["status"] = status
-                    self.telemetry.tracer.finish(span)
-                breaker.record_failure()
-                self._note_attempt(
-                    report,
-                    Attempt(
-                        parser=name,
-                        attempt=attempt,
-                        status=status,
-                        seconds=self._clock() - started,
-                        error=detail,
-                    ),
-                )
-                if (
-                    status == STATUS_BUDGET
-                    or not breaker.allow()
-                    or attempt == self.retry.attempts
-                ):
-                    break
-                if self.telemetry is not None:
-                    self.telemetry.metrics.get(
-                        "repro_supervisor_retries_total"
-                    ).labels(parser=name).inc()
-                self._sleep(self.retry.delay(attempt, self._rng))
+        report = self.last_report = FailureReport()
+        chain = [
+            ChainEntry(
+                name,
+                self.retry.attempts,
+                partial(self._wave, report, name, factory, records),
+                self.breakers[name],
+            )
+            for name, factory in self.chain
+        ]
+        done = run_chain(
+            [None], chain, report, retry=self.retry, sleep=self._sleep,
+            clock=self._clock, rng=self._rng, telemetry=self.telemetry,
+        )
         if self.telemetry is not None:
             self.telemetry.events.record(report)
-        raise FallbackExhaustedError(
-            "every parser in the fallback chain failed:\n" + report.describe(),
-            report=report,
+        if not done:
+            raise FallbackExhaustedError(
+                "every parser in the fallback chain failed:\n"
+                + report.describe(),
+                report=report,
+            )
+        return SupervisedResult(done[None], report.winner, report)
+
+    @contextmanager
+    def _wave(self, report, name, factory, records, _units, attempt):
+        """One deadline-bounded parse, inside a ``parser_call`` span."""
+        tracer = None if self.telemetry is None else self.telemetry.tracer
+        span = None if tracer is None else tracer.start(
+            SPAN_PARSER_CALL, parser=name, attempt=attempt
         )
+        yield [
+            partial(
+                run_with_deadline,
+                lambda: factory().parse(records),
+                self.timeout,
+            )
+        ]
+        if span is not None:
+            span.attrs["status"] = report.attempts[-1].status
+            tracer.finish(span)

@@ -16,8 +16,8 @@ physical:
 * :class:`ShardSupervisor` — the parent-side handle with the same
   surface as ``TenantShard`` (``submit``/``checkpoint``/``drain``/
   ``describe``).  A monitor thread tracks heartbeats (watchdog
-  deadline → declare hung → terminate), classifies exits (clean /
-  nonzero / signal), and restarts crashed workers with
+  deadline → declare hung → stop), books each death in the shared
+  outcome vocabulary, and restarts crashed workers with
   :class:`~repro.resilience.supervisor.RetryPolicy` exponential
   backoff, resuming from the shard's own checkpoint.
 
@@ -42,12 +42,14 @@ Correctness hangs on three pieces of bookkeeping:
   with ``poison:<tenant>`` provenance
   (:meth:`~repro.service.shard.TenantShard.poison`) instead of
   crash-looping the shard.
-* **The fence breaker.**  Every death is a failure on a
-  :class:`~repro.resilience.supervisor.CircuitBreaker`; completing a
-  careful replay (or diverting a poison pill) records success.  A
-  shard that keeps dying on *distinct* records therefore accumulates
-  consecutive failures until the breaker opens and the shard is
-  fenced: no further restarts, neighbors unaffected.
+* **The fence.**  Every death is booked as an
+  :class:`~repro.resilience.supervisor.Attempt` — ``timeout`` for a
+  hung worker or a blown drain deadline, ``error`` (with the signal or
+  exit code) for the rest — and counts one more consecutive death;
+  completing a careful replay (or diverting a poison pill) resets the
+  count.  A shard that keeps dying on *distinct* records therefore
+  reaches ``fence_threshold`` deaths in a row and is fenced: no
+  further restarts, neighbors unaffected.
 
 All deadlines here — watchdog, drain, restart backoff, status — are
 ``time.monotonic`` based with injectable clocks, so they survive
@@ -77,7 +79,14 @@ from repro.observability.metrics import (
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import Tracer
 from repro.resilience.checkpoint import load_checkpoint
-from repro.resilience.supervisor import CircuitBreaker, RetryPolicy
+from repro.resilience.supervisor import (
+    STATUS_ERROR,
+    STATUS_TIMEOUT,
+    Attempt,
+    FailureReport,
+    RetryPolicy,
+    stop_process,
+)
 from repro.service.protocol import JOURNAL_NAME, DeliveryFront
 from repro.service.shard import (
     ACCEPTED,
@@ -109,12 +118,6 @@ SUPERVISOR_STATES = (
     STATE_FENCED,
 )
 
-#: Restart reasons (label on ``repro_shard_restarts_total``).
-REASON_SIGNAL = "signal"
-REASON_EXIT = "exit"
-REASON_HUNG = "hung"
-REASON_DEADLINE = "drain-deadline"
-
 #: Worker root span name (adopted into the parent trace).
 SPAN_SHARD_WORKER = "shard_worker"
 
@@ -128,9 +131,6 @@ _QUEUE_RECORDS = 512
 #: Backoff between worker restarts (only ``delay`` is consulted; the
 #: fence threshold, not ``attempts``, bounds the retries).
 _RESTART_BACKOFF = RetryPolicy(base_delay=0.05, backoff=2.0, max_delay=1.0)
-
-#: Seconds a fenced shard's breaker stays open.
-_FENCE_RESET = 3600.0
 
 #: Longest the monitor blocks on the results queue once it has nothing
 #: left to send; bounds how late it notices a submit, a drain request,
@@ -521,6 +521,8 @@ class ShardSupervisor:
         self.restarts = 0
         self.life = 0
         self._deaths_in_row = 0
+        #: Every worker death, booked in the shared vocabulary.
+        self.report = FailureReport()
         self._drain_requested = False
         self._drained_summary: dict | None = None
         self._checkpoint_requested = False
@@ -544,11 +546,6 @@ class ShardSupervisor:
         self._on_checkpoint = on_checkpoint
         self._done = threading.Event()
         self._spawned = threading.Event()
-        self._breaker = CircuitBreaker(
-            failure_threshold=fence_threshold,
-            reset_timeout=_FENCE_RESET,
-            clock=clock,
-        )
         if telemetry is not None:
             telemetry.metrics.register_collector(self._collect_metrics)
         self._thread = threading.Thread(
@@ -720,12 +717,17 @@ class ShardSupervisor:
         if self.telemetry is not None:
             self.telemetry.events.emit(kind, tenant=self.tenant, **fields)
 
-    def _count_restart(self, reason: str) -> None:
+    def _book_death(self, status: str, error: str) -> Attempt:
+        death = Attempt(
+            "worker", self.life, status, error=error, unit=self.tenant
+        )
+        self.report.attempts.append(death)
         self.restarts += 1
         if self.telemetry is not None:
             self.telemetry.metrics.get(
                 "repro_shard_restarts_total"
-            ).labels(tenant=self.tenant, reason=reason).inc()
+            ).labels(tenant=self.tenant, status=status).inc()
+        return death
 
     def _spawn(self):
         self.life += 1
@@ -759,25 +761,6 @@ class ShardSupervisor:
         process.start()
         self._last_seen = self._clock()
         return process, inbox, results
-
-    def _terminate(self, process) -> None:
-        """SIGTERM, grace, then SIGKILL; always reaps."""
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=self.term_grace)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=self.term_grace + 5.0)
-        else:
-            process.join(timeout=1.0)
-
-    def _classify_exit(self, process, hung: bool) -> str:
-        if hung:
-            return REASON_HUNG
-        code = process.exitcode
-        if code is not None and code < 0:
-            return REASON_SIGNAL
-        return REASON_EXIT
 
     def _dispatch(self, inbox) -> None:
         """Ship every outbox entry the inbox will take, in batches.
@@ -821,7 +804,6 @@ class ShardSupervisor:
         if self._mode_careful and self._sent_through >= self._careful_high:
             self._mode_careful = False
             self._deaths_in_row = 0
-            self._breaker.record_success()
             if self.state == STATE_REPLAYING:
                 self.state = STATE_RUNNING
 
@@ -877,7 +859,6 @@ class ShardSupervisor:
                 self._kill_counts.pop(index, None)
                 if was_pending is not None:
                     self._deaths_in_row = 0
-                    self._breaker.record_success()
                 self._maybe_finish_replay()
             if was_pending is not None:
                 if self.telemetry is not None:
@@ -901,7 +882,7 @@ class ShardSupervisor:
         if kind == "gap":
             _, expected, got = message
             self._emit("worker_protocol_violation", expected=expected, got=got)
-            self._terminate(process)
+            stop_process(process, self.term_grace)
             return self._fence("protocol gap")
         if kind == "drained":
             _, summary, spans, stats = message
@@ -914,7 +895,7 @@ class ShardSupervisor:
                     self._front.remove()
             process.join(timeout=self.term_grace + 5.0)
             if process.is_alive():  # pragma: no cover - stuck exit
-                self._terminate(process)
+                stop_process(process, self.term_grace)
             summary = dict(summary)
             summary["restarts"] = self.restarts
             summary["isolation"] = "process"
@@ -958,12 +939,21 @@ class ShardSupervisor:
     def _abandon(self) -> None:
         """Drain deadline expired: stop supervising, escalate, fence."""
         self._abandoned = True
-        self._count_restart(REASON_DEADLINE)
+        self._book_death(
+            STATUS_TIMEOUT, f"drain deadline of {self.drain_timeout}s exceeded"
+        )
 
     def _handle_death(self, process, hung: bool) -> str:
-        reason = self._classify_exit(process, hung)
         process.join(timeout=1.0)
-        self._count_restart(reason)
+        code = process.exitcode
+        if hung:
+            death = self._book_death(
+                STATUS_TIMEOUT, f"no message for {self.watchdog}s (watchdog)"
+            )
+        elif code is not None and code < 0:
+            death = self._book_death(STATUS_ERROR, f"killed by signal {-code}")
+        else:
+            death = self._book_death(STATUS_ERROR, f"exit code {code}")
         with self._lock:
             # Worker SLO histograms are per-life: fold the dead life's
             # last report into the base so the replacement's fresh
@@ -985,20 +975,20 @@ class ShardSupervisor:
                 if count >= self.poison_threshold:
                     self._poisoned[killer] = (
                         f"record killed the worker {count} consecutive "
-                        f"time(s) (last exit: {reason})"
+                        f"time(s) (last: {death.error})"
                     )
         self._emit(
             "worker_exit",
             life=self.life,
-            reason=reason,
-            exitcode=process.exitcode,
+            status=death.status,
+            error=death.error,
+            exitcode=code,
             killer=killer,
         )
-        self._breaker.record_failure()
-        if not self._breaker.allow():
+        if self._deaths_in_row >= self.fence_threshold:
             return self._fence(
                 f"{self._deaths_in_row} consecutive deaths "
-                f"(last reason: {reason})"
+                f"(last: {death.error})"
             )
         delay = _RESTART_BACKOFF.delay(min(self._deaths_in_row, 16))
         if delay > 0:
@@ -1023,7 +1013,7 @@ class ShardSupervisor:
         try:
             while True:
                 if self._abandoned:
-                    self._terminate(process)
+                    stop_process(process, self.term_grace)
                     return self._fence("drain deadline exceeded")
                 try:
                     message = results.get(block=wait > 0, timeout=wait)
@@ -1055,7 +1045,7 @@ class ShardSupervisor:
                     deadline = max(self.watchdog, self.drain_timeout)
                 if self._clock() - self._last_seen > deadline:
                     hung = True
-                    self._terminate(process)
+                    stop_process(process, self.term_grace)
                     break
                 wait = _POLL
                 if not ready:
@@ -1148,14 +1138,9 @@ def supervisor_status(service) -> dict:
                 registry.value(
                     "repro_shard_restarts_total",
                     tenant=tenant,
-                    reason=reason,
+                    status=status,
                 )
-                for reason in (
-                    REASON_SIGNAL,
-                    REASON_EXIT,
-                    REASON_HUNG,
-                    REASON_DEADLINE,
-                )
+                for status in (STATUS_ERROR, STATUS_TIMEOUT)
             )
             registry_depth = registry.value(
                 "repro_shard_queue_depth", tenant=tenant

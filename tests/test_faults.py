@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 from functools import partial
 
 import pytest
@@ -264,7 +266,7 @@ class TestChunkRecovery:
         result = parser.parse(records)
         assert result.events_file_lines() == baseline.events_file_lines()
         report = parser.last_recovery
-        assert report.redispatched_chunks == {1}
+        assert {a.unit for a in report.attempts if a.attempt > 1} == {1}
         assert len(report.failures) == 1
         assert "InjectedFault" in report.failures[0].error
 
@@ -282,7 +284,7 @@ class TestChunkRecovery:
         )
         result = parser.parse(records)
         assert result.events_file_lines() == baseline.events_file_lines()
-        assert parser.last_recovery.redispatched_chunks
+        assert any(a.attempt > 1 for a in parser.last_recovery.attempts)
 
     def test_hung_worker_is_abandoned_on_timeout(self):
         records = _records(40)
@@ -303,7 +305,26 @@ class TestChunkRecovery:
             a for a in parser.last_recovery.attempts if a.status == "timeout"
         ]
         assert len(timeouts) == 1
-        assert "abandoned" in timeouts[0].error
+        assert "deadline" in timeouts[0].error
+
+    def test_timed_out_wave_stops_its_hung_worker(self):
+        # A 30 s hang must not outlive the parse: the timed-out wave's
+        # workers are stopped (SIGTERM, then SIGKILL), not left running.
+        before = {p.pid for p in multiprocessing.active_children()}
+        parser = ChunkedParallelParser(
+            _parser_factory,
+            chunk_size=20,
+            workers=2,
+            chunk_timeout=0.5,
+            fault=ChunkFault(
+                chunks=(1,), attempts=1, mode="hang", hang_seconds=30.0
+            ),
+            sleep=_no_sleep,
+        )
+        parser.parse(_records(40))
+        time.sleep(2.0)
+        alive = {p.pid for p in multiprocessing.active_children()} - before
+        assert alive == set()
 
     def test_persistent_fault_falls_back_in_process(self):
         records = _records(60)
@@ -319,8 +340,9 @@ class TestChunkRecovery:
         result = parser.parse(records)
         assert result.events_file_lines() == baseline.events_file_lines()
         report = parser.last_recovery
-        assert report.fallback_chunks == {2}
-        assert "rescued in-process" in report.describe()
+        rescued = {a.unit for a in report.attempts if a.parser == "in-process"}
+        assert rescued == {2}
+        assert "winner: in-process" in report.describe()
 
     def test_fault_that_survives_fallback_raises_worker_crash(self):
         records = _records(40)
@@ -347,7 +369,7 @@ class TestChunkRecovery:
 
     @pytest.mark.parametrize("mode", ["raise", "exit", "hang"])
     def test_recovery_books_the_same_attempts_traced_and_untraced(self, mode):
-        # One _run_chunk / _submit / _collect serves every dispatch, so
+        # One _run_chunk and one attempt loop serve every dispatch, so
         # telemetry can only add spans and counters: the recovery report
         # cannot diverge between a traced and an untraced parse.  Every
         # chunk is sabotaged, so no outcome hangs on which worker a
@@ -371,7 +393,7 @@ class TestChunkRecovery:
             result = parser.parse(records)
             assert result.events_file_lines() == baseline.events_file_lines()
             return [
-                (a.chunk, a.attempt, a.status)
+                (a.unit, a.attempt, a.status)
                 for a in parser.last_recovery.attempts
             ]
 
@@ -384,7 +406,7 @@ class TestChunkRecovery:
         assert traced == [
             (0, 1, failed), (1, 1, failed),
             (0, 2, failed), (1, 2, failed),
-            (0, 3, "fallback-ok"), (1, 3, "fallback-ok"),
+            (0, 3, "ok"), (1, 3, "ok"),
         ]
         calls = [
             s for s in telemetry.tracer.spans if s.name == "parser_call"
@@ -396,10 +418,9 @@ class TestChunkRecovery:
         parser = ChunkedParallelParser(_parser_factory, chunk_size=20)
         parser.parse(records)
         assert parser.last_recovery.failures == []
-        assert (
-            parser.last_recovery.describe()
-            == "all chunks parsed on first dispatch"
-        )
+        assert [
+            (a.unit, a.attempt) for a in parser.last_recovery.attempts
+        ] == [(0, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("dataset", ["HDFS", "BGL"])

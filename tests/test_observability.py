@@ -293,7 +293,7 @@ class TestWorkerSpanPropagation:
             assert call.span_id.startswith("w")
             assert call.end_us >= call.start_us
         assert telemetry.metrics.value(
-            "repro_parallel_chunk_attempts_total", status="ok"
+            "repro_supervisor_attempts_total", parser="pool", status="ok"
         ) == 3.0
 
     def test_parallel_factory_spans_nest_under_the_engines_flush_spans(self):
@@ -632,7 +632,7 @@ class TestSupervisorTelemetry:
             "gauge"
         )
         assert parsed["samples"][
-            'repro_shard_restarts_total{tenant="alpha",reason="exit"}'
+            'repro_shard_restarts_total{tenant="alpha",status="error"}'
         ] == 1.0
         assert parsed["samples"][
             'repro_shard_state{tenant="alpha",state="drained"}'
@@ -649,4 +649,4 @@ class TestSupervisorTelemetry:
         assert main(["report", "--metrics", str(metrics_path)]) == 0
         out = capsys.readouterr().out
         assert "## Shards" in out
-        assert "alpha: 1 restart(s) (1 exit)" in out
+        assert "alpha: 1 restart(s) (1 error)" in out

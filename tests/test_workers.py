@@ -265,13 +265,18 @@ class TestSupervisedShard:
         assert summary["restarts"] == 3
         value = telemetry.metrics.value
         assert value("repro_shard_restarts_total",
-                     tenant="t", reason="signal") == 1.0
+                     tenant="t", status="error") == 2.0
         assert value("repro_shard_restarts_total",
-                     tenant="t", reason="exit") == 1.0
-        assert value("repro_shard_restarts_total",
-                     tenant="t", reason="hung") == 1.0
+                     tenant="t", status="timeout") == 1.0
+        # The shared status, plus the signal or exit detail, still
+        # tells the kill, the exit and the hang apart.
+        exits = telemetry.events.of_kind("worker_exit")
+        assert [(e["status"], e["error"]) for e in exits] == [
+            ("error", "killed by signal 9"),
+            ("error", "exit code 3"),
+            ("timeout", "no message for 0.4s (watchdog)"),
+        ]
         kinds = [e["kind"] for e in telemetry.events.events]
-        assert kinds.count("worker_exit") == 3
         assert kinds.count("worker_restart") == 3
         assert "worker_drained" in kinds
         # lines synced across the process boundary
