@@ -60,12 +60,15 @@ JSONL (quarantine, event timeline) is length+CRC32-framed with
 torn-tail recovery, so no crash or disk fault leaves a half-written
 artifact behind.
 
-``stream``, ``supervise``, and ``soak`` all run with the unified
-telemetry layer attached: every summary they print is read back from
-the metrics registry (one source of truth, no private arithmetic),
-and ``--metrics-out`` / ``--trace-out`` / ``--events-out`` export the
+``stream``, ``supervise``, ``soak``, ``serve``, and ``send`` share one
+command lifecycle with the unified telemetry layer attached:
+``--metrics-out`` / ``--trace-out`` / ``--events-out`` export the
 registry (Prometheus text or JSON), the span trace (JSONL or Chrome
-``trace_event``), and the structured event timeline.
+``trace_event``), and the structured event timeline, and
+``--manifest-out`` covers every artifact the run wrote — also when
+the run fails.  Every summary ``stream``, ``supervise``, and ``soak``
+print is read back from the metrics registry (one source of truth, no
+private arithmetic).
 
 ``stream`` additionally accepts resource budgets (``--budget-mem``,
 ``--budget-wall``, ``--budget-queue``): when any is given the run goes
@@ -73,7 +76,8 @@ through the degradation ladder (``--ladder``), stepping down to
 cheaper parsers instead of dying when a soft limit is breached.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 data error, 4 runtime failure.  ``stream``/``soak`` interrupted by
+3 data error (also an unreadable input file), 4 runtime failure (also
+a port that cannot be bound).  ``stream``/``soak`` interrupted by
 SIGINT/SIGTERM still finalize their checkpoint/telemetry/manifest
 artifacts and exit ``128 + signum`` (the shell convention); ``serve``
 treats those signals as the drain request and exits 0 after a clean
@@ -90,8 +94,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from contextlib import nullcontext
+from contextlib import ExitStack
 from functools import partial
+from itertools import islice
 
 from repro.common.errors import (
     DatasetError,
@@ -145,15 +150,14 @@ from repro.resilience import (
     QuarantineSink,
     RetryPolicy,
     RunManifest,
+    artifact_offsets,
     corrupt_records,
     crash_storm_schedule,
     diff_manifests,
     ensure_artifact,
     fault_schedule,
-    load_checkpoint,
-    reconcile_jsonl,
     restore_accumulator,
-    restore_streaming_parser,
+    resume_streaming_parser,
     save_checkpoint,
     screen_records,
     verify_manifest,
@@ -237,9 +241,22 @@ def _add_evaluate(subparsers) -> None:
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
     cmd.add_argument("dataset", choices=DATASET_NAMES)
-    cmd.add_argument("--sample-size", type=int, default=2000)
-    cmd.add_argument("--preprocess", action="store_true")
-    cmd.add_argument("--runs", type=int, default=None)
+    _add_sample_flags(cmd, runs=True)
+
+
+def _add_sample_flags(
+    cmd,
+    *,
+    sample_size: int = 2000,
+    preprocess: bool = True,
+    runs: bool = False,
+) -> None:
+    """Sampling flags of evaluate/metrics/score/tune (``--runs``: evaluate)."""
+    cmd.add_argument("--sample-size", type=int, default=sample_size)
+    if preprocess:
+        cmd.add_argument("--preprocess", action="store_true")
+    if runs:
+        cmd.add_argument("--runs", type=int, default=None)
     cmd.add_argument("--seed", type=int, default=None)
 
 
@@ -250,9 +267,7 @@ def _add_metrics(subparsers) -> None:
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
     cmd.add_argument("dataset", choices=DATASET_NAMES)
-    cmd.add_argument("--sample-size", type=int, default=2000)
-    cmd.add_argument("--preprocess", action="store_true")
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_sample_flags(cmd)
 
 
 def _add_score(subparsers) -> None:
@@ -278,9 +293,7 @@ def _add_score(subparsers) -> None:
         default=",".join(DATASET_NAMES),
         help="comma-separated dataset names (default: all five)",
     )
-    cmd.add_argument("--sample-size", type=int, default=1000)
-    cmd.add_argument("--preprocess", action="store_true")
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_sample_flags(cmd, sample_size=1000)
 
 
 def _add_tune(subparsers) -> None:
@@ -290,8 +303,7 @@ def _add_tune(subparsers) -> None:
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
     cmd.add_argument("dataset", choices=DATASET_NAMES)
-    cmd.add_argument("--sample-size", type=int, default=2000)
-    cmd.add_argument("--seed", type=int, default=None)
+    _add_sample_flags(cmd, preprocess=False)
 
 
 def _add_mine(subparsers) -> None:
@@ -313,22 +325,7 @@ def _add_stream(subparsers) -> None:
         help="parse incrementally through the streaming engine",
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
-    cmd.add_argument(
-        "input",
-        nargs="?",
-        default=None,
-        help="raw log file to stream (omit when using --dataset)",
-    )
-    cmd.add_argument(
-        "--dataset",
-        choices=DATASET_NAMES,
-        default=None,
-        help="stream a synthetic dataset instead of a file",
-    )
-    cmd.add_argument(
-        "--size", type=int, default=100_000,
-        help="lines to generate with --dataset",
-    )
+    _add_source_flags(cmd, size=100_000)
     cmd.add_argument(
         "--flush-policy",
         choices=["delta", "prefix"],
@@ -364,58 +361,23 @@ def _add_stream(subparsers) -> None:
         help="write .events/.structured outputs of the finalized parse",
     )
     _add_parser_param_flags(cmd)
-    cmd.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        help="backpressure: bound the miss buffer at this many records",
-    )
-    cmd.add_argument(
-        "--overflow",
-        choices=["block", "shed", "sample"],
-        default="block",
-        help="with --max-pending: block (flush synchronously), shed "
-        "(drop overflowing misses), or sample (keep every k-th)",
-    )
-    cmd.add_argument(
-        "--budget-mem",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="hard memory budget in MB (soft limit at half); enables "
-        "the degradation ladder",
-    )
-    cmd.add_argument(
-        "--budget-wall",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="hard wall-clock budget (soft limit at half); enables "
-        "the degradation ladder",
-    )
-    cmd.add_argument(
-        "--budget-queue",
-        type=float,
-        default=None,
-        metavar="DEPTH",
-        help="hard miss-queue budget (soft limit at half); enables "
-        "the degradation ladder",
-    )
-    cmd.add_argument(
-        "--ladder",
-        default=None,
-        help="comma-separated degradation rungs, most faithful first "
-        "(default: from PARSER down the standard ladder)",
-    )
-    cmd.add_argument(
-        "--check-every",
-        type=int,
-        default=500,
-        help="records between budget checks under a budget",
-    )
+    _add_backpressure_flags(cmd)
+    for flag, metavar, budget in (
+        ("--budget-mem", "MB", "memory budget in MB"),
+        ("--budget-wall", "SECONDS", "wall-clock budget"),
+        ("--budget-queue", "DEPTH", "miss-queue budget"),
+    ):
+        cmd.add_argument(
+            flag,
+            type=float,
+            default=None,
+            metavar=metavar,
+            help=f"hard {budget} (soft limit at half); enables "
+            "the degradation ladder",
+        )
+    _add_ladder_flags(cmd, check_every=500)
     _add_hardening_flags(cmd)
-    _add_telemetry_flags(cmd)
-    _add_endpoint_flag(cmd)
+    _add_telemetry_flags(cmd, endpoint=True)
     cmd.add_argument(
         "--checkpoint",
         default=None,
@@ -500,6 +462,10 @@ def _add_hardening_flags(cmd) -> None:
         default=20,
         help="with --faults: corrupt every N-th record",
     )
+    _add_io_faults_flag(cmd)
+
+
+def _add_io_faults_flag(cmd) -> None:
     cmd.add_argument(
         "--io-faults",
         type=int,
@@ -511,33 +477,66 @@ def _add_hardening_flags(cmd) -> None:
     )
 
 
-def _resolve_policy(
-    args, telemetry=None, io=None
-) -> tuple[str | None, "QuarantineSink | None"]:
-    """Resolve the hardening flags into (policy mode, sink)."""
-    mode = args.error_policy
-    if mode is None and (
-        args.quarantine_path is not None or args.faults is not None
-    ):
-        mode = "quarantine"
-    sink = None
-    if mode is not None:
-        sink = QuarantineSink(
-            args.quarantine_path, telemetry=telemetry, io=io
+def _add_source_flags(cmd, *, size: int) -> None:
+    """INPUT xor ``--dataset`` (and its ``--size``): stream+supervise."""
+    cmd.add_argument(
+        "input",
+        nargs="?",
+        default=None,
+        help="raw log file to parse (omit when using --dataset)",
+    )
+    cmd.add_argument(
+        "--dataset",
+        choices=DATASET_NAMES,
+        default=None,
+        help="parse a synthetic dataset instead of a file",
+    )
+    cmd.add_argument(
+        "--size", type=int, default=size,
+        help="lines to generate with --dataset",
+    )
+
+
+def _add_backpressure_flags(cmd) -> None:
+    cmd.add_argument(
+        "--max-pending",
+        type=int,
+        default=None,
+        help="backpressure: bound the miss buffer (each tenant's, under "
+        "serve) at this many records",
+    )
+    cmd.add_argument(
+        "--overflow",
+        choices=["block", "shed", "sample"],
+        default="block",
+        help="with --max-pending: block (flush synchronously), shed "
+        "(drop overflowing misses), or sample (keep every k-th)",
+    )
+
+
+def _add_ladder_flags(cmd, *, check_every: int, ladder: bool = True) -> None:
+    """Degradation-ladder flags; the check cadence default is per command."""
+    if ladder:
+        cmd.add_argument(
+            "--ladder",
+            default=None,
+            help="comma-separated degradation rungs, most faithful first "
+            "(default: from PARSER down the standard ladder)",
         )
-    return mode, sink
+    cmd.add_argument(
+        "--check-every",
+        type=int,
+        default=check_every,
+        help="records between budget checks",
+    )
 
 
-def _make_io(args) -> "FaultyIO | None":
-    """Build the scripted fault-injecting IO layer from --io-faults."""
-    seed = getattr(args, "io_faults", None)
-    if seed is None:
-        return None
-    return FaultyIO(fault_schedule(IoFault, seed))
+def _add_telemetry_flags(cmd, *, endpoint: bool = False) -> None:
+    """Telemetry flags of the commands a :class:`_Run` drives.
 
-
-def _add_telemetry_flags(cmd) -> None:
-    """Telemetry-export flags shared by stream/supervise/soak."""
+    Only the long-running ``stream`` and ``serve`` take the live scrape
+    endpoint (*endpoint*).
+    """
     cmd.add_argument(
         "--metrics-out",
         default=None,
@@ -574,94 +573,16 @@ def _add_telemetry_flags(cmd) -> None:
         "count of every artifact this run wrote) atomically at run "
         "end; check it later with `repro-logparse verify-run`",
     )
-
-
-def _add_endpoint_flag(cmd) -> None:
-    """The live scrape endpoint flag (long-running commands only)."""
-    cmd.add_argument(
-        "--telemetry-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve GET /metrics, /healthz, and /status over HTTP on "
-        "this port for the lifetime of the run (0 picks a free port, "
-        "published on stdout as `telemetry on URL`)",
-    )
-
-
-def _start_endpoint(args, telemetry, *, status=None, health=None):
-    """Start the scrape endpoint when --telemetry-port asked for one."""
-    port = getattr(args, "telemetry_port", None)
-    if port is None:
-        return None
-    server = TelemetryServer(
-        telemetry.metrics, port=port, status=status, health=health
-    )
-    server.start()
-    print(f"telemetry on {server.url}", flush=True)
-    return server
-
-
-def _make_telemetry(args, trace_id: str, io=None) -> Telemetry:
-    """One telemetry handle per command invocation.
-
-    Always built — the registry is the single source of truth behind
-    every summary line — but files are only written when the export
-    flags ask for them.
-    """
-    return Telemetry.create(
-        trace_id=trace_id,
-        events_path=getattr(args, "events_out", None),
-        io=io,
-    )
-
-
-def _export_telemetry(args, telemetry: Telemetry, artifacts=(), io=None) -> None:
-    """Write whichever artifacts the export flags requested.
-
-    *artifacts* is a list of ``(path, codec)`` pairs the command itself
-    wrote (outputs, quarantine, checkpoint); together with the
-    telemetry exports they form the manifest committed by
-    ``--manifest-out``.  The manifest itself is written last, and
-    atomically, so it never describes files that do not yet exist.
-    """
-    telemetry.metrics.snapshot()
-    written = []
-    if args.metrics_out:
-        export_metrics(telemetry.metrics, args.metrics_out, io=io)
-        written.append(args.metrics_out)
-    if args.trace_out:
-        telemetry.tracer.export(args.trace_out, fmt=args.trace_format, io=io)
-        written.append(args.trace_out)
-    if args.events_out:
-        # The event log appends lazily; an uneventful run should still
-        # leave a (valid, empty) artifact where the flag pointed — but
-        # never truncate a timeline a previous life already wrote.
-        ensure_artifact(args.events_out, io=io)
-        written.append(args.events_out)
-    telemetry.close()
-    manifest_out = getattr(args, "manifest_out", None)
-    if manifest_out:
-        manifest = RunManifest(
-            run={
-                "command": args.command,
-                "seed": getattr(args, "seed", None),
-            }
+    if endpoint:
+        cmd.add_argument(
+            "--telemetry-port",
+            type=int,
+            default=None,
+            metavar="PORT",
+            help="serve GET /metrics, /healthz, and /status over HTTP on "
+            "this port for the lifetime of the run (0 picks a free port, "
+            "published on stdout as `telemetry on URL`)",
         )
-        entries = list(artifacts)
-        if args.metrics_out:
-            entries.append((args.metrics_out, CODEC_LINES))
-        if args.trace_out:
-            entries.append((args.trace_out, CODEC_LINES))
-        if args.events_out:
-            entries.append((args.events_out, CODEC_FRAMED))
-        for path, codec in entries:
-            if path and os.path.exists(path):
-                manifest.add(path, codec=codec)
-        manifest.write(manifest_out, io=io)
-        written.append(manifest_out)
-    if written:
-        print(f"telemetry: wrote {', '.join(written)}")
 
 
 def _add_supervise(subparsers) -> None:
@@ -670,22 +591,7 @@ def _add_supervise(subparsers) -> None:
         help="parse under the fault-tolerant supervision runtime "
         "(fallback chain, deadlines, retries, circuit breakers)",
     )
-    cmd.add_argument(
-        "input",
-        nargs="?",
-        default=None,
-        help="raw log file to parse (omit when using --dataset)",
-    )
-    cmd.add_argument(
-        "--dataset",
-        choices=DATASET_NAMES,
-        default=None,
-        help="parse a synthetic dataset instead of a file",
-    )
-    cmd.add_argument(
-        "--size", type=int, default=2000,
-        help="lines to generate with --dataset",
-    )
+    _add_source_flags(cmd, size=2000)
     cmd.add_argument(
         "--chain",
         default="IPLoM,SLCT",
@@ -752,10 +658,7 @@ def _add_soak(subparsers) -> None:
     cmd.add_argument("scenario", choices=SCENARIO_KINDS)
     cmd.add_argument("--seed", type=int, default=7)
     cmd.add_argument("--blocks", type=int, default=40)
-    cmd.add_argument(
-        "--check-every", type=int, default=20,
-        help="records between budget checks",
-    )
+    _add_ladder_flags(cmd, check_every=20, ladder=False)
     cmd.add_argument(
         "--min-transitions",
         type=int,
@@ -811,18 +714,7 @@ def _add_serve(subparsers) -> None:
     )
     cmd.add_argument("--flush-size", type=int, default=200)
     cmd.add_argument("--cache-capacity", type=int, default=512)
-    cmd.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        help="per-tenant backpressure: bound each shard's miss buffer",
-    )
-    cmd.add_argument(
-        "--overflow",
-        choices=["block", "shed", "sample"],
-        default="block",
-        help="with --max-pending: per-shard overflow policy",
-    )
+    _add_backpressure_flags(cmd)
     cmd.add_argument(
         "--breaker-threshold",
         type=int,
@@ -888,18 +780,7 @@ def _add_serve(subparsers) -> None:
         help="per-tenant queue budget (same runtime as "
         "--tenant-budget-mem)",
     )
-    cmd.add_argument(
-        "--ladder",
-        default=None,
-        help="comma-separated degradation rungs for budgeted tenants "
-        "(default: from PARSER down the standard ladder)",
-    )
-    cmd.add_argument(
-        "--check-every",
-        type=int,
-        default=100,
-        help="records between per-tenant budget checks",
-    )
+    _add_ladder_flags(cmd, check_every=100)
     cmd.add_argument(
         "--isolation",
         choices=["thread", "process"],
@@ -967,16 +848,8 @@ def _add_serve(subparsers) -> None:
         "per-tenant supervisor status every SECONDS",
     )
     _add_parser_param_flags(cmd, preprocess=False)
-    cmd.add_argument(
-        "--io-faults",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="inject a deterministic schedule of IO faults into "
-        "artifact writes (writers retry and divert)",
-    )
-    _add_telemetry_flags(cmd)
-    _add_endpoint_flag(cmd)
+    _add_io_faults_flag(cmd)
+    _add_telemetry_flags(cmd, endpoint=True)
     cmd.add_argument(
         "--alerts-out",
         default=None,
@@ -1087,24 +960,12 @@ def _add_report(subparsers) -> None:
         "report",
         help="render a post-mortem from exported telemetry artifacts",
     )
-    cmd.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="metrics file a run exported with --metrics-out",
-    )
-    cmd.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="JSONL trace a run exported with --trace-out",
-    )
-    cmd.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help="event timeline a run exported with --events-out",
-    )
+    for flag, text in (
+        ("--metrics", "metrics file a run exported with --metrics-out"),
+        ("--trace", "JSONL trace a run exported with --trace-out"),
+        ("--events", "event timeline a run exported with --events-out"),
+    ):
+        cmd.add_argument(flag, default=None, metavar="PATH", help=text)
 
 
 def _add_verify_run(subparsers) -> None:
@@ -1174,16 +1035,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_parse(args) -> int:
     records = read_raw_log(args.input)
-    preprocessor = (
-        default_preprocessor(args.preprocess_dataset)
-        if args.preprocess_dataset
-        else None
-    )
-    parser = make_parser(
-        args.parser,
-        preprocessor=preprocessor,
-        **_parser_params(args.parser, args),
-    )
+    parser = _factory(args.parser, args, _preprocessor(args))()
     result = parser.parse(records)
     stem = args.output_stem or args.input
     events_path, structured_path = write_parse_result(result, stem)
@@ -1218,7 +1070,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from repro.datasets import generate_dataset, sample_records
+    from repro.datasets import sample_records
     from repro.evaluation.accuracy import tuned_parser_factory
     from repro.evaluation.fmeasure import singletonize_outliers
     from repro.evaluation.metrics import summary
@@ -1270,38 +1122,30 @@ def _cmd_score(args) -> int:
             f"{'parser':12s} {'dataset':10s} "
             f"{'cohesion':>9s} {'separation':>11s} {'score':>7s}"
         )
-        for parser_name in parsers:
-            for dataset_name in datasets:
+    else:
+        print(f"labeled F-measure ({args.sample_size} lines per dataset):")
+        print(f"{'parser':12s} {'dataset':10s} {'f_measure':>10s}")
+    sampling = dict(
+        sample_size=args.sample_size,
+        preprocess=args.preprocess,
+        seed=args.seed,
+    )
+    for parser_name in parsers:
+        for dataset_name in datasets:
+            if args.label_free:
                 score = evaluate_label_free(
-                    parser_name,
-                    dataset_name,
-                    sample_size=args.sample_size,
-                    preprocess=args.preprocess,
-                    seed=args.seed,
+                    parser_name, dataset_name, **sampling
                 )
-                print(
-                    f"{parser_name:12s} {score.dataset:10s} "
+                cells = (
                     f"{score.cohesion:9.3f} {score.separation:11.3f} "
                     f"{score.score:7.3f}"
                 )
-        return 0
-
-    print(f"labeled F-measure ({args.sample_size} lines per dataset):")
-    print(f"{'parser':12s} {'dataset':10s} {'f_measure':>10s}")
-    for parser_name in parsers:
-        for dataset_name in datasets:
-            result = evaluate_accuracy(
-                parser_name,
-                dataset_name,
-                sample_size=args.sample_size,
-                preprocess=args.preprocess,
-                runs=1,
-                seed=args.seed,
-            )
-            print(
-                f"{parser_name:12s} {result.dataset:10s} "
-                f"{result.mean_f_measure:10.3f}"
-            )
+            else:
+                score = evaluate_accuracy(
+                    parser_name, dataset_name, runs=1, **sampling
+                )
+                cells = f"{score.mean_f_measure:10.3f}"
+            print(f"{parser_name:12s} {score.dataset:10s} {cells}")
     return 0
 
 
@@ -1343,78 +1187,142 @@ def _cmd_mine(args) -> int:
     return 0
 
 
+#: Which shared parser flags each registry parser is constructed with.
+_PARSER_FLAGS = {
+    "LogSig": ("groups", "seed"),
+    "SLCT": ("support",),
+    "LKE": ("seed",),
+    "Drain": ("sim_threshold", "depth"),
+}
+
+
 def _parser_params(name: str, args) -> dict:
     """Per-parser construction keywords from the shared flags."""
-    params: dict = {}
-    if name == "LogSig":
-        params.update(groups=args.groups, seed=args.seed)
-    elif name == "SLCT":
-        params.update(support=args.support)
-    elif name == "LKE":
-        params.update(seed=args.seed)
-    elif name == "Drain":
-        params.update(
-            sim_threshold=args.sim_threshold, depth=args.depth
-        )
-    return params
+    return {flag: getattr(args, flag) for flag in _PARSER_FLAGS.get(name, ())}
 
 
-def _cmd_stream(args) -> int:
-    if (args.dataset is None) == (args.input is None):
-        print(
-            "error: give exactly one of INPUT or --dataset",
-            file=sys.stderr,
+def _preprocessor(args):
+    """The ``--preprocess-dataset`` rules, or ``None``."""
+    if not args.preprocess_dataset:
+        return None
+    return default_preprocessor(args.preprocess_dataset)
+
+
+def _factory(name: str, args, preprocessor=None):
+    """A factory for parser *name* configured by the shared flags."""
+    return partial(
+        make_parser,
+        name,
+        preprocessor=preprocessor,
+        **_parser_params(name, args),
+    )
+
+
+class _Run(ExitStack):
+    """The lifecycle of ``stream``/``supervise``/``soak``/``serve``/``send``.
+
+    Holds the IO seam (``--io-faults``), the telemetry handle, and the
+    ``(path, codec)`` artifacts the body appends as it writes them.  On
+    exit, clean or not, what the body entered unwinds first; the
+    telemetry exports and the ``--manifest-out`` manifest come last.
+    """
+
+    def __init__(self, args, trace_id: str) -> None:
+        super().__init__()
+        self.args = args
+        seed = getattr(args, "io_faults", None)
+        self.io = (
+            None if seed is None else FaultyIO(fault_schedule(IoFault, seed))
         )
-        return 2
-    if args.no_retain and (
-        args.verify or args.output_stem or args.flush_policy == "prefix"
+        self.telemetry = Telemetry.create(
+            trace_id=trace_id, events_path=args.events_out, io=self.io
+        )
+        self.artifacts: list[tuple[str, str]] = []
+        self.callback(self._export)
+
+    def endpoint(self, status, health=None) -> None:
+        """Serve the scrape endpoint when ``--telemetry-port`` asks."""
+        if self.args.telemetry_port is None:
+            return
+        server = TelemetryServer(
+            self.telemetry.metrics,
+            port=self.args.telemetry_port,
+            status=status,
+            health=health,
+        )
+        _bind(server, "the telemetry endpoint")
+        self.callback(server.stop)
+        print(f"telemetry on {server.url}", flush=True)
+
+    def _export(self) -> None:
+        args, io = self.args, self.io
+        self.telemetry.metrics.snapshot()
+        exports = []
+        if args.metrics_out:
+            export_metrics(self.telemetry.metrics, args.metrics_out, io=io)
+            exports.append((args.metrics_out, CODEC_LINES))
+        if args.trace_out:
+            self.telemetry.tracer.export(
+                args.trace_out, fmt=args.trace_format, io=io
+            )
+            # A Chrome trace is one JSON document, not a span per line.
+            chrome = args.trace_format == "chrome"
+            exports.append(
+                (args.trace_out, CODEC_OPAQUE if chrome else CODEC_LINES)
+            )
+        if args.events_out:
+            # The event log appends lazily; an uneventful run should still
+            # leave a (valid, empty) artifact where the flag pointed — but
+            # never truncate a timeline a previous life already wrote.
+            ensure_artifact(args.events_out, io=io)
+            exports.append((args.events_out, CODEC_FRAMED))
+        self.telemetry.close()
+        written = [path for path, _ in exports]
+        if args.manifest_out:
+            manifest = RunManifest(
+                run={
+                    "command": args.command,
+                    "seed": getattr(args, "seed", None),
+                }
+            )
+            for path, codec in self.artifacts + exports:
+                if path and os.path.exists(path):
+                    manifest.add(path, codec=codec)
+            manifest.write(args.manifest_out, io=io)
+            written.append(args.manifest_out)
+        if written:
+            print(f"telemetry: wrote {', '.join(written)}")
+
+
+def _bind(server, what: str) -> None:
+    """Start *server*; a port that stays taken is a runtime failure."""
+    try:
+        server.start()
+    except OSError as error:
+        raise ReproError(
+            f"could not bind {what} on {server.host}:{server.port}: {error}"
+        ) from error
+
+
+def _record_path(args, run, *, default_policy: str | None = None):
+    """``(mode, sink, source, records)``: what stream/supervise parse.
+
+    The sink is entered on *run*, so it is flushed and closed even when
+    the parse dies and quarantined records are never lost.
+    """
+    mode = args.error_policy
+    if mode is None and (
+        args.quarantine_path is not None or args.faults is not None
     ):
-        print(
-            "error: --no-retain cannot be combined with --verify, "
-            "--output-stem, or --flush-policy prefix",
-            file=sys.stderr,
+        mode = "quarantine"
+    mode = mode or default_policy
+    sink = None
+    if mode is not None:
+        sink = run.enter_context(
+            QuarantineSink(
+                args.quarantine_path, telemetry=run.telemetry, io=run.io
+            )
         )
-        return 2
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    budgeted = (
-        args.budget_mem is not None
-        or args.budget_wall is not None
-        or args.budget_queue is not None
-        or args.ladder is not None
-    )
-    if budgeted and (
-        args.checkpoint
-        or args.resume
-        or args.verify
-        or args.flush_policy == "prefix"
-    ):
-        print(
-            "error: resource budgets cannot be combined with "
-            "--checkpoint/--resume/--verify/--flush-policy prefix "
-            "(the flush parser may change mid-stream)",
-            file=sys.stderr,
-        )
-        return 2
-    params = _parser_params(args.parser, args)
-    factory = partial(make_parser, args.parser, **params)
-    preprocessor = (
-        default_preprocessor(args.preprocess_dataset)
-        if args.preprocess_dataset
-        else None
-    )
-    io = _make_io(args)
-    telemetry = _make_telemetry(args, trace_id="stream", io=io)
-    tserver = _start_endpoint(
-        args,
-        telemetry,
-        status=lambda: {
-            "command": "stream",
-            "summary": summary_from_registry(telemetry.metrics),
-        },
-    )
-    policy_mode, sink = _resolve_policy(args, telemetry=telemetry, io=io)
     if args.dataset is not None:
         source = f"dataset:{args.dataset}"
         records = iter_dataset(
@@ -1423,208 +1331,192 @@ def _cmd_stream(args) -> int:
     else:
         source = args.input
         records = iter_raw_log(
-            args.input,
-            policy=policy_mode or "raise",
-            quarantine=sink,
+            args.input, policy=mode or "raise", quarantine=sink
         )
     if args.faults is not None:
         records = corrupt_records(
             records, seed=args.faults, every=args.fault_every
         )
-    # The sink is a context manager: flushed and closed even when the
-    # stream dies mid-run, so quarantined records are never lost — and
-    # the telemetry export in the finally gives a failed run the same
-    # post-mortem artifacts as a clean one.
-    artifacts: list[tuple[str, str]] = []
-    try:
-        # Cooperative shutdown: the handler only notes the signal; the
-        # feed loops stop at the next record boundary, finalize, and
-        # checkpoint — never leaving half-applied engine state inside
-        # the artifacts an interrupted run commits.
-        with graceful_signals() as guard, (
-            sink if sink is not None else nullcontext()
-        ):
-            if budgeted:
-                return _run_budgeted_stream(
-                    args,
-                    preprocessor,
-                    policy_mode,
-                    sink,
-                    records,
-                    telemetry,
-                    artifacts,
-                    io,
-                    guard=guard,
-                )
-            return _run_plain_stream(
-                args,
-                factory,
-                preprocessor,
-                policy_mode,
-                sink,
-                records,
-                source,
-                telemetry,
-                artifacts,
-                io,
-                guard=guard,
-            )
-    finally:
-        if tserver is not None:
-            tserver.stop()
-        _export_telemetry(args, telemetry, artifacts=artifacts, io=io)
+    return mode, sink, source, records
 
 
-def _stream_artifact_offsets(sink) -> dict:
-    """The append-mode artifact offsets to pin inside a checkpoint.
-
-    A resumed run truncates each artifact back to the recorded offset
-    before re-feeding records, so a crash between a quarantine append
-    and the next checkpoint can never duplicate (or lose) records.
-    """
-    if sink is None or sink.path is None:
-        return {}
-    bytes_written, records_written = sink.offset()
-    return {
-        sink.path: {"bytes": bytes_written, "records": records_written}
-    }
-
-
-def _run_plain_stream(
-    args,
-    factory,
-    preprocessor,
-    policy_mode,
-    sink,
-    records,
-    source,
-    telemetry,
-    artifacts,
-    io,
-    guard=None,
-) -> int:
-    """The historical ``stream`` path: one parser, optional checkpoints."""
-    if args.resume:
-        checkpoint = load_checkpoint(
-            args.checkpoint, telemetry=telemetry, parser=args.parser
+def _commit_outputs(run, args, sink, result) -> None:
+    """Register the quarantine; write and register ``--output-stem``."""
+    if sink is not None and sink.path is not None:
+        run.artifacts.append((sink.path, CODEC_FRAMED))
+    if args.output_stem and result is not None:
+        events_path, structured_path = write_parse_result(
+            result, args.output_stem, io=run.io
         )
-        # Roll append-mode artifacts back to the offsets the checkpoint
-        # pinned: appends made after the snapshot belong to records the
-        # resumed run is about to re-feed.
-        for artifact_path, offsets in checkpoint.artifacts.items():
-            reconcile_jsonl(
-                artifact_path,
-                offsets["bytes"],
-                io=io,
-                telemetry=telemetry,
-            )
-        engine = restore_streaming_parser(
-            checkpoint,
-            factory,
+        run.artifacts.append((events_path, CODEC_LINES))
+        run.artifacts.append((structured_path, CODEC_LINES))
+        print(f"wrote {events_path}, {structured_path}")
+
+
+def _verify(args, name: str, preprocessor, records, result) -> bool:
+    """``--verify``: batch-parse *records* with *name*, diff *result*."""
+    batch_parser = _factory(name, args, preprocessor)()
+    report = diff_results(
+        batch_parser.name, batch_parser.parse(records), result
+    )
+    print(report.describe())
+    return report.equivalent
+
+
+def _cmd_stream(args) -> int:
+    if (args.dataset is None) == (args.input is None):
+        raise ValidationError("give exactly one of INPUT or --dataset")
+    if args.no_retain and (
+        args.verify or args.output_stem or args.flush_policy == "prefix"
+    ):
+        raise ValidationError(
+            "--no-retain cannot be combined with --verify, "
+            "--output-stem, or --flush-policy prefix"
+        )
+    if args.resume and not args.checkpoint:
+        raise ValidationError("--resume requires --checkpoint")
+    budgeted = any(
+        flag is not None
+        for flag in (
+            args.budget_mem, args.budget_wall, args.budget_queue, args.ladder
+        )
+    )
+    if budgeted and (
+        args.checkpoint
+        or args.resume
+        or args.verify
+        or args.flush_policy == "prefix"
+    ):
+        raise ValidationError(
+            "resource budgets cannot be combined with "
+            "--checkpoint/--resume/--verify/--flush-policy prefix "
+            "(the flush parser may change mid-stream)"
+        )
+    with _Run(args, "stream") as run:
+        telemetry = run.telemetry
+        run.endpoint(
+            lambda: {
+                "command": "stream",
+                "summary": summary_from_registry(telemetry.metrics),
+            }
+        )
+        mode, sink, source, records = _record_path(args, run)
+        preprocessor = _preprocessor(args)
+        # Cooperative shutdown: the handler only notes the signal; the
+        # feed loop stops at the next record boundary, finalizes, and
+        # checkpoints — never leaving half-applied engine state inside
+        # the artifacts an interrupted run commits.
+        guard = run.enter_context(graceful_signals())
+        engine_kwargs = dict(
             preprocessor=preprocessor,
-            error_policy=policy_mode,
+            error_policy=mode,
             quarantine=sink,
             max_record_len=args.max_record_len,
             telemetry=telemetry,
         )
-        skip = checkpoint.records_consumed
-    else:
-        engine = StreamingParser(
-            factory,
-            flush_policy=args.flush_policy,
-            flush_size=args.flush_size,
-            cache_capacity=args.cache_capacity,
+        fresh_kwargs = dict(
+            engine_kwargs,
             max_flush_retries=args.max_retries,
             retain=not args.no_retain,
-            preprocessor=preprocessor,
-            error_policy=policy_mode,
-            quarantine=sink,
-            max_record_len=args.max_record_len,
             max_pending=args.max_pending,
             overflow=args.overflow,
-            telemetry=telemetry,
         )
-        skip = 0
-    session = ParseSession(engine, track_matrix=args.mine)
-    if args.resume and args.mine:
-        restored = restore_accumulator(checkpoint)
-        if restored is not None:
-            session.accumulator = restored
-    consumed = skip
-    interrupted = None
-    for index, record in enumerate(records):
-        if index < skip:
-            continue
-        session.feed(record)
-        consumed += 1
-        if args.checkpoint and consumed % args.checkpoint_every == 0:
+        checkpoint = None
+        if budgeted:
+            ladder = _build_stream_ladder(args)
+            budget = ResourceBudget.of(
+                wall_seconds=args.budget_wall,
+                memory_mb=args.budget_mem,
+                queue_depth=args.budget_queue,
+            )
+            print(budget.describe())
+            print(ladder.describe())
+            session = DegradedSession(
+                ladder,
+                BudgetMonitor(budget),
+                check_every=args.check_every,
+                track_matrix=args.mine,
+                **fresh_kwargs,
+            )
+        else:
+            factory = _factory(args.parser, args)
+            if args.resume:
+                checkpoint, engine = resume_streaming_parser(
+                    args.checkpoint,
+                    factory,
+                    parser=args.parser,
+                    io=run.io,
+                    **engine_kwargs,
+                )
+            else:
+                engine = StreamingParser(
+                    factory,
+                    flush_policy=args.flush_policy,
+                    flush_size=args.flush_size,
+                    cache_capacity=args.cache_capacity,
+                    **fresh_kwargs,
+                )
+            session = ParseSession(engine, track_matrix=args.mine)
+            if checkpoint is not None and args.mine:
+                restored = restore_accumulator(checkpoint)
+                if restored is not None:
+                    session.accumulator = restored
+
+        def _checkpoint() -> None:
             save_checkpoint(
                 args.checkpoint,
-                engine,
+                session.parser,
                 records_consumed=consumed,
                 parser=args.parser,
                 source=source,
                 accumulator=session.accumulator,
                 telemetry=telemetry,
-                artifacts=_stream_artifact_offsets(sink),
-                io=io,
+                artifacts=artifact_offsets(sink),
+                io=run.io,
             )
-        if args.report_every and consumed % args.report_every == 0:
-            telemetry.metrics.snapshot()
-            print(summary_from_registry(telemetry.metrics))
-        if guard is not None and guard.requested:
-            # Record boundary: engine state is coherent, so the
-            # finalize + checkpoint below commit a resumable run.
-            interrupted = ShutdownRequested(guard.signum)
-            break
-    result = session.finalize()
-    if args.checkpoint:
-        save_checkpoint(
-            args.checkpoint,
-            engine,
-            records_consumed=consumed,
-            parser=args.parser,
-            source=source,
-            accumulator=session.accumulator,
-            telemetry=telemetry,
-            artifacts=_stream_artifact_offsets(sink),
-            io=io,
+
+        consumed = 0 if checkpoint is None else checkpoint.records_consumed
+        interrupted = None
+        for record in islice(records, consumed, None):
+            session.feed(record)
+            consumed += 1
+            if args.checkpoint and consumed % args.checkpoint_every == 0:
+                _checkpoint()
+            if args.report_every and consumed % args.report_every == 0:
+                telemetry.metrics.snapshot()
+                print(summary_from_registry(telemetry.metrics))
+            if guard.requested:
+                # Record boundary: engine state is coherent, so the
+                # finalize + checkpoint below commit a resumable run.
+                interrupted = ShutdownRequested(guard.signum)
+                break
+        outcome = session.finalize()
+        result = outcome.result if budgeted else outcome
+        if args.checkpoint:
+            _checkpoint()
+            run.artifacts.append((args.checkpoint, CODEC_OPAQUE))
+        print(
+            outcome.describe()
+            if budgeted
+            else summary_from_registry(telemetry.metrics)
         )
-        artifacts.append((args.checkpoint, CODEC_OPAQUE))
-    if sink is not None and sink.path is not None:
-        artifacts.append((sink.path, CODEC_FRAMED))
-    print(summary_from_registry(telemetry.metrics))
-    if sink is not None and len(sink):
-        print(sink.describe())
-    if args.output_stem and result is not None:
-        events_path, structured_path = write_parse_result(
-            result, args.output_stem, io=io
-        )
-        artifacts.append((events_path, CODEC_LINES))
-        artifacts.append((structured_path, CODEC_LINES))
-        print(f"wrote {events_path}, {structured_path}")
-    if interrupted is not None:
-        # Outputs, checkpoint, and summary above are finalized for the
-        # consumed prefix; skip the analysis passes and report the
-        # signal through the exit code.
-        print(f"{interrupted}; artifacts finalized", file=sys.stderr)
-        return interrupted.exit_code
-    if args.mine:
-        _mine_matrix(session.matrix())
-    if args.verify and result is not None:
-        batch_parser = make_parser(
-            args.parser,
-            preprocessor=preprocessor,
-            **_parser_params(args.parser, args),
-        )
-        report = diff_results(
-            batch_parser.name,
-            batch_parser.parse(result.records),
-            result,
-        )
-        print(report.describe())
-        if args.flush_policy == "prefix" and not report.equivalent:
-            return 1
+        if sink is not None and len(sink):
+            print(sink.describe())
+        _commit_outputs(run, args, sink, result)
+        if interrupted is not None:
+            # Outputs, checkpoint, and summary above are finalized for the
+            # consumed prefix; skip the analysis passes and report the
+            # signal through the exit code.
+            print(f"{interrupted}; artifacts finalized", file=sys.stderr)
+            return interrupted.exit_code
+        if args.mine:
+            _mine_matrix(outcome.matrix if budgeted else session.matrix())
+        if args.verify and result is not None:
+            equivalent = _verify(
+                args, args.parser, preprocessor, result.records, result
+            )
+            if args.flush_policy == "prefix" and not equivalent:
+                return 1
     return 0
 
 
@@ -1667,206 +1559,79 @@ def _build_stream_ladder(args) -> DegradationLadder:
     return DegradationLadder(rungs[start:])
 
 
-def _run_budgeted_stream(
-    args,
-    preprocessor,
-    policy_mode,
-    sink,
-    records,
-    telemetry,
-    artifacts,
-    io,
-    guard=None,
-) -> int:
-    """``stream`` under a resource budget: the degradation runtime."""
-    ladder = _build_stream_ladder(args)
-    budget = ResourceBudget.of(
-        wall_seconds=args.budget_wall,
-        memory_mb=args.budget_mem,
-        queue_depth=args.budget_queue,
-    )
-    print(budget.describe())
-    print(ladder.describe())
-    session = DegradedSession(
-        ladder,
-        BudgetMonitor(budget),
-        check_every=args.check_every,
-        track_matrix=args.mine,
-        error_policy=policy_mode,
-        quarantine=sink,
-        retain=not args.no_retain,
-        preprocessor=preprocessor,
-        max_record_len=args.max_record_len,
-        max_pending=args.max_pending,
-        overflow=args.overflow,
-        telemetry=telemetry,
-    )
-    interrupted = None
-    for index, record in enumerate(records):
-        session.feed(record)
-        if args.report_every and (index + 1) % args.report_every == 0:
-            telemetry.metrics.snapshot()
-            print(summary_from_registry(telemetry.metrics))
-        if guard is not None and guard.requested:
-            interrupted = ShutdownRequested(guard.signum)
-            break
-    report = session.finalize()
-    print(report.describe())
-    if sink is not None and len(sink):
-        print(sink.describe())
-    if sink is not None and sink.path is not None:
-        artifacts.append((sink.path, CODEC_FRAMED))
-    if args.output_stem and report.result is not None:
-        events_path, structured_path = write_parse_result(
-            report.result, args.output_stem, io=io
-        )
-        artifacts.append((events_path, CODEC_LINES))
-        artifacts.append((structured_path, CODEC_LINES))
-        print(f"wrote {events_path}, {structured_path}")
-    if interrupted is not None:
-        print(f"{interrupted}; artifacts finalized", file=sys.stderr)
-        return interrupted.exit_code
-    if args.mine and report.matrix is not None:
-        _mine_matrix(report.matrix)
-    return 0
-
-
 def _cmd_supervise(args) -> int:
     if (args.dataset is None) == (args.input is None):
-        print(
-            "error: give exactly one of INPUT or --dataset",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValidationError("give exactly one of INPUT or --dataset")
     chain_names = [
         name.strip() for name in args.chain.split(",") if name.strip()
     ]
     if not chain_names:
-        print("error: --chain must name at least one parser", file=sys.stderr)
-        return 2
+        raise ValidationError("--chain must name at least one parser")
     for name in chain_names:
         if name not in PARSER_NAMES:
-            print(
-                f"error: unknown parser {name!r} in --chain "
-                f"(choose from {', '.join(PARSER_NAMES)})",
-                file=sys.stderr,
+            raise ValidationError(
+                f"unknown parser {name!r} in --chain "
+                f"(choose from {', '.join(PARSER_NAMES)})"
             )
-            return 2
     if args.fault_parser is not None and args.fault_parser not in chain_names:
-        print(
-            f"error: --fault-parser {args.fault_parser!r} is not in the chain",
-            file=sys.stderr,
+        raise ValidationError(
+            f"--fault-parser {args.fault_parser!r} is not in the chain"
         )
-        return 2
-    io = _make_io(args)
-    telemetry = _make_telemetry(args, trace_id="supervise", io=io)
-    policy_mode, sink = _resolve_policy(args, telemetry=telemetry, io=io)
-    policy_mode = policy_mode or "quarantine"
-    if sink is None:
-        sink = QuarantineSink(
-            args.quarantine_path, telemetry=telemetry, io=io
+    with _Run(args, "supervise") as run:
+        mode, sink, source, records = _record_path(
+            args, run, default_policy="quarantine"
         )
-    preprocessor = (
-        default_preprocessor(args.preprocess_dataset)
-        if args.preprocess_dataset
-        else None
-    )
-    if args.dataset is not None:
-        source = f"dataset:{args.dataset}"
-        records = iter_dataset(
-            get_dataset_spec(args.dataset), args.size, seed=args.seed
-        )
-    else:
-        source = args.input
-        records = iter_raw_log(
-            args.input, policy=policy_mode, quarantine=sink
-        )
-    if args.faults is not None:
-        records = corrupt_records(
-            records, seed=args.faults, every=args.fault_every
-        )
-    policy = ErrorPolicy(policy_mode, sink=sink)
-    clean = list(
-        screen_records(
-            records,
-            policy,
-            source=source,
-            max_len=args.max_record_len,
-            sink=sink,
-        )
-    )
-    chain = []
-    for name in chain_names:
-        factory = partial(
-            make_parser,
-            name,
-            preprocessor=preprocessor,
-            **_parser_params(name, args),
-        )
-        if name == args.fault_parser:
-            factory = FlakyFactory(
-                factory,
-                fail_times=args.fault_parser_fails,
-                hang_seconds=args.fault_parser_hang,
-                name=name,
+        preprocessor = _preprocessor(args)
+        policy = ErrorPolicy(mode, sink=sink)
+        clean = list(
+            screen_records(
+                records,
+                policy,
+                source=source,
+                max_len=args.max_record_len,
+                sink=sink,
             )
-        chain.append((name, factory))
-    supervisor = ParserSupervisor(
-        chain,
-        timeout=args.timeout,
-        retry=RetryPolicy(
-            attempts=args.retries, base_delay=args.retry_delay
-        ),
-        telemetry=telemetry,
-    )
-    # Context-managed: the sink flushes and closes even when the whole
-    # chain fails and FallbackExhaustedError propagates — and the
-    # telemetry export in the finally captures the failed attempts too.
-    artifacts: list[tuple[str, str]] = []
-    try:
-        with sink:
-            outcome = supervisor.parse(clean)
+        )
+        chain = []
+        for name in chain_names:
+            factory = _factory(name, args, preprocessor)
+            if name == args.fault_parser:
+                factory = FlakyFactory(
+                    factory,
+                    fail_times=args.fault_parser_fails,
+                    hang_seconds=args.fault_parser_hang,
+                    name=name,
+                )
+            chain.append((name, factory))
+        supervisor = ParserSupervisor(
+            chain,
+            timeout=args.timeout,
+            retry=RetryPolicy(
+                attempts=args.retries, base_delay=args.retry_delay
+            ),
+            telemetry=run.telemetry,
+        )
+        outcome = supervisor.parse(clean)
         print(outcome.report.describe())
         print(
             f"{outcome.parser}: {len(outcome.result.events)} events from "
             f"{len(clean)} clean lines ({policy.skipped} rejected)"
         )
         print(sink.describe())
-        if sink.path is not None:
-            artifacts.append((sink.path, CODEC_FRAMED))
-        if args.output_stem:
-            events_path, structured_path = write_parse_result(
-                outcome.result, args.output_stem, io=io
-            )
-            artifacts.append((events_path, CODEC_LINES))
-            artifacts.append((structured_path, CODEC_LINES))
-            print(f"wrote {events_path}, {structured_path}")
-        if args.verify:
-            batch_parser = make_parser(
-                outcome.parser,
-                preprocessor=preprocessor,
-                **_parser_params(outcome.parser, args),
-            )
-            report = diff_results(
-                batch_parser.name,
-                batch_parser.parse(clean),
-                outcome.result,
-            )
-            print(report.describe())
-            if not report.equivalent:
-                return 1
-        return 0
-    finally:
-        _export_telemetry(args, telemetry, artifacts=artifacts, io=io)
+        _commit_outputs(run, args, sink, outcome.result)
+        if args.verify and not _verify(
+            args, outcome.parser, preprocessor, clean, outcome.result
+        ):
+            return 1
+    return 0
 
 
 def _cmd_soak(args) -> int:
-    telemetry = _make_telemetry(args, trace_id="soak")
     try:
         # A soak persists nothing mid-run, so an immediate raise is
-        # safe anywhere: the finally still exports telemetry and the
+        # safe anywhere: the lifecycle still exports telemetry and the
         # manifest for the partial run.
-        with graceful_signals(immediate=True):
+        with _Run(args, "soak") as run, graceful_signals(immediate=True):
             report = run_soak(
                 SoakScenario(
                     kind=args.scenario,
@@ -1875,35 +1640,25 @@ def _cmd_soak(args) -> int:
                     check_every=args.check_every,
                     min_transitions=args.min_transitions,
                 ),
-                telemetry=telemetry,
+                telemetry=run.telemetry,
             )
     except ShutdownRequested as shutdown:
         print(f"{shutdown}; telemetry finalized", file=sys.stderr)
         return shutdown.exit_code
-    finally:
-        _export_telemetry(args, telemetry)
     print(report.describe())
     return 0 if report.ok else 1
 
 
 def _cmd_serve(args) -> int:
     if args.replay is not None and args.drain_after is not None:
-        print(
-            "error: --drain-after only applies to the TCP front end",
-            file=sys.stderr,
+        raise ValidationError(
+            "--drain-after only applies to the TCP front end"
         )
-        return 2
     if args.replay is not None and args.protocol == PROTOCOL_V2:
-        print(
-            "error: --protocol v2 only applies to the TCP front end "
-            "(--replay has no connection to negotiate)",
-            file=sys.stderr,
+        raise ValidationError(
+            "--protocol v2 only applies to the TCP front end "
+            "(--replay has no connection to negotiate)"
         )
-        return 2
-    params = _parser_params(args.parser, args)
-    factory = partial(make_parser, args.parser, **params)
-    io = _make_io(args)
-    telemetry = _make_telemetry(args, trace_id="serve", io=io)
     shard_kwargs: dict = dict(
         flush_size=args.flush_size,
         cache_capacity=args.cache_capacity,
@@ -1935,33 +1690,56 @@ def _cmd_serve(args) -> int:
             worker_kwargs["faults"] = lambda tenant: crash_storm_schedule(
                 seed, [tenant]
             )[tenant]
-    tserver = None
-    alert_engine = None
-    try:
+    with _Run(args, "serve") as run:
+        telemetry = run.telemetry
+        alert_engine = None
 
-        def _journal_checkpoint_status(tenant: str, position: int) -> None:
-            # Process-mode checkpoint acks journal the supervisor
-            # picture even when no --status-interval ticker runs, so
-            # the event timeline always carries liveness evidence.
+        def _close_alerts() -> None:
+            if alert_engine is not None:
+                alert_engine.close()
+            if args.alerts_out:
+                # A calm run still leaves a (valid, empty) alert log where
+                # the flag pointed — absence would read as "never ran".
+                ensure_artifact(args.alerts_out, io=run.io)
+                run.artifacts.append((args.alerts_out, CODEC_FRAMED))
+
+        run.callback(_close_alerts)
+        replay = None
+        if args.replay is not None:
+            try:
+                replay = run.enter_context(
+                    open(args.replay, encoding="utf-8", errors="replace")
+                )
+            except OSError as error:
+                raise DatasetError(
+                    f"cannot read replay file: {error}"
+                ) from error
+
+        def _journal_status(**context) -> dict:
             status = supervisor_status(service)
             telemetry.events.emit(
                 "supervisor_status",
                 tenants=status["tenants"],
                 line=status["line"],
-                tenant=tenant,
-                position=position,
+                **context,
             )
+            return status
 
         service = IngestionService(
             args.data_dir,
-            factory,
+            _factory(args.parser, args),
             parser_name=args.parser,
             telemetry=telemetry,
-            io=io,
+            io=run.io,
             isolation=args.isolation,
             protocol=args.protocol,
             worker_kwargs=worker_kwargs,
-            on_checkpoint=_journal_checkpoint_status,
+            # Process-mode checkpoint acks journal the supervisor
+            # picture even when no --status-interval ticker runs, so
+            # the event timeline always carries liveness evidence.
+            on_checkpoint=lambda tenant, position: _journal_status(
+                tenant=tenant, position=position
+            ),
             **shard_kwargs,
         )
         if (
@@ -1997,34 +1775,22 @@ def _cmd_serve(args) -> int:
                 ),
                 events=telemetry.events,
                 log_path=args.alerts_out,
-                io=io,
+                io=run.io,
             )
             alert_engine.start_ticker(args.alert_interval)
 
         def _status_payload() -> dict:
-            status = supervisor_status(service)
-            payload = {"isolation": args.isolation, **status}
+            payload = {"isolation": args.isolation}
+            payload.update(supervisor_status(service))
             if alert_engine is not None:
                 payload["alerts"] = alert_engine.active()
             return payload
 
-        tserver = _start_endpoint(
-            args, telemetry, status=_status_payload, health=service.health
-        )
-
-        def _emit_status() -> None:
-            status = supervisor_status(service)
-            if telemetry is not None:
-                telemetry.events.emit(
-                    "supervisor_status",
-                    tenants=status["tenants"],
-                    line=status["line"],
-                )
-            print(status["line"], flush=True)
+        run.endpoint(_status_payload, health=service.health)
 
         def _status_loop() -> None:
             while not ticker_stop.wait(args.status_interval):
-                _emit_status()
+                print(_journal_status()["line"], flush=True)
 
         ticker_stop = threading.Event()
         ticker = None
@@ -2040,13 +1806,10 @@ def _cmd_serve(args) -> int:
         # the drain below always flushes coherent shard state.
         try:
             with graceful_signals() as guard:
-                if args.replay is not None:
-                    with open(
-                        args.replay, encoding="utf-8", errors="replace"
-                    ) as handle:
-                        outcomes = replay_lines(
-                            service, handle, origin=args.replay, guard=guard
-                        )
+                if replay is not None:
+                    outcomes = replay_lines(
+                        service, replay, origin=args.replay, guard=guard
+                    )
                     print(
                         "replay outcomes: "
                         + ", ".join(
@@ -2056,7 +1819,7 @@ def _cmd_serve(args) -> int:
                     )
                 else:
                     server = LineServer(service, args.host, args.port)
-                    server.start()
+                    _bind(server, "the line front end")
                     try:
                         print(
                             f"serving on {server.host}:{server.port}",
@@ -2079,7 +1842,7 @@ def _cmd_serve(args) -> int:
         if args.status_interval is not None:
             # Always journal one final status so the events artifact
             # carries the end-of-run supervisor picture.
-            _emit_status()
+            print(_journal_status()["line"], flush=True)
         if stopped:
             print("shutdown requested; draining", flush=True)
         summary = service.drain()
@@ -2090,19 +1853,7 @@ def _cmd_serve(args) -> int:
                 print(f"  manifest: <none: {tenant} fenced>")
             else:
                 print(f"  manifest: {manifest}")
-        return 0
-    finally:
-        if tserver is not None:
-            tserver.stop()
-        if alert_engine is not None:
-            alert_engine.close()
-        artifacts = []
-        if args.alerts_out:
-            # A calm run still leaves a (valid, empty) alert log where
-            # the flag pointed — absence would read as "never ran".
-            ensure_artifact(args.alerts_out, io=io)
-            artifacts.append((args.alerts_out, CODEC_FRAMED))
-        _export_telemetry(args, telemetry, artifacts=artifacts, io=io)
+    return 0
 
 
 def _cmd_send(args) -> int:
@@ -2111,49 +1862,45 @@ def _cmd_send(args) -> int:
         if args.net_faults is not None
         else ()
     )
-    telemetry = _make_telemetry(args, trace_id="send")
-    try:
-        with DurableSender(
-            args.host,
-            args.port,
-            args.client_id,
-            args.spool,
-            faults=faults,
-            telemetry=telemetry,
-        ) as sender:
-            recovered = sender.spool_depth
-            if recovered:
-                print(
-                    f"recovered {recovered} unacknowledged line(s) "
-                    f"from {args.spool}"
-                )
-            if args.input is not None:
-                with open(
-                    args.input, encoding="utf-8", errors="replace"
-                ) as handle:
-                    for number, raw in enumerate(handle, start=1):
-                        line = raw.rstrip("\n")
-                        if not line:
-                            continue
-                        tenant, sep, content = line.partition("\t")
-                        if not sep or not tenant:
-                            raise DatasetError(
-                                f"{args.input}:{number}: expected "
-                                "tenant<TAB>content"
-                            )
-                        sender.send(tenant, content)
-            summary = sender.flush(timeout=args.timeout)
+    # The lifecycle exports even when the flush deadline expires: the
+    # metrics then show the surviving spool depth, and the spool itself
+    # still holds every undelivered line for the next attempt.
+    with _Run(args, "send") as run, DurableSender(
+        args.host,
+        args.port,
+        args.client_id,
+        args.spool,
+        faults=faults,
+        telemetry=run.telemetry,
+    ) as sender:
+        recovered = sender.spool_depth
+        if recovered:
             print(
-                f"delivered {summary['delivered']} line(s) as "
-                f"{args.client_id} ({summary['resends']} resend(s), "
-                f"{summary['reconnects']} reconnect(s)); spool clear"
+                f"recovered {recovered} unacknowledged line(s) "
+                f"from {args.spool}"
             )
-        return 0
-    finally:
-        # Exported even when the flush deadline expires: the metrics
-        # then show the surviving spool depth, and the spool itself
-        # still holds every undelivered line for the next attempt.
-        _export_telemetry(args, telemetry)
+        if args.input is not None:
+            with open(
+                args.input, encoding="utf-8", errors="replace"
+            ) as handle:
+                for number, raw in enumerate(handle, start=1):
+                    line = raw.rstrip("\n")
+                    if not line:
+                        continue
+                    tenant, sep, content = line.partition("\t")
+                    if not sep or not tenant:
+                        raise DatasetError(
+                            f"{args.input}:{number}: expected "
+                            "tenant<TAB>content"
+                        )
+                    sender.send(tenant, content)
+        summary = sender.flush(timeout=args.timeout)
+        print(
+            f"delivered {summary['delivered']} line(s) as "
+            f"{args.client_id} ({summary['resends']} resend(s), "
+            f"{summary['reconnects']} reconnect(s)); spool clear"
+        )
+    return 0
 
 
 def _render_watch_frame(payload: dict, url: str, banner: str | None = None) -> str:

@@ -36,7 +36,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.common.errors import ValidationError
+from repro.common.errors import DatasetError, ValidationError
 
 #: Span names used by the runtime (callers may add their own).
 SPAN_PARSE_RUN = "parse_run"
@@ -312,11 +312,20 @@ class Tracer:
 
 
 def load_jsonl_spans(path: str) -> list[Span]:
-    """Read back a JSONL trace export (used by ``repro report``)."""
+    """Read back a JSONL trace export (used by ``repro report``).
+
+    A line that is not a span (a ``--trace-format chrome`` export, say)
+    is a data error: :class:`~repro.common.errors.DatasetError`.
+    """
     spans = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
-                spans.append(Span.from_dict(json.loads(line)))
+                try:
+                    spans.append(Span.from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as error:
+                    raise DatasetError(
+                        f"{path}:{number}: not a JSONL trace span ({error})"
+                    ) from error
     return spans

@@ -34,9 +34,11 @@ containment layer, in four parts:
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     StreamCheckpoint,
+    artifact_offsets,
     load_checkpoint,
     restore_accumulator,
     restore_streaming_parser,
+    resume_streaming_parser,
     save_checkpoint,
 )
 from repro.resilience.durability import (
@@ -90,9 +92,11 @@ from repro.resilience.supervisor import (
 __all__ = [
     "CHECKPOINT_VERSION",
     "StreamCheckpoint",
+    "artifact_offsets",
     "load_checkpoint",
     "restore_accumulator",
     "restore_streaming_parser",
+    "resume_streaming_parser",
     "save_checkpoint",
     "AtomicWriter",
     "DurableJsonlWriter",

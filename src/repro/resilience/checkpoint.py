@@ -37,7 +37,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ArtifactWriteError, CheckpointError
-from repro.resilience.durability import RealIO, atomic_write_text
+from repro.resilience.durability import (
+    RealIO,
+    atomic_write_text,
+    reconcile_jsonl,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mining.event_matrix import EventMatrixAccumulator
@@ -276,6 +280,46 @@ def restore_streaming_parser(
         ) from error
     engine.restore_state(checkpoint.engine)
     return engine
+
+
+def artifact_offsets(sink, *, skip_empty: bool = False) -> dict:
+    """The ``{path: {"bytes", "records"}}`` pin of *sink* for a checkpoint.
+
+    A resume truncates the artifact back to it, so records appended
+    after the checkpoint are not duplicated when they are re-fed.
+    *skip_empty* leaves out a sink that has framed nothing yet, as the
+    service's tenant checkpoints always have.
+    """
+    if sink is None or sink.path is None:
+        return {}
+    bytes_written, records_written = sink.offset()
+    if skip_empty and not (bytes_written or records_written):
+        return {}
+    return {sink.path: {"bytes": bytes_written, "records": records_written}}
+
+
+def resume_streaming_parser(
+    path: str,
+    factory: "ParserFactory",
+    *,
+    parser: str,
+    io: "RealIO | None" = None,
+    telemetry=None,
+    **engine_kwargs,
+) -> "tuple[StreamCheckpoint, StreamingParser]":
+    """Load *path*, roll pinned artifacts back, restore the engine.
+
+    *engine_kwargs* go to :func:`restore_streaming_parser`.
+    """
+    checkpoint = load_checkpoint(path, telemetry=telemetry, parser=parser)
+    for artifact_path, offsets in checkpoint.artifacts.items():
+        reconcile_jsonl(
+            artifact_path, offsets["bytes"], io=io, telemetry=telemetry
+        )
+    engine = restore_streaming_parser(
+        checkpoint, factory, telemetry=telemetry, **engine_kwargs
+    )
+    return checkpoint, engine
 
 
 def restore_accumulator(

@@ -56,8 +56,8 @@ from repro.degradation.ladder import DegradationLadder
 from repro.degradation.runtime import DegradedSession
 from repro.observability.tracing import SPAN_TENANT_DRAIN
 from repro.resilience.checkpoint import (
-    load_checkpoint,
-    restore_streaming_parser,
+    artifact_offsets,
+    resume_streaming_parser,
     save_checkpoint,
 )
 from repro.resilience.durability import (
@@ -65,7 +65,6 @@ from repro.resilience.durability import (
     CODEC_LINES,
     CODEC_OPAQUE,
     RunManifest,
-    reconcile_jsonl,
 )
 from repro.resilience.quarantine import QuarantineRecord, QuarantineSink
 from repro.service.protocol import DeliveryFront
@@ -248,16 +247,11 @@ class TenantShard:
             )
             self.engine = self._session.engine
         elif resuming:
-            checkpoint = load_checkpoint(
-                self.checkpoint_path, telemetry=telemetry, parser=parser_name
-            )
-            for path, offsets in checkpoint.artifacts.items():
-                reconcile_jsonl(
-                    path, offsets["bytes"], io=io, telemetry=telemetry
-                )
-            self.engine = restore_streaming_parser(
-                checkpoint,
+            checkpoint, self.engine = resume_streaming_parser(
+                self.checkpoint_path,
                 factory,
+                parser=parser_name,
+                io=io,
                 error_policy="quarantine",
                 quarantine=self.quarantine,
                 source_label=f"tenant:{tenant}",
@@ -557,20 +551,13 @@ class TenantShard:
         return {"clients": dict(sorted(self._ack_high.items()))}
 
     def _checkpoint_locked(self) -> None:
-        artifacts = {}
-        q_bytes, q_records = self.quarantine.offset()
-        if q_bytes or q_records:
-            artifacts[self.quarantine_path] = {
-                "bytes": q_bytes,
-                "records": q_records,
-            }
         save_checkpoint(
             self.checkpoint_path,
             self.engine,
             records_consumed=max(self._skip, self.seen),
             parser=self.parser_name,
             source=f"tenant:{self.tenant}",
-            artifacts=artifacts,
+            artifacts=artifact_offsets(self.quarantine, skip_empty=True),
             delivery=self._delivery_state(),
             io=self.io,
             telemetry=self.telemetry,

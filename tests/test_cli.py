@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -567,3 +568,124 @@ class TestServeIsolation:
         )
         capsys.readouterr()
         assert code == 2
+
+
+class TestMaxRetriesUnderBudget:
+    """``--max-retries`` reaches the engine on both ``stream`` paths."""
+
+    @pytest.mark.parametrize("budget", [[], ["--budget-mem", "4000"]])
+    def test_zero_retries_is_refused(self, budget, capsys):
+        code = main(
+            [
+                "stream", "Drain", "--dataset", "HDFS", "--size", "1000",
+                "--max-retries", "0", *budget,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: max_flush_retries must be >= 1, got 0\n"
+        )
+
+
+@pytest.fixture
+def held_port():
+    """A port some other socket is already listening on."""
+    import socket
+
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        yield holder.getsockname()[1]
+
+
+class TestRefusalsKeepTheExitCodeContract:
+    """Bind failures exit 4 and unreadable inputs exit 3, each with one
+    ``error:`` line and the run's usual telemetry/manifest export."""
+
+    @staticmethod
+    def _refused(capsys, argv, code):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @staticmethod
+    def _replay_file(tmp_path):
+        path = tmp_path / "stream.log"
+        path.write_text("alpha\thello 1\nbeta\thello 2\n")
+        return str(path)
+
+    def test_serve_port_in_use_exits_4(self, tmp_path, held_port, capsys):
+        manifest = tmp_path / "m.json"
+        err = self._refused(
+            capsys,
+            [
+                "serve", "Drain", str(tmp_path / "data"),
+                "--port", str(held_port), "--manifest-out", str(manifest),
+            ],
+            4,
+        )
+        assert f"127.0.0.1:{held_port}" in err
+        assert manifest.exists()
+
+    def test_stream_telemetry_port_in_use_exits_4(
+        self, tmp_path, held_port, capsys
+    ):
+        manifest = tmp_path / "m.json"
+        self._refused(
+            capsys,
+            [
+                "stream", "SLCT", "--dataset", "HDFS", "--size", "50",
+                "--telemetry-port", str(held_port),
+                "--manifest-out", str(manifest),
+            ],
+            4,
+        )
+        assert manifest.exists()
+
+    def test_serve_telemetry_port_in_use_exits_4(
+        self, tmp_path, held_port, capsys
+    ):
+        manifest = tmp_path / "m.json"
+        self._refused(
+            capsys,
+            [
+                "serve", "Drain", str(tmp_path / "data"),
+                "--replay", self._replay_file(tmp_path),
+                "--telemetry-port", str(held_port),
+                "--manifest-out", str(manifest),
+            ],
+            4,
+        )
+        assert manifest.exists()
+
+    def test_serve_missing_replay_exits_3(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        err = self._refused(
+            capsys,
+            [
+                "serve", "Drain", str(tmp_path / "data"),
+                "--replay", str(tmp_path / "missing.txt"),
+                "--manifest-out", str(manifest),
+            ],
+            3,
+        )
+        assert "missing.txt" in err
+        assert manifest.exists()
+
+    def test_report_on_chrome_trace_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        manifest = tmp_path / "m.json"
+        assert main(
+            [
+                "stream", "SLCT", "--dataset", "HDFS", "--size", "3000",
+                "--trace-out", str(trace), "--trace-format", "chrome",
+                "--manifest-out", str(manifest),
+            ]
+        ) == 0
+        capsys.readouterr()
+        # One JSON document, not one span per line: booked as opaque.
+        entry = json.loads(manifest.read_text())["artifacts"]["t.json"]
+        assert entry["codec"] == "opaque"
+        assert "records" not in entry
+        self._refused(capsys, ["report", "--trace", str(trace)], 3)
