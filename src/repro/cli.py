@@ -99,6 +99,7 @@ from functools import partial
 from itertools import islice
 
 from repro.common.errors import (
+    BindError,
     DatasetError,
     EvaluationError,
     IntegrityError,
@@ -194,7 +195,7 @@ def exit_code_for(error: ReproError) -> int:
 
     Configuration/usage problems exit 2, bad input data exits 3, and
     runtime failures (timeouts, crashed workers, broken checkpoints,
-    exhausted fallback chains) exit 4.
+    exhausted fallback chains, ports that stay taken) exit 4.
     """
     if isinstance(
         error,
@@ -241,22 +242,9 @@ def _add_evaluate(subparsers) -> None:
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
     cmd.add_argument("dataset", choices=DATASET_NAMES)
-    _add_sample_flags(cmd, runs=True)
-
-
-def _add_sample_flags(
-    cmd,
-    *,
-    sample_size: int = 2000,
-    preprocess: bool = True,
-    runs: bool = False,
-) -> None:
-    """Sampling flags of evaluate/metrics/score/tune (``--runs``: evaluate)."""
-    cmd.add_argument("--sample-size", type=int, default=sample_size)
-    if preprocess:
-        cmd.add_argument("--preprocess", action="store_true")
-    if runs:
-        cmd.add_argument("--runs", type=int, default=None)
+    cmd.add_argument("--sample-size", type=int, default=2000)
+    cmd.add_argument("--preprocess", action="store_true")
+    cmd.add_argument("--runs", type=int, default=None)
     cmd.add_argument("--seed", type=int, default=None)
 
 
@@ -267,7 +255,9 @@ def _add_metrics(subparsers) -> None:
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
     cmd.add_argument("dataset", choices=DATASET_NAMES)
-    _add_sample_flags(cmd)
+    cmd.add_argument("--sample-size", type=int, default=2000)
+    cmd.add_argument("--preprocess", action="store_true")
+    cmd.add_argument("--seed", type=int, default=None)
 
 
 def _add_score(subparsers) -> None:
@@ -293,7 +283,9 @@ def _add_score(subparsers) -> None:
         default=",".join(DATASET_NAMES),
         help="comma-separated dataset names (default: all five)",
     )
-    _add_sample_flags(cmd, sample_size=1000)
+    cmd.add_argument("--sample-size", type=int, default=1000)
+    cmd.add_argument("--preprocess", action="store_true")
+    cmd.add_argument("--seed", type=int, default=None)
 
 
 def _add_tune(subparsers) -> None:
@@ -303,7 +295,8 @@ def _add_tune(subparsers) -> None:
     )
     cmd.add_argument("parser", choices=PARSER_NAMES)
     cmd.add_argument("dataset", choices=DATASET_NAMES)
-    _add_sample_flags(cmd, preprocess=False)
+    cmd.add_argument("--sample-size", type=int, default=2000)
+    cmd.add_argument("--seed", type=int, default=None)
 
 
 def _add_mine(subparsers) -> None:
@@ -362,22 +355,34 @@ def _add_stream(subparsers) -> None:
     )
     _add_parser_param_flags(cmd)
     _add_backpressure_flags(cmd)
-    for flag, metavar, budget in (
-        ("--budget-mem", "MB", "memory budget in MB"),
-        ("--budget-wall", "SECONDS", "wall-clock budget"),
-        ("--budget-queue", "DEPTH", "miss-queue budget"),
-    ):
-        cmd.add_argument(
-            flag,
-            type=float,
-            default=None,
-            metavar=metavar,
-            help=f"hard {budget} (soft limit at half); enables "
-            "the degradation ladder",
-        )
+    cmd.add_argument(
+        "--budget-mem",
+        type=float,
+        default=None,
+        metavar="MB",
+        help="hard memory budget in MB (soft limit at half); enables "
+        "the degradation ladder",
+    )
+    cmd.add_argument(
+        "--budget-wall",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="hard wall-clock budget (soft limit at half); enables "
+        "the degradation ladder",
+    )
+    cmd.add_argument(
+        "--budget-queue",
+        type=float,
+        default=None,
+        metavar="DEPTH",
+        help="hard miss-queue budget (soft limit at half); enables "
+        "the degradation ladder",
+    )
     _add_ladder_flags(cmd, check_every=500)
     _add_hardening_flags(cmd)
-    _add_telemetry_flags(cmd, endpoint=True)
+    _add_telemetry_flags(cmd)
+    _add_endpoint_flag(cmd)
     cmd.add_argument(
         "--checkpoint",
         default=None,
@@ -514,15 +519,14 @@ def _add_backpressure_flags(cmd) -> None:
     )
 
 
-def _add_ladder_flags(cmd, *, check_every: int, ladder: bool = True) -> None:
-    """Degradation-ladder flags; the check cadence default is per command."""
-    if ladder:
-        cmd.add_argument(
-            "--ladder",
-            default=None,
-            help="comma-separated degradation rungs, most faithful first "
-            "(default: from PARSER down the standard ladder)",
-        )
+def _add_ladder_flags(cmd, *, check_every: int) -> None:
+    """Degradation-ladder flags of stream+serve; the cadence is per command."""
+    cmd.add_argument(
+        "--ladder",
+        default=None,
+        help="comma-separated degradation rungs, most faithful first "
+        "(default: from PARSER down the standard ladder)",
+    )
     cmd.add_argument(
         "--check-every",
         type=int,
@@ -531,12 +535,8 @@ def _add_ladder_flags(cmd, *, check_every: int, ladder: bool = True) -> None:
     )
 
 
-def _add_telemetry_flags(cmd, *, endpoint: bool = False) -> None:
-    """Telemetry flags of the commands a :class:`_Run` drives.
-
-    Only the long-running ``stream`` and ``serve`` take the live scrape
-    endpoint (*endpoint*).
-    """
+def _add_telemetry_flags(cmd) -> None:
+    """Telemetry flags of the commands a :class:`_Run` drives."""
     cmd.add_argument(
         "--metrics-out",
         default=None,
@@ -573,16 +573,19 @@ def _add_telemetry_flags(cmd, *, endpoint: bool = False) -> None:
         "count of every artifact this run wrote) atomically at run "
         "end; check it later with `repro-logparse verify-run`",
     )
-    if endpoint:
-        cmd.add_argument(
-            "--telemetry-port",
-            type=int,
-            default=None,
-            metavar="PORT",
-            help="serve GET /metrics, /healthz, and /status over HTTP on "
-            "this port for the lifetime of the run (0 picks a free port, "
-            "published on stdout as `telemetry on URL`)",
-        )
+
+
+def _add_endpoint_flag(cmd) -> None:
+    """The live scrape endpoint flag (long-running commands only)."""
+    cmd.add_argument(
+        "--telemetry-port",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="serve GET /metrics, /healthz, and /status over HTTP on "
+        "this port for the lifetime of the run (0 picks a free port, "
+        "published on stdout as `telemetry on URL`)",
+    )
 
 
 def _add_supervise(subparsers) -> None:
@@ -658,7 +661,10 @@ def _add_soak(subparsers) -> None:
     cmd.add_argument("scenario", choices=SCENARIO_KINDS)
     cmd.add_argument("--seed", type=int, default=7)
     cmd.add_argument("--blocks", type=int, default=40)
-    _add_ladder_flags(cmd, check_every=20, ladder=False)
+    cmd.add_argument(
+        "--check-every", type=int, default=20,
+        help="records between budget checks",
+    )
     cmd.add_argument(
         "--min-transitions",
         type=int,
@@ -849,7 +855,8 @@ def _add_serve(subparsers) -> None:
     )
     _add_parser_param_flags(cmd, preprocess=False)
     _add_io_faults_flag(cmd)
-    _add_telemetry_flags(cmd, endpoint=True)
+    _add_telemetry_flags(cmd)
+    _add_endpoint_flag(cmd)
     cmd.add_argument(
         "--alerts-out",
         default=None,
@@ -960,12 +967,24 @@ def _add_report(subparsers) -> None:
         "report",
         help="render a post-mortem from exported telemetry artifacts",
     )
-    for flag, text in (
-        ("--metrics", "metrics file a run exported with --metrics-out"),
-        ("--trace", "JSONL trace a run exported with --trace-out"),
-        ("--events", "event timeline a run exported with --events-out"),
-    ):
-        cmd.add_argument(flag, default=None, metavar="PATH", help=text)
+    cmd.add_argument(
+        "--metrics",
+        default=None,
+        metavar="PATH",
+        help="metrics file a run exported with --metrics-out",
+    )
+    cmd.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="JSONL trace a run exported with --trace-out",
+    )
+    cmd.add_argument(
+        "--events",
+        default=None,
+        metavar="PATH",
+        help="event timeline a run exported with --events-out",
+    )
 
 
 def _add_verify_run(subparsers) -> None:
@@ -1187,18 +1206,20 @@ def _cmd_mine(args) -> int:
     return 0
 
 
-#: Which shared parser flags each registry parser is constructed with.
-_PARSER_FLAGS = {
-    "LogSig": ("groups", "seed"),
-    "SLCT": ("support",),
-    "LKE": ("seed",),
-    "Drain": ("sim_threshold", "depth"),
-}
-
-
 def _parser_params(name: str, args) -> dict:
     """Per-parser construction keywords from the shared flags."""
-    return {flag: getattr(args, flag) for flag in _PARSER_FLAGS.get(name, ())}
+    params: dict = {}
+    if name == "LogSig":
+        params.update(groups=args.groups, seed=args.seed)
+    elif name == "SLCT":
+        params.update(support=args.support)
+    elif name == "LKE":
+        params.update(seed=args.seed)
+    elif name == "Drain":
+        params.update(
+            sim_threshold=args.sim_threshold, depth=args.depth
+        )
+    return params
 
 
 def _preprocessor(args):
@@ -1299,7 +1320,7 @@ def _bind(server, what: str) -> None:
     try:
         server.start()
     except OSError as error:
-        raise ReproError(
+        raise BindError(
             f"could not bind {what} on {server.host}:{server.port}: {error}"
         ) from error
 
@@ -1471,7 +1492,7 @@ def _cmd_stream(args) -> int:
                 source=source,
                 accumulator=session.accumulator,
                 telemetry=telemetry,
-                artifacts=artifact_offsets(sink),
+                artifacts=artifact_offsets(sink, args.checkpoint),
                 io=run.io,
             )
 

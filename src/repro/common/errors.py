@@ -83,6 +83,15 @@ class ArtifactWriteError(ReproError):
     """
 
 
+class BindError(ReproError):
+    """A listening socket could not be bound.
+
+    Raised by the CLI when the line front end or the telemetry endpoint
+    cannot take its port (still held after the bind retries).  Maps to
+    the runtime-failure exit code (4).
+    """
+
+
 class IntegrityError(ReproError):
     """A persisted artifact failed an integrity check.
 

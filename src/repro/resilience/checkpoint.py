@@ -22,8 +22,9 @@ the rebuilt engine, failing with
 :class:`~repro.common.errors.CheckpointError` on any mismatch.
 
 Checkpoints also carry the byte/record offsets of the run's
-append-mode JSONL artifacts (quarantine sinks) at save time, so a
-resume can reconcile those files — truncating records written after
+append-mode JSONL artifacts (quarantine sinks) at save time, keyed by
+path relative to the checkpoint's directory, so a resume can reconcile
+those files — truncating records written after
 the checkpoint that the replayed stream will re-emit — via
 :func:`~repro.resilience.durability.reconcile_jsonl`.
 """
@@ -282,20 +283,23 @@ def restore_streaming_parser(
     return engine
 
 
-def artifact_offsets(sink, *, skip_empty: bool = False) -> dict:
+def artifact_offsets(sink, checkpoint_path: str) -> dict:
     """The ``{path: {"bytes", "records"}}`` pin of *sink* for a checkpoint.
 
     A resume truncates the artifact back to it, so records appended
-    after the checkpoint are not duplicated when they are re-fed.
-    *skip_empty* leaves out a sink that has framed nothing yet, as the
-    service's tenant checkpoints always have.
+    after the checkpoint are not duplicated when they are re-fed.  An
+    empty sink is pinned too: its zero offset is what rolls back
+    records first appended after the checkpoint.  The path is relative
+    to the directory of *checkpoint_path*, so the checkpoint does not
+    depend on where the run's directory sits.
     """
     if sink is None or sink.path is None:
         return {}
+    path = os.path.relpath(
+        sink.path, os.path.dirname(checkpoint_path) or os.curdir
+    )
     bytes_written, records_written = sink.offset()
-    if skip_empty and not (bytes_written or records_written):
-        return {}
-    return {sink.path: {"bytes": bytes_written, "records": records_written}}
+    return {path: {"bytes": bytes_written, "records": records_written}}
 
 
 def resume_streaming_parser(
@@ -314,7 +318,10 @@ def resume_streaming_parser(
     checkpoint = load_checkpoint(path, telemetry=telemetry, parser=parser)
     for artifact_path, offsets in checkpoint.artifacts.items():
         reconcile_jsonl(
-            artifact_path, offsets["bytes"], io=io, telemetry=telemetry
+            os.path.join(os.path.dirname(path), artifact_path),
+            offsets["bytes"],
+            io=io,
+            telemetry=telemetry,
         )
     engine = restore_streaming_parser(
         checkpoint, factory, telemetry=telemetry, **engine_kwargs

@@ -557,7 +557,9 @@ class TenantShard:
             records_consumed=max(self._skip, self.seen),
             parser=self.parser_name,
             source=f"tenant:{self.tenant}",
-            artifacts=artifact_offsets(self.quarantine, skip_empty=True),
+            artifacts=artifact_offsets(
+                self.quarantine, self.checkpoint_path
+            ),
             delivery=self._delivery_state(),
             io=self.io,
             telemetry=self.telemetry,

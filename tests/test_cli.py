@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_arg_parser, exit_code_for, main
 from repro.common.errors import (
+    BindError,
     CheckpointError,
     DatasetError,
     EvaluationError,
@@ -205,6 +206,7 @@ class TestExitCodes:
             (WorkerCrashError("x"), 4),
             (CheckpointError("x"), 4),
             (FallbackExhaustedError("x"), 4),
+            (BindError("x"), 4),
         ],
     )
     def test_mapping(self, error, expected):
@@ -373,6 +375,40 @@ class TestStreamResilience:
             open(part_stem + ".events").read()
             == open(full_stem + ".events").read()
         )
+        capsys.readouterr()
+
+    def test_quarantine_pin_survives_moving_the_run(self, tmp_path, capsys):
+        import shutil
+
+        from repro.resilience.durability import (
+            frame_record,
+            read_jsonl_payloads,
+        )
+
+        def stream(root, *extra):
+            return main(
+                [
+                    "stream", "IPLoM", "--dataset", "HDFS", "--size", "300",
+                    "--seed", "5", "--faults", "9", "--fault-every", "25",
+                    "--quarantine-path", str(root / "q" / "q.jsonl"),
+                    "--checkpoint", str(root / "ck" / "cp.json"),
+                    *extra,
+                ]
+            )
+
+        first, moved = tmp_path / "first", tmp_path / "moved"
+        (first / "ck").mkdir(parents=True)
+        (first / "q").mkdir()
+        assert stream(first) == 0
+        pins = json.loads((first / "ck" / "cp.json").read_text())["artifacts"]
+        assert list(pins) == [os.path.join("..", "q", "q.jsonl")]
+        kept = read_jsonl_payloads(str(first / "q" / "q.jsonl"))
+        shutil.move(str(first), str(moved))
+        # A record appended after the checkpoint: the resume rolls it back.
+        with open(moved / "q" / "q.jsonl", "ab") as handle:
+            handle.write(frame_record({"reason": "after-checkpoint"}))
+        assert stream(moved, "--resume") == 0
+        assert read_jsonl_payloads(str(moved / "q" / "q.jsonl")) == kept
         capsys.readouterr()
 
     def test_resume_requires_checkpoint(self, capsys):

@@ -318,6 +318,28 @@ class TestTenantShard:
         events = (tmp_path / "alpha" / "out.structured").read_text()
         assert len(events.splitlines()) == 17
 
+    def test_resume_rolls_back_quarantine_appended_after_empty_checkpoint(
+        self, tmp_path
+    ):
+        lines = [f"Connection from 10.0.0.{i} closed" for i in range(4)]
+        bad = "bad \x00 bytes"
+        first = TenantShard("alpha", str(tmp_path), factory())
+        for line in lines:
+            first.submit(_record(line))
+        first.checkpoint()  # the quarantine is still empty here
+        assert first.submit(_record(bad)) == "rejected"
+        first.quarantine.close()  # crash: no drain, no further checkpoint
+
+        resumed = TenantShard("alpha", str(tmp_path), factory())
+        assert resumed.resumed
+        outcomes = [resumed.submit(_record(l)) for l in lines + [bad]]
+        assert outcomes == [REPLAYED] * 4 + ["rejected"]
+        resumed.drain()
+        quarantined = _framed_payloads(
+            tmp_path / "alpha" / "out.quarantine.jsonl"
+        )
+        assert len(quarantined) == 1
+
     def test_budgeted_shard_refuses_resume(self, tmp_path):
         shard = TenantShard("alpha", str(tmp_path), factory())
         shard.submit(_record("x"))
