@@ -182,7 +182,8 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     # Service (multi-tenant ingestion) -----------------------------------
     metrics.counter(
         "repro_service_lines_total",
-        "Lines accepted into a tenant shard",
+        "Lines a tenant's engine consumed, across service lives "
+        "(the engine's own count, as repro_tenant_lines_total)",
         labelnames=("tenant",),
     )
     metrics.counter(

@@ -24,7 +24,8 @@ manifests — into that shape:
 * :mod:`~repro.service.protocol` — wire protocol v2: sequence-tagged
   lines, cumulative acks, and :class:`DeliveryFront` — per-client
   :class:`DeliveryWindow` dedup plus the ownership
-  :class:`BatchJournal`, hosted by either kind of shard;
+  :class:`BatchJournal`, and ``FrontStage``, the one front both kinds
+  of shard are built on;
 * :mod:`~repro.service.client` — :class:`DurableSender`, the
   spool-backed exactly-once producer.
 

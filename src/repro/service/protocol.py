@@ -37,12 +37,16 @@ cooperating pieces, all in this module:
   journal survives a ``SIGKILL`` and is replayed into the engine on
   resume.
 
-* **:class:`DeliveryFront`** — the one exactly-once front both shard
-  hosts (:class:`~repro.service.shard.TenantShard` inline,
+* **:class:`DeliveryFront`** — one tenant's exactly-once front: dedup
+  → index → journal append over the tenant's single
+  ``out.journal.jsonl``, and recovery of the acked-but-uncheckpointed
+  suffix at start.
+
+* **:class:`FrontStage`** — the front both shard hosts
+  (:class:`~repro.service.shard.TenantShard` inline,
   :class:`~repro.service.workers.ShardSupervisor` across the process
-  boundary) put in front of their engine: dedup → index → journal
-  append over the tenant's single ``out.journal.jsonl``, and recovery
-  of the acked-but-uncheckpointed suffix at start.
+  boundary) are built on: ``submit``/``submit_seq``, the v1 replay
+  skip, and the :class:`DeliveryFront` from construction to fence.
 
 Acks are cumulative, so the ack channel is idempotent and lossy-safe:
 a dropped ack is repaired by the next one, and a resend triggered by
@@ -75,6 +79,9 @@ CLIENT_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 #: Delivery outcome tags (beside the shard/service outcome tags).
 DUPLICATE = "duplicate"
 PENDING = "pending"
+#: A v1 record a resumed host already holds: the source replays from
+#: the start, and the front skips it up to the checkpoint.
+REPLAYED = "replayed"
 
 #: Handshake reply lines.
 OK_LINE = b"OK v2\n"
@@ -414,3 +421,113 @@ class DeliveryFront:
     def remove(self) -> None:
         """Drained: everything owned is inside the final checkpoint."""
         self._journal.remove()
+
+
+class FrontStage:
+    """The one front both shard hosts put before their engine.
+
+    Under v1 it hands out indices from 0 each life — the source
+    replays from the start — and answers ``replayed`` below the
+    checkpoint position; it retires a journal a v2 life left, so acked
+    but uncheckpointed v2 lines do not survive a v1 life (DESIGN §14).
+    Under v2 it runs a :class:`DeliveryFront` from the checkpoint's
+    position and watermarks and hands its backlog over first.
+
+    A host supplies ``_lock`` (the front's one critical section) and
+    :meth:`_deliver`, the way a released batch of ``(index, record,
+    delivery)`` entries reaches its engine: inline on the thread host,
+    into the worker's outbox on the process host.
+    """
+
+    def _open_front(
+        self, directory: str, position: int, watermarks: dict,
+        exactly_once: bool, io=None,
+    ) -> None:
+        self._skip = position
+        self._next_index = 0
+        self._front: DeliveryFront | None = None
+        if not exactly_once:
+            try:
+                os.unlink(os.path.join(directory, JOURNAL_NAME))
+            except FileNotFoundError:
+                pass
+            return
+        self._front = DeliveryFront(directory, position, watermarks, io=io)
+        if self._front.backlog:
+            # Acked, so no client resends it: fed before anything new.
+            self._deliver(self._front.backlog)
+
+    @property
+    def seen(self) -> int:
+        """Stream index the next arrival takes (replayed ones count)."""
+        if self._front is not None:
+            return self._front.next_index
+        return self._next_index
+
+    @property
+    def resumed(self) -> bool:
+        return self._skip > 0
+
+    def _refusal(self) -> str | None:
+        """An outcome tag that turns every arrival away, or ``None``."""
+        return None
+
+    def _deliver(self, entries: list[tuple]) -> str:
+        """Take released entries to the engine; returns the first's
+        outcome tag."""
+        raise NotImplementedError
+
+    def submit(self, record: LogRecord) -> str:
+        """Take one unsequenced record; returns its outcome tag.
+
+        A v2 host indexes and journals it like its acked neighbours,
+        but never deduplicates or acks it.
+        """
+        with self._lock:
+            refusal = self._refusal()
+            if refusal is not None:
+                return refusal
+            if self._front is not None:
+                return self._deliver(self._front.admit(record)[2])
+            index = self._next_index
+            self._next_index += 1
+            if index < self._skip:
+                return REPLAYED
+            return self._deliver([(index, record, None)])
+
+    def submit_seq(
+        self, record: LogRecord, client: str, seq: int
+    ) -> tuple[str, int]:
+        """Take one sequence-tagged record exactly once (protocol v2).
+
+        Returns ``(outcome, high)``: *outcome* is ``duplicate``,
+        ``pending`` or the record's own tag, and *high* the client's
+        cumulative ack watermark.  Every sequence *high* covers is
+        journaled — under the lock, so concurrent connections append
+        in index order — before it is returned.
+        """
+        if self._front is None:
+            raise ValidationError(
+                "sequence-tagged submit requires an exactly-once "
+                "host (protocol v2)"
+            )
+        with self._lock:
+            refusal = self._refusal()
+            if refusal is not None:
+                return refusal, self._front.high(client)
+            status, high, entries = self._front.admit(record, client, seq)
+            return (self._deliver(entries) if entries else status), high
+
+    def _front_checkpointed(self, survivors=()) -> None:
+        """A checkpoint landed: keep *survivors* journaled (under the
+        lock)."""
+        if self._front is not None:
+            self._front.prune(survivors)
+
+    def _front_drained(self) -> None:
+        if self._front is not None:
+            self._front.remove()
+
+    def _front_fenced(self) -> None:
+        if self._front is not None:
+            self._front.close()

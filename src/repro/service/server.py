@@ -154,11 +154,6 @@ class IngestionService:
         self.on_checkpoint = on_checkpoint
         self.worker_kwargs = dict(worker_kwargs or {})
         self.shard_kwargs = shard_kwargs
-        if protocol == PROTOCOL_V2:
-            # Whichever host the isolation mode picks holds the
-            # delivery front (a supervisor keeps this for itself; its
-            # worker's TenantShard only mirrors watermarks).
-            self.shard_kwargs["exactly_once"] = True
         self._shards: dict[str, TenantShard] = {}
         self._lock = threading.Lock()
         self._submitted = 0
@@ -199,6 +194,15 @@ class IngestionService:
             with self._lock:
                 shard = self._shards.get(tenant)
                 if shard is None:
+                    # Whichever host the isolation mode picks holds the
+                    # tenant's front, v2 when the service is.
+                    kwargs = dict(
+                        parser_name=self.parser_name,
+                        telemetry=self.telemetry,
+                        io=self.io,
+                        exactly_once=self.protocol == PROTOCOL_V2,
+                        **self.shard_kwargs,
+                    )
                     if self.isolation == ISOLATION_PROCESS:
                         worker_kwargs = dict(self.worker_kwargs)
                         faults = worker_kwargs.get("faults")
@@ -218,22 +222,13 @@ class IngestionService:
                             tenant,
                             self.data_dir,
                             self.factory,
-                            parser_name=self.parser_name,
-                            telemetry=self.telemetry,
-                            io=self.io,
                             on_checkpoint=self.on_checkpoint,
                             **worker_kwargs,
-                            **self.shard_kwargs,
+                            **kwargs,
                         )
                     else:
                         shard = TenantShard(
-                            tenant,
-                            self.data_dir,
-                            self.factory,
-                            parser_name=self.parser_name,
-                            telemetry=self.telemetry,
-                            io=self.io,
-                            **self.shard_kwargs,
+                            tenant, self.data_dir, self.factory, **kwargs
                         )
                     self._shards[tenant] = shard
         return shard

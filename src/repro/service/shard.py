@@ -1,7 +1,9 @@
 """One tenant's isolated parsing domain inside the ingestion service.
 
-A :class:`TenantShard` owns everything whose failure must stay inside
-the tenant: a :class:`~repro.streaming.engine.StreamingParser` (with
+A :class:`TenantShard` is the thread host of a tenant: the front
+stage (:class:`~repro.service.protocol.FrontStage`) feeds its engine
+inline.  It owns everything whose failure must stay inside the
+tenant: a :class:`~repro.streaming.engine.StreamingParser` (with
 its own :class:`~repro.streaming.cache.TemplateCache`), a
 :class:`~repro.resilience.quarantine.QuarantineSink`, a checkpoint
 file, optionally a per-tenant
@@ -26,11 +28,12 @@ Isolation invariants:
 * nothing in this module reaches outside the tenant's directory, so a
   tripped tenant cannot perturb a neighbor's bytes.
 
-Replay/at-least-once contract: every submitted record bumps ``seen``
-*before* anything else; a shard restored from a checkpoint skips
-records until ``seen`` catches up with the checkpoint's
-``records_consumed``, so a source that replays from the beginning
-produces no duplicates and loses nothing.
+Replay/at-least-once contract: every entry reaches the engine
+through :meth:`TenantShard.step`, on either host, which answers an
+index below the restored ``position`` ``replayed``, so a source that
+replays from the beginning produces no duplicates and loses nothing.
+Per-tenant stats reach a registry through :func:`sync_tenant_stats`
+on either host.
 
 Drain writes the standard ``.events``/``.structured`` outputs through
 the engine's prefix finalize (byte-identical to a batch parse), saves
@@ -54,6 +57,7 @@ from repro.datasets.loader import write_parse_result
 from repro.degradation.budget import BudgetMonitor, ResourceBudget
 from repro.degradation.ladder import DegradationLadder
 from repro.degradation.runtime import DegradedSession
+from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.observability.tracing import SPAN_TENANT_DRAIN
 from repro.resilience.checkpoint import (
     artifact_offsets,
@@ -67,7 +71,7 @@ from repro.resilience.durability import (
     RunManifest,
 )
 from repro.resilience.quarantine import QuarantineRecord, QuarantineSink
-from repro.service.protocol import DeliveryFront
+from repro.service.protocol import REPLAYED, FrontStage
 from repro.streaming.engine import StreamingParser
 from repro.streaming.session import ParseSession
 
@@ -77,12 +81,13 @@ REASON_BUDGET = "budget-exhausted"
 REASON_CRASH = "parser-crash"
 REASON_POISON = "poison-pill"
 
-#: Outcome tags returned by :meth:`TenantShard.submit`.
+#: Outcome tags returned by :meth:`TenantShard.submit` and
+#: :meth:`TenantShard.step` (``replayed`` is the front's).
 ACCEPTED = "accepted"
-REPLAYED = "replayed"
 REJECTED = "rejected"
 QUARANTINED = "quarantined"
 BREAKER = "breaker"
+GAP = "gap"
 
 #: Artifact basenames inside every tenant directory.
 STEM = "out"
@@ -91,17 +96,23 @@ QUARANTINE_NAME = f"{STEM}.quarantine.jsonl"
 MANIFEST_NAME = f"{STEM}.manifest.json"
 
 
-def sync_tenant_counters(
-    metrics, marks: dict, tenant: str, stats: dict
-) -> None:
-    """Delta-sync one tenant's :meth:`TenantShard.stats` into *metrics*.
+#: Per-tenant SLO histograms: :meth:`TenantShard.stats` key → family.
+TENANT_HISTOGRAMS = (
+    ("latency", "repro_tenant_ingest_latency_seconds"),
+    ("queue_wait", "repro_tenant_queue_wait_seconds"),
+)
 
-    The one writer of the per-tenant SLO counter families, whether
-    *stats* was read from a live shard (thread mode) or shipped home
-    by a worker (process mode); *marks* is the caller's high-water
-    dict (see :meth:`MetricsRegistry.sync_high_water`).
+
+def sync_tenant_stats(metrics, marks: dict, tenant: str, stats: dict) -> None:
+    """Sync one tenant's :meth:`TenantShard.stats` into *metrics*.
+
+    The one writer of the per-tenant families, whether *stats* was
+    read from a live shard (thread host) or shipped home by a worker
+    (process host); *marks* is the caller's high-water dict (see
+    :meth:`MetricsRegistry.sync_high_water`).
     """
     sync = functools.partial(metrics.sync_high_water, marks, tenant=tenant)
+    sync("repro_service_lines_total", "lines", stats.get("lines"))
     sync("repro_tenant_lines_total", "tenant_lines", stats.get("lines"))
     for kind in ("exact", "template"):
         sync(
@@ -116,9 +127,12 @@ def sync_tenant_counters(
     metrics.get("repro_tenant_events").labels(tenant=tenant).set(
         float(stats.get("events") or 0)
     )
+    for key, name in TENANT_HISTOGRAMS:
+        if stats.get(key) is not None:
+            metrics.get(name).labels(tenant=tenant).sync_state(stats[key])
 
 
-class TenantShard:
+class TenantShard(FrontStage):
     """Supervised per-tenant parsing shard with its own failure domain.
 
     Args:
@@ -139,16 +153,15 @@ class TenantShard:
         ladder: rung order for the budgeted mode.
         breaker_threshold: consecutive ``feed`` crashes that trip the
             circuit breaker.
-        exactly_once: host a
-            :class:`~repro.service.protocol.DeliveryFront` inline
-            (protocol v2): :meth:`submit_seq` deduplicates per client
-            and journals every released record *before* the engine
-            feeds it (the durable-ownership point an ack certifies),
-            and construction replays the front's backlog — the acked
-            suffix past the checkpoint — while the restored
-            watermarks suppress client resends.  An exactly-once
-            resume starts *at* the checkpoint position (clients
-            resend only the unacked suffix), unlike the v1
+        exactly_once: open the front's v2 side
+            (:class:`~repro.service.protocol.FrontStage`):
+            :meth:`submit_seq` deduplicates per client and journals
+            every released record *before* the engine feeds it (the
+            durable-ownership point an ack certifies), and
+            construction feeds the acked suffix past the checkpoint
+            while the restored watermarks suppress client resends.
+            An exactly-once resume starts *at* the checkpoint position
+            (clients resend only the unacked suffix), unlike the v1
             replay-from-start contract.
         telemetry / io: observability handle and IO seam, both
             optional.
@@ -202,9 +215,9 @@ class TenantShard:
             self.quarantine_path, telemetry=telemetry, io=io
         )
         self._lock = threading.Lock()
-        self.seen = 0
+        #: Records consumed across all lives: the next index to feed.
+        self.position = 0
         self.accepted = 0
-        self._skip = 0
         self.breaker_open = False
         self.breaker_reason: str | None = None
         self._failures = 0
@@ -215,7 +228,11 @@ class TenantShard:
         # mirrored from the ``delivery`` metadata on every fed record,
         # whether the front is this shard's own or the supervisor's.
         self._ack_high: dict[str, int] = {}
-        self._front: DeliveryFront | None = None
+        # SLO histograms, kept only when someone reads them.
+        self._latency = self._queue_wait = None
+        if telemetry is not None:
+            self._latency = Histogram(DEFAULT_LATENCY_BUCKETS)
+            self._queue_wait = Histogram(DEFAULT_LATENCY_BUCKETS)
         # High-water marks for the read-time per-tenant counter sync
         # (engine counters are the source of truth; the registry child
         # catches up by delta at collect time).
@@ -258,8 +275,7 @@ class TenantShard:
                 telemetry=telemetry,
             )
             self._session = ParseSession(self.engine, track_matrix=False)
-            self._skip = checkpoint.records_consumed
-            self.seen = 0
+            self.position = checkpoint.records_consumed
             delivery_state = checkpoint.delivery
         else:
             self.engine = StreamingParser(
@@ -278,18 +294,9 @@ class TenantShard:
 
         for client, high in (delivery_state or {}).get("clients", {}).items():
             self._ack_high[client] = int(high)
-        if exactly_once:
-            self._front = DeliveryFront(
-                self.dir, self._skip, self._ack_high, io=io
-            )
-            # v2 sources resend only the unacked suffix (the windows
-            # identify it); nobody replays from record 0.
-            self.seen = self._skip
-            # The backlog was acked — the client will not resend it —
-            # so feeding it here is what makes the ack a durable
-            # promise across SIGKILL.
-            for _, record, delivery in self._front.backlog:
-                self._submit_locked(record, delivery)
+        self._open_front(
+            self.dir, self.position, self._ack_high, exactly_once, io
+        )
 
         if telemetry is not None:
             telemetry.metrics.register_collector(
@@ -308,15 +315,16 @@ class TenantShard:
         takes the shard lock, so a scrape cannot stall ingest.
         """
         with self._publish_lock:
-            sync_tenant_counters(
+            sync_tenant_stats(
                 self.telemetry.metrics, self._published, self.tenant,
                 self.stats(),
             )
 
     def stats(self) -> dict:
-        """Cumulative counters as plain data (a worker ships this home)."""
+        """Cumulative counters and SLO histogram states as plain data
+        (a worker ships this home)."""
         counters = self.engine.counters
-        return {
+        stats = {
             "lines": counters.lines,
             "events": counters.events,
             "pending": self.pending,
@@ -327,6 +335,12 @@ class TenantShard:
             "template_hits": counters.template_hits,
             "misses": counters.misses,
         }
+        for key, histogram in (
+            ("latency", self._latency), ("queue_wait", self._queue_wait)
+        ):
+            if histogram is not None and histogram.count:
+                stats[key] = histogram.state()
+        return stats
 
     @property
     def pending(self) -> int:
@@ -334,31 +348,9 @@ class TenantShard:
         return self.engine.pending_count
 
     @property
-    def resumed(self) -> bool:
-        return self._skip > 0
-
-    @property
     def state(self) -> str:
         """Lifecycle state, as ``/healthz`` and the status line show it."""
         return "breaker" if self.breaker_open else "alive"
-
-    @property
-    def position(self) -> int:
-        """Global stream position: records consumed across all lives."""
-        return max(self._skip, self.seen)
-
-    def fast_forward(self) -> None:
-        """Declare that the source resumes *at* the checkpoint position.
-
-        The default replay contract expects the source to replay from
-        the beginning (``seen`` catches up with ``_skip`` one record
-        at a time).  A supervisor that journals in-flight records
-        replays only the suffix *after* the checkpoint — it calls this
-        so ``submit`` treats the next record as position ``_skip``
-        instead of position 0.
-        """
-        with self._lock:
-            self.seen = max(self.seen, self._skip)
 
     def _quarantine(
         self, record: LogRecord, index: int, reason: str, detail: str
@@ -398,45 +390,45 @@ class TenantShard:
         or ``breaker`` (the circuit breaker is open).  Never raises on
         tenant-attributable faults — that is the isolation contract.
 
-        *delivery* is the ``(client_id, seq)`` pair of a record a
-        :class:`~repro.service.protocol.DeliveryFront` released — the
-        supervisor's, riding a feed message; it is mirrored into the
-        checkpointed watermarks.  On an exactly-once shard an
-        unsequenced (v1) record passes through the shard's own front
-        first, so it is journaled like its acked neighbours.
+        *delivery*, a ``(client_id, seq)`` pair, is mirrored into the
+        checkpointed watermarks.
         """
-        with self._lock:
-            if self._front is not None:
-                self._front.admit(record)
-            return self._submit_locked(record, delivery)
+        if delivery is not None:
+            with self._lock:
+                self._mirror_ack(delivery)
+        return super().submit(record)
 
-    def submit_seq(
-        self, record: LogRecord, client: str, seq: int
-    ) -> tuple[str, int]:
-        """Feed one sequence-tagged record exactly once (protocol v2).
+    def _deliver(self, entries: list[tuple]) -> str:
+        """The thread host feeds a released batch inline."""
+        return [self.step(*entry) for entry in entries][0]
 
-        The front classifies the arrival: duplicates are suppressed,
-        gaps are held back, and releases are journaled (the
-        durable-ownership point) then fed in sequence order.  Returns
-        ``(outcome, high)`` where *outcome* is ``duplicate``,
-        ``pending`` or this record's :meth:`submit` tag and *high* is
-        the cumulative acknowledgement watermark the caller sends
-        back to the client — by the time it is returned, every
-        sequence it covers is either in the checkpointed engine or in
-        the ownership journal.
+    def step(
+        self, index: int, record: LogRecord, delivery=None,
+        enqueued_at: float | None = None,
+    ) -> str:
+        """Take one ``(index, record, delivery)`` entry a front released.
+
+        An *index* below :attr:`position` is ``replayed``; one above it
+        is a ``gap``, refused; the one at it is fed and gets a
+        :meth:`submit` tag.  *enqueued_at* is the process host's
+        enqueue stamp (``time.monotonic``): latency counts from it.
+        The caller holds the lock or is the worker's one thread.
         """
-        if self._front is None:
-            raise ValidationError(
-                "sequence-tagged submit requires an exactly-once "
-                "shard (protocol v2)"
-            )
-        with self._lock:
-            outcome, high, entries = self._front.admit(record, client, seq)
-            for _, rrecord, delivery in entries:
-                result = self._submit_locked(rrecord, delivery)
-                if delivery[1] == seq:
-                    outcome = result
-            return outcome, high
+        if index != self.position:
+            return REPLAYED if index < self.position else GAP
+        self.position += 1
+        if delivery is not None:
+            self._mirror_ack(delivery)
+        if self._latency is None:
+            return self._feed(record, index)
+        started = time.monotonic()
+        if enqueued_at is None:
+            enqueued_at = started
+        else:
+            self._queue_wait.observe(max(0.0, started - enqueued_at))
+        outcome = self._feed(record, index)
+        self._latency.observe(max(0.0, time.monotonic() - enqueued_at))
+        return outcome
 
     def _mirror_ack(self, delivery) -> None:
         """Fold a fed record's ``(client, seq)`` into the watermarks."""
@@ -444,13 +436,7 @@ class TenantShard:
         if seq > self._ack_high.get(client, 0):
             self._ack_high[client] = seq
 
-    def _submit_locked(self, record: LogRecord, delivery=None) -> str:
-        if delivery is not None:
-            self._mirror_ack(delivery)
-        index = self.seen
-        self.seen += 1
-        if self.seen <= self._skip:
-            return REPLAYED
+    def _feed(self, record: LogRecord, index: int) -> str:
         if self.breaker_open:
             self._quarantine(
                 record,
@@ -460,7 +446,6 @@ class TenantShard:
             )
             return BREAKER
         try:
-            fed_at = time.perf_counter()
             line_no = self._session.feed(record)
         except BudgetExceededError as error:
             self._trip(f"budget exhausted: {error}")
@@ -481,19 +466,9 @@ class TenantShard:
                 )
             return QUARANTINED
         self._failures = 0
-        if self.telemetry is not None:
-            self.telemetry.metrics.get(
-                "repro_tenant_ingest_latency_seconds"
-            ).labels(tenant=self.tenant).observe(
-                max(0.0, time.perf_counter() - fed_at)
-            )
         if line_no < 0:
             return REJECTED
         self.accepted += 1
-        if self.telemetry is not None:
-            self.telemetry.metrics.get(
-                "repro_service_lines_total"
-            ).labels(tenant=self.tenant).inc()
         return ACCEPTED
 
     def poison(
@@ -511,8 +486,8 @@ class TenantShard:
         acknowledged, so its sequence must not regress on restart.
         """
         with self._lock:
-            index = self.seen
-            self.seen += 1
+            index = self.position
+            self.position += 1
             if delivery is not None:
                 self._mirror_ack(delivery)
             self.quarantine.add(
@@ -543,6 +518,7 @@ class TenantShard:
         """Persist the engine position + quarantine offsets, atomically."""
         with self._lock:
             self._checkpoint_locked()
+            self._front_checkpointed()  # everything journaled is fed
 
     def _delivery_state(self) -> dict | None:
         """Checkpoint-ready acknowledgement watermarks (sorted, stable)."""
@@ -554,7 +530,7 @@ class TenantShard:
         save_checkpoint(
             self.checkpoint_path,
             self.engine,
-            records_consumed=max(self._skip, self.seen),
+            records_consumed=self.position,
             parser=self.parser_name,
             source=f"tenant:{self.tenant}",
             artifacts=artifact_offsets(
@@ -564,11 +540,6 @@ class TenantShard:
             io=self.io,
             telemetry=self.telemetry,
         )
-        if self._front is not None:
-            # Every journaled record is now inside the checkpoint
-            # (admit is immediately followed by the engine feed the
-            # checkpoint just captured) — prune to empty.
-            self._front.prune(())
 
     def drain(self) -> dict:
         """Finalize, write outputs + checkpoint + manifest; idempotent.
@@ -598,10 +569,9 @@ class TenantShard:
                 artifacts.append((events_path, CODEC_LINES))
                 artifacts.append((structured_path, CODEC_LINES))
             self._checkpoint_locked()
-            if self._front is not None:
-                # Fully captured by the final checkpoint; a clean
-                # tenant directory holds only manifest-covered files.
-                self._front.remove()
+            # A clean tenant directory holds only manifest-covered
+            # files.
+            self._front_drained()
             artifacts.append((self.checkpoint_path, CODEC_OPAQUE))
             self.quarantine.close()
             if os.path.exists(self.quarantine_path):
@@ -615,7 +585,7 @@ class TenantShard:
             counters = self.engine.counters
             summary = {
                 "tenant": self.tenant,
-                "seen": max(self._skip, self.seen),
+                "seen": self.position,
                 "accepted": self.accepted,
                 "lines": counters.lines,
                 "events": counters.events,

@@ -13,27 +13,26 @@ physical:
   tenant's artifacts before exiting 0.  Worker-side spans ship home as
   plain dicts and are adopted by the parent tracer, exactly like
   :class:`~repro.parsers.parallel.ChunkedParallelParser` workers.
-* :class:`ShardSupervisor` — the parent-side handle with the same
-  surface as ``TenantShard`` (``submit``/``checkpoint``/``drain``/
-  ``describe``).  A monitor thread tracks heartbeats (watchdog
-  deadline → declare hung → stop), books each death in the shared
-  outcome vocabulary, and restarts crashed workers with
-  :class:`~repro.resilience.supervisor.RetryPolicy` exponential
-  backoff, resuming from the shard's own checkpoint.
+* :class:`ShardSupervisor` — the process host: the same front stage
+  as ``TenantShard`` (:class:`~repro.service.protocol.FrontStage`),
+  feeding an outbox instead of an engine.  A monitor thread tracks
+  heartbeats (watchdog deadline → declare hung → stop), books each
+  death in the shared outcome vocabulary, and restarts crashed
+  workers with :class:`~repro.resilience.supervisor.RetryPolicy`
+  exponential backoff, resuming from the shard's own checkpoint.
 
 Correctness hangs on three pieces of bookkeeping:
 
 * **The outbox.**  Every record waits in the supervisor's in-memory
   outbox until the worker acknowledges a checkpoint covering it.  A
-  restarted worker restores the checkpoint, fast-forwards
-  (:meth:`~repro.service.shard.TenantShard.fast_forward`), and the
-  supervisor replays exactly the outbox suffix.  A feed message
-  carries a batch of contiguous outbox entries, each with its global
-  record index; the worker skips indices below its restored position,
+  restarted worker restores the checkpoint and the supervisor replays
+  exactly the outbox suffix.  A feed message carries a batch of
+  contiguous outbox entries, each with its global record index; the
+  shard's per-entry step skips indices below its restored position,
   so replay after an un-acked checkpoint produces no duplicates and a
-  gap is a detectable protocol violation.  Under protocol v2 a
-  :class:`~repro.service.protocol.DeliveryFront` fills the outbox and
-  its journal carries it across *service* lives; v1 journals nothing.
+  gap is a detectable protocol violation.  Under protocol v2 the
+  front's journal carries the outbox across *service* lives; v1
+  journals nothing.
 * **Careful replay and poison pills.**  After a death the supervisor
   replays one record at a time, each awaiting an explicit ``done``
   ack, so the record in flight when the worker dies again is known
@@ -70,12 +69,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
 from repro.observability.events import EventLog
-from repro.observability.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    merge_histogram_states,
-)
+from repro.observability.metrics import MetricsRegistry, merge_histogram_states
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import Tracer
 from repro.resilience.checkpoint import load_checkpoint
@@ -87,13 +81,14 @@ from repro.resilience.supervisor import (
     RetryPolicy,
     stop_process,
 )
-from repro.service.protocol import JOURNAL_NAME, DeliveryFront
+from repro.service.protocol import REPLAYED, FrontStage
 from repro.service.shard import (
     ACCEPTED,
     CHECKPOINT_NAME,
-    REPLAYED,
+    GAP,
+    TENANT_HISTOGRAMS,
     TenantShard,
-    sync_tenant_counters,
+    sync_tenant_stats,
 )
 
 #: One more outcome tag beside the shard's: the shard is fenced and no
@@ -173,15 +168,24 @@ class WorkerSpec:
     trace_context: dict | None = None
 
 
+class _SteppedShard(TenantShard):
+    """A worker's shard.  Its front is the supervisor's, across the
+    process boundary, so it opens none of its own — it leaves the
+    journal that front holds alone — and is fed only by :meth:`step`."""
+
+    def _open_front(self, *_args) -> None:
+        self._front = None
+
+
 class ShardWorker:
     """Worker-side owner of one tenant's :class:`TenantShard`.
 
     Runs the message loop of one incarnation: restore the shard from
-    its checkpoint, fast-forward to the checkpoint position, announce
-    ``ready``, then consume ``feed``/``poison``/``checkpoint``/
-    ``drain`` messages until drained.  Heartbeats are sent from the
-    loop itself — a worker wedged inside a parse stops heartbeating,
-    which is exactly what the parent watchdog needs to see.
+    its checkpoint, announce ``ready``, then consume ``feed``/
+    ``poison``/``checkpoint``/``drain`` messages until drained.
+    Heartbeats are sent from the loop itself — a worker wedged inside
+    a parse stops heartbeating, which is exactly what the parent
+    watchdog needs to see.
     """
 
     def __init__(self, spec: WorkerSpec, inbox, outbox) -> None:
@@ -191,11 +195,6 @@ class ShardWorker:
         self.tracer: Tracer | None = None
         self.telemetry = None
         self._root = None
-        # Per-life SLO histograms, shipped as plain state on every
-        # heartbeat/checkpoint message.  They restart at zero with each
-        # incarnation; the supervisor folds dead lives into a base.
-        self._latency = Histogram(DEFAULT_LATENCY_BUCKETS)
-        self._queue_wait = Histogram(DEFAULT_LATENCY_BUCKETS)
         # serialize_new cursor: spans already shipped to the parent.
         self._span_cursor = 0
 
@@ -211,7 +210,7 @@ class ShardWorker:
             self._root = self.tracer.start_root(
                 SPAN_SHARD_WORKER, tenant=spec.tenant, life=spec.life
             )
-        shard = TenantShard(
+        return _SteppedShard(
             spec.tenant,
             spec.data_dir,
             spec.factory,
@@ -225,17 +224,6 @@ class ShardWorker:
             check_every=spec.check_every,
             telemetry=self.telemetry,
         )
-        # The supervisor replays only the journaled suffix, not the
-        # whole stream — resume *at* the checkpoint, not behind it.
-        shard.fast_forward()
-        return shard
-
-    def _stats(self, shard: TenantShard) -> dict:
-        return {
-            **shard.stats(),
-            "latency": self._latency.state(),
-            "queue_wait": self._queue_wait.state(),
-        }
 
     def _new_spans(self) -> list[dict]:
         """Finished spans not yet shipped home (continuous sync)."""
@@ -245,6 +233,12 @@ class ShardWorker:
             self._span_cursor
         )
         return spans
+
+    def _checkpointed(self, shard: TenantShard) -> None:
+        """Ship a checkpoint's position home, with stats and spans."""
+        self.outbox.put(
+            ("checkpointed", shard.position, shard.stats(), self._new_spans())
+        )
 
     def run(self) -> int:
         """The incarnation's message loop; returns the exit code."""
@@ -268,38 +262,27 @@ class ShardWorker:
             try:
                 message = self.inbox.get(timeout=spec.heartbeat_interval)
             except queue.Empty:
-                self.outbox.put(("hb", self._stats(shard)))
+                self.outbox.put(("hb", shard.stats()))
                 last_heartbeat = time.monotonic()
                 continue
             kind = message[0]
             if kind == "feed":
                 _, entries, confirm = message
                 for index, record, enqueued_at, delivery in entries:
-                    position = shard.position
-                    if index < position:
-                        outcome = REPLAYED
-                    elif index > position:
-                        # A record the journal should have replayed
-                        # never arrived: refuse to parse past the hole.
-                        self.outbox.put(("gap", position, index))
-                        return 1
-                    else:
+                    if index == shard.position:
                         for fault in spec.faults:
                             if fault.should_fire(index, spec.life):
                                 fault.fire()
-                        # CLOCK_MONOTONIC is comparable across
-                        # processes on the same boot, so the parent's
-                        # enqueue stamp prices the queue hop end to end.
-                        dequeued_at = time.monotonic()
-                        if enqueued_at is not None:
-                            self._queue_wait.observe(
-                                max(0.0, dequeued_at - enqueued_at)
-                            )
-                        outcome = shard.submit(record, delivery=delivery)
-                        if enqueued_at is not None:
-                            self._latency.observe(
-                                max(0.0, time.monotonic() - enqueued_at)
-                            )
+                    # CLOCK_MONOTONIC is comparable across processes on
+                    # the same boot, so the parent's enqueue stamp
+                    # prices the queue hop end to end.
+                    outcome = shard.step(index, record, delivery, enqueued_at)
+                    if outcome == GAP:
+                        # A record the journal should have replayed
+                        # never arrived: refuse to parse past the hole.
+                        self.outbox.put(("gap", shard.position, index))
+                        return 1
+                    if outcome != REPLAYED:
                         fed_since_checkpoint += 1
                     if confirm:
                         self.outbox.put(("done", index, outcome))
@@ -309,17 +292,10 @@ class ShardWorker:
                     if fed_since_checkpoint >= spec.checkpoint_every:
                         shard.checkpoint()
                         fed_since_checkpoint = 0
-                        self.outbox.put(
-                            (
-                                "checkpointed",
-                                shard.position,
-                                self._stats(shard),
-                                self._new_spans(),
-                            )
-                        )
+                        self._checkpointed(shard)
                     now = time.monotonic()
                     if now - last_heartbeat >= spec.heartbeat_interval:
-                        self.outbox.put(("hb", self._stats(shard)))
+                        self.outbox.put(("hb", shard.stats()))
                         last_heartbeat = now
             elif kind == "poison":
                 _, index, record, detail, delivery = message
@@ -330,25 +306,11 @@ class ShardWorker:
                     shard.checkpoint()
                     fed_since_checkpoint = 0
                 self.outbox.put(("poisoned", index))
-                self.outbox.put(
-                    (
-                        "checkpointed",
-                        shard.position,
-                        self._stats(shard),
-                        self._new_spans(),
-                    )
-                )
+                self._checkpointed(shard)
             elif kind == "checkpoint":
                 shard.checkpoint()
                 fed_since_checkpoint = 0
-                self.outbox.put(
-                    (
-                        "checkpointed",
-                        shard.position,
-                        self._stats(shard),
-                        self._new_spans(),
-                    )
-                )
+                self._checkpointed(shard)
             elif kind == "drain":
                 for fault in spec.faults:
                     if fault.should_fire_at_drain(spec.life):
@@ -364,7 +326,7 @@ class ShardWorker:
                     # acks — repeated adoption must never duplicate.
                     spans = self._new_spans()
                 self.outbox.put(
-                    ("drained", summary, spans, self._stats(shard))
+                    ("drained", summary, spans, shard.stats())
                 )
                 self.outbox.close()
                 self.outbox.join_thread()
@@ -379,16 +341,15 @@ def shard_worker_main(spec: WorkerSpec, inbox, outbox) -> None:
     sys.exit(ShardWorker(spec, inbox, outbox).run())
 
 
-class ShardSupervisor:
+class ShardSupervisor(FrontStage):
     """Parent-side supervised handle for one process-isolated tenant.
 
-    Presents the :class:`TenantShard` surface the
-    :class:`~repro.service.server.IngestionService` expects while the
-    real shard lives in a worker subprocess.  A monitor thread owns
-    the entire worker lifecycle — spawn, heartbeat watchdog, dispatch,
-    death classification, backoff restart, careful replay, poison
-    diversion, fencing, drain — so ``submit`` from connection threads
-    only appends to the outbox.
+    The process host: the front stage of :class:`TenantShard`, while
+    the real shard lives in a worker subprocess.  A monitor thread
+    owns the entire worker lifecycle — spawn, heartbeat watchdog,
+    dispatch, death classification, backoff restart, careful replay,
+    poison diversion, fencing, drain — so ``submit`` from connection
+    threads only appends to the outbox.
 
     Args:
         watchdog: seconds without any worker message before the
@@ -477,39 +438,16 @@ class ShardSupervisor:
 
         self._lock = threading.Lock()
         # A torn checkpoint, or another parser's, refuses the shard here.
-        self._skip, watermarks = 0, {}
+        position, watermarks = 0, {}
         checkpoint_path = os.path.join(self.dir, CHECKPOINT_NAME)
         if os.path.exists(checkpoint_path):
             checkpoint = load_checkpoint(checkpoint_path, parser=parser_name)
-            self._skip = checkpoint.records_consumed
+            position = checkpoint.records_consumed
             watermarks = (checkpoint.delivery or {}).get("clients", {})
         # (index, record, enqueued_at monotonic stamp, delivery meta)
         # quadruples; delivery is None for v1 lines.
         self._outbox: list[tuple[int, LogRecord, float, tuple | None]] = []
-        #: The exactly-once front (protocol v2); ``None`` under v1.
-        self._front: DeliveryFront | None = None
-        if exactly_once:
-            # Resume *at* the checkpoint: the front's backlog — acked
-            # by the previous service life, so no source resends it —
-            # is the head of this life's outbox.
-            self._front = DeliveryFront(
-                self.dir, self._skip, watermarks, io=io
-            )
-            now = time.monotonic()
-            self._outbox = [
-                (index, record, now, delivery)
-                for index, record, delivery in self._front.backlog
-            ]
-            self._next_index = self._front.next_index
-        else:
-            # v1 resume replays the whole stream from the source and
-            # skips to the checkpoint; a journal left by a v2 life
-            # promises lines this service cannot deduplicate.
-            self._next_index = 0
-            try:
-                os.unlink(os.path.join(self.dir, JOURNAL_NAME))
-            except FileNotFoundError:
-                pass
+        self._open_front(self.dir, position, watermarks, exactly_once, io)
         self._acked = self._skip
         self._sent_through = self._skip
         self._mode_careful = False
@@ -537,12 +475,10 @@ class ShardSupervisor:
         # SLO histograms accumulate across worker lives: each life's
         # local histograms restart at zero, so the last state a dead
         # life shipped folds into a base the live state merges onto.
-        self._hist_base: dict[str, dict | None] = {
-            "latency": None, "queue_wait": None,
-        }
-        self._hist_live: dict[str, dict | None] = {
-            "latency": None, "queue_wait": None,
-        }
+        self._hist_base: dict[str, dict | None] = dict.fromkeys(
+            key for key, _ in TENANT_HISTOGRAMS
+        )
+        self._hist_live = dict(self._hist_base)
         self._on_checkpoint = on_checkpoint
         self._done = threading.Event()
         self._spawned = threading.Event()
@@ -558,15 +494,7 @@ class ShardSupervisor:
         # tenants' workers running at the end of a 4k-line replay).
         self._spawned.wait()
 
-    # -- public surface (mirrors TenantShard) --------------------------
-
-    @property
-    def seen(self) -> int:
-        return self._next_index
-
-    @property
-    def resumed(self) -> bool:
-        return self._skip > 0
+    # -- public surface, beside the front stage's ----------------------
 
     @property
     def breaker_open(self) -> bool:
@@ -580,58 +508,20 @@ class ShardSupervisor:
     def heartbeat_age(self) -> float:
         return max(0.0, self._clock() - self._last_seen)
 
-    def submit(self, record: LogRecord) -> str:
-        # The enqueue stamp rides the feed message so the worker can
-        # price queue wait and end-to-end latency.  Raw monotonic, not
-        # the injectable clock: it must be comparable with the worker
-        # process's own time.monotonic().
+    def _refusal(self) -> str | None:
+        return FENCED if self.state == STATE_FENCED else None
+
+    def _deliver(self, entries: list[tuple]) -> str:
+        """The process host appends a released batch to the outbox."""
+        # Raw monotonic, not the injectable clock: the worker compares
+        # the stamp with its own time.monotonic() to price queue wait
+        # and end-to-end latency.
         enqueued_at = time.monotonic()
-        with self._lock:
-            if self.state == STATE_FENCED:
-                return FENCED
-            if self._front is not None:
-                # An unsequenced line on a v2 service: owned (and
-                # indexed) by the front like its acked neighbours.
-                _, _, entries = self._front.admit(record)
-            elif self._next_index < self._skip:
-                self._next_index += 1
-                return REPLAYED
-            else:
-                entries = [(self._next_index, record, None)]
-            self._enqueue(entries, enqueued_at)
+        self._outbox.extend(
+            (index, record, enqueued_at, delivery)
+            for index, record, delivery in entries
+        )
         return ACCEPTED
-
-    def _enqueue(self, entries, enqueued_at: float) -> None:
-        for index, record, delivery in entries:
-            self._outbox.append((index, record, enqueued_at, delivery))
-            self._next_index = index + 1
-
-    def submit_seq(
-        self, record: LogRecord, client: str, seq: int
-    ) -> tuple[str, int]:
-        """Exactly-once submit of one sequence-tagged record.
-
-        Returns ``(outcome, high)`` where *high* is the client's
-        cumulative ack watermark.  The ack contract: *high* covers a
-        sequence only once its record is journal-owned — admitted by
-        the front — so a ``SIGKILL`` at any later point replays it
-        from the journal instead of losing it.
-        """
-        if self._front is None:
-            raise ValidationError(
-                "submit_seq requires an exactly_once supervisor"
-            )
-        enqueued_at = time.monotonic()
-        with self._lock:
-            if self.state == STATE_FENCED:
-                return FENCED, self._front.high(client)
-            # Admit under the lock: appends from concurrent
-            # connections must land in index order, or a crash between
-            # out-of-order appends would leave an index gap the
-            # restarted worker's feed gap-check fences on.
-            status, high, entries = self._front.admit(record, client, seq)
-            self._enqueue(entries, enqueued_at)
-            return (ACCEPTED if entries else status), high
 
     def checkpoint(self) -> None:
         """Request an out-of-band worker checkpoint (asynchronous)."""
@@ -693,25 +583,16 @@ class ShardSupervisor:
         self._stats = stats
         if self.telemetry is None:
             return
-        metrics = self.telemetry.metrics
-        metrics.sync_high_water(
-            self._synced, "repro_service_lines_total", "lines",
-            stats.get("lines"), tenant=self.tenant,
+        stats = dict(stats)
+        for key in self._hist_base:
+            if stats.get(key) is not None:
+                self._hist_live[key] = stats[key]
+            stats[key] = merge_histogram_states(
+                self._hist_base[key], self._hist_live[key]
+            )
+        sync_tenant_stats(
+            self.telemetry.metrics, self._synced, self.tenant, stats
         )
-        sync_tenant_counters(metrics, self._synced, self.tenant, stats)
-        for key, metric in (
-            ("latency", "repro_tenant_ingest_latency_seconds"),
-            ("queue_wait", "repro_tenant_queue_wait_seconds"),
-        ):
-            state = stats.get(key)
-            if state is None:
-                continue
-            self._hist_live[key] = state
-            merged = merge_histogram_states(self._hist_base[key], state)
-            if merged is not None:
-                metrics.get(metric).labels(
-                    tenant=self.tenant
-                ).sync_state(merged)
 
     def _emit(self, kind: str, **fields) -> None:
         if self.telemetry is not None:
@@ -819,13 +700,10 @@ class ShardSupervisor:
                 del self._kill_counts[index]
             for index in [i for i in self._poisoned if i < position]:
                 del self._poisoned[index]
-            if self._front is not None:
-                # Still under the lock — the front's one critical
-                # section.
-                self._front.prune(
-                    (index, record, delivery)
-                    for index, record, _, delivery in self._outbox
-                )
+            self._front_checkpointed(
+                (index, record, delivery)
+                for index, record, _, delivery in self._outbox
+            )
 
     def _handle_message(self, message, process) -> str | None:
         kind = message[0]
@@ -889,10 +767,9 @@ class ShardSupervisor:
             self._sync_stats(stats)
             if self.telemetry is not None and spans:
                 self.telemetry.tracer.adopt(spans)
-            self._prune(self._next_index)
-            if self._front is not None:
-                with self._lock:
-                    self._front.remove()
+            self._prune(self.seen)
+            with self._lock:
+                self._front_drained()
             process.join(timeout=self.term_grace + 5.0)
             if process.is_alive():  # pragma: no cover - stuck exit
                 stop_process(process, self.term_grace)
@@ -912,10 +789,8 @@ class ShardSupervisor:
             self.state = STATE_FENCED
             if self._drained_summary is None:
                 self._drained_summary = self._fenced_summary()
-            # Submits are refused from here on; the journal itself
-            # stays on disk for the next service life.
-            if self._front is not None:
-                self._front.close()
+            # Submits are refused from here on.
+            self._front_fenced()
         self._emit("worker_fenced", reason=why, restarts=self.restarts)
         self._done.set()
         return "fenced"
@@ -926,7 +801,7 @@ class ShardSupervisor:
             "tenant": self.tenant,
             "fenced": True,
             "isolation": "process",
-            "seen": self._next_index,
+            "seen": self.seen,
             "accepted": stats.get("accepted", 0),
             "lines": stats.get("lines", 0),
             "events": stats.get("events", 0),
@@ -1064,7 +939,7 @@ class ShardSupervisor:
                     # a worker that is actually hung mid-record.
                     fully_acked = (
                         fully_dispatched
-                        and self._acked >= self._next_index
+                        and self._acked >= self.seen
                     )
                     want_drain = self._drain_requested and not drain_sent
                     want_checkpoint = fully_dispatched and (

@@ -534,6 +534,31 @@ class TestLiveProcessSync:
             "repro_service_lines_total", tenant="t"
         ) == 60.0
 
+    @pytest.mark.parametrize("isolation", ["thread", "process"])
+    def test_service_lines_count_the_engine_across_lives(
+        self, tmp_path, isolation
+    ):
+        """``repro_service_lines_total`` reads the engine's cumulative
+        line count on either host, so a resumed service that replays
+        40 lines over a drained 30 reads 40, not its own life's 10."""
+        lines = [f"a\t{line}" for line in conn_lines(40)]
+
+        def life(batch):
+            telemetry = Telemetry.create(trace_id="t")
+            service = IngestionService(
+                str(tmp_path), factory(), parser_name="Drain",
+                telemetry=telemetry, isolation=isolation,
+                worker_kwargs=dict(FAST) if isolation == "process" else None,
+            )
+            replay_lines(service, batch)
+            service.drain()
+            return telemetry.metrics.value
+
+        life(lines[:30])
+        value = life(lines)
+        assert value("repro_service_lines_total", tenant="a") == 40.0
+        assert value("repro_tenant_lines_total", tenant="a") == 40.0
+
     def test_histograms_accumulate_across_worker_lives(self, tmp_path):
         telemetry = Telemetry.create(trace_id="t")
         pill = ProcessFault(PROC_KILL, at_record=25, lives=(1,))

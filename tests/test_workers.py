@@ -626,6 +626,33 @@ class TestOneFrontTwoHosts:
         assert (summary["seen"], summary["lines"]) == (11, 11)
 
 
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_acked_v2_lines_do_not_survive_a_v1_life(self, tmp_path, host):
+        """Life A (thread, v2) acks 10 lines and dies uncheckpointed;
+        life B (v1, on *host*) takes 3 new lines and drains; life C
+        (thread, v2) drains B's 3 lines — not B's 3 followed by A's
+        journal past them, a stream no calm run produces."""
+        data = str(tmp_path)
+        first = TenantShard(
+            "t", data, factory(), parser_name="Drain", exactly_once=True,
+        )
+        self._ack(first, range(1, 11))
+        first._front.close()  # SIGKILL: no checkpoint, no drain
+        if host == "thread":
+            second = TenantShard("t", data, factory(), parser_name="Drain")
+        else:
+            second = ShardSupervisor(
+                "t", data, factory(), parser_name="Drain", **FAST
+            )
+        for i in range(3):
+            second.submit(LogRecord(content=f"conn from host2 port {i}"))
+        assert second.drain()["lines"] == 3
+        third = TenantShard(
+            "t", data, factory(), parser_name="Drain", exactly_once=True,
+        )
+        assert third.drain()["lines"] == 3
+
+
 class TestExitClassification:
     def test_last_message_racing_the_exit_is_not_a_crash(
         self, tmp_path, monkeypatch
