@@ -284,10 +284,18 @@ def _note_artifact_write(telemetry, kind: str, outcome: str, path: str) -> None:
 # ----------------------------------------------------------------------
 
 
+#: ``json.dumps(payload, sort_keys=True)``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def frame_bytes(data: bytes) -> bytes:
+    """Put the length+CRC32 frame around one encoded JSON payload."""
+    return b"%08x %08x %s\n" % (len(data), zlib.crc32(data), data)
+
+
 def frame_record(payload: dict) -> bytes:
     """Encode one JSONL record with its length+CRC32 frame."""
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return b"%08x %08x " % (len(data), zlib.crc32(data)) + data + b"\n"
+    return frame_bytes(_ENCODER.encode(payload).encode("utf-8"))
 
 
 def parse_frame(line: bytes) -> dict | None:

@@ -38,14 +38,14 @@ cooperating pieces, all in this module:
   resume.
 
 * **:class:`DeliveryFront`** — one tenant's exactly-once front: dedup
-  → index → journal append over the tenant's single
-  ``out.journal.jsonl``, and recovery of the acked-but-uncheckpointed
-  suffix at start.
+  → index for a batch of arrivals, then one all-or-nothing journal
+  commit over the tenant's single ``out.journal.jsonl``, and recovery
+  of the acked-but-uncheckpointed suffix at start.
 
 * **:class:`FrontStage`** — the front both shard hosts
   (:class:`~repro.service.shard.TenantShard` inline,
   :class:`~repro.service.workers.ShardSupervisor` across the process
-  boundary) are built on: ``submit``/``submit_seq``, the v1 replay
+  boundary) are built on: ``submit``/``submit_seqs``, the v1 replay
   skip, and the :class:`DeliveryFront` from construction to fence.
 
 Acks are cumulative, so the ack channel is idempotent and lossy-safe:
@@ -55,15 +55,17 @@ a lost ack collapses in the window.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+from json.encoder import encode_basestring_ascii as _json_str
 
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
 from repro.resilience.durability import (
     RealIO,
     atomic_write_text,
-    frame_record,
+    frame_bytes,
     recover_jsonl,
 )
 
@@ -149,6 +151,10 @@ def parse_ack(text: str) -> tuple[str, int] | None:
     return parts[1], int(parts[2])
 
 
+def _json_or_null(value: str | None) -> str:
+    return "null" if value is None else _json_str(value)
+
+
 class DeliveryWindow:
     """Per-(client, tenant) exactly-once dedup window.
 
@@ -228,11 +234,13 @@ class BatchJournal:
     resume rebuild its :class:`DeliveryWindow` watermarks past the
     checkpoint.
 
-    Appends share one handle, opened on first use and flushed per
-    record (so an entry outlives a ``SIGKILL`` the moment ``append``
-    returns — the ack boundary; it is not fsynced, see DESIGN §14).
-    ``reset`` and ``remove`` close it first, and the next append
-    reopens the file the rewrite left behind.
+    Appends share one handle, opened on first use.  :meth:`extend`
+    writes a batch and flushes it once, all or nothing: an entry
+    outlives a ``SIGKILL`` the moment it returns (the ack boundary;
+    it is not fsynced, see DESIGN §14), and a failed write or flush
+    truncates the file back to where the batch began.  ``reset`` and
+    ``remove`` close the handle first, and the next append reopens
+    the file the rewrite left behind.
 
     With ``recover=True`` — how :class:`DeliveryFront` opens it — the
     surviving entries of a previous life are parsed (torn tail
@@ -260,17 +268,19 @@ class BatchJournal:
 
     @staticmethod
     def _frame(index: int, record: LogRecord, delivery=None) -> bytes:
-        payload = {
-            "index": index,
-            "content": record.content,
-            "timestamp": record.timestamp,
-            "session_id": record.session_id,
-            "truth_event": record.truth_event,
-        }
+        """``frame_record`` of the entry's payload, in one pass."""
+        client = seq = ""
         if delivery is not None:
-            payload["client"] = delivery[0]
-            payload["seq"] = delivery[1]
-        return frame_record(payload)
+            client = f'"client": {_json_str(delivery[0])}, '
+            seq = f'"seq": {delivery[1]}, '
+        return frame_bytes(
+            f'{{{client}"content": {_json_str(record.content)}, '
+            f'"index": {index}, {seq}'
+            f'"session_id": {_json_or_null(record.session_id)}, '
+            f'"timestamp": {_json_or_null(record.timestamp)}, '
+            f'"truth_event": {_json_or_null(record.truth_event)}}}'
+            .encode()
+        )
 
     @staticmethod
     def _thaw(payload: dict) -> tuple[int, LogRecord, tuple | None]:
@@ -285,16 +295,34 @@ class BatchJournal:
             delivery = (payload["client"], int(payload.get("seq", 0)))
         return int(payload.get("index", 0)), record, delivery
 
-    def append(self, index: int, record: LogRecord, delivery=None) -> None:
-        """Write + flush one entry on the held append handle.
+    def extend(self, entries) -> None:
+        """Write *entries* and flush them once, all or nothing: a
+        failure drops the handle and truncates the file, through the
+        io seam, back to where the batch began before it re-raises.
 
         Not thread-safe, and must not interleave with :meth:`reset`
         (see :class:`DeliveryFront`, which states the invariant).
         """
+        if not entries:
+            return
         if self._handle is None:
             self._handle = self._io.open(self.path, "ab")
-        self._io.write(self._handle, self._frame(index, record, delivery))
-        self._io.flush(self._handle)
+        start = self._handle.tell()
+        try:
+            self._io.write(
+                self._handle, b"".join([self._frame(*e) for e in entries])
+            )
+            self._io.flush(self._handle)
+        except Exception:
+            # Closing flushes the buffer; the truncate takes it off.
+            with contextlib.suppress(OSError):
+                self.close()
+            self._io.truncate(self.path, start)
+            raise
+
+    def append(self, index: int, record: LogRecord, delivery=None) -> None:
+        """Write + flush one entry: a batch of one."""
+        self.extend([(index, record, delivery)])
 
     def close(self) -> None:
         """Give the append handle back; the file stays for a resume."""
@@ -342,8 +370,8 @@ class DeliveryFront:
     and :attr:`next_index` starts past it.
 
     Not thread-safe.  **One critical section:** the host runs
-    :meth:`admit`, :meth:`prune` and :meth:`remove` under a single
-    lock, or an admit racing a prune's rename appends to the inode it
+    :meth:`admit_all`, :meth:`prune` and :meth:`remove` under a single
+    lock, or a commit racing a prune's rename appends to the inode it
     replaces — an acked sequence owned by neither the journal nor,
     until the next checkpoint, the engine.
     """
@@ -384,31 +412,53 @@ class DeliveryFront:
     def admit(
         self, record: LogRecord, client: str | None = None, seq: int = 0
     ) -> tuple[str, int | None, list[tuple]]:
-        """Take ownership of one arrival: ``(status, high, entries)``.
+        """Take ownership of one arrival: a batch of one."""
+        return self.admit_all([(record, seq)], client)[0]
+
+    def admit_all(
+        self, arrivals, client: str | None = None
+    ) -> list[tuple[str, int | None, list[tuple]]]:
+        """Take ownership of one client's ``(record, seq)`` arrivals,
+        all or nothing: one ``(status, high, entries)`` per arrival.
 
         *status* is the window's verdict (``duplicate`` / ``pending`` /
         ``release``), *high* the watermark to acknowledge, *entries*
         the ``(index, record, (client, seq))`` triples the arrival
-        released, in sequence order — each appended and flushed before
-        this returns, so whatever the caller then acks or feeds, a
-        ``SIGKILL`` replays.  With no *client* the record is a v1 line
-        on a v2 host: never deduplicated or acked, but indexed and
-        journaled, because a resumed worker treats a hole in the
-        journal's indices as a lost record.
+        released, in sequence order.  The batch is journaled with one
+        write + flush (the commit) before this returns, so whatever
+        the caller then acks or feeds, a ``SIGKILL`` replays.  A failed
+        commit rewinds the window and :attr:`next_index` and re-raises:
+        nothing of the batch is owned, so resends are admitted.  With
+        no *client* the records are v1 lines on a v2 host: never
+        deduplicated or acked, but indexed and journaled, because a
+        resumed worker treats a hole in the journal's indices as a
+        lost record.
         """
-        if client is None:
-            status, high, released = "release", None, [(None, record)]
-        else:
-            window = self._window(client)
-            status, released = window.observe(seq, record)
-            high = window.high
-        entries = []
-        for rseq, rrecord in released:
-            delivery = None if client is None else (client, rseq)
-            self._journal.append(self.next_index, rrecord, delivery)
-            entries.append((self.next_index, rrecord, delivery))
-            self.next_index += 1
-        return status, high, entries
+        window = None if client is None else self._window(client)
+        undo = self.next_index, window and (window.high, dict(window._pending))
+        results, entries = [], []
+        for record, seq in arrivals:
+            if window is None:
+                status, high, released = "release", None, [(None, record)]
+            else:
+                status, released = window.observe(seq, record)
+                high = window.high
+            fresh = [
+                (self.next_index + offset, rrecord,
+                 None if client is None else (client, rseq))
+                for offset, (rseq, rrecord) in enumerate(released)
+            ]
+            self.next_index += len(fresh)
+            entries += fresh
+            results.append((status, high, fresh))
+        try:
+            self._journal.extend(entries)
+        except Exception:
+            self.next_index = undo[0]
+            if window is not None:
+                window.high, window._pending = undo[1]
+            raise
+        return results
 
     def prune(self, survivors) -> None:
         """A checkpoint landed: rewrite the journal to *survivors*."""
@@ -436,7 +486,9 @@ class FrontStage:
     A host supplies ``_lock`` (the front's one critical section) and
     :meth:`_deliver`, the way a released batch of ``(index, record,
     delivery)`` entries reaches its engine: inline on the thread host,
-    into the worker's outbox on the process host.
+    into the worker's outbox on the process host.  :meth:`submit_seqs`
+    is the one v2 path: it delivers a batch only after the batch's
+    journal commit, and :meth:`submit_seq` is its batch of one.
     """
 
     def _open_front(
@@ -472,9 +524,9 @@ class FrontStage:
         """An outcome tag that turns every arrival away, or ``None``."""
         return None
 
-    def _deliver(self, entries: list[tuple]) -> str:
-        """Take released entries to the engine; returns the first's
-        outcome tag."""
+    def _deliver(self, entries: list[tuple]) -> list[str]:
+        """Take released entries to the engine; returns their outcome
+        tags."""
         raise NotImplementedError
 
     def submit(self, record: LogRecord) -> str:
@@ -488,23 +540,31 @@ class FrontStage:
             if refusal is not None:
                 return refusal
             if self._front is not None:
-                return self._deliver(self._front.admit(record)[2])
+                return self._deliver(self._front.admit(record)[2])[0]
             index = self._next_index
             self._next_index += 1
             if index < self._skip:
                 return REPLAYED
-            return self._deliver([(index, record, None)])
+            return self._deliver([(index, record, None)])[0]
 
     def submit_seq(
         self, record: LogRecord, client: str, seq: int
     ) -> tuple[str, int]:
-        """Take one sequence-tagged record exactly once (protocol v2).
+        """Take one sequence-tagged record: a batch of one."""
+        outcomes, high = self.submit_seqs([(record, seq)], client)
+        return outcomes[0], high
 
-        Returns ``(outcome, high)``: *outcome* is ``duplicate``,
-        ``pending`` or the record's own tag, and *high* the client's
-        cumulative ack watermark.  Every sequence *high* covers is
-        journaled — under the lock, so concurrent connections append
-        in index order — before it is returned.
+    def submit_seqs(
+        self, arrivals: list[tuple[LogRecord, int]], client: str
+    ) -> tuple[list[str], int]:
+        """Take ``(record, seq)`` arrivals exactly once (protocol v2).
+
+        Returns ``(outcomes, high)``: one ``duplicate``, ``pending`` or
+        record tag per arrival, and the client's cumulative ack
+        watermark.  Under one hold of the lock (so concurrent
+        connections append in index order) the front admits and
+        commits the batch; only then are its entries delivered.  A
+        failed commit raises with nothing delivered or ackable.
         """
         if self._front is None:
             raise ValidationError(
@@ -514,9 +574,16 @@ class FrontStage:
         with self._lock:
             refusal = self._refusal()
             if refusal is not None:
-                return refusal, self._front.high(client)
-            status, high, entries = self._front.admit(record, client, seq)
-            return (self._deliver(entries) if entries else status), high
+                return [refusal] * len(arrivals), self._front.high(client)
+            admitted = self._front.admit_all(arrivals, client)
+            tags = self._deliver(
+                [entry for _, _, entries in admitted for entry in entries]
+            )
+            outcomes, at = [], 0
+            for status, _, entries in admitted:
+                outcomes.append(tags[at] if entries else status)
+                at += len(entries)
+            return outcomes, self._front.high(client)
 
     def _front_checkpointed(self, survivors=()) -> None:
         """A checkpoint landed: keep *survivors* journaled (under the

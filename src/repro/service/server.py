@@ -69,6 +69,8 @@ PROTOCOL = "protocol"
 RATE_LIMITED = "rate"
 SAMPLED = "sampled"
 SHED = "shed"
+#: A v2 line whose tenant batch raised: not owned, not acked.
+ERROR = "error"
 
 #: Basename of the service-level quarantine in the data root.
 SERVICE_QUARANTINE_NAME = "service.quarantine.jsonl"
@@ -324,39 +326,70 @@ class IngestionService:
     def submit_line_v2(
         self, line: str, client: str, origin: str = "<stream>"
     ) -> tuple[str, str | None, int | None]:
-        """Route one sequence-tagged line (protocol v2).
+        """Route one sequence-tagged line: a batch of one.
 
-        Returns ``(outcome, tenant, high)``.  *high* is the client's
-        cumulative acknowledgement watermark for *tenant* — every
-        sequence it covers is durably owned — or ``None`` when no ack
-        may be sent: the line was unroutable (``protocol``) or
-        admission shed it before anything took ownership (the client
-        must resend).
+        Returns its ``(outcome, tenant, high)``; a failed journal
+        commit is raised.
+        """
+        results, errors = self.submit_lines_v2([line], client, origin)
+        if errors:
+            raise errors[0]
+        return results[0]
+
+    def submit_lines_v2(
+        self, lines: list[str], client: str, origin: str = "<stream>"
+    ) -> tuple[list[tuple[str, str | None, int | None]], list[Exception]]:
+        """Route sequence-tagged lines (protocol v2), one batch per tenant.
+
+        Every line is routed in arrival order; then each tenant's
+        lines go to its shard as one ``submit_seqs`` batch.  Returns
+        one ``(outcome, tenant, high)`` per line and the errors of the
+        batches that raised.  *high* is the client's ack watermark
+        after the tenant's batch — every sequence it covers is durably
+        owned — or ``None`` when no ack may be sent: the line was
+        unroutable (``protocol``), shed by admission, or in a batch
+        that raised (``error``); the client must resend.
         """
         if self.protocol != PROTOCOL_V2:
             raise ValidationError(
                 "sequence-tagged lines require a protocol-v2 service"
             )
-        line = line.rstrip("\r")
-        parsed = parse_data(line)
-        if parsed is None:
-            detail = "no sequence number (expected seq<SP>tenant<TAB>content)"
-            self._protocol_reject(line, origin, detail, "<none>")
-            return PROTOCOL, None, None
-        seq, payload = parsed
-        refusal, tenant, content = self._route(
-            line, payload, origin, "seq tenant<TAB>content"
-        )
-        if refusal is not None:
-            return refusal, tenant, None
-        outcome, high = self.shard(tenant).submit_seq(
-            LogRecord(content=content), client, seq
-        )
-        if outcome == DUPLICATE and self.telemetry is not None:
-            self.telemetry.metrics.get(
-                "repro_delivery_duplicates_suppressed_total"
-            ).labels(tenant=tenant).inc()
-        return outcome, tenant, high
+        results: list = []
+        batches: dict[str, list] = {}
+        detail = "no sequence number (expected seq<SP>tenant<TAB>content)"
+        for line in lines:
+            line = line.rstrip("\r")
+            parsed = parse_data(line)
+            if parsed is None:
+                self._protocol_reject(line, origin, detail, "<none>")
+                results.append((PROTOCOL, None, None))
+                continue
+            seq, payload = parsed
+            refusal, tenant, content = self._route(
+                line, payload, origin, "seq tenant<TAB>content"
+            )
+            if refusal is None:
+                batches.setdefault(tenant, []).append(
+                    (len(results), LogRecord(content=content), seq)
+                )
+            results.append((refusal, tenant, None))
+        errors = []
+        for tenant, batch in batches.items():
+            try:
+                outcomes, high = self.shard(tenant).submit_seqs(
+                    [(record, seq) for _, record, seq in batch], client
+                )
+            except Exception as error:  # noqa: BLE001 - other tenants go on
+                errors.append(error)
+                outcomes, high = [ERROR] * len(batch), None
+            for (at, _, _), outcome in zip(batch, outcomes):
+                results[at] = (outcome, tenant, high)
+            duplicates = outcomes.count(DUPLICATE)
+            if duplicates and self.telemetry is not None:
+                self.telemetry.metrics.get(
+                    "repro_delivery_duplicates_suppressed_total"
+                ).labels(tenant=tenant).inc(duplicates)
+        return results, errors
 
     def note_partial(self, fragment: str, origin: str) -> None:
         """A connection died mid-line; quarantine the dangling bytes."""
@@ -558,6 +591,10 @@ class LineServer:
             telemetry.metrics.get("repro_delivery_acked_total").inc(frames)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
+        """One connection's read loop: after a v2 ``HELLO``, each
+        chunk's complete lines go to one ``submit_lines_v2`` call (one
+        journal commit per tenant), and the owed ``ACK`` frames leave
+        in one write after it returns."""
         origin = f"tcp:{addr[0]}:{addr[1]}"
         buffer = b""
         outcome = "eof"
@@ -591,56 +628,58 @@ class LineServer:
                 if not data:
                     break
                 *lines, buffer = (buffer + data).split(b"\n")
-                # Highest cumulative watermark owed per tenant for this
-                # chunk; each was returned by submit_line_v2, i.e.
-                # after the journal append.
-                owed: dict[str, int] = {}
-                for raw in lines:
-                    text = raw.decode("utf-8", errors="replace")
-                    if (
-                        first_line
-                        and self.service.protocol == PROTOCOL_V2
-                    ):
-                        first_line = False
-                        negotiated = parse_hello(text)
-                        if negotiated is not None:
-                            client_id = negotiated
-                            try:
-                                conn.sendall(OK_LINE)
-                            except OSError:
-                                outcome = "reset"
-                                buffer = b""
-                                raise _ConnectionDone()
-                            continue
-                        # Not a HELLO: a v1 client — fall through and
-                        # route the line verbatim, fire-and-forget.
+                texts = [
+                    raw.decode("utf-8", errors="replace") for raw in lines
+                ]
+                if texts and first_line:
                     first_line = False
-                    try:
-                        if client_id is not None:
-                            _, tenant, high = self.service.submit_line_v2(
-                                text, client_id, origin
-                            )
-                            if (
-                                tenant is not None
-                                and high is not None
-                                and high > owed.get(tenant, -1)
-                            ):
-                                owed[tenant] = high
-                        else:
+                    # Not a HELLO: a v1 client, whose lines route
+                    # verbatim, fire-and-forget.
+                    if self.service.protocol == PROTOCOL_V2:
+                        client_id = parse_hello(texts[0])
+                    if client_id is not None:
+                        try:
+                            conn.sendall(OK_LINE)
+                        except OSError:
+                            outcome = "reset"
+                            buffer = b""
+                            raise _ConnectionDone()
+                        del texts[0]
+                # Highest cumulative watermark owed per tenant for this
+                # chunk; each came back after its tenant's batch commit.
+                owed: dict[str, int] = {}
+                errors = []
+                if client_id is None:
+                    for text in texts:
+                        try:
                             self.service.submit_line(text, origin)
+                            ingested = True
+                        except Exception as error:  # noqa: BLE001
+                            errors.append(error)
+                elif texts:
+                    try:
+                        results, errors = self.service.submit_lines_v2(
+                            texts, client_id, origin
+                        )
                         ingested = True
-                    except Exception as error:  # noqa: BLE001 - keep serving
-                        # Shards never let tenant faults escape; anything
-                        # landing here is a service bug — record it, keep
-                        # the connection (and every other tenant) alive.
-                        outcome = "error"
-                        telemetry = self.service.telemetry
-                        if telemetry is not None:
-                            telemetry.events.emit(
-                                "service_error",
-                                origin=origin,
-                                error=f"{type(error).__name__}: {error}",
-                            )
+                    except Exception as error:  # noqa: BLE001
+                        results, errors = [], [error]
+                    for _, tenant, high in results:
+                        if high is not None and high > owed.get(tenant, -1):
+                            owed[tenant] = high
+                for error in errors:
+                    # Shards never let tenant faults escape; anything
+                    # landing here is a service bug or a failed journal
+                    # commit — record it, keep the connection (and
+                    # every other tenant) alive.
+                    outcome = "error"
+                    telemetry = self.service.telemetry
+                    if telemetry is not None:
+                        telemetry.events.emit(
+                            "service_error",
+                            origin=origin,
+                            error=f"{type(error).__name__}: {error}",
+                        )
                 if owed:
                     # After the chunk's last complete line, without
                     # waiting for more input.

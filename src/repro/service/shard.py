@@ -398,9 +398,9 @@ class TenantShard(FrontStage):
                 self._mirror_ack(delivery)
         return super().submit(record)
 
-    def _deliver(self, entries: list[tuple]) -> str:
+    def _deliver(self, entries: list[tuple]) -> list[str]:
         """The thread host feeds a released batch inline."""
-        return [self.step(*entry) for entry in entries][0]
+        return [self.step(*entry) for entry in entries]
 
     def step(
         self, index: int, record: LogRecord, delivery=None,

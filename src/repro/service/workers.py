@@ -511,7 +511,7 @@ class ShardSupervisor(FrontStage):
     def _refusal(self) -> str | None:
         return FENCED if self.state == STATE_FENCED else None
 
-    def _deliver(self, entries: list[tuple]) -> str:
+    def _deliver(self, entries: list[tuple]) -> list[str]:
         """The process host appends a released batch to the outbox."""
         # Raw monotonic, not the injectable clock: the worker compares
         # the stamp with its own time.monotonic() to price queue wait
@@ -521,7 +521,7 @@ class ShardSupervisor(FrontStage):
             (index, record, enqueued_at, delivery)
             for index, record, delivery in entries
         )
-        return ACCEPTED
+        return [ACCEPTED] * len(entries)
 
     def checkpoint(self) -> None:
         """Request an out-of-band worker checkpoint (asynchronous)."""

@@ -32,7 +32,7 @@ import socket
 import pytest
 
 import certify
-from certify import NET_SEED, factory, tenant_lines
+from certify import FAST, NET_SEED, factory, tenant_lines, wait_for
 from repro.cli import main
 from repro.common.errors import DeliveryError, ValidationError
 from repro.common.types import LogRecord
@@ -44,8 +44,13 @@ from repro.resilience import (
     fault_schedule,
 )
 from repro.resilience.durability import read_jsonl_payloads
-from repro.resilience.faults import NET_PARTITION
-from repro.service import DurableSender, IngestionService, LineServer
+from repro.resilience.faults import NET_PARTITION, FaultyIO, IoFault
+from repro.service import (
+    DurableSender,
+    IngestionService,
+    LineServer,
+    ShardSupervisor,
+)
 from repro.service.protocol import (
     DUPLICATE,
     JOURNAL_NAME,
@@ -60,6 +65,7 @@ from repro.service.protocol import (
     parse_data,
     parse_hello,
 )
+from repro.service.workers import STATE_FENCED
 
 
 class TestWireFormat:
@@ -693,17 +699,19 @@ class TestChunkedWirePath:
         telemetry = Telemetry.create()
         service = self._service(tmp_path / "killed", telemetry)
         sender_box = []
-        real_submit = service.submit_line_v2
-        calls = []
+        real_submit = service.submit_lines_v2
+        owned = []
 
-        def kill_mid_chunk(text, client, origin="<stream>"):
-            calls.append(True)
-            if len(calls) == 10:
-                # Mid-chunk: ten lines are owned, none is acked yet.
+        def kill_before_acks(texts, client, origin="<stream>"):
+            results = real_submit(texts, client, origin)
+            if len(owned) < 10 <= len(owned) + len(texts):
+                # The chunk's batches committed: ten or more lines are
+                # owned, and none of this chunk's acks is written yet.
                 sender_box[0]._sock.shutdown(socket.SHUT_RDWR)
-            return real_submit(text, client, origin)
+            owned.extend(texts)
+            return results
 
-        service.submit_line_v2 = kill_mid_chunk
+        service.submit_lines_v2 = kill_before_acks
         with LineServer(service) as server:
             sender = DurableSender(
                 server.host, server.port, "certified-client",
@@ -895,6 +903,66 @@ class TestV2Service:
             ]
         )
         assert code == 2
+
+
+class TestJournalWriteFailure:
+    """A journal commit that fails takes nothing: the line is not
+    acked, so its resend is admitted, and no torn frame is left in
+    front of later appends (DESIGN §14)."""
+
+    def _service(self, data_dir, host, io=None):
+        return IngestionService(
+            str(data_dir), factory(), protocol="v2", isolation=host,
+            io=io, worker_kwargs=dict(FAST) if host == "process" else None,
+        )
+
+    def _send(self, service, seq):
+        """One line as an honest client sends it: returns its ack
+        (``None`` if the commit raised)."""
+        try:
+            _, _, high = service.submit_line_v2(
+                f"{seq} alpha\tconn from host1 port {seq}", "c"
+            )
+        except OSError:
+            return None
+        return high
+
+    def _kill(self, service) -> None:
+        """The SIGKILL stand-in: no checkpoint, no drain."""
+        shard = service.shard("alpha")
+        if isinstance(shard, ShardSupervisor):
+            shard._abandon()
+            wait_for(lambda: shard.state == STATE_FENCED)
+        else:
+            shard._front.close()
+
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_eio_on_the_journal_acks_nothing(self, tmp_path, host):
+        io = FaultyIO([IoFault("eio", at_bytes=0, path_contains="journal")])
+        service = self._service(tmp_path, host, io)
+        assert self._send(service, 1) is None
+        # Seq 1 is not owned, so nothing past it may be acked...
+        assert [self._send(service, seq) for seq in range(2, 6)] == [0] * 4
+        # ...and its resend is admitted, releasing the held 2..5.
+        assert self._send(service, 1) == 5
+        assert service.drain()["tenants"]["alpha"]["lines"] == 5
+
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_torn_journal_write_loses_no_acked_line(self, tmp_path, host):
+        io = FaultyIO(
+            [IoFault("torn", at_bytes=200, path_contains="journal")]
+        )
+        service = self._service(tmp_path, host, io)
+        acked = 0
+        for seq in range(1, 7):
+            high = self._send(service, seq)
+            acked = max(acked, high or 0)
+        assert acked == 1  # seq 2 tore; 3..6 wait behind it, unacked
+        self._kill(service)
+        resumed = self._service(tmp_path, host)
+        for seq in range(acked + 1, 7):
+            assert self._send(resumed, seq) == seq
+        assert resumed.drain()["tenants"]["alpha"]["lines"] == 6
 
 
 class TestExactlyOnceCertification:
