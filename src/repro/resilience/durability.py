@@ -284,7 +284,7 @@ def _note_artifact_write(telemetry, kind: str, outcome: str, path: str) -> None:
 # ----------------------------------------------------------------------
 
 
-#: ``json.dumps(payload, sort_keys=True)``, built once.
+#: The encoder ``json.dumps(payload, sort_keys=True)`` builds per call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 

@@ -633,8 +633,8 @@ class LineServer:
                 ]
                 if texts and first_line:
                     first_line = False
-                    # Not a HELLO: a v1 client, whose lines route
-                    # verbatim, fire-and-forget.
+                    # A first line that is not a HELLO is a v1 client's:
+                    # its lines route verbatim, fire-and-forget.
                     if self.service.protocol == PROTOCOL_V2:
                         client_id = parse_hello(texts[0])
                     if client_id is not None:

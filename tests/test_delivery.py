@@ -955,13 +955,17 @@ class TestJournalWriteFailure:
         service = self._service(tmp_path, host, io)
         acked = 0
         for seq in range(1, 7):
-            high = self._send(service, seq)
-            acked = max(acked, high or 0)
+            acked = max(acked, self._send(service, seq) or 0)
         assert acked == 1  # seq 2 tore; 3..6 wait behind it, unacked
-        self._kill(service)
-        resumed = self._service(tmp_path, host)
+        # The client resends the unacked suffix; it lands behind seq 1,
+        # not behind the torn bytes.
         for seq in range(acked + 1, 7):
-            assert self._send(resumed, seq) == seq
+            acked = max(acked, self._send(service, seq) or 0)
+        assert acked == 6
+        self._kill(service)
+        # Everything is acked, so the client resends nothing.
+        resumed = self._service(tmp_path, host)
+        assert resumed.adopt_existing() == ["alpha"]
         assert resumed.drain()["tenants"]["alpha"]["lines"] == 6
 
 
