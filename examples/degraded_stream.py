@@ -7,15 +7,16 @@ is what log mining rides on — on HDFS, swapping IPLoM (99% accurate)
 for SLCT (82%) collapses anomaly detection from 64% to 11%.  So a
 stream under resource pressure faces a real trade: shed fidelity or
 die.  The :mod:`repro.degradation` runtime makes the trade explicit —
-a ladder of ever-cheaper configurations, stepped down one rung at a
-time under sustained budget pressure, with every transition priced in
-expected mining impact.
+a ladder of ever-cheaper parsers, stepped down one rung at a time
+under sustained budget pressure, with every transition priced in
+expected mining impact.  A step swaps the flush parser and nothing
+else: the engine shape is set once, when the session is built.
 
 This example scripts the pressure (a seeded memory ramp injected as
 the monitor's probe, exactly as the chaos-soak suite does) so the run
-is deterministic and instant: you watch a parse start on IPLoM,
-degrade twice, finish on Passthrough, and print the ledger of what
-those downgrades are expected to cost downstream.
+is deterministic and instant: you watch a parse start on LKE, degrade
+twice, finish on Drain, and print the ledger of what those downgrades
+are expected to cost downstream.
 
 The run streams its structured event timeline (every ladder step with
 its budget evidence) to ``degraded_stream.events.jsonl`` and exports
@@ -48,7 +49,7 @@ def scripted_memory_ramp():
 
     Calm for the first two checks, then a sustained climb past the
     soft limit, then a spike past the hard limit, then relief once
-    the cheap rung's smaller footprint kicks in — the same injection
+    the cheap rung takes over — the same injection
     trick the deterministic soak harness uses, standing in for real
     RSS so the example behaves identically on every machine.
     """
@@ -70,14 +71,13 @@ def main() -> None:
     )
     print(budget.describe())
 
-    # 2. A three-rung ladder (big flush sizes keep the example's
-    #    downgrades purely budget-driven, not flush-driven).
+    # 2. A three-rung ladder, each rung strictly cheaper per offered
+    #    line than the one above it (ablation A6 in EXPERIMENTS.md).
     ladder = DegradationLadder(
         [
-            LadderRung("IPLoM", cache_capacity=256, flush_size=5000),
-            LadderRung("SLCT", cache_capacity=32, flush_size=5000),
-            LadderRung("Passthrough", cache_capacity=8, flush_size=5000,
-                       sample_keep=2),
+            LadderRung("LKE", {"seed": 1}),
+            LadderRung("LogSig", {"groups": 29, "seed": 1}),
+            LadderRung("Drain"),
         ],
         cooldown_checks=2,
     )
@@ -90,8 +90,12 @@ def main() -> None:
         trace_id="degraded-stream", events_path=EVENTS_PATH
     )
     monitor = BudgetMonitor(budget, memory_probe=scripted_memory_ramp())
+    # The engine shape is the session's, not the rungs': a flush size
+    # above the stream length keeps every flush until finalize, so the
+    # downgrades are purely budget-driven and only Drain ever parses.
     session = DegradedSession(
-        ladder, monitor, check_every=100, telemetry=telemetry
+        ladder, monitor, check_every=100, telemetry=telemetry,
+        flush_size=5000,
     )
     records = generate_hdfs_sessions(60, seed=7).records
     print(f"\nstreaming {len(records)} HDFS lines under the budget...\n")

@@ -124,9 +124,10 @@ from repro.degradation import (
     BudgetMonitor,
     DegradationLadder,
     DegradedSession,
+    LadderRung,
     ResourceBudget,
     SoakScenario,
-    default_ladder,
+    frontier,
     run_soak,
 )
 from repro.evaluation import evaluate_accuracy, evaluate_mining_impact
@@ -525,7 +526,7 @@ def _add_ladder_flags(cmd, *, check_every: int) -> None:
         "--ladder",
         default=None,
         help="comma-separated degradation rungs, most faithful first "
-        "(default: from PARSER down the standard ladder)",
+        "(default: PARSER, then the measured frontier below it)",
     )
     cmd.add_argument(
         "--check-every",
@@ -1437,6 +1438,9 @@ def _cmd_stream(args) -> int:
         )
         fresh_kwargs = dict(
             engine_kwargs,
+            flush_policy=args.flush_policy,
+            flush_size=args.flush_size,
+            cache_capacity=args.cache_capacity,
             max_flush_retries=args.max_retries,
             retain=not args.no_retain,
             max_pending=args.max_pending,
@@ -1470,13 +1474,7 @@ def _cmd_stream(args) -> int:
                     **engine_kwargs,
                 )
             else:
-                engine = StreamingParser(
-                    factory,
-                    flush_policy=args.flush_policy,
-                    flush_size=args.flush_size,
-                    cache_capacity=args.cache_capacity,
-                    **fresh_kwargs,
-                )
+                engine = StreamingParser(factory, **fresh_kwargs)
             session = ParseSession(engine, track_matrix=args.mine)
             if checkpoint is not None and args.mine:
                 restored = restore_accumulator(checkpoint)
@@ -1557,27 +1555,20 @@ def _mine_matrix(counts) -> None:
 
 
 def _build_stream_ladder(args) -> DegradationLadder:
-    """Resolve --ladder (or the chosen parser) into a DegradationLadder."""
-    rungs = default_ladder()
-    by_name = {rung.parser: rung for rung in rungs}
+    """--ladder, or PARSER and its frontier floor, built from the flags."""
     if args.ladder:
         names = [name.strip() for name in args.ladder.split(",") if name.strip()]
-        unknown = [name for name in names if name not in by_name]
+        unknown = [name for name in names if name not in PARSER_NAMES]
         if unknown or not names:
             raise ParserConfigurationError(
                 f"unknown ladder rung(s) {unknown or args.ladder!r}; "
-                f"choose from {', '.join(by_name)}"
+                f"choose from {', '.join(PARSER_NAMES)}"
             )
-        return DegradationLadder([by_name[name] for name in names])
-    start = next(
-        (
-            index
-            for index, rung in enumerate(rungs)
-            if rung.parser == args.parser
-        ),
-        0,
+    else:
+        names = frontier(args.parser)
+    return DegradationLadder(
+        [LadderRung(name, _parser_params(name, args)) for name in names]
     )
-    return DegradationLadder(rungs[start:])
 
 
 def _cmd_supervise(args) -> int:

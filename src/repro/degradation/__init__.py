@@ -8,17 +8,17 @@ a production trade-off this package makes explicit and enforceable:
   wall-clock, memory, template-cache size, and ingest-queue depth, and
   sample a live run against them (:class:`ResourceBudget`,
   :class:`BudgetMonitor`).
-* :mod:`~repro.degradation.ladder` — an ordered fidelity ladder
-  (LKE → LogSig → IPLoM → SLCT → passthrough tagger) stepped one rung
-  at a time on sustained breaches, each transition audited as a
-  :class:`DegradationEvent` with the budget evidence that caused it.
+* :mod:`~repro.degradation.ladder` — a ladder of parser rungs
+  stepped one rung at a time on sustained breaches, each transition
+  audited as a :class:`DegradationEvent` with the budget evidence that
+  caused it; :data:`FRONTIER` holds the measured steps (LKE, LogSig
+  and SLCT step to Drain; every other parser is its own floor).
 * :mod:`~repro.degradation.ledger` — what each downgrade is expected
   to cost downstream mining, seeded from the measured Table III
   reproduction (:class:`MiningImpactLedger`).
 * :mod:`~repro.degradation.runtime` — the wiring:
-  :class:`DegradedSession` (budgeted streaming),
-  :class:`BudgetedParser` + :func:`ladder_chain` (budgets inside
-  supervised fallback chains).
+  :class:`DegradedSession` (budgeted streaming; a step swaps the flush
+  parser and nothing else).
 * :mod:`~repro.degradation.soak` — deterministic chaos-soak scenarios
   that replay seeded pressure schedules and audit the contract.
 """
@@ -32,22 +32,18 @@ from repro.degradation.budget import (
     default_memory_probe,
 )
 from repro.degradation.ladder import (
+    FRONTIER,
     DegradationEvent,
     DegradationLadder,
     LadderRung,
-    default_ladder,
+    frontier,
 )
 from repro.degradation.ledger import (
     ImpactEstimate,
     MiningImpactLedger,
     TransitionCost,
 )
-from repro.degradation.runtime import (
-    BudgetedParser,
-    DegradedRunReport,
-    DegradedSession,
-    ladder_chain,
-)
+from repro.degradation.runtime import DegradedRunReport, DegradedSession
 from repro.degradation.soak import (
     SCENARIO_KINDS,
     SoakReport,
@@ -63,17 +59,16 @@ __all__ = [
     "BudgetSample",
     "ResourceBudget",
     "default_memory_probe",
+    "FRONTIER",
     "DegradationEvent",
     "DegradationLadder",
     "LadderRung",
-    "default_ladder",
+    "frontier",
     "ImpactEstimate",
     "MiningImpactLedger",
     "TransitionCost",
-    "BudgetedParser",
     "DegradedRunReport",
     "DegradedSession",
-    "ladder_chain",
     "SCENARIO_KINDS",
     "SoakReport",
     "SoakScenario",

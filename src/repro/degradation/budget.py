@@ -18,10 +18,9 @@ A :class:`BudgetMonitor` turns the budget into evidence: every
 :meth:`~BudgetMonitor.sample` produces a :class:`BudgetSample` and
 :meth:`~BudgetMonitor.check` grades it into :class:`BudgetBreach`
 records — ``soft`` breaches feed the
-:class:`~repro.degradation.ladder.DegradationLadder` (step down, shed
-fidelity, survive), ``hard`` breaches are enforced (raise
-:class:`~repro.common.errors.BudgetExceededError`) once there is no
-rung left to step to.  All probes (clock, memory, cache, queue) are
+:class:`~repro.degradation.ladder.DegradationLadder` after a cooldown,
+``hard`` breaches step at once and, on the floor rung, raise
+:class:`~repro.common.errors.BudgetExceededError`.  All probes (clock, memory, cache, queue) are
 injectable, which the chaos-soak harness uses to replay seeded
 pressure schedules deterministically.
 """
@@ -33,7 +32,7 @@ import tracemalloc
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.common.errors import BudgetExceededError, ValidationError
+from repro.common.errors import ValidationError
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
@@ -230,8 +229,7 @@ class BudgetMonitor:
 
     The monitor is passive — it never raises on its own.  Callers
     decide what a breach means: the degradation runtime steps its
-    ladder on soft breaches and only :meth:`enforce` (or an exhausted
-    ladder) escalates hard breaches into
+    ladder, and a hard breach on the floor rung becomes
     :class:`~repro.common.errors.BudgetExceededError`.
     """
 
@@ -320,29 +318,3 @@ class BudgetMonitor:
             cache_entries=cache_entries, queue_depth=queue_depth
         )
         return sample, self.check(sample)
-
-    def enforce(
-        self,
-        *,
-        cache_entries: float | None = None,
-        queue_depth: float | None = None,
-        context: str = "parse",
-    ) -> tuple[BudgetSample, list[BudgetBreach]]:
-        """Sample, grade, and raise on any hard breach.
-
-        Used by :class:`~repro.degradation.runtime.BudgetedParser` to
-        turn a hard-limit breach inside a supervised parse into a
-        :class:`~repro.common.errors.BudgetExceededError` the
-        supervisor converts into a fallback instead of a crash.
-        """
-        sample, breaches = self.evaluate(
-            cache_entries=cache_entries, queue_depth=queue_depth
-        )
-        hard = [b for b in breaches if b.level == LEVEL_HARD]
-        if hard:
-            raise BudgetExceededError(
-                f"hard resource budget breached during {context}: "
-                + "; ".join(breach.describe() for breach in hard),
-                breaches=hard,
-            )
-        return sample, breaches

@@ -1,13 +1,20 @@
-"""The degradation ladder: ordered fidelity rungs and the step-down policy.
+"""The degradation ladder: parser rungs and the step-down policy.
 
-Table III orders the four parsers by accuracy — LKE and LogSig at the
-top, then IPLoM, then SLCT — while Finding 3 orders them (roughly the
-other way) by cost: the clustering parsers LKE and LogSig blow up with
-log size, IPLoM and SLCT scale linearly.  A
-:class:`DegradationLadder` encodes that trade as an ordered list of
-:class:`LadderRung` entries, most faithful first, each rung naming a
-parser plus the streaming-engine parameters (template-cache capacity,
-flush batch size, admission sampling) appropriate to its cost class.
+Finding 3 ranks the parsers by cost and Table III / Finding 6 rank
+them by the mining damage their errors do.  A :class:`DegradationLadder`
+is an ordered list of :class:`LadderRung` entries, most faithful
+first, and a rung is only a parser: a registry name plus its
+constructor parameters.  The engine shape (flush policy, flush size,
+cache capacity, ``max_pending``, ``overflow``) belongs to whoever
+builds the session and never changes on a step-down, so a budget that
+never breaches changes nothing, and no rung drops lines.
+
+Which steps exist is measured, not assumed: :data:`FRONTIER` keeps a
+step only where ablation A6 (``benchmarks/test_ablation_ladder.py``,
+EXPERIMENTS.md) shows the lower rung strictly cheaper per offered line
+in every cell, with no higher traced peak, and no cheaper parser at
+least as accurate.  LKE, LogSig and SLCT step once, to Drain; Drain,
+IPLoM and Passthrough are their own floor.
 
 The policy is deliberately simple and auditable:
 
@@ -19,13 +26,10 @@ The policy is deliberately simple and auditable:
   recovery is a restart decision, not a flapping one;
 * every transition emits a :class:`DegradationEvent` carrying the
   budget evidence (sample + breaches) that justified it and the
-  engine parameter changes actually applied.
+  parser swap actually applied.
 
-When the bottom rung (the passthrough tagger) is itself insufficient,
-the ladder is *exhausted* and the runtime escalates to the supervisor
-layer (:class:`~repro.common.errors.BudgetExceededError`, then
-:class:`~repro.common.errors.FallbackExhaustedError` if nothing in the
-chain survives).
+A hard breach on the floor rung escalates as
+:class:`~repro.common.errors.BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -40,90 +44,30 @@ from repro.parsers.registry import make_parser
 #: Transition trigger tags recorded on :class:`DegradationEvent`.
 TRIGGER_SOFT = "soft-breach"
 TRIGGER_HARD = "hard-breach"
-TRIGGER_SUPERVISED = "supervised-fallback"
+
+#: The measured step-down rule, ``(parser, the rung below it)``.  A
+#: parser with no step here is its own floor.
+FRONTIER = (("LKE", "Drain"), ("LogSig", "Drain"), ("SLCT", "Drain"))
+
+
+def frontier(parser: str) -> list[str]:
+    """*parser* followed by every rung :data:`FRONTIER` steps to."""
+    steps = dict(FRONTIER)
+    names = [parser]
+    while names[-1] in steps:
+        names.append(steps[names[-1]])
+    return names
 
 
 @dataclass(frozen=True)
 class LadderRung:
-    """One fidelity level: a parser plus the engine shape it runs under.
-
-    Args:
-        parser: registry name (``LKE``, ``LogSig``, ``IPLoM``,
-            ``Drain``, ``SLCT``, ``Passthrough``) used to build the
-            flush parser.
-        cache_capacity: template-cache size while on this rung (lower
-            rungs shrink the cache to relieve memory).
-        flush_size: miss-batch size handed to the parser per flush
-            (lower rungs flush smaller batches, bounding latency and
-            per-flush memory).
-        sample_keep: admission sampling — keep 1 of every
-            ``sample_keep`` records (1 = keep everything; lower rungs
-            may shed input volume outright).
-        params: extra keyword arguments for the parser constructor.
-    """
+    """One fidelity level: a registry parser name and its parameters."""
 
     parser: str
-    cache_capacity: int = 512
-    flush_size: int = 200
-    sample_keep: int = 1
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.cache_capacity < 1:
-            raise ValidationError(
-                f"rung cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.flush_size < 1:
-            raise ValidationError(
-                f"rung flush_size must be >= 1, got {self.flush_size}"
-            )
-        if self.sample_keep < 1:
-            raise ValidationError(
-                f"rung sample_keep must be >= 1, got {self.sample_keep}"
-            )
 
     def build_parser(self) -> LogParser:
         return make_parser(self.parser, **self.params)
-
-    def describe(self) -> str:
-        bits = [
-            f"cache={self.cache_capacity}",
-            f"flush={self.flush_size}",
-        ]
-        if self.sample_keep > 1:
-            bits.append(f"sample=1/{self.sample_keep}")
-        return f"{self.parser} ({', '.join(bits)})"
-
-
-def default_ladder() -> list[LadderRung]:
-    """The standard six-rung ladder, most faithful first.
-
-    LKE → LogSig → IPLoM → Drain → SLCT → Passthrough: descending
-    Table III fidelity, descending cost.  Drain slots in below IPLoM
-    (comparable template quality at strictly lower, single-pass cost)
-    and above SLCT (which starts shedding rare events outright).
-    Engine parameters tighten with each step: the cache shrinks
-    (memory relief), flush batches shrink (latency/heap relief), and
-    the bottom rungs shed input volume.
-    """
-    return [
-        LadderRung("LKE", cache_capacity=1024, flush_size=400),
-        # LogSig demands a group count up front; a ladder rung cannot
-        # know the dataset's true event count, so use a mid-range
-        # default (seeded for deterministic local search).
-        LadderRung(
-            "LogSig",
-            cache_capacity=512,
-            flush_size=200,
-            params={"groups": 64, "seed": 1},
-        ),
-        LadderRung("IPLoM", cache_capacity=256, flush_size=100),
-        LadderRung("Drain", cache_capacity=192, flush_size=75),
-        LadderRung("SLCT", cache_capacity=128, flush_size=50, sample_keep=2),
-        LadderRung(
-            "Passthrough", cache_capacity=64, flush_size=25, sample_keep=4
-        ),
-    ]
 
 
 @dataclass(frozen=True)
@@ -165,7 +109,7 @@ class DegradationEvent:
     def describe(self) -> str:
         evidence = (
             "; ".join(breach.describe() for breach in self.breaches)
-            or "no budget evidence (supervised fallback)"
+            or "no budget evidence"
         )
         lines = [
             f"#{self.sequence} {self.from_rung} -> {self.to_rung} "
@@ -194,8 +138,7 @@ class DegradationLadder:
     (:class:`~repro.degradation.runtime.DegradedSession`).
 
     Args:
-        rungs: ordered rungs, most faithful first (defaults to
-            :func:`default_ladder`).
+        rungs: ordered rungs, most faithful first.
         cooldown_checks: consecutive breached checks required before a
             *soft* breach may step down, and again between successive
             soft steps.  Hard breaches ignore the cooldown.
@@ -203,11 +146,11 @@ class DegradationLadder:
 
     def __init__(
         self,
-        rungs: list[LadderRung] | None = None,
+        rungs: list[LadderRung],
         *,
         cooldown_checks: int = 2,
     ) -> None:
-        self.rungs = list(rungs) if rungs is not None else default_ladder()
+        self.rungs = list(rungs)
         if not self.rungs:
             raise ValidationError("a degradation ladder needs >= 1 rung")
         if cooldown_checks < 1:

@@ -3,7 +3,7 @@
 Stepping down the ladder is not free: Table III shows the *same* PCA
 mining pipeline detects 64% of true anomalies over IPLoM's parse but
 11% over SLCT's (with a 74.5% false-alarm rate), and Finding 6 shows
-fragmentation errors — the exact shape the passthrough rung produces —
+fragmentation errors — the exact shape the Passthrough parser produces —
 are the most destructive kind.  The
 :class:`MiningImpactLedger` makes that cost explicit: every ladder
 transition is annotated with the estimated change in parsing accuracy,

@@ -1,33 +1,22 @@
-"""The adaptive runtime: budgets + ladder wired into a live stream.
+"""The adaptive runtime: a budget and a ladder wired into a live stream.
 
-Three integration points, one per enforcement layer:
-
-* :class:`DegradedSession` wraps a
-  :class:`~repro.streaming.session.ParseSession` and checks the
-  :class:`~repro.degradation.budget.BudgetMonitor` every
-  ``check_every`` fed records.  Sustained *soft* breaches walk the
-  :class:`~repro.degradation.ladder.DegradationLadder` one rung at a
-  time (swapping the flush parser, shrinking the cache and flush batch
-  via :meth:`~repro.streaming.engine.StreamingParser.reconfigure`,
-  tightening admission sampling); a *hard* breach steps immediately,
-  and once the ladder is exhausted escalates as
-  :class:`~repro.common.errors.BudgetExceededError`.
-* :class:`BudgetedParser` decorates any batch parser so a hard breach
-  *during a supervised parse* raises ``BudgetExceededError`` — which
-  :class:`~repro.resilience.supervisor.ParserSupervisor` records as a
-  ``budget`` attempt and converts into a fallback instead of a crash.
-* :func:`ladder_chain` turns a ladder into a supervisor fallback
-  chain of budget-wrapped parsers, so the acceptance contract holds:
-  a run under hard budget pressure either completes on some lower
-  rung (the report says which rung won) or raises
-  :class:`~repro.common.errors.FallbackExhaustedError` only after the
-  *entire* ladder has been tried.
+:class:`DegradedSession` wraps a
+:class:`~repro.streaming.session.ParseSession` and checks the
+:class:`~repro.degradation.budget.BudgetMonitor` every ``check_every``
+fed records.  Sustained *soft* breaches walk the
+:class:`~repro.degradation.ladder.DegradationLadder` one rung at a
+time; a *hard* breach steps immediately, and on the floor rung
+escalates as :class:`~repro.common.errors.BudgetExceededError`.  A
+step swaps the flush parser through
+:meth:`~repro.streaming.engine.StreamingParser.reconfigure` and
+nothing else: the engine shape is fixed by whoever builds the session,
+and every fed record reaches the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.common.errors import BudgetExceededError, ValidationError
 from repro.common.types import LogRecord, ParseResult
@@ -40,8 +29,6 @@ from repro.degradation.ladder import (
 )
 from repro.degradation.ledger import MiningImpactLedger
 from repro.mining.event_matrix import EventCountMatrix
-from repro.parsers.base import LogParser
-from repro.resilience.quarantine import ErrorPolicy, QuarantineSink
 from repro.streaming.engine import StreamingParser
 from repro.streaming.session import ParseSession, SessionCounters
 
@@ -56,7 +43,6 @@ class DegradedRunReport:
     events: tuple[DegradationEvent, ...]
     final_rung: str
     checks: int
-    sampled_out: int
     ledger: MiningImpactLedger
 
     @property
@@ -67,7 +53,7 @@ class DegradedRunReport:
         lines = [
             f"finished on rung {self.final_rung} after "
             f"{len(self.events)} degradation(s), {self.checks} budget "
-            f"check(s), {self.sampled_out} line(s) sampled out",
+            f"check(s)",
             self.counters.describe(),
         ]
         for event in self.events:
@@ -81,10 +67,8 @@ class DegradedSession:
 
     Builds the engine from the ladder's *top* rung and steps down per
     the policy in :class:`~repro.degradation.ladder.DegradationLadder`
-    whenever the monitor reports breaches.  Lower rungs may also shed
-    input volume (``sample_keep``): admission sampling happens *here*,
-    before the engine sees the record, so the engine's own counters
-    stay truthful about what it actually parsed.
+    whenever the monitor reports breaches.  Until a step the session
+    parses exactly as a plain engine of the same shape would.
 
     Args:
         ladder: rung order and step-down policy (position 0 on entry).
@@ -93,14 +77,15 @@ class DegradedSession:
         ledger: mining-impact accounting (defaults to the reference
             table).
         check_every: fed records between budget checks.
-        engine_kwargs: forwarded to :class:`StreamingParser` (e.g.
-            ``retain``, ``error_policy``, ``quarantine``,
-            ``preprocessor``, ``max_pending``, ``overflow``).
+        engine_kwargs: the engine shape, forwarded to
+            :class:`StreamingParser` (e.g. ``flush_policy``,
+            ``flush_size``, ``cache_capacity``, ``max_pending``,
+            ``overflow``, ``error_policy``, ``quarantine``); a step
+            never changes it.
         track_matrix: maintain the live session-by-event matrix.
         telemetry: optional
             :class:`~repro.observability.telemetry.Telemetry` handle,
-            threaded into the engine (and from there the cache and any
-            parallel flush backend).  Budget breaches are counted by
+            threaded into the engine.  Budget breaches are counted by
             dimension and level, ladder steps by trigger, the current
             rung index is exported as a gauge, and every
             :class:`DegradationEvent` lands on the event timeline plus
@@ -115,8 +100,6 @@ class DegradedSession:
         ledger: MiningImpactLedger | None = None,
         check_every: int = 100,
         track_matrix: bool = True,
-        error_policy: ErrorPolicy | str | None = None,
-        quarantine: QuarantineSink | None = None,
         telemetry=None,
         **engine_kwargs,
     ) -> None:
@@ -129,21 +112,12 @@ class DegradedSession:
             )
         self.check_every = check_every
         self.telemetry = telemetry
-        rung = ladder.current
         self.engine = StreamingParser(
-            rung.build_parser,
-            cache_capacity=rung.cache_capacity,
-            flush_size=rung.flush_size,
-            error_policy=error_policy,
-            quarantine=quarantine,
-            telemetry=telemetry,
-            **engine_kwargs,
+            ladder.current.build_parser, telemetry=telemetry, **engine_kwargs
         )
         self.session = ParseSession(self.engine, track_matrix=track_matrix)
         self.checks = 0
-        self.sampled_out = 0
         self._fed = 0
-        self._finalized: ParseResult | None = None
         if telemetry is not None:
             telemetry.metrics.register_collector(self._collect_metrics)
 
@@ -155,21 +129,16 @@ class DegradedSession:
     # ------------------------------------------------------------------
 
     def feed(self, record: LogRecord) -> int:
-        """Admit (or sample out) one record, then maybe check the budget.
+        """Feed one record, then maybe check the budget.
 
-        Returns the engine line number, or -1 when the record was
-        sampled out by the current rung or rejected/shed downstream.
+        Returns the engine line number, or -1 when the engine rejected
+        or shed the record.
         Raises :class:`BudgetExceededError` when a hard breach lands
         with the ladder already exhausted.
         """
         self.monitor.start_if_needed()
         self._fed += 1
-        keep = self.ladder.current.sample_keep
-        if keep > 1 and self._fed % keep != 0:
-            self.sampled_out += 1
-            line_no = -1
-        else:
-            line_no = self.session.feed(record)
+        line_no = self.session.feed(record)
         if self._fed % self.check_every == 0:
             self.check_budget()
         return line_no
@@ -216,23 +185,15 @@ class DegradedSession:
         return [self._step_down(trigger, sample, breaches)]
 
     def _step_down(self, trigger, sample, breaches) -> DegradationEvent:
-        """Apply the next rung to the live engine and record the event."""
-        from_rung = self.ladder.current
+        """Swap in the next rung's parser and record the event."""
         to_rung = self.ladder.peek_next()
         assert to_rung is not None  # callers checked exhausted
         cost = self.ledger.record(
-            len(self.ladder.events) + 1, from_rung.parser, to_rung.parser
+            len(self.ladder.events) + 1,
+            self.ladder.current.parser,
+            to_rung.parser,
         )
-        actions = self.engine.reconfigure(
-            to_rung.build_parser,
-            flush_size=to_rung.flush_size,
-            cache_capacity=to_rung.cache_capacity,
-        )
-        if to_rung.sample_keep != from_rung.sample_keep:
-            actions["sample_keep"] = (
-                from_rung.sample_keep,
-                to_rung.sample_keep,
-            )
+        actions = self.engine.reconfigure(to_rung.build_parser)
         event = self.ladder.step_down(
             trigger=trigger,
             at_line=self.engine.counters.lines,
@@ -259,73 +220,17 @@ class DegradedSession:
 
     def finalize(self) -> DegradedRunReport:
         """Drain the engine and assemble the full audited report."""
-        self._finalized = self.session.finalize()
-        matrix = (
-            self.session.matrix()
-            if self.session.accumulator is not None
-            else None
-        )
+        result = self.session.finalize()
         return DegradedRunReport(
-            result=self._finalized,
-            matrix=matrix,
+            result=result,
+            matrix=(
+                self.session.matrix()
+                if self.session.accumulator is not None
+                else None
+            ),
             counters=self.session.counters(),
             events=tuple(self.ladder.events),
             final_rung=self.ladder.current.parser,
             checks=self.checks,
-            sampled_out=self.sampled_out,
             ledger=self.ledger,
         )
-
-
-class BudgetedParser(LogParser):
-    """Decorates a batch parser with hard-budget enforcement.
-
-    The budget is checked before and after the wrapped ``parse`` and
-    every ``check_every`` records of input pre-screening, raising
-    :class:`~repro.common.errors.BudgetExceededError` on a hard breach
-    so the supervisor treats it as a fallback trigger (status
-    ``budget``) rather than a crash.
-    """
-
-    def __init__(
-        self,
-        parser: LogParser,
-        monitor: BudgetMonitor,
-    ) -> None:
-        super().__init__()
-        self.parser = parser
-        self.monitor = monitor
-        self.name = f"Budgeted({parser.name})"
-
-    def parse(self, records: Sequence[LogRecord]) -> ParseResult:
-        self.monitor.start_if_needed()
-        self.monitor.enforce(context=f"{self.parser.name} admission")
-        result = self.parser.parse(records)
-        self.monitor.enforce(context=f"{self.parser.name} completion")
-        return result
-
-    def _cluster(self, token_lists):  # pragma: no cover - parse() overridden
-        raise NotImplementedError("BudgetedParser overrides parse() directly")
-
-
-def ladder_chain(
-    ladder: DegradationLadder,
-    monitor: BudgetMonitor,
-) -> list[tuple[str, object]]:
-    """Supervisor fallback chain over a ladder's rungs, budget-wrapped.
-
-    Feed the result to
-    :class:`~repro.resilience.supervisor.ParserSupervisor`: each rung
-    becomes one chain entry whose parser enforces the hard budget, so
-    a breach mid-parse falls through to the next (cheaper) rung, and
-    :class:`~repro.common.errors.FallbackExhaustedError` can only be
-    raised after the whole ladder — passthrough included — was tried.
-    """
-
-    def make_factory(rung):
-        def factory():
-            return BudgetedParser(rung.build_parser(), monitor)
-
-        return factory
-
-    return [(rung.parser, make_factory(rung)) for rung in ladder.rungs]

@@ -121,9 +121,6 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     )
     metrics.counter("repro_cache_misses_total", "Cache misses")
     metrics.counter("repro_cache_evictions_total", "LRU template evictions")
-    metrics.counter(
-        "repro_cache_resizes_total", "Live capacity changes", ("direction",)
-    )
     # Resilience ---------------------------------------------------------
     metrics.counter(
         "repro_quarantine_records_total",

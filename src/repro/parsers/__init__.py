@@ -35,7 +35,6 @@ from repro.parsers.drain import DrainParser, DrainTree
 from repro.parsers.oracle import OracleParser
 from repro.parsers.passthrough import PassthroughParser
 from repro.parsers.registry import (
-    LADDER_PARSER_NAMES,
     PARSER_NAMES,
     available_parsers,
     make_parser,
@@ -56,7 +55,6 @@ __all__ = [
     "DrainTree",
     "OracleParser",
     "PassthroughParser",
-    "LADDER_PARSER_NAMES",
     "PARSER_NAMES",
     "available_parsers",
     "make_parser",

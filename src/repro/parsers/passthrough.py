@@ -1,22 +1,17 @@
-"""Passthrough tagger — the terminal rung of a degradation ladder.
+"""Passthrough tagger — exact-signature events, no abstraction.
 
-When every clustering parser has been shed for survival (the
-graceful-degradation runtime of :mod:`repro.degradation`), the pipeline
-still has to emit *valid* structured logs: every line assigned to an
-event, every event carrying a template.  The passthrough tagger is the
-cheapest parser that honors that contract — it clusters lines by their
-exact token signature in a single O(n) pass, so each distinct message
-becomes its own event and its own template (no wildcards, no
-abstraction).
+It clusters lines by their exact token signature in a single O(n)
+pass, so each distinct message becomes its own event and its own
+template (no wildcards).  That fragments parameterized events into one
+event per parameter value, which is precisely the error shape Finding 6
+shows is most destructive to PCA mining (near-unique high-IDF columns).
 
-That output is deliberately honest about its cost: exact-signature
-"templates" fragment parameterized events into one event per parameter
-value, which is precisely the error shape Finding 6 shows is most
-destructive to PCA mining (near-unique high-IDF columns).  The
-:class:`~repro.degradation.ledger.MiningImpactLedger` accounts for that
-when a ladder lands here; the point of the rung is that the *stream
-survives* with full provenance, and the structured output can be
-re-parsed properly once pressure subsides.
+It is not a cheap rung to degrade to.  Behind the streaming engine it
+grows one template per distinct line, so nearly every line misses the
+cache and reaches the flush parser: ablation A6 (EXPERIMENTS.md)
+measures it slower per offered line, and higher in traced peak, than
+Drain, IPLoM or SLCT.  On a degradation ladder it is its own floor, and
+no :data:`~repro.degradation.ladder.FRONTIER` step leads to it.
 """
 
 from __future__ import annotations
@@ -27,9 +22,8 @@ from repro.parsers.base import Clustering, LogParser
 class PassthroughParser(LogParser):
     """Exact-signature dedup parser: one event per distinct message.
 
-    Never fails, never blocks, allocates one template per distinct
-    token signature — the guaranteed-feasible floor of any parser
-    fallback chain or degradation ladder.
+    Never fails and never blocks; allocates one template per distinct
+    token signature.
     """
 
     name = "Passthrough"

@@ -26,9 +26,6 @@ _PARSERS: dict[str, type[LogParser]] = {
 #: Drain baseline appended by the expanded comparison.
 PARSER_NAMES = ["SLCT", "IPLoM", "LKE", "LogSig", "Drain"]
 
-#: Names admissible on a degradation ladder (cheapest rung last).
-LADDER_PARSER_NAMES = [*PARSER_NAMES, "Passthrough"]
-
 
 def available_parsers() -> list[str]:
     """Every registered parser name, in registration order."""

@@ -149,8 +149,10 @@ class TenantShard(FrontStage):
             *ladder* (the shard degrades before it dies) and runs the
             engine under a
             :class:`~repro.degradation.runtime.DegradedSession` with
-            the delta policy.
-        ladder: rung order for the budgeted mode.
+            the delta policy and the shape above, so until a breach it
+            writes what an unbudgeted delta shard writes.
+        ladder: rung order for the budgeted mode; a step swaps only
+            the flush parser.
         breaker_threshold: consecutive ``feed`` crashes that trip the
             circuit breaker.
         exactly_once: open the front's v2 side
@@ -241,6 +243,19 @@ class TenantShard(FrontStage):
 
         resuming = os.path.exists(self.checkpoint_path)
         delivery_state: dict | None = None
+        engine_kwargs = dict(
+            error_policy="quarantine",
+            quarantine=self.quarantine,
+            source_label=f"tenant:{tenant}",
+            telemetry=telemetry,
+        )
+        shape = dict(
+            flush_size=flush_size,
+            cache_capacity=cache_capacity,
+            max_pending=max_pending,
+            overflow=overflow,
+            **engine_kwargs,
+        )
         if self._budgeted:
             if resuming:
                 raise ValidationError(
@@ -249,18 +264,13 @@ class TenantShard(FrontStage):
                     "ladder state) do not support resume — clear the "
                     "tenant directory or drop the budget"
                 )
-            monitor = BudgetMonitor(budget)
             self._session = DegradedSession(
-                ladder if ladder is not None else DegradationLadder(),
-                monitor,
+                ladder,
+                BudgetMonitor(budget),
                 check_every=check_every,
                 track_matrix=False,
-                error_policy="quarantine",
-                quarantine=self.quarantine,
-                telemetry=telemetry,
-                max_pending=max_pending,
-                overflow=overflow,
-                source_label=f"tenant:{tenant}",
+                flush_policy="delta",
+                **shape,
             )
             self.engine = self._session.engine
         elif resuming:
@@ -269,26 +279,14 @@ class TenantShard(FrontStage):
                 factory,
                 parser=parser_name,
                 io=io,
-                error_policy="quarantine",
-                quarantine=self.quarantine,
-                source_label=f"tenant:{tenant}",
-                telemetry=telemetry,
+                **engine_kwargs,
             )
             self._session = ParseSession(self.engine, track_matrix=False)
             self.position = checkpoint.records_consumed
             delivery_state = checkpoint.delivery
         else:
             self.engine = StreamingParser(
-                factory,
-                flush_policy=flush_policy,
-                flush_size=flush_size,
-                cache_capacity=cache_capacity,
-                max_pending=max_pending,
-                overflow=overflow,
-                error_policy="quarantine",
-                quarantine=self.quarantine,
-                source_label=f"tenant:{tenant}",
-                telemetry=telemetry,
+                factory, flush_policy=flush_policy, **shape
             )
             self._session = ParseSession(self.engine, track_matrix=False)
 

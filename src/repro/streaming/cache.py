@@ -105,15 +105,12 @@ class TemplateCache:
     them.  They stay the source of truth even when *telemetry* is set:
     the engine's metrics collector syncs them into the registry at
     read time, so the per-lookup fast path carries no instrumentation.
-    The telemetry handle itself is used only on the rare structural
-    transitions (capacity resizes), which land on the event timeline.
     """
 
     def __init__(
         self,
         capacity: int = 4096,
         exact_capacity: int = 8192,
-        telemetry=None,
     ) -> None:
         if capacity < 1:
             raise ParserConfigurationError(
@@ -125,7 +122,6 @@ class TemplateCache:
             )
         self.capacity = capacity
         self.exact_capacity = exact_capacity
-        self.telemetry = telemetry
         #: slot -> template tokens, in LRU order (least recent first).
         self._templates: OrderedDict[int, tuple[str, ...]] = OrderedDict()
         #: (length, anchor token) -> {slot: compiled template}, in
@@ -245,34 +241,9 @@ class TemplateCache:
             (len(tokens), self._anchor(tokens)), {}
         )[slot] = _compile(tokens)
         self._by_length.setdefault(len(tokens), []).append(slot)
-        self._evict_over_capacity()
-
-    def resize(self, capacity: int) -> None:
-        """Change the template capacity, evicting LRU entries if needed.
-
-        Shrinking is the degradation runtime's cheapest relief valve:
-        the evicted templates remain valid events in the engine's
-        permanent table, so a resize can never corrupt assignments —
-        it only trades hit rate for memory.
-        """
-        if capacity < 1:
-            raise ParserConfigurationError(
-                f"cache capacity must be >= 1, got {capacity}"
-            )
-        previous = self.capacity
-        self.capacity = capacity
-        evicted = self._evict_over_capacity()
-        if self.telemetry is not None and capacity != previous:
-            direction = "shrink" if capacity < previous else "grow"
-            self.telemetry.metrics.get("repro_cache_resizes_total").labels(
-                direction=direction
-            ).inc()
-            self.telemetry.events.emit(
-                "cache_resize",
-                previous=previous,
-                capacity=capacity,
-                evicted=evicted,
-            )
+        while len(self._templates) > self.capacity:
+            self._unindex(*self._templates.popitem(last=False))
+            self.evictions += 1
 
     def remove(self, slot: int) -> None:
         """Drop a template without counting an eviction (merges)."""
@@ -328,14 +299,6 @@ class TemplateCache:
         self.evictions = state["evictions"]
 
     # ------------------------------------------------------------------
-
-    def _evict_over_capacity(self) -> int:
-        evicted = 0
-        while len(self._templates) > self.capacity:
-            self._unindex(*self._templates.popitem(last=False))
-            evicted += 1
-        self.evictions += evicted
-        return evicted
 
     def _unindex(self, slot: int, tokens: tuple[str, ...]) -> None:
         """Drop *slot* from the two index entries its *tokens* key."""

@@ -232,9 +232,9 @@ class StreamingParser(LogParser):
             its counters (lines, flushes, cache hits/misses/evictions,
             outliers, backpressure) into the registry, records a
             ``chunk`` + ``parser_call`` span pair plus latency/size
-            histograms per flush, and threads the handle into the
-            cache.  The default ``None`` keeps the per-line fast path
-            untouched — flushes pay one ``is None`` check.
+            histograms per flush.  The default ``None`` keeps the
+            per-line fast path untouched — flushes pay one ``is None``
+            check.
     """
 
     name = "Streaming"
@@ -328,7 +328,6 @@ class StreamingParser(LogParser):
         self.cache = TemplateCache(
             capacity=self.cache_capacity,
             exact_capacity=self.exact_capacity,
-            telemetry=self.telemetry,
         )
         self._slot_templates: list[str] = []
         self._template_to_slot: dict[str, int] = {}
@@ -592,62 +591,23 @@ class StreamingParser(LogParser):
     # ------------------------------------------------------------------
 
     @_single_writer
-    def reconfigure(
-        self,
-        factory: ParserFactory | None = None,
-        *,
-        flush_size: int | None = None,
-        cache_capacity: int | None = None,
-        max_pending: int | None = None,
-        overflow: str | None = None,
-    ) -> dict:
-        """Swap the flush parser and/or shrink parameters mid-stream.
+    def reconfigure(self, factory: ParserFactory) -> dict:
+        """Swap the flush parser mid-stream.
 
         The degradation runtime's step-down hook: the slot table,
-        per-line assignments, and already-cached templates all survive
-        untouched — only the machinery for *future* flushes changes, so
-        a downgrade can never corrupt what was already parsed.  Returns
-        a dict of the changes applied (old -> new), which the ladder
-        records as the :class:`DegradationEvent`'s actions.
+        per-line assignments, the cache and the miss buffer all survive
+        untouched — only the parser that clusters *future* flushes
+        changes, so a downgrade can never corrupt what was already
+        parsed.  Returns the change applied, which the ladder records
+        as the :class:`DegradationEvent`'s actions.
         """
-        applied: dict = {}
-        if factory is not None:
-            self.factory = factory
-            self._flush_parser = factory()
-            applied["flush_parser"] = getattr(
+        self.factory = factory
+        self._flush_parser = factory()
+        return {
+            "flush_parser": getattr(
                 self._flush_parser, "name", type(self._flush_parser).__name__
             )
-        if flush_size is not None:
-            if flush_size < 1:
-                raise ParserConfigurationError(
-                    f"flush_size must be >= 1, got {flush_size}"
-                )
-            applied["flush_size"] = (self.flush_size, flush_size)
-            self.flush_size = flush_size
-            if (
-                self.flush_policy == "delta"
-                and len(self._pending) >= self.flush_size
-            ):
-                self.flush()
-        if cache_capacity is not None:
-            applied["cache_capacity"] = (self.cache_capacity, cache_capacity)
-            self.cache_capacity = cache_capacity
-            self.cache.resize(cache_capacity)
-        if max_pending is not None:
-            if max_pending < 1:
-                raise ParserConfigurationError(
-                    f"max_pending must be >= 1, got {max_pending}"
-                )
-            applied["max_pending"] = (self.max_pending, max_pending)
-            self.max_pending = max_pending
-        if overflow is not None:
-            if overflow not in OVERFLOW_MODES:
-                raise ParserConfigurationError(
-                    f"overflow must be one of {OVERFLOW_MODES}, got {overflow!r}"
-                )
-            applied["overflow"] = (self.overflow, overflow)
-            self.overflow = overflow
-        return applied
+        }
 
     # ------------------------------------------------------------------
     # Batch-contract interface

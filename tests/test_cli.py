@@ -421,7 +421,7 @@ class TestBudgetedStream:
         code = main(
             [
                 "stream",
-                "IPLoM",
+                "LKE",
                 "--dataset",
                 "HDFS",
                 "--size",
@@ -432,11 +432,13 @@ class TestBudgetedStream:
                 "20",
                 "--check-every",
                 "25",
+                "--flush-size",
+                "20",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "finished on rung" in out
+        assert "finished on rung Drain after 1 degradation(s)" in out
         assert "anomaly-detection change" in out
 
     def test_budgeted_stream_writes_outputs(self, tmp_path, capsys):

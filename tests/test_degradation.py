@@ -6,25 +6,25 @@ from random import Random
 
 import pytest
 
+from repro.cli import _build_stream_ladder, build_arg_parser, main
 from repro.common.errors import (
     BudgetExceededError,
-    FallbackExhaustedError,
     ParserConfigurationError,
     ValidationError,
 )
 from repro.common.types import LogRecord
-from repro.datasets.hdfs import generate_hdfs_sessions
+from repro.datasets import generate_dataset, get_dataset_spec
 from repro.degradation import (
+    FRONTIER,
     BudgetLimit,
     BudgetMonitor,
-    BudgetedParser,
     DegradationLadder,
     DegradedSession,
     LadderRung,
     MiningImpactLedger,
     ResourceBudget,
-    default_ladder,
-    ladder_chain,
+    frontier,
+    soak_ladder,
 )
 from repro.degradation.budget import (
     DIM_MEMORY,
@@ -33,7 +33,7 @@ from repro.degradation.budget import (
     LEVEL_SOFT,
 )
 from repro.degradation.ladder import TRIGGER_HARD, TRIGGER_SOFT
-from repro.parsers import make_parser
+from repro.parsers import PARSER_NAMES, make_parser
 from repro.resilience.supervisor import (
     STATUS_BUDGET,
     ParserSupervisor,
@@ -107,19 +107,6 @@ def test_monitor_uses_injected_probes_and_sorts_hard_first():
     assert "breach" in breaches[0].describe()
 
 
-def test_monitor_enforce_raises_on_hard_breach_only():
-    budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=100))
-    soft_monitor = BudgetMonitor(budget, memory_probe=lambda: 50.0)
-    _sample, breaches = soft_monitor.enforce()
-    assert [b.level for b in breaches] == [LEVEL_SOFT]
-    hard_monitor = BudgetMonitor(budget, memory_probe=lambda: 100.0)
-    with pytest.raises(BudgetExceededError) as excinfo:
-        hard_monitor.enforce(context="test parse")
-    assert excinfo.value.breaches
-    assert excinfo.value.breaches[0].level == LEVEL_HARD
-    assert "test parse" in str(excinfo.value)
-
-
 def test_monitor_wall_clock_uses_injected_clock():
     clock_state = {"now": 100.0}
     budget = ResourceBudget(wall_seconds=BudgetLimit(soft=1, hard=5))
@@ -138,15 +125,22 @@ def test_monitor_wall_clock_uses_injected_clock():
 # ----------------------------------------------------------------------
 
 
-def test_default_ladder_orders_fidelity_down():
-    names = [rung.parser for rung in default_ladder()]
-    assert names == [
-        "LKE", "LogSig", "IPLoM", "Drain", "SLCT", "Passthrough"
-    ]
+def test_frontier_steps_each_parser_once_to_its_floor():
+    # The measured rule of ablation A6: LKE, LogSig and SLCT step once
+    # to Drain; every other parser is its own floor.
+    names = [*PARSER_NAMES, "Passthrough"]
+    assert {name: frontier(name) for name in names} == {
+        "SLCT": ["SLCT", "Drain"],
+        "IPLoM": ["IPLoM"],
+        "LKE": ["LKE", "Drain"],
+        "LogSig": ["LogSig", "Drain"],
+        "Drain": ["Drain"],
+        "Passthrough": ["Passthrough"],
+    }
 
 
 def test_ladder_soft_steps_need_sustained_pressure():
-    ladder = DegradationLadder(cooldown_checks=3)
+    ladder = soak_ladder(cooldown_checks=3)
     ladder.note_check(True)
     ladder.note_check(True)
     assert not ladder.ready()  # two breached checks < cooldown of 3
@@ -158,14 +152,14 @@ def test_ladder_soft_steps_need_sustained_pressure():
 
 
 def test_ladder_steps_one_rung_at_a_time_with_audit_trail():
-    ladder = DegradationLadder(cooldown_checks=1)
+    ladder = soak_ladder(cooldown_checks=1)
     first = ladder.step_down(trigger=TRIGGER_SOFT, at_line=10)
     second = ladder.step_down(trigger=TRIGGER_HARD, at_line=20)
     assert (first.from_rung, first.to_rung) == ("LKE", "LogSig")
-    assert (second.from_rung, second.to_rung) == ("LogSig", "IPLoM")
+    assert (second.from_rung, second.to_rung) == ("LogSig", "Drain")
     assert [event.sequence for event in ladder.events] == [1, 2]
-    assert ladder.current.parser == "IPLoM"
-    assert "[IPLoM]" in ladder.describe()
+    assert ladder.current.parser == "Drain"
+    assert "[Drain]" in ladder.describe()
 
 
 def test_ladder_exhaustion_refuses_further_steps():
@@ -178,11 +172,9 @@ def test_ladder_exhaustion_refuses_further_steps():
 
 def test_ladder_rung_validation():
     with pytest.raises(ValidationError):
-        LadderRung("IPLoM", cache_capacity=0)
-    with pytest.raises(ValidationError):
         DegradationLadder([])
     with pytest.raises(ValidationError):
-        DegradationLadder(cooldown_checks=0)
+        DegradationLadder([LadderRung("Drain")], cooldown_checks=0)
 
 
 # ----------------------------------------------------------------------
@@ -200,20 +192,31 @@ def test_ledger_prices_a_downgrade():
     assert ledger.total_detection_delta == pytest.approx(cost.detection_delta)
 
 
+def _stream_args(*argv: str):
+    return build_arg_parser().parse_args(["stream", *argv])
+
+
 def test_every_default_rung_builds_its_parser():
     # A rung that cannot construct its parser crashes the runtime at
     # the worst possible moment — mid step-down under budget pressure.
     # (Regression: the LogSig rung once lacked its required `groups`.)
-    for rung in default_ladder():
+    for name in PARSER_NAMES:
+        for rung in _build_stream_ladder(_stream_args(name)).rungs:
+            assert rung.build_parser().name == rung.parser
+    for rung in soak_ladder().rungs:
         assert rung.build_parser().name == rung.parser
 
 
 def test_ledger_prices_every_default_rung():
-    # Every rung of the default ladder (Drain included) must have a
-    # reference row, or a downgrade could not be priced mid-run.
+    # Every parser a ladder can hold must have a reference row, or a
+    # downgrade could not be priced mid-run.
     ledger = MiningImpactLedger()
-    for rung in default_ladder():
-        assert ledger.estimate_for(rung.parser).parser == rung.parser
+    for name in [*PARSER_NAMES, "Passthrough"]:
+        assert ledger.estimate_for(name).parser == name
+    # Drain sits between IPLoM and SLCT in fidelity: stepping onto it
+    # costs a little detection, stepping off it to SLCT costs a lot.
+    assert ledger.cost("IPLoM", "Drain").detection_delta <= 0
+    assert ledger.cost("Drain", "SLCT").detection_delta < -0.3
     # Drain sits between IPLoM and SLCT in fidelity: stepping onto it
     # costs a little detection, stepping off it to SLCT costs a lot.
     assert ledger.cost("IPLoM", "Drain").detection_delta <= 0
@@ -307,37 +310,16 @@ def test_shed_returns_minus_one_without_corrupting_state():
 # ----------------------------------------------------------------------
 
 
-def test_reconfigure_swaps_parser_and_shrinks_cache():
+def test_reconfigure_swaps_only_the_parser():
     engine = StreamingParser(
         lambda: make_parser("IPLoM"), flush_size=100, cache_capacity=64
     )
     for record in distinct_records(10):
         engine.feed(record)
-    applied = engine.reconfigure(
-        lambda: make_parser("SLCT"), flush_size=50, cache_capacity=8
-    )
-    assert applied["flush_parser"] == "SLCT"
-    assert applied["flush_size"] == (100, 50)
-    assert applied["cache_capacity"] == (64, 8)
-    assert engine.cache.capacity == 8
-
-
-def test_reconfigure_smaller_flush_size_drains_backlog():
-    engine = StreamingParser(lambda: make_parser("IPLoM"), flush_size=1000)
-    for record in distinct_records(20):
-        engine.feed(record)
-    assert engine.pending_count == 20
-    engine.reconfigure(flush_size=10)
-    assert engine.pending_count < 20  # shrinking triggered the flush
-    assert engine.counters.flushes >= 1
-
-
-def test_cache_resize_validation_via_reconfigure():
-    engine = StreamingParser(lambda: make_parser("IPLoM"))
-    with pytest.raises(ParserConfigurationError):
-        engine.reconfigure(cache_capacity=0)
-    with pytest.raises(ParserConfigurationError):
-        engine.reconfigure(overflow="explode")
+    applied = engine.reconfigure(lambda: make_parser("SLCT"))
+    assert applied == {"flush_parser": "SLCT"}
+    assert (engine.flush_size, engine.cache.capacity) == (100, 64)
+    assert engine.pending_count == 10  # the backlog waits for the new parser
 
 
 # ----------------------------------------------------------------------
@@ -346,14 +328,9 @@ def test_cache_resize_validation_via_reconfigure():
 
 
 def fast_ladder(cooldown: int = 1) -> DegradationLadder:
-    return DegradationLadder(
-        [
-            LadderRung("IPLoM", cache_capacity=64, flush_size=5000),
-            LadderRung("SLCT", cache_capacity=8, flush_size=5000),
-            LadderRung("Passthrough", cache_capacity=4, flush_size=5000),
-        ],
-        cooldown_checks=cooldown,
-    )
+    # Streams here stay under the default flush size, so only the last
+    # rung ever parses.
+    return soak_ladder(cooldown_checks=cooldown)
 
 
 def test_degraded_session_steps_down_under_soft_pressure():
@@ -368,37 +345,33 @@ def test_degraded_session_steps_down_under_soft_pressure():
     session.consume(distinct_records(60))
     report = session.finalize()
     assert report.degraded
-    assert report.events[0].from_rung == "IPLoM"
-    assert report.events[0].to_rung == "SLCT"
+    assert report.events[0].from_rung == "LKE"
+    assert report.events[0].to_rung == "LogSig"
     assert report.events[0].trigger == TRIGGER_SOFT
     assert report.events[0].breaches and report.events[0].sample is not None
     assert report.events[0].mining_impact  # non-empty estimate
-    assert report.final_rung in ("SLCT", "Passthrough")
+    assert report.final_rung in ("LogSig", "Drain")
     assert "degradation" in report.describe()
 
 
 def test_drain_headed_ladder_steps_down_under_pressure():
-    # A Drain-headed ladder degrades exactly like the seed ladders: one
-    # audited rung at a time, each transition priced by the ledger.
+    # Drain is its own floor on the frontier, but a ladder given with
+    # ``--ladder`` still degrades like any other: one audited rung at a
+    # time, each transition priced by the ledger.
     mb = 1024 * 1024
     budget = ResourceBudget(memory_bytes=BudgetLimit(soft=32 * mb, hard=64 * mb))
     monitor = BudgetMonitor(
         budget, memory_probe=ramp_probe([10 * mb, 40 * mb, 40 * mb, 40 * mb])
     )
     ladder = DegradationLadder(
-        [
-            LadderRung("Drain", cache_capacity=64, flush_size=5000),
-            LadderRung("SLCT", cache_capacity=8, flush_size=5000),
-            LadderRung("Passthrough", cache_capacity=4, flush_size=5000),
-        ],
-        cooldown_checks=2,
+        [LadderRung("Drain"), LadderRung("IPLoM")], cooldown_checks=2
     )
     session = DegradedSession(ladder, monitor, check_every=10, track_matrix=False)
     session.consume(distinct_records(60))
     report = session.finalize()
     assert report.degraded
     assert report.events[0].from_rung == "Drain"
-    assert report.events[0].to_rung == "SLCT"
+    assert report.events[0].to_rung == "IPLoM"
     assert report.events[0].mining_impact  # priced by the ledger
     assert session.engine.counters.lines == 60
 
@@ -423,14 +396,19 @@ def test_degraded_session_raises_when_hard_breach_meets_exhausted_ladder():
     assert excinfo.value.breaches
 
 
-def test_degraded_session_applies_rung_sampling():
-    budget = ResourceBudget()  # unlimited: stay on the entry rung
-    monitor = BudgetMonitor(budget, memory_probe=lambda: 0.0)
-    ladder = DegradationLadder([LadderRung("Passthrough", sample_keep=2)])
-    session = DegradedSession(ladder, monitor, check_every=100, track_matrix=False)
-    session.consume(distinct_records(10))
-    assert session.sampled_out == 5
-    assert session.engine.counters.lines == 5
+def test_degraded_session_admits_every_line():
+    # No rung drops lines: a session that walks the whole ladder still
+    # hands every offered record to the engine.
+    budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=20))
+    monitor = BudgetMonitor(budget, memory_probe=lambda: 25.0)
+    session = DegradedSession(
+        fast_ladder(), monitor, check_every=3, track_matrix=False
+    )
+    session.consume(distinct_records(7))
+    assert session.ladder.current.parser == "Drain"
+    report = session.finalize()
+    assert report.counters.stream.lines == 7
+    assert len(report.result.assignments) == 7
 
 
 def test_degraded_session_rejects_bad_check_every():
@@ -440,65 +418,21 @@ def test_degraded_session_rejects_bad_check_every():
 
 
 # ----------------------------------------------------------------------
-# Budgets inside supervised fallback chains
+# The supervisor's budget status
 # ----------------------------------------------------------------------
-
-
-def test_budgeted_parser_raises_on_hard_breach(toy_records):
-    budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=20))
-    monitor = BudgetMonitor(budget, memory_probe=lambda: 100.0)
-    wrapped = BudgetedParser(make_parser("IPLoM"), monitor)
-    assert wrapped.name == "Budgeted(IPLoM)"
-    with pytest.raises(BudgetExceededError):
-        wrapped.parse(toy_records)
-
-
-def test_supervised_ladder_completes_on_lower_rung():
-    records = generate_hdfs_sessions(8, seed=3).records
-    budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=50))
-    # Over the hard limit for the first two admission checks (IPLoM and
-    # SLCT), relieved before Passthrough runs.
-    monitor = BudgetMonitor(budget, memory_probe=ramp_probe([100, 100, 1]))
-    supervisor = ParserSupervisor(
-        ladder_chain(fast_ladder(), monitor),
-        retry=RetryPolicy(attempts=3, base_delay=0),
-        sleep=lambda _s: None,
-    )
-    outcome = supervisor.parse(records)
-    assert outcome.parser == "Passthrough"  # the report says which rung won
-    budget_attempts = outcome.report.budget_breached
-    # One budget attempt per breached rung, no retries of a blown budget.
-    assert [a.parser for a in budget_attempts] == ["IPLoM", "SLCT"]
-    assert all(a.status == STATUS_BUDGET for a in budget_attempts)
-
-
-def test_supervised_ladder_exhausts_only_after_every_rung():
-    records = generate_hdfs_sessions(5, seed=3).records
-    budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=50))
-    monitor = BudgetMonitor(budget, memory_probe=lambda: 100.0)
-    ladder = fast_ladder()
-    supervisor = ParserSupervisor(
-        ladder_chain(ladder, monitor),
-        retry=RetryPolicy(attempts=2, base_delay=0),
-        sleep=lambda _s: None,
-    )
-    with pytest.raises(FallbackExhaustedError) as excinfo:
-        supervisor.parse(records)
-    tried = [attempt.parser for attempt in excinfo.value.report.attempts]
-    # Every rung — passthrough included — was tried before giving up.
-    assert tried == [rung.parser for rung in ladder.rungs]
 
 
 def test_supervisor_budget_status_skips_retries(toy_records):
     sleeps: list[float] = []
-    budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=20))
-    monitor = BudgetMonitor(budget, memory_probe=ramp_probe([100, 1]))
 
-    def budgeted_factory():
-        return BudgetedParser(make_parser("IPLoM"), monitor)
+    class OverBudget:
+        name = "OverBudget"
+
+        def parse(self, records):
+            raise BudgetExceededError("memory budget exhausted")
 
     supervisor = ParserSupervisor(
-        [("A", budgeted_factory), ("B", budgeted_factory)],
+        [("A", OverBudget), ("B", lambda: make_parser("IPLoM"))],
         retry=RetryPolicy(attempts=3, base_delay=0.5),
         sleep=sleeps.append,
     )
@@ -527,3 +461,149 @@ def test_random_jitter_rng_is_plumbed_through(toy_records):
     for attempt, actual in enumerate(sleeps, start=1):
         base = min(policy.max_delay, policy.base_delay * policy.backoff ** (attempt - 1))
         assert base * 0.5 <= actual <= base * 1.5
+
+
+# ----------------------------------------------------------------------
+# The measured frontier
+# ----------------------------------------------------------------------
+
+
+def _flush_lines_per_offered_line(rung: LadderRung, records) -> float:
+    """Lines a rung hands its flush parser per offered line, in the
+    stream shape (delta, flush 512, cache 4096)."""
+    handed: list[int] = []
+
+    def factory():
+        parser = rung.build_parser()
+        parse = parser.parse
+
+        def counted(batch):
+            handed.append(len(batch))
+            return parse(batch)
+
+        parser.parse = counted
+        return parser
+
+    engine = StreamingParser(factory)
+    assert all(engine.feed(record) >= 0 for record in records)
+    engine.finalize()
+    assert engine.counters.lines == len(records)  # every line admitted
+    return sum(handed) / len(records)
+
+
+@pytest.mark.parametrize("dataset", ["HDFS", "BGL", "HPC"])
+def test_frontier_steps_hand_no_more_lines_to_the_flush_parser(dataset):
+    records = generate_dataset(get_dataset_spec(dataset), 1000, seed=11).records
+    handed = {
+        name: _flush_lines_per_offered_line(
+            _build_stream_ladder(_stream_args(name, "--seed", "11")).rungs[0],
+            records,
+        )
+        for name in {name for step in FRONTIER for name in step}
+    }
+    for upper, lower in FRONTIER:
+        assert handed[lower] <= handed[upper], (upper, lower, handed)
+
+
+# ----------------------------------------------------------------------
+# A budget that never breaches changes nothing
+# ----------------------------------------------------------------------
+
+
+def _stream_bytes(tmp_path, label, *argv) -> tuple[bytes, bytes]:
+    stem = str(tmp_path / label)
+    assert main(["stream", *argv, "--output-stem", stem]) == 0
+    with open(stem + ".events", "rb") as events:
+        with open(stem + ".structured", "rb") as structured:
+            return events.read(), structured.read()
+
+
+@pytest.mark.parametrize("parser", ["Drain", "IPLoM"])
+@pytest.mark.parametrize("dataset", ["HDFS", "BGL"])
+def test_unbreached_budgeted_stream_writes_the_plain_bytes(
+    tmp_path, capsys, parser, dataset
+):
+    source = [parser, "--dataset", dataset, "--size", "2000", "--seed", "3"]
+    plain = _stream_bytes(tmp_path, "plain", *source)
+    budgeted = _stream_bytes(
+        tmp_path, "budgeted", *source, "--budget-queue", "100000"
+    )
+    assert budgeted == plain
+    assert "finished on rung " + parser + " after 0" in capsys.readouterr().out
+
+
+def test_budgeted_stream_honours_the_parser_flags(tmp_path, capsys):
+    # Regression: each rung was built from the rung's own params, so
+    # --sim-threshold, --depth, --support and --groups were dropped.
+    source = ["Drain", "--dataset", "BGL", "--size", "2000", "--seed", "3"]
+    strict = ["--sim-threshold", "0.9"]
+    plain = _stream_bytes(tmp_path, "plain", *source, *strict)
+    budgeted = _stream_bytes(
+        tmp_path, "budgeted", *source, *strict, "--budget-queue", "100000"
+    )
+    loose = _stream_bytes(
+        tmp_path, "loose", *source, "--budget-queue", "100000"
+    )
+    capsys.readouterr()
+    assert budgeted == plain
+    assert budgeted != loose
+
+
+def test_ladder_rungs_are_built_from_the_parser_flags():
+    ladder = _build_stream_ladder(
+        _stream_args(
+            "LKE", "--ladder", "LogSig,SLCT,Drain", "--groups", "7",
+            "--support", "0.05", "--sim-threshold", "0.6", "--seed", "4",
+        )
+    )
+    assert [(rung.parser, rung.params) for rung in ladder.rungs] == [
+        ("LogSig", {"groups": 7, "seed": 4}),
+        ("SLCT", {"support": 0.05}),
+        ("Drain", {"sim_threshold": 0.6, "depth": 4}),
+    ]
+
+
+def test_parser_off_the_frontier_is_its_own_floor(capsys):
+    assert main(
+        [
+            "stream", "IPLoM", "--dataset", "HDFS", "--size", "400",
+            "--seed", "5", "--budget-queue", "20", "--check-every", "25",
+            "--flush-size", "20",
+        ]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "ladder: [IPLoM] |" in out
+    assert "finished on rung IPLoM" in out
+
+
+@pytest.mark.parametrize("parser", ["Drain", "IPLoM"])
+@pytest.mark.parametrize("dataset", ["HDFS", "BGL"])
+def test_unbreached_budgeted_shard_writes_the_delta_shard_artifacts(
+    tmp_path, parser, dataset
+):
+    from repro.service.shard import TenantShard
+
+    records = generate_dataset(get_dataset_spec(dataset), 1500, seed=3).records
+
+    def run(label, **kwargs) -> dict[str, bytes]:
+        shard = TenantShard(
+            "alpha",
+            str(tmp_path / label),
+            lambda: make_parser(parser),
+            parser_name=parser,
+            **kwargs,
+        )
+        for record in records:
+            shard.submit(record)
+        shard.drain()
+        root = tmp_path / label / "alpha"
+        return {path.name: path.read_bytes() for path in root.iterdir()}
+
+    plain = run("plain", flush_policy="delta")
+    serve = build_arg_parser().parse_args(["serve", parser, str(tmp_path)])
+    budgeted = run(
+        "budgeted",
+        budget=ResourceBudget.of(queue_depth=100_000),
+        ladder=_build_stream_ladder(serve),
+    )
+    assert budgeted == plain

@@ -97,8 +97,8 @@ def test_degraded_stream_leaves_structured_timeline(tmp_path):
 
     events = load_events(str(tmp_path / "degraded_stream.events.jsonl"))
     steps = [event for event in events if event["kind"] == "ladder_step"]
-    assert [step["from"] for step in steps] == ["IPLoM", "SLCT"]
-    assert [step["to"] for step in steps] == ["SLCT", "Passthrough"]
+    assert [step["from"] for step in steps] == ["LKE", "LogSig"]
+    assert [step["to"] for step in steps] == ["LogSig", "Drain"]
     assert all(step["breaches"] for step in steps)
     samples = json.loads(
         (tmp_path / "degraded_stream.metrics.json").read_text()

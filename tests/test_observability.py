@@ -496,9 +496,9 @@ class TestCliTelemetry:
         events_path = tmp_path / "e.jsonl"
         assert main(
             [
-                "stream", "IPLoM", "--dataset", "HDFS", "--size", "400",
+                "stream", "LKE", "--dataset", "HDFS", "--size", "400",
                 "--seed", "5", "--budget-queue", "20",
-                "--check-every", "25",
+                "--check-every", "25", "--flush-size", "20",
                 "--metrics-out", str(metrics_path),
                 "--events-out", str(events_path),
             ]
@@ -520,7 +520,7 @@ class TestCliTelemetry:
             for event in load_events(str(events_path))
             if event["kind"] == "ladder_step"
         ]
-        assert steps and steps[0]["from"] == "IPLoM"
+        assert steps and steps[0]["from"] == "LKE"
 
     def test_supervise_exports_attempt_metrics(self, tmp_path, capsys):
         metrics_path = tmp_path / "m.prom"

@@ -344,7 +344,7 @@ class TestTenantShard:
         shard = TenantShard("alpha", str(tmp_path), factory())
         shard.submit(_record("x"))
         shard.drain()
-        from repro.degradation import default_ladder, DegradationLadder
+        from repro.degradation import DegradationLadder, LadderRung
 
         with pytest.raises(ValidationError):
             TenantShard(
@@ -352,7 +352,7 @@ class TestTenantShard:
                 str(tmp_path),
                 factory(),
                 budget=ResourceBudget.of(memory_mb=512),
-                ladder=DegradationLadder(default_ladder()),
+                ladder=DegradationLadder([LadderRung("Drain")]),
             )
 
 
@@ -809,7 +809,7 @@ class TestReconfigureRacingOverflow:
 
     The degradation ladder calls ``reconfigure`` at step-down time
     with records still buffered; every overflow mode must stay
-    coherent through the swap.
+    coherent through the parser swap, which changes nothing else.
     """
 
     def _miss(self, i: int) -> LogRecord:
@@ -826,9 +826,7 @@ class TestReconfigureRacingOverflow:
         for i in range(3):
             engine.feed(self._miss(i))
         assert engine.pending_count == 3
-        applied = engine.reconfigure(
-            factory=lambda: make_parser("SLCT"), flush_size=50
-        )
+        applied = engine.reconfigure(lambda: make_parser("SLCT"))
         assert "flush_parser" in applied
         # Pending survives the swap; overflow still blocks (flushes).
         for i in range(3, 10):
@@ -847,39 +845,16 @@ class TestReconfigureRacingOverflow:
         outcomes = [engine.feed(self._miss(i)) for i in range(6)]
         shed_before = outcomes.count(-1)
         assert shed_before == 4  # buffer holds 2, the rest shed
-        # Step down mid-overflow: cheaper parser, tighter buffer,
-        # switch to sampling.
-        engine.reconfigure(
-            factory=lambda: make_parser("Passthrough"),
-            overflow="sample",
-        )
+        # Step down mid-overflow: the buffer and the shed policy stay.
+        engine.reconfigure(lambda: make_parser("IPLoM"))
         after = [engine.feed(self._miss(i)) for i in range(6, 12)]
-        # Sampling admits every overflow_sample_keep-th overflowing
-        # miss instead of shedding all of them.
-        assert after.count(-1) < 6
-        assert 0 < len([o for o in after if o >= 0])
+        assert after == [-1] * 6
+        assert engine.counters.shed == 10
         engine.finalize()
         # Everything the engine admitted is in the result; shed lines
         # are gone by policy, not by corruption.
         admitted = len([o for o in outcomes + after if o >= 0])
         assert len(engine.result().records) == admitted
-
-    def test_sample_to_block_reconfigure_flushes_backlog(self):
-        engine = StreamingParser(
-            lambda: make_parser("Drain"),
-            flush_policy="delta",
-            flush_size=100,
-            max_pending=3,
-            overflow="sample",
-        )
-        for i in range(8):
-            engine.feed(self._miss(i))
-        assert engine.pending_count >= 3
-        engine.reconfigure(overflow="block", max_pending=2)
-        # block mode now flushes synchronously instead of dropping.
-        for i in range(8, 14):
-            assert engine.feed(self._miss(i)) >= 0
-        engine.finalize()
 
     def test_ladder_step_down_shape(self):
         """The exact call shape DegradationLadder uses at step-down."""
@@ -893,21 +868,12 @@ class TestReconfigureRacingOverflow:
         )
         for i in range(5):
             engine.feed(self._miss(i))
-        applied = engine.reconfigure(
-            factory=lambda: make_parser("SLCT"),
-            flush_size=32,
-            cache_capacity=128,
-            max_pending=4,
-            overflow="shed",
-        )
-        assert set(applied) == {
-            "flush_parser", "flush_size", "cache_capacity",
-            "max_pending", "overflow",
-        }
-        # The 5 pending misses exceed the new max_pending=4: the next
-        # feeds shed instead of blocking, and nothing already buffered
-        # was lost.
+        applied = engine.reconfigure(lambda: make_parser("SLCT"))
+        assert applied == {"flush_parser": "SLCT"}
+        # The shape is untouched: the buffer still blocks at 8, and
+        # nothing already buffered was lost.
         outcomes = [engine.feed(self._miss(i)) for i in range(5, 9)]
-        assert outcomes == [-1, -1, -1, -1]
+        assert all(outcome >= 0 for outcome in outcomes)
+        assert (engine.flush_size, engine.cache.capacity) == (64, 256)
         engine.finalize()
-        assert len(engine.result().records) == 5
+        assert len(engine.result().records) == 9

@@ -215,7 +215,6 @@ _OPS = st.one_of(
     _INSERT,
     st.tuples(st.just("find_generalizer"), _TOKENS),
     st.tuples(st.just("remove"), _SLOTS),
-    st.tuples(st.just("resize"), st.integers(min_value=1, max_value=4)),
     st.tuples(st.just("clear_templates")),
     st.tuples(st.just("restore")),
 )
@@ -238,7 +237,8 @@ _OPS = st.one_of(
          ("insert", 1, ["*", "*"]), ("match", ["a", "b"]), ("match", ["a"])]
 )
 @example(  # evicted, restored: the index follows the residents
-    ops=[("insert", 0, ["a", "*"]), ("resize", 1), ("insert", 1, ["a", "b"]),
+    ops=[("insert", 0, ["a", "*"]), ("insert", 1, ["b"]),
+         ("insert", 2, ["b", "b"]), ("insert", 3, ["a", "b"]),
          ("match", ["a", "a"]), ("restore",), ("match", ["a", "b"])]
 )
 def test_compiled_match_is_the_per_token_match(ops):
