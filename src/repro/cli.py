@@ -158,6 +158,7 @@ from repro.resilience import (
     diff_manifests,
     ensure_artifact,
     fault_schedule,
+    record_log_path,
     restore_accumulator,
     resume_streaming_parser,
     save_checkpoint,
@@ -1514,6 +1515,9 @@ def _cmd_stream(args) -> int:
         if args.checkpoint:
             _checkpoint()
             run.artifacts.append((args.checkpoint, CODEC_OPAQUE))
+            run.artifacts.append(
+                (record_log_path(args.checkpoint), CODEC_FRAMED)
+            )
         print(
             outcome.describe()
             if budgeted

@@ -36,6 +36,7 @@ from repro.resilience.checkpoint import (
     StreamCheckpoint,
     artifact_offsets,
     load_checkpoint,
+    record_log_path,
     restore_accumulator,
     restore_streaming_parser,
     resume_streaming_parser,
@@ -94,6 +95,7 @@ __all__ = [
     "StreamCheckpoint",
     "artifact_offsets",
     "load_checkpoint",
+    "record_log_path",
     "restore_accumulator",
     "restore_streaming_parser",
     "resume_streaming_parser",

@@ -26,7 +26,10 @@ append-mode JSONL artifacts (quarantine sinks) at save time, keyed by
 path relative to the checkpoint's directory, so a resume can reconcile
 those files — truncating records written after
 the checkpoint that the replayed stream will re-emit — via
-:func:`~repro.resilience.durability.reconcile_jsonl`.
+:func:`~repro.resilience.durability.reconcile_jsonl`.  One is the
+checkpoint's own **record log** (:func:`record_log_path`): a save
+appends the records retained since the last one and fsyncs them
+before it renames the checkpoint, so the JSON never holds the history.
 """
 
 from __future__ import annotations
@@ -38,10 +41,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ArtifactWriteError, CheckpointError
+from repro.common.types import LogRecord
 from repro.resilience.durability import (
     RealIO,
+    append_at,
     atomic_write_text,
+    frame_bytes,
+    json_or_null,
+    json_str,
     reconcile_jsonl,
+    scan_framed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,7 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bump when the checkpoint schema changes incompatibly.
 #: v2: engine config gained backpressure fields (max_pending/overflow).
 #: v3: added per-artifact JSONL offsets for resume reconciliation.
-CHECKPOINT_VERSION = 3
+#: v4: retained records moved from the engine state to the record log.
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -82,6 +92,7 @@ class StreamCheckpoint:
             resumed shard suppresses resends of lines it already
             owns.  Optional and backward-compatible (older
             checkpoints simply lack it), so no version bump.
+        records / record_log: what :func:`load_checkpoint` read back.
     """
 
     version: int
@@ -92,6 +103,8 @@ class StreamCheckpoint:
     accumulator: dict | None = None
     artifacts: dict = field(default_factory=dict)
     delivery: dict | None = None
+    records: list = field(default_factory=list, repr=False)
+    record_log: tuple | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         data = {
@@ -136,15 +149,17 @@ def save_checkpoint(
 ) -> StreamCheckpoint:
     """Snapshot *engine* (and optional accumulator) to *path* atomically.
 
-    The write goes through :func:`atomic_write_text` (temp file,
-    fsync, rename, parent-dir fsync), so a crash — even a power loss —
-    at any point leaves either the previous checkpoint or the new one,
-    never a torn hybrid.  Returns the in-memory
+    After one append, flush and fsync of the record log, the write
+    goes through :func:`atomic_write_text` (temp file, fsync, rename,
+    parent-dir fsync), so a crash — even a power loss — at any point
+    leaves the previous checkpoint or the new one, each with its log
+    records, never a torn hybrid.  Returns the in-memory
     :class:`StreamCheckpoint` that was written.  With *telemetry*, the
     save is counted, its latency observed, and a ``checkpoint`` event
     lands on the timeline.
     """
     started = time.perf_counter()
+    artifacts = dict(artifacts or {}, **_append_record_log(path, engine, io))
     checkpoint = StreamCheckpoint(
         version=CHECKPOINT_VERSION,
         parser=parser,
@@ -152,7 +167,7 @@ def save_checkpoint(
         records_consumed=records_consumed,
         engine=engine.checkpoint_state(),
         accumulator=accumulator.state() if accumulator is not None else None,
-        artifacts=dict(artifacts or {}),
+        artifacts=artifacts,
         delivery=dict(delivery) if delivery else None,
     )
     try:
@@ -174,14 +189,45 @@ def save_checkpoint(
     return checkpoint
 
 
+def record_log_path(path: str) -> str:
+    """``out.checkpoint.json`` → ``out.checkpoint.records.jsonl``."""
+    return os.path.splitext(path)[0] + ".records.jsonl"
+
+
+def _append_record_log(path: str, engine, io) -> dict:
+    """Append what *engine* retained since its last save to the record
+    log of checkpoint *path*; returns the log's pin."""
+    log, size, count = engine.record_log or (None, 0, 0)
+    if log != record_log_path(path):
+        log, size, count = record_log_path(path), 0, 0
+    records = engine.retained_records(count)
+    data = b"".join(
+        frame_bytes(
+            f"[{json_str(r.content)}, {json_or_null(r.timestamp)}, "
+            f"{json_or_null(r.session_id)}, {json_or_null(r.truth_event)}]"
+            .encode()
+        )
+        for r in records
+    )
+    try:
+        append_at(log, data, size, io=io)
+    except OSError as error:
+        raise CheckpointError(
+            f"could not write record log {log}: {error}"
+        ) from error
+    engine.record_log = pin = (log, size + len(data), count + len(records))
+    return {os.path.basename(log): {"bytes": pin[1], "records": pin[2]}}
+
+
 def load_checkpoint(
     path: str, telemetry=None, *, parser: str
 ) -> StreamCheckpoint:
-    """Read and validate a checkpoint file.
+    """Read and validate a checkpoint file and its record log.
 
     Raises :class:`~repro.common.errors.CheckpointError` when the file
     is missing, is not valid JSON, lacks required fields, or was
-    written by an incompatible schema version or another *parser*.
+    written by an incompatible schema version or another *parser*, or
+    when its record log holds fewer intact records than it pins.
     """
     started = time.perf_counter()
     if not os.path.exists(path):
@@ -223,6 +269,20 @@ def load_checkpoint(
             f"checkpoint {path} was written by parser "
             f"{checkpoint.parser!r}; it cannot resume under {parser!r}"
         )
+    log = record_log_path(path)
+    pin = checkpoint.artifacts.get(os.path.basename(log), {})
+    try:
+        with open(log, "rb") as handle:
+            frames, valid = scan_framed(handle.read(pin["bytes"]))
+    except (OSError, KeyError):  # missing log or pin
+        frames, valid = [], -1
+    if (valid, len(frames)) != (pin.get("bytes"), pin.get("records")):
+        raise CheckpointError(
+            f"record log {log} holds {len(frames)} intact record(s) of "
+            f"the {pin.get('records')} checkpoint {path} pins"
+        )
+    checkpoint.records = [LogRecord(*frame) for frame in frames]
+    checkpoint.record_log = (log, pin["bytes"], pin["records"])
     if telemetry is not None:
         _note_checkpoint_op(
             telemetry,
@@ -257,29 +317,19 @@ def restore_streaming_parser(
     config = checkpoint.engine.get("config")
     if not isinstance(config, dict):
         raise CheckpointError("checkpoint lacks an engine configuration")
-    try:
+    try:  # a key it lacks is caught by restore_state's config check
         engine = StreamingParser(
-            factory,
-            flush_policy=config["flush_policy"],
-            flush_size=config["flush_size"],
-            cache_capacity=config["cache_capacity"],
-            exact_capacity=config["exact_capacity"],
-            max_flush_retries=config["max_flush_retries"],
-            retain=config["retain"],
-            max_pending=config.get("max_pending"),
-            overflow=config.get("overflow", "block"),
-            preprocessor=preprocessor,
-            error_policy=error_policy,
-            quarantine=quarantine,
-            max_record_len=max_record_len,
-            source_label=source_label,
+            factory, **config, preprocessor=preprocessor,
+            error_policy=error_policy, quarantine=quarantine,
+            max_record_len=max_record_len, source_label=source_label,
             telemetry=telemetry,
         )
-    except KeyError as error:
+    except TypeError as error:
         raise CheckpointError(
-            f"checkpoint engine configuration is missing {error}"
+            f"checkpoint engine configuration is unusable: {error}"
         ) from error
-    engine.restore_state(checkpoint.engine)
+    engine.restore_state(checkpoint.engine, checkpoint.records)
+    engine.record_log = checkpoint.record_log
     return engine
 
 
@@ -311,7 +361,7 @@ def resume_streaming_parser(
     telemetry=None,
     **engine_kwargs,
 ) -> "tuple[StreamCheckpoint, StreamingParser]":
-    """Load *path*, roll pinned artifacts back, restore the engine.
+    """Load *path*, roll pinned artifacts (the log too) back, restore.
 
     *engine_kwargs* go to :func:`restore_streaming_parser`.
     """

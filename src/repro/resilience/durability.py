@@ -48,6 +48,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as json_str
 
 from repro.common.errors import ArtifactWriteError, IntegrityError
 
@@ -269,6 +270,17 @@ def ensure_artifact(path: str, *, io: RealIO | None = None) -> None:
         ) from error
 
 
+def append_at(path: str, data: bytes, offset: int, *, io=None) -> None:
+    """Cut *path* to *offset* bytes, append *data*, flush and fsync."""
+    io = _coerce_io(io)
+    if offset and os.path.getsize(path) != offset:
+        io.truncate(path, offset)
+    with io.open(path, "ab" if offset else "wb") as handle:
+        io.write(handle, data)
+        io.flush(handle)
+        io.fsync(handle)
+
+
 def _note_artifact_write(telemetry, kind: str, outcome: str, path: str) -> None:
     telemetry.metrics.get("repro_artifact_writes_total").labels(
         kind=kind, outcome=outcome
@@ -288,6 +300,10 @@ def _note_artifact_write(telemetry, kind: str, outcome: str, path: str) -> None:
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def json_or_null(value: str | None) -> str:  # for one-pass framing
+    return "null" if value is None else json_str(value)
+
+
 def frame_bytes(data: bytes) -> bytes:
     """Put the length+CRC32 frame around one encoded JSON payload."""
     return b"%08x %08x %s\n" % (len(data), zlib.crc32(data), data)
@@ -298,7 +314,7 @@ def frame_record(payload: dict) -> bytes:
     return frame_bytes(_ENCODER.encode(payload).encode("utf-8"))
 
 
-def parse_frame(line: bytes) -> dict | None:
+def parse_frame(line: bytes) -> dict | list | None:
     """Decode one framed line; ``None`` when the frame check fails."""
     if line.endswith(b"\n"):
         line = line[:-1]
@@ -320,7 +336,7 @@ def parse_frame(line: bytes) -> dict | None:
         record = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
-    return record if isinstance(record, dict) else None
+    return record if isinstance(record, (dict, list)) else None
 
 
 @dataclass

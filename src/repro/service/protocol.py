@@ -58,7 +58,6 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-from json.encoder import encode_basestring_ascii as _json_str
 
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
@@ -66,6 +65,8 @@ from repro.resilience.durability import (
     RealIO,
     atomic_write_text,
     frame_bytes,
+    json_or_null as _json_or_null,
+    json_str as _json_str,
     recover_jsonl,
 )
 
@@ -149,10 +150,6 @@ def parse_ack(text: str) -> tuple[str, int] | None:
     if len(parts) != 3 or parts[0] != "ACK" or not parts[2].isdigit():
         return None
     return parts[1], int(parts[2])
-
-
-def _json_or_null(value: str | None) -> str:
-    return "null" if value is None else _json_str(value)
 
 
 class DeliveryWindow:

@@ -37,7 +37,7 @@ on either host.
 
 Drain writes the standard ``.events``/``.structured`` outputs through
 the engine's prefix finalize (byte-identical to a batch parse), saves
-a final checkpoint pinning the quarantine offsets, and commits a
+a final checkpoint pinning its record log and quarantine, commits a
 per-tenant :class:`~repro.resilience.durability.RunManifest` — written
 last, inside the tenant directory, with artifact keys relative to it,
 so two runs of the same stream diff cleanly via ``verify-run
@@ -61,6 +61,7 @@ from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.observability.tracing import SPAN_TENANT_DRAIN
 from repro.resilience.checkpoint import (
     artifact_offsets,
+    record_log_path,
     resume_streaming_parser,
     save_checkpoint,
 )
@@ -570,7 +571,10 @@ class TenantShard(FrontStage):
             # A clean tenant directory holds only manifest-covered
             # files.
             self._front_drained()
-            artifacts.append((self.checkpoint_path, CODEC_OPAQUE))
+            artifacts += [
+                (self.checkpoint_path, CODEC_OPAQUE),
+                (record_log_path(self.checkpoint_path), CODEC_FRAMED),
+            ]
             self.quarantine.close()
             if os.path.exists(self.quarantine_path):
                 artifacts.append((self.quarantine_path, CODEC_FRAMED))

@@ -299,19 +299,22 @@ class ShardWorker:
                         last_heartbeat = now
             elif kind == "poison":
                 _, index, record, detail, delivery = message
-                if index == shard.position:
+                saved = index == shard.position
+                if saved:
                     shard.poison(record, detail, delivery=delivery)
                     # Pin the diversion durably before acking, so a
                     # crash right here cannot resurrect the pill.
                     shard.checkpoint()
                     fed_since_checkpoint = 0
                 self.outbox.put(("poisoned", index))
-                self._checkpointed(shard)
+                if saved:  # ``checkpointed`` always follows a save
+                    self._checkpointed(shard)
             elif kind == "checkpoint":
                 shard.checkpoint()
                 fed_since_checkpoint = 0
                 self._checkpointed(shard)
             elif kind == "drain":
+                self.outbox.put(("draining",))  # drain deadline from here
                 for fault in spec.faults:
                     if fault.should_fire_at_drain(spec.life):
                         fault.fire()
@@ -689,21 +692,29 @@ class ShardSupervisor(FrontStage):
                 self.state = STATE_RUNNING
 
     def _prune(self, position: int) -> None:
+        """Count a worker checkpoint covering *position*, prune, tell."""
+        if self.telemetry is not None:
+            self.telemetry.metrics.get("repro_checkpoint_ops_total").labels(
+                op="save"
+            ).inc()
         with self._lock:
-            if position <= self._acked:
-                return
-            drop = position - self._acked
-            del self._outbox[:drop]
-            self._acked = position
-            self._sent_through = max(self._sent_through, position)
-            for index in [i for i in self._kill_counts if i < position]:
-                del self._kill_counts[index]
-            for index in [i for i in self._poisoned if i < position]:
-                del self._poisoned[index]
-            self._front_checkpointed(
-                (index, record, delivery)
-                for index, record, _, delivery in self._outbox
-            )
+            if position > self._acked:
+                del self._outbox[:position - self._acked]
+                self._acked = position
+                self._sent_through = max(self._sent_through, position)
+                for index in [i for i in self._kill_counts if i < position]:
+                    del self._kill_counts[index]
+                for index in [i for i in self._poisoned if i < position]:
+                    del self._poisoned[index]
+                self._front_checkpointed(
+                    (index, record, delivery)
+                    for index, record, _, delivery in self._outbox
+                )
+        if self._on_checkpoint is not None:
+            try:
+                self._on_checkpoint(self.tenant, position)
+            except Exception:  # pragma: no cover - callback bug
+                pass  # a status hook must never kill the monitor
 
     def _handle_message(self, message, process) -> str | None:
         kind = message[0]
@@ -751,11 +762,6 @@ class ShardSupervisor(FrontStage):
             if self.telemetry is not None and spans:
                 self.telemetry.tracer.adopt(spans)
             self._prune(position)
-            if self._on_checkpoint is not None:
-                try:
-                    self._on_checkpoint(self.tenant, position)
-                except Exception:  # pragma: no cover - callback bug
-                    pass  # a status hook must never kill the monitor
             return None
         if kind == "gap":
             _, expected, got = message
@@ -767,7 +773,7 @@ class ShardSupervisor(FrontStage):
             self._sync_stats(stats)
             if self.telemetry is not None and spans:
                 self.telemetry.tracer.adopt(spans)
-            self._prune(self.seen)
+            self._prune(self.seen)  # the drain's own checkpoint
             with self._lock:
                 self._front_drained()
             process.join(timeout=self.term_grace + 5.0)
@@ -878,7 +884,7 @@ class ShardSupervisor(FrontStage):
             self._spawned.set()
         ready = False
         drain_sent = False
-        ckpt_outstanding = False
+        draining = False
         hung = False
         exited = False
         # Seconds to block for the next result.  Zero while results
@@ -900,8 +906,8 @@ class ShardSupervisor(FrontStage):
                     wait = 0.0
                     if message[0] == "ready":
                         ready = True
-                    elif message[0] == "checkpointed":
-                        ckpt_outstanding = False
+                    elif message[0] == "draining":
+                        draining = True
                     verdict = self._handle_message(message, process)
                     if verdict is not None:
                         return verdict
@@ -915,8 +921,8 @@ class ShardSupervisor(FrontStage):
                     exited = True
                     wait = 0.0
                     continue
-                deadline = self.watchdog
-                if drain_sent:
+                deadline = self.watchdog  # it may hang mid-feed until
+                if draining:  # it says it is draining
                     deadline = max(self.watchdog, self.drain_timeout)
                 if self._clock() - self._last_seen > deadline:
                     hung = True
@@ -927,46 +933,26 @@ class ShardSupervisor(FrontStage):
                     continue
                 self._dispatch(inbox)
                 with self._lock:
-                    fully_dispatched = (
-                        self._sent_through
-                        >= self._acked + len(self._outbox)
-                        and self._in_flight is None
-                        and not self._mode_careful
-                    )
-                    # Drain only once every record is *acknowledged*
-                    # by a worker checkpoint — sending drain on mere
-                    # dispatch would extend the watchdog deadline over
-                    # a worker that is actually hung mid-record.
-                    fully_acked = (
-                        fully_dispatched
-                        and self._acked >= self.seen
-                    )
-                    want_drain = self._drain_requested and not drain_sent
-                    want_checkpoint = fully_dispatched and (
-                        self._checkpoint_requested
-                        or (
-                            want_drain
-                            and not fully_acked
-                            and not ckpt_outstanding
-                        )
-                    )
-                    if want_checkpoint:
-                        self._checkpoint_requested = False
-                if want_drain and fully_acked:
-                    try:
-                        inbox.put_nowait(("drain",))
+                    if (
+                        self._sent_through < self._acked + len(self._outbox)
+                        or self._in_flight is not None
+                        or self._mode_careful
+                    ):
+                        continue  # records still to dispatch come first
+                    # Drain follows the last feed batch: the drain's own
+                    # checkpoint covers everything dispatched.
+                    drain = self._drain_requested and not drain_sent
+                    if not drain and not self._checkpoint_requested:
+                        continue
+                try:
+                    inbox.put_nowait(("drain",) if drain else ("checkpoint",))
+                except queue.Full:  # pragma: no cover - retried
+                    continue
+                with self._lock:
+                    self._checkpoint_requested = False  # drain saves too
+                    if drain:
                         drain_sent = True
-                        with self._lock:
-                            self.state = STATE_DRAINING
-                    except queue.Full:  # pragma: no cover - retried
-                        pass
-                elif want_checkpoint:
-                    try:
-                        inbox.put_nowait(("checkpoint",))
-                        ckpt_outstanding = True
-                    except queue.Full:  # pragma: no cover - retried
-                        with self._lock:
-                            self._checkpoint_requested = True
+                        self.state = STATE_DRAINING
             # Worker died (or was terminated as hung).
             return self._handle_death(process, hung)
         finally:

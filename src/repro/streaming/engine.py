@@ -337,6 +337,8 @@ class StreamingParser(LogParser):
         self._flushes = 0
         self._outliers = 0
         self._records: list[LogRecord] = []
+        #: ``(path, bytes, n)``: a checkpoint record log holds _records[:n].
+        self.record_log: tuple[str, int, int] | None = None
         self._assignments: list[int] = []
         self._slot_counts: Counter[int] = Counter()
         #: prefix policy: preprocessed records for the full re-parse.
@@ -753,11 +755,10 @@ class StreamingParser(LogParser):
     def checkpoint_state(self) -> dict:
         """JSON-ready snapshot of the entire mutable stream state.
 
-        Everything :meth:`reset` initializes is captured — slot table,
-        redirects, miss buffer, per-line assignments, retained
-        records, cache (in LRU order), and counters — so an engine
-        restored from this snapshot continues the stream exactly where
-        this one stands and finalizes to the identical result.
+        Everything :meth:`reset` initializes but the retained records
+        (the checkpoint's record log holds those) is captured — slot
+        table, redirects, miss buffer, assignments, cache (in LRU
+        order), counters — so a restored engine continues exactly here.
         """
         return {
             "config": self.checkpoint_config(),
@@ -781,13 +782,9 @@ class StreamingParser(LogParser):
             "rejected": self._rejected,
             "shed": self._shed,
             "overflowed": self._overflowed,
-            "records": [record.to_dict() for record in self._records],
             "assignments": list(self._assignments),
             "slot_counts": [
                 [slot, count] for slot, count in self._slot_counts.items()
-            ],
-            "flush_records": [
-                record.to_dict() for record in self._flush_records
             ],
             "active_slots": (
                 list(self._active_slots)
@@ -798,10 +795,14 @@ class StreamingParser(LogParser):
             "cache": self.cache.state(),
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` snapshot wholesale.
+    def retained_records(self, start: int) -> list[LogRecord]:
+        """The retained records from stream line *start* on."""
+        return self._records[start:]
 
-        The engine must have been constructed with the same
+    def restore_state(self, state: dict, records=()) -> None:
+        """Adopt a :meth:`checkpoint_state` snapshot and its *records*,
+        recomputing flush records through :meth:`_prepare`.  The
+        engine must have been constructed with the same
         configuration the snapshot records (the factory and
         preprocessor are the caller's responsibility); a mismatch
         raises :class:`~repro.common.errors.CheckpointError` because a
@@ -844,16 +845,16 @@ class StreamingParser(LogParser):
         self._rejected = state["rejected"]
         self._shed = state.get("shed", 0)
         self._overflowed = state.get("overflowed", 0)
-        self._records = [
-            LogRecord.from_dict(record) for record in state["records"]
-        ]
+        self._records = list(records)
         self._assignments = list(state["assignments"])
         self._slot_counts = Counter(
             {int(slot): count for slot, count in state["slot_counts"]}
         )
-        self._flush_records = [
-            LogRecord.from_dict(record) for record in state["flush_records"]
-        ]
+        self._flush_records = []
+        if self.flush_policy == "prefix":
+            self._flush_records = [
+                self._prepare(record)[1] for record in records
+            ] if self.preprocessor is not None else list(records)
         self._active_slots = (
             list(state["active_slots"])
             if state["active_slots"] is not None

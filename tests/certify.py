@@ -65,6 +65,7 @@ from repro.service import (
     IngestionService,
     LineServer,
     ShardSupervisor,
+    TenantShard,
     replay_lines,
 )
 from repro.service.shard import CHECKPOINT_NAME, MANIFEST_NAME
@@ -194,6 +195,48 @@ class FakeClock:
     def advance(self, seconds):
         with self._lock:
             self.now += seconds
+
+
+class Host:
+    """One life of one shard host on the tenant ``t``, with a
+    synchronous checkpoint whichever host it is.
+
+    :meth:`kill` stands in for SIGKILL: a thread host is dropped with
+    no checkpoint and no drain; a process host has its worker stopped
+    and is fenced, the same path a blown drain deadline takes.
+    """
+
+    def __init__(self, kind: str, data_dir: str, exactly_once: bool = False):
+        self.kind = kind
+        self.checkpoints = []
+        if kind == "thread":
+            self.shard = TenantShard(
+                "t", data_dir, factory(), parser_name="Drain",
+                exactly_once=exactly_once,
+            )
+        else:
+            self.shard = ShardSupervisor(
+                "t", data_dir, factory(), parser_name="Drain",
+                exactly_once=exactly_once, checkpoint_every=10_000,
+                on_checkpoint=lambda _t, position: self.checkpoints.append(
+                    position
+                ),
+                **FAST,
+            )
+
+    def state(self) -> tuple[int, int]:
+        return self.shard.seen, self.shard.pending
+
+    def checkpoint(self) -> None:
+        before = len(self.checkpoints)
+        self.shard.checkpoint()
+        if self.kind == "process":
+            wait_for(lambda: len(self.checkpoints) > before)
+
+    def kill(self) -> None:
+        if self.kind == "process":
+            self.shard._abandon()
+            wait_for(lambda: self.shard.state == "fenced")
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,25 @@ from functools import partial
 
 import pytest
 
+import certify
 from repro.common.errors import CheckpointError
+from repro.common.types import LogRecord
 from repro.datasets import generate_dataset, get_dataset_spec
 from repro.mining.event_matrix import EventMatrixAccumulator
 from repro.parsers import make_parser
 from repro.resilience import (
     CHECKPOINT_VERSION,
+    FaultyIO,
+    IoFault,
     load_checkpoint,
+    read_jsonl_payloads,
+    record_log_path,
     restore_accumulator,
     restore_streaming_parser,
     save_checkpoint,
 )
+from repro.resilience.faults import IO_FSYNC
+from repro.service.shard import CHECKPOINT_NAME
 from repro.streaming import ParseSession, StreamingParser
 
 
@@ -435,3 +443,129 @@ def test_faulted_kill_points_resume_to_fault_free_manifest(
             f"fault-free run:\n" + "\n".join(differences)
         )
     assert fired_total > 0, "the scripted IO faults never fired"
+
+
+# ----------------------------------------------------------------------
+# The record log and its checkpoint: crash states, on both shard hosts
+# ----------------------------------------------------------------------
+
+#: CI's durability matrix sets REPRO_IO_SEED; it picks where the torn
+#: and short logs below are cut.
+IO_SEED = int(os.environ.get("REPRO_IO_SEED", "7"))
+_HOSTS = ("thread", "process")
+_LINES = [f"conn from host{i % 5} port {i}" for i in range(40)]
+
+
+def _feed(host, lines) -> None:
+    for line in lines:
+        host.shard.submit(LogRecord(content=line))
+
+
+def _tenant_file(data_dir, name: str) -> str:
+    return os.path.join(str(data_dir), "t", name)
+
+
+def _log_path(data_dir) -> str:
+    return record_log_path(_tenant_file(data_dir, CHECKPOINT_NAME))
+
+
+def _first_life(host, data_dir) -> tuple[bytes, bytes]:
+    """Checkpoint at 20 lines, then at 30, and crash; returns the
+    20-line checkpoint's bytes and the log's bytes at that point."""
+    life = certify.Host(host, str(data_dir))
+    _feed(life, _LINES[:20])
+    life.checkpoint()
+    with open(_tenant_file(data_dir, CHECKPOINT_NAME), "rb") as handle:
+        checkpoint = handle.read()
+    with open(_log_path(data_dir), "rb") as handle:
+        log = handle.read()
+    _feed(life, _LINES[20:30])
+    life.checkpoint()
+    life.kill()
+    return checkpoint, log
+
+
+def _resume_matches_calm(host, data_dir, calm_root) -> None:
+    """A second life replays the whole stream from the start (v1) and
+    drains to what a calm run of it writes, record log included."""
+    life = certify.Host(host, str(data_dir))
+    _feed(life, _LINES)
+    assert life.shard.drain()["lines"] == len(_LINES)
+    certify.compare(
+        data_dir, certify.calm_run(calm_root, [("t", l) for l in _LINES]),
+        ["t"],
+    )
+    assert len(read_jsonl_payloads(_log_path(data_dir))) == len(_LINES)
+
+
+@pytest.mark.parametrize("host", _HOSTS)
+def test_log_ahead_of_its_checkpoint_is_cut_back_to_the_pin(
+    host, tmp_path, calm_root
+):
+    """The log was appended and fsynced, the checkpoint rename never
+    happened: resume truncates the log to the surviving pin."""
+    data_dir = tmp_path / "data"
+    checkpoint, log = _first_life(host, data_dir)
+    with open(_tenant_file(data_dir, CHECKPOINT_NAME), "wb") as handle:
+        handle.write(checkpoint)  # the 30-line rename never landed
+    assert os.path.getsize(_log_path(data_dir)) > len(log)
+    _resume_matches_calm(host, data_dir, calm_root)
+
+
+@pytest.mark.parametrize("host", _HOSTS)
+def test_torn_log_tail_is_cut_on_resume(host, tmp_path, calm_root):
+    data_dir = tmp_path / "data"
+    _first_life(host, data_dir)
+    with open(_log_path(data_dir), "rb") as handle:
+        frame = handle.read().splitlines(keepends=True)[-1]
+    with open(_log_path(data_dir), "ab") as handle:
+        handle.write(frame[: 1 + IO_SEED % (len(frame) - 2)])
+    _resume_matches_calm(host, data_dir, calm_root)
+
+
+@pytest.mark.parametrize("lose", ["short", "missing"])
+@pytest.mark.parametrize("host", _HOSTS)
+def test_log_short_of_its_pin_refuses_the_shard(host, lose, tmp_path):
+    """Like a torn checkpoint: the resuming host refuses to create the
+    shard rather than resume from a log that lost pinned records."""
+    data_dir = tmp_path / "data"
+    _first_life(host, data_dir)
+    path = _log_path(data_dir)
+    if lose == "missing":
+        os.unlink(path)
+    else:
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 1 - IO_SEED % 40)
+    with pytest.raises(CheckpointError, match="record log"):
+        certify.Host(host, str(data_dir))
+
+
+@pytest.mark.parametrize("then_save", [False, True], ids=["crash", "save"])
+@pytest.mark.parametrize("host", _HOSTS)
+def test_failed_log_fsync_fails_the_save_and_keeps_the_last_pair(
+    host, then_save, tmp_path, calm_root
+):
+    """EIO on the log's fsync: the save raises and the checkpoint is
+    not replaced.  Crashing there, the previous checkpoint and log
+    resume on either host; saving again instead rewrites the log from
+    its pin."""
+    data_dir = tmp_path / "data"
+    life = certify.Host("thread", str(data_dir))
+    _feed(life, _LINES[:20])
+    life.checkpoint()
+    with open(_tenant_file(data_dir, CHECKPOINT_NAME), "rb") as handle:
+        checkpoint = handle.read()
+    _feed(life, _LINES[20:30])
+    life.shard.io = FaultyIO(
+        [IoFault(kind=IO_FSYNC, path_contains=".records.", times=1)]
+    )
+    with pytest.raises(CheckpointError, match="record log"):
+        life.checkpoint()
+    assert life.shard.io.fired, "the scripted fsync fault never fired"
+    with open(_tenant_file(data_dir, CHECKPOINT_NAME), "rb") as handle:
+        assert handle.read() == checkpoint
+    if then_save:
+        _feed(life, _LINES[30:35])
+        life.checkpoint()
+    life.kill()
+    _resume_matches_calm(host, data_dir, calm_root)

@@ -401,7 +401,9 @@ class TestStreamResilience:
         (first / "q").mkdir()
         assert stream(first) == 0
         pins = json.loads((first / "ck" / "cp.json").read_text())["artifacts"]
-        assert list(pins) == [os.path.join("..", "q", "q.jsonl")]
+        assert list(pins) == [
+            os.path.join("..", "q", "q.jsonl"), "cp.records.jsonl"
+        ]
         kept = read_jsonl_payloads(str(first / "q" / "q.jsonl"))
         shutil.move(str(first), str(moved))
         # A record appended after the checkpoint: the resume rolls it back.

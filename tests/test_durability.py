@@ -372,8 +372,10 @@ class TestCheckpointDurability:
             artifacts={"q.jsonl": {"bytes": 120, "records": 2}},
         )
         loaded = load_checkpoint(path, parser="SLCT")
+        # The checkpoint pins its own record log beside the caller's.
         assert loaded.artifacts == {
-            "q.jsonl": {"bytes": 120, "records": 2}
+            "q.jsonl": {"bytes": 120, "records": 2},
+            "cp.records.jsonl": {"bytes": 46, "records": 1},
         }
 
 

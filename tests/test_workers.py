@@ -598,8 +598,8 @@ class TestOneFrontTwoHosts:
         self._ack(sup, [11])
         assert sup.drain()["lines"] == 11
         assert sorted(os.listdir(os.path.join(str(tmp_path), "t"))) == [
-            "out.checkpoint.json", "out.events", "out.manifest.json",
-            "out.structured",
+            "out.checkpoint.json", "out.checkpoint.records.jsonl",
+            "out.events", "out.manifest.json", "out.structured",
         ]
 
     def test_process_host_dies_thread_host_resumes(self, tmp_path):
@@ -861,6 +861,73 @@ class TestConcurrentDrain:
         assert _open_fds() <= baseline
 
 
+class TestBoundedCheckpoints:
+    """A worker writes each record to the append-only record log once,
+    so the checkpoint JSON of a drained 2k-line tenant stays small, and
+    a calm drain saves exactly once after the last periodic save."""
+
+    EVERY = 500
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        import random
+
+        from repro.datasets import generate_dataset, get_dataset_spec
+
+        records = generate_dataset(
+            get_dataset_spec("HDFS"), 4000, seed=7
+        ).records
+        tenants = random.Random(7).choices(
+            ["t0", "t1", "t2", "t3"], weights=(4, 2, 1, 1), k=len(records)
+        )
+        data_dir = str(tmp_path_factory.mktemp("bounded"))
+        telemetry = Telemetry.create(trace_id="t")
+        positions: dict[str, list[int]] = {}
+        service = IngestionService(
+            data_dir, factory(), parser_name="Drain", telemetry=telemetry,
+            isolation="process",
+            worker_kwargs=dict(checkpoint_every=self.EVERY),
+            on_checkpoint=lambda tenant, position: positions.setdefault(
+                tenant, []
+            ).append(position),
+        )
+        replay_lines(service, [
+            f"{tenant}\t{record.content}"
+            for tenant, record in zip(tenants, records)
+        ])
+        summary = service.drain()["tenants"]
+        return data_dir, telemetry, positions, summary
+
+    def test_checkpoint_stays_small_and_the_log_holds_every_record(
+        self, run
+    ):
+        from repro.resilience import record_log_path
+
+        data_dir, _, _, summary = run
+        assert summary["t0"]["seen"] >= 2000
+        for tenant, tenant_summary in summary.items():
+            assert tenant_summary["restarts"] == 0
+            checkpoint = os.path.join(data_dir, tenant, CHECKPOINT_NAME)
+            assert os.path.getsize(checkpoint) <= 32 * 1024, tenant
+            with open(record_log_path(checkpoint), "rb") as handle:
+                frames, valid = scan_framed(handle.read())
+            assert len(frames) == tenant_summary["seen"], tenant
+            assert valid == os.path.getsize(record_log_path(checkpoint))
+
+    def test_a_calm_drain_saves_once_after_the_last_periodic_checkpoint(
+        self, run
+    ):
+        _, telemetry, positions, summary = run
+        expected = {
+            tenant: list(range(self.EVERY, s["seen"] + 1, self.EVERY))
+            + [s["seen"]]
+            for tenant, s in summary.items()
+        }
+        assert positions == expected
+        saves = telemetry.metrics.value("repro_checkpoint_ops_total", op="save")
+        assert saves == sum(len(p) for p in expected.values())
+
+
 class TestMonotonicDeadlines:
     def test_no_wall_clock_in_service_sources(self):
         """Satellite audit: deadlines in service/ must be monotonic.
@@ -908,6 +975,30 @@ class TestMonotonicDeadlines:
         summary = sup.drain()
         assert summary["restarts"] == 1
         assert summary["lines"] == 10
+
+    def test_watchdog_still_fires_once_drain_was_requested(self, tmp_path):
+        """Drain is sent as soon as everything is dispatched, but the
+        drain deadline applies only once the worker answers
+        ``draining``: a worker hung mid-feed is still the watchdog's."""
+        clock = FakeClock()
+        fault = ProcessFault(PROC_HANG, at_record=5, hang_seconds=120.0)
+        sup = ShardSupervisor(
+            "t", str(tmp_path), factory(), parser_name="Drain",
+            checkpoint_every=4, heartbeat_interval=0.02,
+            watchdog=5.0, drain_timeout=60.0,
+            faults=(fault,), clock=clock, sleep=lambda _s: None,
+        )
+        _feed(sup, conn_lines(10))
+        wait_for(lambda: sup._stats.get("position", 0) >= 4)
+        sup.begin_drain()
+        wait_for(lambda: sup.state == "draining")  # sent, never read
+        clock.advance(6.0)  # past the watchdog, short of the deadline
+        wait_for(lambda: sup.restarts == 1, timeout=10.0)
+        summary = sup.drain()
+        assert summary["restarts"] == 1 and summary["lines"] == 10
+        assert [a.error for a in sup.report.attempts] == [
+            "no message for 5.0s (watchdog)"
+        ]
 
     def test_heartbeat_age_tracks_injected_clock(self, tmp_path):
         sup = ShardSupervisor.__new__(ShardSupervisor)
