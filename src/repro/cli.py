@@ -480,7 +480,7 @@ def _add_io_faults_flag(cmd) -> None:
         metavar="SEED",
         help="inject a deterministic schedule of IO faults (EIO, "
         "ENOSPC, torn writes, fsync failures) into artifact writes; "
-        "writers retry and divert before giving up",
+        "writers roll back and retry before giving up",
     )
 
 

@@ -72,14 +72,15 @@ class BudgetExceededError(ReproError):
         self.breaches = tuple(breaches)
 
 
-class ArtifactWriteError(ReproError):
+class ArtifactWriteError(ReproError, OSError):
     """An output artifact could not be durably committed.
 
     Raised by the durability layer (:mod:`repro.resilience.durability`)
-    after its retry/divert ladder is exhausted — the write sequence
+    once its retries are exhausted — an append or the write sequence
     (temp file, fsync, rename, directory fsync) failed persistently.
     The target artifact is left in its previous complete state, never
-    half-written.  Maps to the runtime-failure exit code (4).
+    half-written.  It is an ``OSError`` too, like the failure it wraps.
+    Maps to the runtime-failure exit code (4).
     """
 
 

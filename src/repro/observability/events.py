@@ -49,9 +49,9 @@ class EventLog:
     ) -> None:
         self._clock = clock
         self._epoch = clock()
-        self._path = path
-        self._io = io
-        self._writer: DurableJsonlWriter | None = None
+        self._writer = (
+            None if path is None else DurableJsonlWriter(path, io=io)
+        )
         self._seq = 0
         # Supervisor monitor threads (one per tenant), the alert
         # ticker, and connection threads all emit into one timeline;
@@ -77,7 +77,8 @@ class EventLog:
             }
             event.update(fields)
             self.events.append(event)
-            self._persist(event)
+            if self._writer is not None:
+                self._writer.append(event)
         return event
 
     def record(self, obj) -> dict:
@@ -95,23 +96,13 @@ class EventLog:
             )
         return self.emit(kind, **payload)
 
-    def _persist(self, event: dict) -> None:
-        if self._path is None:
-            return
-        if self._writer is None:
-            self._writer = DurableJsonlWriter(self._path, io=self._io)
-        self._writer.append(event)
-
-    def offset(self) -> tuple[int, int]:
-        """``(bytes, records)`` durably framed on disk so far."""
-        if self._writer is None:
-            return 0, 0
-        return self._writer.offset()
-
     def close(self) -> None:
+        """Fsync the timeline and give its handle back."""
         if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+            try:
+                self._writer.sync()
+            finally:
+                self._writer.close()
 
     def __enter__(self) -> "EventLog":
         return self

@@ -40,11 +40,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.common.errors import ArtifactWriteError, CheckpointError
+from repro.common.errors import CheckpointError
 from repro.common.types import LogRecord
 from repro.resilience.durability import (
+    DurableJsonlWriter,
     RealIO,
-    append_at,
     atomic_write_text,
     frame_bytes,
     json_or_null,
@@ -174,7 +174,7 @@ def save_checkpoint(
         atomic_write_text(
             path, json.dumps(checkpoint.to_dict()), io=io, retries=1
         )
-    except (OSError, ArtifactWriteError) as error:
+    except OSError as error:  # ArtifactWriteError is one too
         raise CheckpointError(
             f"could not write checkpoint to {path}: {error}"
         ) from error
@@ -195,27 +195,33 @@ def record_log_path(path: str) -> str:
 
 
 def _append_record_log(path: str, engine, io) -> dict:
-    """Append what *engine* retained since its last save to the record
-    log of checkpoint *path*; returns the log's pin."""
+    """Cut the record log of checkpoint *path* back to its pin, append
+    what *engine* retained since, and fsync; returns the new pin.
+
+    No retry: a failed save keeps the previous checkpoint, and the
+    next save cuts back to its pin."""
     log, size, count = engine.record_log or (None, 0, 0)
     if log != record_log_path(path):
         log, size, count = record_log_path(path), 0, 0
-    records = engine.retained_records(count)
-    data = b"".join(
-        frame_bytes(
-            f"[{json_str(r.content)}, {json_or_null(r.timestamp)}, "
-            f"{json_or_null(r.session_id)}, {json_or_null(r.truth_event)}]"
-            .encode()
-        )
-        for r in records
-    )
+    writer = DurableJsonlWriter(log, retries=0, io=io)
     try:
-        append_at(log, data, size, io=io)
+        writer.cut((size, count))
+        writer.extend([
+            frame_bytes(
+                f"[{json_str(r.content)}, {json_or_null(r.timestamp)}, "
+                f"{json_or_null(r.session_id)}, "
+                f"{json_or_null(r.truth_event)}]".encode()
+            )
+            for r in engine.retained_records(count)
+        ])
+        writer.sync()
     except OSError as error:
         raise CheckpointError(
             f"could not write record log {log}: {error}"
         ) from error
-    engine.record_log = pin = (log, size + len(data), count + len(records))
+    finally:
+        writer.close()
+    engine.record_log = pin = (log, *writer.offset())
     return {os.path.basename(log): {"bytes": pin[1], "records": pin[2]}}
 
 

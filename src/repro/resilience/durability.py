@@ -15,8 +15,8 @@ module is the durability layer those writers now share:
   Readers see either the complete old artifact or the complete new
   one, never a half-written hybrid.
 
-* :class:`DurableJsonlWriter` / :func:`recover_jsonl` — append-mode
-  JSONL with per-record length+CRC32 framing::
+* :class:`DurableJsonlWriter` / :func:`recover_jsonl` — the one
+  append-mode writer of JSONL with per-record length+CRC32 framing::
 
       0000002f c47ab1e9 {"kind": "quarantine", ...}
 
@@ -37,12 +37,13 @@ module is the durability layer those writers now share:
 All writers take an ``io`` seam (default :class:`RealIO`) so the
 deterministic fault layer in :mod:`repro.resilience.faults` can inject
 ``EIO`` / ``ENOSPC`` / fsync failures / torn writes at scripted byte
-offsets; the retry/divert/fail behaviour under those faults is part of
+offsets; the rewind/retry/fail behaviour under those faults is part of
 each writer's contract and is certified by ``tests/test_durability.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -270,22 +271,11 @@ def ensure_artifact(path: str, *, io: RealIO | None = None) -> None:
         ) from error
 
 
-def append_at(path: str, data: bytes, offset: int, *, io=None) -> None:
-    """Cut *path* to *offset* bytes, append *data*, flush and fsync."""
-    io = _coerce_io(io)
-    if offset and os.path.getsize(path) != offset:
-        io.truncate(path, offset)
-    with io.open(path, "ab" if offset else "wb") as handle:
-        io.write(handle, data)
-        io.flush(handle)
-        io.fsync(handle)
-
-
 def _note_artifact_write(telemetry, kind: str, outcome: str, path: str) -> None:
     telemetry.metrics.get("repro_artifact_writes_total").labels(
         kind=kind, outcome=outcome
     ).inc()
-    if outcome in ("retried", "diverted", "failed"):
+    if outcome in ("retried", "failed"):
         telemetry.events.emit(
             "artifact_write", writer=kind, outcome=outcome, path=path
         )
@@ -347,19 +337,13 @@ class JsonlRecovery:
         path: the file inspected.
         records: the decoded complete-record prefix.
         valid_bytes: length of that prefix on disk.
-        total_bytes: file size before any truncation.
         truncated: True when the torn tail was cut off on disk.
     """
 
     path: str
     records: list[dict] = field(default_factory=list)
     valid_bytes: int = 0
-    total_bytes: int = 0
     truncated: bool = False
-
-    @property
-    def dropped_bytes(self) -> int:
-        return self.total_bytes - self.valid_bytes
 
 
 def scan_framed(data: bytes) -> tuple[list[dict], int]:
@@ -384,18 +368,14 @@ def scan_framed(data: bytes) -> tuple[list[dict], int]:
 
 
 def recover_jsonl(
-    path: str,
-    *,
-    truncate: bool = True,
-    io: RealIO | None = None,
-    telemetry=None,
+    path: str, *, io: RealIO | None = None, telemetry=None
 ) -> JsonlRecovery:
     """Validate a framed JSONL file and cut off its torn tail.
 
-    A missing file recovers to an empty, zero-byte state.  With
-    *truncate* (the default) the file is physically truncated to the
-    last complete record and fsynced, so downstream consumers — and
-    the appending writer about to reopen it — see only intact records.
+    A missing file recovers to an empty, zero-byte state.  Otherwise
+    the file is physically truncated to the last complete record and
+    fsynced, so downstream consumers — and the appending writer about
+    to reopen it — see only intact records.
     """
     io = _coerce_io(io)
     recovery = JsonlRecovery(path=path)
@@ -403,9 +383,9 @@ def recover_jsonl(
         return recovery
     with open(path, "rb") as handle:
         data = handle.read()
-    recovery.total_bytes = len(data)
     recovery.records, recovery.valid_bytes = scan_framed(data)
-    if truncate and recovery.valid_bytes < recovery.total_bytes:
+    dropped = len(data) - recovery.valid_bytes
+    if dropped:
         try:
             io.truncate(path, recovery.valid_bytes)
         except OSError as error:
@@ -416,11 +396,11 @@ def recover_jsonl(
         if telemetry is not None:
             telemetry.metrics.get(
                 "repro_jsonl_recovered_bytes_total"
-            ).inc(recovery.dropped_bytes)
+            ).inc(dropped)
             telemetry.events.emit(
                 "jsonl_recovery",
                 path=path,
-                dropped_bytes=recovery.dropped_bytes,
+                dropped_bytes=dropped,
                 records=len(recovery.records),
             )
     return recovery
@@ -444,7 +424,7 @@ def reconcile_jsonl(
     a tail to trim.
     """
     io = _coerce_io(io)
-    recovery = recover_jsonl(path, truncate=True, io=io, telemetry=telemetry)
+    recovery = recover_jsonl(path, io=io, telemetry=telemetry)
     if recovery.valid_bytes < valid_bytes:
         raise IntegrityError(
             f"artifact {path} holds {recovery.valid_bytes} valid bytes "
@@ -482,168 +462,153 @@ def reconcile_jsonl(
 
 
 class DurableJsonlWriter:
-    """Append-only framed JSONL with recovery, retry, and divert.
+    """The one append handle on a framed JSONL file.
 
-    Args:
-        path: primary JSONL file; opened lazily on the first append so
-            an untouched writer leaves no file.  An existing file has
-            its torn tail recovered (truncated to the last complete
-            record) before the first append lands.
-        alternate_path: where appends divert when the primary path
-            fails persistently (e.g. its volume is full).  ``None``
-            derives ``path + ".alt"``; records already on the primary
-            stay there.
-        retries: re-open-and-retry attempts per append before
-            diverting (or failing when no alternate exists).
-        fsync_every: fsync the handle every N appended records
-            (0 disables; :meth:`sync` and :meth:`close` always fsync).
+    Every framed log appends through one: the ownership journal, the
+    client spool, the checkpoint record log, quarantine and the event
+    log.  The file opens lazily: the first append (or a look at
+    :attr:`recovered` or :meth:`offset`) truncates a torn tail to the
+    last complete record, so an untouched writer leaves no file.
 
-    ``offset()`` reports ``(bytes, records)`` durably framed so far —
-    the quantity checkpoints record and resume reconciles against.
+    **One failure rule.**  :meth:`extend` writes a batch of frames with
+    one write and one flush, all or nothing: a failed write or flush
+    drops the handle and truncates the file, through the io seam, back
+    to where the batch began.  The batch is then retried on a fresh
+    handle up to *retries* times, and the last failure raises
+    :class:`~repro.common.errors.ArtifactWriteError`.  A log whose
+    caller already retries takes ``retries=0``.
+
+    Nothing is fsynced except by :meth:`sync`; :meth:`close` only
+    gives the handle back.  :meth:`rewrite` compacts atomically,
+    :meth:`cut` rolls back to a pinned offset, :meth:`remove` deletes.
+    The writer is its file's only appender: a reopen cuts the file to
+    the offset the writer knows, which also finishes a failed rewind.
     """
 
     def __init__(
         self,
         path: str,
         *,
-        alternate_path: str | None = None,
         retries: int = 1,
-        fsync_every: int = 0,
         io: RealIO | None = None,
         telemetry=None,
     ) -> None:
         self.path = path
-        self.alternate_path = (
-            alternate_path if alternate_path is not None else f"{path}.alt"
-        )
         self.retries = max(0, retries)
-        self.fsync_every = fsync_every
         self.io = _coerce_io(io)
         self.telemetry = telemetry
-        self.diverted = False
         self._handle = None
-        self._bytes = 0
-        self._records = 0
-        self._since_sync = 0
+        #: ``(bytes, records)`` the file holds; ``None`` until recovered.
+        self._at: tuple[int, int] | None = None
+        self._recovered: list = []
 
-    def _open(self, path: str):
-        recovery = recover_jsonl(
-            path, truncate=True, io=self.io, telemetry=self.telemetry
-        )
-        handle = self.io.open(path, "ab")
-        return handle, recovery
+    def _recover(self) -> None:
+        if self._at is None:
+            recovery = recover_jsonl(
+                self.path, io=self.io, telemetry=self.telemetry
+            )
+            self._recovered = recovery.records
+            self._at = recovery.valid_bytes, len(recovery.records)
 
-    def _ensure_open(self) -> None:
+    def _open(self) -> None:
+        """Hold the append handle on a file cut to the known offset."""
         if self._handle is not None:
             return
-        self._handle, recovery = self._open(self.path)
-        self._bytes = recovery.valid_bytes
-        self._records = len(recovery.records)
+        self._recover()
+        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        if size != self._at[0]:
+            self.io.truncate(self.path, self._at[0])
+        self._handle = self.io.open(self.path, "ab")
 
-    def append(self, payload: dict) -> None:
-        """Frame and append one record, surviving transient IO faults.
-
-        A failed write is retried on a fresh handle; a persistent
-        failure diverts to *alternate_path* so the record (and the
-        rest of the run's records) still land durably somewhere.  Only
-        when the alternate fails too does
-        :class:`~repro.common.errors.ArtifactWriteError` escape.
-        """
-        line = frame_record(payload)
-        last: OSError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                self._ensure_open()
-                self.io.write(self._handle, line)
-                self.io.flush(self._handle)
-                self._bytes += len(line)
-                self._records += 1
-                self._since_sync += 1
-                if self.fsync_every and self._since_sync >= self.fsync_every:
-                    self.sync()
-                if attempt and self.telemetry is not None:
-                    _note_artifact_write(
-                        self.telemetry, "jsonl", "retried", self.path
-                    )
-                return
-            except OSError as error:
-                last = error
-                self._drop_handle()
-            except ArtifactWriteError as error:
-                # recovery-on-open failed; treat like the OSError it wraps
-                last = error.__cause__ or OSError(str(error))
-                self._drop_handle()
-        if not self.diverted:
-            self._divert()
-            self.append(payload)
-            return
-        if self.telemetry is not None:
-            _note_artifact_write(self.telemetry, "jsonl", "failed", self.path)
-        raise ArtifactWriteError(
-            f"could not append to {self.path}: {last}"
-        ) from last
-
-    def _divert(self) -> None:
-        """Switch future appends to the alternate path."""
-        primary = self.path
-        self.diverted = True
-        self.path = self.alternate_path
-        self._drop_handle()
-        self._bytes = 0
-        self._records = 0
-        if self.telemetry is not None:
-            _note_artifact_write(self.telemetry, "jsonl", "diverted", primary)
-
-    def _drop_handle(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            self._handle = None
+    @property
+    def recovered(self) -> list:
+        """The intact records the file held when it was recovered."""
+        self._recover()
+        return self._recovered
 
     def offset(self) -> tuple[int, int]:
-        """``(bytes, records)`` durably framed on the current path."""
-        return self._bytes, self._records
+        """``(bytes, records)`` framed on disk: what a checkpoint pins."""
+        self._recover()
+        return self._at
+
+    def append(self, payload: dict) -> None:
+        """Frame and append one record: a batch of one."""
+        self.extend([frame_record(payload)])
+
+    def extend(self, frames: list[bytes]) -> None:
+        """Append *frames* with one write and one flush, all or nothing."""
+        if frames:
+            data = b"".join(frames)
+            self._retry(lambda: self._commit(data, len(frames)), "append to")
+
+    def _commit(self, data: bytes, count: int) -> None:
+        self._open()
+        size, records = self._at
+        try:
+            self.io.write(self._handle, data)
+            self.io.flush(self._handle)
+        except OSError:
+            self.close()
+            self.io.truncate(self.path, size)
+            raise
+        self._at = size + len(data), records + count
 
     def sync(self) -> None:
-        """Flush and fsync the handle (no-op when nothing is open).
+        """Fsync the open handle, if any, retried like an append."""
+        if self._handle is not None:
+            self._retry(lambda: self.io.fsync(self._handle), "fsync")
 
-        A failed fsync is retried like a failed append: every record
-        was already written and flushed, so a transient device hiccup
-        is survivable with a second fsync.  A persistent failure
-        escapes as :class:`~repro.common.errors.ArtifactWriteError` —
-        the data may sit in the page cache, but durability cannot be
-        claimed.
-        """
-        if self._handle is None:
-            return
-        last: OSError | None = None
+    def _retry(self, op, what: str) -> None:
         for attempt in range(self.retries + 1):
             try:
-                self.io.flush(self._handle)
-                self.io.fsync(self._handle)
-                self._since_sync = 0
-                if attempt and self.telemetry is not None:
-                    _note_artifact_write(
-                        self.telemetry, "jsonl", "retried", self.path
-                    )
-                return
-            except OSError as error:
+                op()
+            except OSError as error:  # ArtifactWriteError is one too
                 last = error
-        if self.telemetry is not None:
-            _note_artifact_write(self.telemetry, "jsonl", "failed", self.path)
+                continue
+            if attempt:
+                self._note("retried")
+            return
+        self._note("failed")
         raise ArtifactWriteError(
-            f"could not fsync {self.path}: {last}"
+            f"could not {what} {self.path}: {last}"
         ) from last
 
+    def rewrite(self, frames: list[bytes]) -> None:
+        """Atomically replace the file with exactly *frames*.
+
+        The rename puts a new file in place, so the handle is dropped
+        first: held across it, appends would land in the old inode.
+        """
+        self.close()
+        atomic_write_text(
+            self.path, b"".join(frames).decode("utf-8"), io=self.io
+        )
+        self._at = sum(map(len, frames)), len(frames)
+
+    def cut(self, offset: tuple[int, int]) -> None:
+        """Cut the file back to a pinned ``(bytes, records)`` *offset*
+        and hold it open there (an empty file is created)."""
+        self.close()
+        self._at = tuple(offset)
+        self._open()
+
+    def remove(self) -> None:
+        """Delete the file; a later append starts a new one."""
+        self.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)
+        self._at = 0, 0
+
     def close(self) -> None:
-        if self._handle is None:
-            return
-        try:
-            self.sync()
-        finally:
-            self._drop_handle()
+        """Give the handle back (no fsync: call :meth:`sync` first)."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            with contextlib.suppress(OSError):  # a failed write's buffer
+                handle.close()
+
+    def _note(self, outcome: str) -> None:
+        if self.telemetry is not None:
+            _note_artifact_write(self.telemetry, "jsonl", outcome, self.path)
 
     def __enter__(self) -> "DurableJsonlWriter":
         return self

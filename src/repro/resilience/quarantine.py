@@ -31,7 +31,6 @@ from repro.resilience.durability import (
     DurableJsonlWriter,
     RealIO,
     read_jsonl_payloads,
-    recover_jsonl,
 )
 
 #: The three per-record error policies, in escalating tolerance order.
@@ -100,9 +99,10 @@ class QuarantineSink:
             file).  Persistence goes through
             :class:`~repro.resilience.durability.DurableJsonlWriter`:
             a pre-existing file has its torn tail recovered before the
-            first append, transient IO faults are retried, and a
-            persistently failing path diverts to ``path + ".alt"`` so
-            records still land somewhere durable.
+            first append, and a failed append is rolled back and
+            retried once; a second failure raises
+            :class:`~repro.common.errors.ArtifactWriteError`.  The file
+            is fsynced at :meth:`close`.
         io: IO seam for fault injection (defaults to the real thing).
 
     The sink always keeps records in memory too, so tests and the CLI
@@ -120,9 +120,10 @@ class QuarantineSink:
     ) -> None:
         self.path = path
         self.telemetry = telemetry
-        self.io = io
         self.records: list[QuarantineRecord] = []
-        self._writer: DurableJsonlWriter | None = None
+        self._writer = None if path is None else DurableJsonlWriter(
+            path, io=io, telemetry=telemetry
+        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -132,11 +133,7 @@ class QuarantineSink:
 
     def add(self, record: QuarantineRecord) -> None:
         self.records.append(record)
-        if self.path is not None:
-            if self._writer is None:
-                self._writer = DurableJsonlWriter(
-                    self.path, io=self.io, telemetry=self.telemetry
-                )
+        if self._writer is not None:
             self._writer.append(asdict(record))
         if self.telemetry is not None:
             self.telemetry.metrics.get(
@@ -149,20 +146,17 @@ class QuarantineSink:
 
         This is what checkpoints record: a resume truncates the file
         back to this offset so re-fed records do not duplicate.  A
-        sink without a path (or one that has not opened its file yet)
-        reports the on-disk state, not the in-memory record count.
+        sink with a path reports the on-disk state (a file it has not
+        appended to yet is recovered first), not the in-memory count.
         """
-        if self._writer is not None:
-            return self._writer.offset()
-        if self.path is not None and os.path.exists(self.path):
-            recovery = recover_jsonl(self.path, truncate=False, io=self.io)
-            return recovery.valid_bytes, len(recovery.records)
-        return 0, 0
+        return (0, 0) if self._writer is None else self._writer.offset()
 
     def close(self) -> None:
         if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+            try:
+                self._writer.sync()
+            finally:
+                self._writer.close()
 
     def __enter__(self) -> "QuarantineSink":
         return self

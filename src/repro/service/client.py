@@ -41,11 +41,10 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from repro.common.errors import DeliveryError, ValidationError
 from repro.resilience.durability import (
+    DurableJsonlWriter,
     RealIO,
-    atomic_write_text,
     frame_bytes,
     frame_record,
-    recover_jsonl,
 )
 from repro.resilience.faults import (
     NET_ACK_DROP,
@@ -158,39 +157,24 @@ class DurableSender:
         self.reconnects = 0
         self._sock: socket.socket | None = None
         self._rxbuf = b""
-        #: Append handle on the spool, opened by the first send.
-        self._spool = None
-        recovery = recover_jsonl(spool_path, io=self._io)
-        for payload in recovery.records:
+        #: The caller of :meth:`send` is the spool's retry.
+        self._spool = DurableJsonlWriter(spool_path, retries=0, io=self._io)
+        for payload in self._spool.recovered:
             tenant = payload.get("tenant", "")
+            if not tenant:
+                continue  # a foreign frame; skip, never invent
+            # A compaction floor frame only moves the counter.
             floor = int(payload.get("floor", 0))
-            if tenant and floor > self._seq.get(tenant, 1):
-                self._seq[tenant] = floor  # compaction's floor frame
             seq = int(payload.get("seq", 0))
-            if not tenant or seq < 1:
-                continue  # torn or foreign frame; skip, never invent
-            self._entries.append(
-                (tenant, seq, payload.get("content", ""))
-            )
-            if seq >= self._seq.get(tenant, 1):
-                self._seq[tenant] = seq + 1
+            if seq >= 1:
+                self._entries.append((tenant, seq, payload.get("content", "")))
+            self._seq[tenant] = max(self._seq.get(tenant, 1), floor, seq + 1)
         # The ack watermark was in-memory state of the dead process,
         # so everything spooled counts as unacked — the server's
         # windows absorb the over-resend.
         self._reindex()
 
     # -- spool ---------------------------------------------------------
-
-    def _spool_append(self, tenant: str, seq: int, content: str) -> None:
-        if self._spool is None:
-            self._spool = self._io.open(self.spool_path, "ab")
-        self._io.write(self._spool, _spool_frame(tenant, seq, content))
-        self._io.flush(self._spool)
-
-    def _close_spool(self) -> None:
-        if self._spool is not None:
-            self._spool.close()
-            self._spool = None
 
     def _reindex(self) -> None:
         """Rebuild the per-tenant index and the unacked count."""
@@ -219,11 +203,7 @@ class DurableSender:
             _spool_frame(tenant, seq, content)
             for tenant, seq, content in self._entries
         )
-        text = b"".join(frames).decode("utf-8")
-        # The rewrite renames a new file into place; an append handle
-        # held across it would keep writing to the unlinked one.
-        self._close_spool()
-        atomic_write_text(self.spool_path, text, io=self._io)
+        self._spool.rewrite(frames)
         self._publish_depth()
 
     def _publish_depth(self) -> None:
@@ -478,7 +458,10 @@ class DurableSender:
         Returns the sequence number assigned.  Never blocks on the
         network beyond a single send attempt and never raises on a
         dead connection — the line is already safe in the spool and
-        :meth:`flush` (or a recovered sender) will deliver it.
+        :meth:`flush` (or a recovered sender) will deliver it.  A
+        failed spool write raises
+        :class:`~repro.common.errors.ArtifactWriteError` with nothing
+        spooled and no sequence taken: the next send reuses it.
         """
         if "\n" in content or "\t" in tenant:
             raise ValidationError(
@@ -486,8 +469,8 @@ class DurableSender:
                 "must not contain tabs"
             )
         seq = self._seq.get(tenant, 1)
+        self._spool.extend([_spool_frame(tenant, seq, content)])
         self._seq[tenant] = seq + 1
-        self._spool_append(tenant, seq, content)
         self._entries.append((tenant, seq, content))
         self._spooled.setdefault(tenant, []).append(seq)
         if seq > self._acked.get(tenant, 0):
@@ -548,7 +531,7 @@ class DurableSender:
 
     def close(self) -> None:
         self._drop()
-        self._close_spool()
+        self._spool.close()
 
     def __enter__(self) -> "DurableSender":
         return self

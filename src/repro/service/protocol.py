@@ -55,19 +55,17 @@ a lost ack collapses in the window.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
 
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
 from repro.resilience.durability import (
+    DurableJsonlWriter,
     RealIO,
-    atomic_write_text,
     frame_bytes,
     json_or_null as _json_or_null,
     json_str as _json_str,
-    recover_jsonl,
 )
 
 #: Supported wire protocols for the line front end.
@@ -218,12 +216,12 @@ class DeliveryWindow:
 
 
 class BatchJournal:
-    """Framed-JSONL journal of records not yet covered by a checkpoint.
+    """The ownership journal's entry format over one framed writer.
 
-    Records append *before* dispatch and are pruned (by atomic
-    rewrite) when a checkpoint covers them — so the owner always
-    holds, durably, exactly the records a restart must replay,
-    including the one in flight at the crash.
+    Records not yet covered by a checkpoint are journaled *before*
+    dispatch and pruned (by atomic rewrite) when a checkpoint covers
+    them, so the owner always holds, durably, exactly the records a
+    restart must replay, including the one in flight at the crash.
 
     Entries are ``(index, record, delivery)`` triples where *index*
     is the tenant-global stream position and *delivery* is ``None``
@@ -231,13 +229,11 @@ class BatchJournal:
     resume rebuild its :class:`DeliveryWindow` watermarks past the
     checkpoint.
 
-    Appends share one handle, opened on first use.  :meth:`extend`
-    writes a batch and flushes it once, all or nothing: an entry
-    outlives a ``SIGKILL`` the moment it returns (the ack boundary;
-    it is not fsynced, see DESIGN §14), and a failed write or flush
-    truncates the file back to where the batch began.  ``reset`` and
-    ``remove`` close the handle first, and the next append reopens
-    the file the rewrite left behind.
+    The file is a :class:`~repro.resilience.durability.DurableJsonlWriter`
+    with ``retries=0``: :meth:`extend` is one all-or-nothing write and
+    flush (the ack boundary; never fsynced, see DESIGN §14), and a
+    failure raises with nothing of the batch on disk — the client's
+    resend is the retry.
 
     With ``recover=True`` — how :class:`DeliveryFront` opens it — the
     surviving entries of a previous life are parsed (torn tail
@@ -248,16 +244,11 @@ class BatchJournal:
     def __init__(
         self, path: str, io: RealIO | None = None, *, recover: bool = False
     ) -> None:
-        self.path = path
-        self._io = io or RealIO()
-        #: Append handle, opened by the first append after
-        #: construction, :meth:`reset` or :meth:`remove`.
-        self._handle = None
-        recovery = recover_jsonl(path, io=self._io)
+        self._log = DurableJsonlWriter(path, retries=0, io=io)
         self.recovered: list[tuple[int, LogRecord, tuple | None]] = []
         if recover:
             self.recovered = sorted(
-                (self._thaw(payload) for payload in recovery.records),
+                (self._thaw(payload) for payload in self._log.recovered),
                 key=lambda entry: entry[0],
             )
         else:
@@ -293,60 +284,29 @@ class BatchJournal:
         return int(payload.get("index", 0)), record, delivery
 
     def extend(self, entries) -> None:
-        """Write *entries* and flush them once, all or nothing: a
-        failure drops the handle and truncates the file, through the
-        io seam, back to where the batch began before it re-raises.
+        """Journal *entries* all or nothing (see the class docstring).
 
         Not thread-safe, and must not interleave with :meth:`reset`
         (see :class:`DeliveryFront`, which states the invariant).
         """
-        if not entries:
-            return
-        if self._handle is None:
-            self._handle = self._io.open(self.path, "ab")
-        start = self._handle.tell()
-        try:
-            self._io.write(
-                self._handle, b"".join([self._frame(*e) for e in entries])
-            )
-            self._io.flush(self._handle)
-        except Exception:
-            # Closing flushes the buffer; the truncate takes it off.
-            with contextlib.suppress(OSError):
-                self.close()
-            self._io.truncate(self.path, start)
-            raise
+        self._log.extend([self._frame(*entry) for entry in entries])
 
     def append(self, index: int, record: LogRecord, delivery=None) -> None:
-        """Write + flush one entry: a batch of one."""
+        """Journal one entry: a batch of one."""
         self.extend([(index, record, delivery)])
 
     def close(self) -> None:
         """Give the append handle back; the file stays for a resume."""
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            handle.close()
+        self._log.close()
 
     def reset(self, entries) -> None:
-        """Atomically rewrite the journal to exactly *entries*.
-
-        Entries are ``(index, record)`` pairs or
-        ``(index, record, delivery)`` triples.
-        """
-        text = b"".join(
-            self._frame(*entry) for entry in entries
-        ).decode("utf-8")
-        # The rewrite renames a new file into place; an append handle
-        # held across it would keep writing to the unlinked one.
-        self.close()
-        atomic_write_text(self.path, text, io=self._io)
+        """Atomically rewrite the journal to exactly *entries*:
+        ``(index, record)`` pairs or ``(index, record, delivery)``
+        triples."""
+        self._log.rewrite([self._frame(*entry) for entry in entries])
 
     def remove(self) -> None:
-        self.close()
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        self._log.remove()
 
 
 class DeliveryFront:
@@ -496,10 +456,7 @@ class FrontStage:
         self._next_index = 0
         self._front: DeliveryFront | None = None
         if not exactly_once:
-            try:
-                os.unlink(os.path.join(directory, JOURNAL_NAME))
-            except FileNotFoundError:
-                pass
+            DurableJsonlWriter(os.path.join(directory, JOURNAL_NAME)).remove()
             return
         self._front = DeliveryFront(directory, position, watermarks, io=io)
         if self._front.backlog:

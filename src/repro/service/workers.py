@@ -691,8 +691,9 @@ class ShardSupervisor(FrontStage):
             if self.state == STATE_REPLAYING:
                 self.state = STATE_RUNNING
 
-    def _prune(self, position: int) -> None:
-        """Count a worker checkpoint covering *position*, prune, tell."""
+    def _prune(self, position: int, drained: bool = False) -> None:
+        """Count a worker checkpoint covering *position*, prune, tell;
+        the drain's checkpoint covers all, so it removes the journal."""
         if self.telemetry is not None:
             self.telemetry.metrics.get("repro_checkpoint_ops_total").labels(
                 op="save"
@@ -706,10 +707,13 @@ class ShardSupervisor(FrontStage):
                     del self._kill_counts[index]
                 for index in [i for i in self._poisoned if i < position]:
                     del self._poisoned[index]
-                self._front_checkpointed(
-                    (index, record, delivery)
-                    for index, record, _, delivery in self._outbox
-                )
+                if not drained:
+                    self._front_checkpointed(
+                        (index, record, delivery)
+                        for index, record, _, delivery in self._outbox
+                    )
+            if drained:
+                self._front_drained()
         if self._on_checkpoint is not None:
             try:
                 self._on_checkpoint(self.tenant, position)
@@ -773,9 +777,7 @@ class ShardSupervisor(FrontStage):
             self._sync_stats(stats)
             if self.telemetry is not None and spans:
                 self.telemetry.tracer.adopt(spans)
-            self._prune(self.seen)  # the drain's own checkpoint
-            with self._lock:
-                self._front_drained()
+            self._prune(self.seen, drained=True)
             process.join(timeout=self.term_grace + 5.0)
             if process.is_alive():  # pragma: no cover - stuck exit
                 stop_process(process, self.term_grace)

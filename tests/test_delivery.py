@@ -67,6 +67,10 @@ from repro.service.protocol import (
 )
 from repro.service.workers import STATE_FENCED
 
+#: CI's durability matrix sets REPRO_IO_SEED; it picks where a spool
+#: write fails.
+IO_SEED = int(os.environ.get("REPRO_IO_SEED", "7"))
+
 
 class TestWireFormat:
     def test_hello_round_trip(self):
@@ -413,6 +417,48 @@ class TestDurableSenderSpool:
         assert [
             p.get("floor") for p in read_jsonl_payloads(spool)
         ] == [16]
+
+
+class TestSpoolWriteFailure:
+    """A send whose spool write fails takes nothing: it raises, the
+    spool keeps no byte of it and its sequence is not used, so the
+    next send reuses it and the server's window sees no hole."""
+
+    @pytest.mark.parametrize("kind", ["enospc", "torn", "eio"])
+    def test_failed_spool_write_burns_no_sequence(self, tmp_path, kind):
+        from repro.service.client import _spool_frame
+
+        lines = tenant_lines("alpha", 5)
+        first = len(_spool_frame("alpha", 1, lines[0][1]))
+        second = len(_spool_frame("alpha", 2, lines[1][1]))
+        # REPRO_IO_SEED picks where in the second frame the write fails.
+        at = first + IO_SEED % second
+        io = FaultyIO([IoFault(kind, at_bytes=at, path_contains="spool")])
+        spool = str(tmp_path / "spool.jsonl")
+        service = IngestionService(
+            str(tmp_path / "data"), factory(), protocol="v2"
+        )
+        with LineServer(service) as server:
+            sender = DurableSender(
+                server.host, server.port, "client-a", spool, io=io
+            )
+            returned = [sender.send(*lines[0])]
+            with pytest.raises(OSError):
+                sender.send(*lines[1])
+            assert io.fired
+            returned += [sender.send(*line) for line in lines[1:]]
+            assert returned == [1, 2, 3, 4, 5]
+            spooled = [("alpha", seq, content) for seq, (_, content)
+                       in zip(returned, lines)]
+            with DurableSender(
+                "127.0.0.1", 1, "client-b", spool
+            ) as recovered:
+                assert recovered.unacked() == spooled
+                assert recovered._seq == {"alpha": 6}
+            assert sender.flush(timeout=10.0)["delivered"] == 5
+            sender.close()
+        summary = service.drain()["tenants"]["alpha"]
+        assert (summary["seen"], summary["lines"]) == (5, 5)
 
 
 class TestSpoolDepthGauge:

@@ -262,27 +262,6 @@ class TestDurableJsonlWriter:
         assert read_jsonl_payloads(path) == [{"i": 0}, {"i": 1}]
         assert io.fired
 
-    def test_persistent_enospc_diverts_to_alternate_path(self, tmp_path):
-        path = str(tmp_path / "w.jsonl")
-        io = FaultyIO(
-            [
-                IoFault(
-                    kind=IO_ENOSPC,
-                    at_bytes=0,
-                    times=3,
-                    path_contains="w.jsonl",
-                )
-            ]
-        )
-        # Three firings: both primary attempts fail, the writer
-        # diverts, the first alternate attempt fails too, and the
-        # retry on the alternate finally lands the record.
-        writer = DurableJsonlWriter(path, io=io)
-        writer.append({"i": 0})
-        writer.close()
-        assert writer.path == path + ".alt"
-        assert read_jsonl_payloads(writer.path) == [{"i": 0}]
-
     def test_offset_tracks_bytes_and_records(self, tmp_path):
         path = str(tmp_path / "w.jsonl")
         writer = DurableJsonlWriter(path)
@@ -325,6 +304,40 @@ class TestQuarantineSinkDurability:
         sink.close()
         assert QuarantineSink(path).offset() == offset
         assert offset[1] == 2
+
+    def test_a_path_failing_twice_raises_and_pins_only_its_own_bytes(
+        self, tmp_path
+    ):
+        """No divert: the second failure in a row raises, the failed
+        record leaves no byte behind, and a checkpoint pin names a
+        record boundary of the sink's own file — the resume reconciles
+        to it — and nothing else."""
+        from dataclasses import asdict
+
+        from repro.resilience import artifact_offsets
+
+        path = str(tmp_path / "q.jsonl")
+        records = _records(5)
+        held = sum(len(frame_record(asdict(r))) for r in records[:3])
+        io = FaultyIO(
+            [IoFault(IO_ENOSPC, at_bytes=held + 5, times=2,
+                     path_contains="q.jsonl")]
+        )
+        sink = QuarantineSink(path, io=io)
+        for record in records[:3]:
+            sink.add(record)
+        with pytest.raises(ArtifactWriteError):
+            sink.add(records[3])
+        assert len(io.fired) == 2
+        checkpoint = str(tmp_path / "cp.json")
+        pin = {"q.jsonl": {"bytes": held, "records": 3}}
+        assert artifact_offsets(sink, checkpoint) == pin
+        assert os.path.getsize(path) == held
+        assert len(reconcile_jsonl(path, held).records) == 3
+        sink.add(records[4])  # the device came back
+        sink.close()
+        assert [r.line_no for r in QuarantineSink.read(path)] == [0, 1, 2, 4]
+        assert os.listdir(tmp_path) == ["q.jsonl"]
 
 
 class TestCheckpointDurability:

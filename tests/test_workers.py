@@ -570,6 +570,42 @@ class TestJournalOwnsEveryAck:
         assert sup.drain()["lines"] == 6
 
 
+class TestDrainWithoutRewrite:
+    def test_a_calm_v2_drain_removes_the_journal_without_rewriting_it(
+        self, tmp_path
+    ):
+        """The drain's checkpoint covers every journaled record, so
+        the process host unlinks the journal; it does not first
+        rewrite it to an empty file."""
+
+        class CountingIO(RealIO):
+            def __init__(self):
+                self.replaced = []
+
+            def replace(self, src, dst):
+                self.replaced.append(os.path.basename(dst))
+                super().replace(src, dst)
+
+        io = CountingIO()
+        sup = ShardSupervisor(
+            "t", str(tmp_path), factory(), parser_name="Drain",
+            io=io, exactly_once=True, checkpoint_every=4, **FAST,
+        )
+        for seq in range(1, 11):
+            sup.submit_seq(
+                LogRecord(content=f"conn from host1 port {seq}"), "c", seq
+            )
+        # The prunes of the periodic checkpoints at 4 and 8.
+        wait_for(lambda: io.replaced.count(JOURNAL_NAME) >= 2)
+        periodic = io.replaced.count(JOURNAL_NAME)
+        assert (periodic, sup._acked) == (2, 8)
+        assert sup.drain()["lines"] == 10  # 9 and 10 are past the last
+        assert io.replaced.count(JOURNAL_NAME) == periodic
+        assert not os.path.exists(
+            os.path.join(str(tmp_path), "t", JOURNAL_NAME)
+        )
+
+
 class TestOneFrontTwoHosts:
     """What one host acked and never checkpointed, the other replays —
     with no client resend to paper over a lost journal."""
