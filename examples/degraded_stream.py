@@ -10,7 +10,9 @@ die.  The :mod:`repro.degradation` runtime makes the trade explicit —
 a ladder of ever-cheaper parsers, stepped down one rung at a time
 under sustained budget pressure, with every transition priced in
 expected mining impact.  A step swaps the flush parser and nothing
-else: the engine shape is set once, when the session is built.
+else: the engine is built as any other, from the ladder's current
+rung, and the budget only wraps its session.  The ladder position is
+checkpoint state, so a budgeted run resumes on the rung it reached.
 
 This example scripts the pressure (a seeded memory ramp injected as
 the monitor's probe, exactly as the chaos-soak suite does) so the run
@@ -37,6 +39,7 @@ from repro.degradation import (
     LadderRung,
     ResourceBudget,
 )
+from repro.streaming import StreamingParser
 
 MB = 1024 * 1024
 
@@ -90,28 +93,28 @@ def main() -> None:
         trace_id="degraded-stream", events_path=EVENTS_PATH
     )
     monitor = BudgetMonitor(budget, memory_probe=scripted_memory_ramp())
-    # The engine shape is the session's, not the rungs': a flush size
+    # The engine shape is the caller's, not the rungs': a flush size
     # above the stream length keeps every flush until finalize, so the
     # downgrades are purely budget-driven and only Drain ever parses.
-    session = DegradedSession(
-        ladder, monitor, check_every=100, telemetry=telemetry,
-        flush_size=5000,
+    engine = StreamingParser(
+        ladder.current.build_parser, flush_size=5000, telemetry=telemetry
     )
+    session = DegradedSession(engine, ladder, monitor, check_every=100)
     records = generate_hdfs_sessions(60, seed=7).records
     print(f"\nstreaming {len(records)} HDFS lines under the budget...\n")
     session.consume(records)
-    report = session.finalize()
+    result = session.finalize()
+    telemetry.metrics.get("repro_ladder_position").set(ladder.position)
 
     # 4. The audit trail: every transition with its evidence and the
     #    priced mining impact, then the final tallies.
-    print(report.describe())
-    matrix = report.matrix
-    assert matrix is not None
+    print(session.describe())
+    matrix = session.matrix()
     print(
-        f"\nfinalized: {len(report.result.events)} event template(s), "
+        f"\nfinalized: {len(result.events)} event template(s), "
         f"{matrix.n_sessions} session(s) in the event matrix, "
-        f"final rung {report.final_rung} after "
-        f"{len(report.events)} downgrade(s)"
+        f"final rung {ladder.current.parser} after "
+        f"{len(ladder.events)} downgrade(s)"
     )
     export_metrics(telemetry.metrics, METRICS_PATH)
     telemetry.close()

@@ -73,7 +73,9 @@ private arithmetic).
 ``stream`` additionally accepts resource budgets (``--budget-mem``,
 ``--budget-wall``, ``--budget-queue``): when any is given the run goes
 through the degradation ladder (``--ladder``), stepping down to
-cheaper parsers instead of dying when a soft limit is breached.
+cheaper parsers instead of dying when a soft limit is breached; its
+checkpoints carry the ladder position, so ``--resume`` continues on
+the rung the run had reached.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 data error (also an unreadable input file), 4 runtime failure (also
@@ -778,7 +780,8 @@ def _add_serve(subparsers) -> None:
         default=None,
         metavar="MB",
         help="per-tenant memory budget: the shard runs on the "
-        "degradation ladder and trips its breaker when exhausted",
+        "degradation ladder and trips its breaker when exhausted (a "
+        "process worker meters its own memory)",
     )
     cmd.add_argument(
         "--tenant-budget-queue",
@@ -1404,15 +1407,10 @@ def _cmd_stream(args) -> int:
             args.budget_mem, args.budget_wall, args.budget_queue, args.ladder
         )
     )
-    if budgeted and (
-        args.checkpoint
-        or args.resume
-        or args.verify
-        or args.flush_policy == "prefix"
-    ):
+    if budgeted and (args.verify or args.flush_policy == "prefix"):
         raise ValidationError(
             "resource budgets cannot be combined with "
-            "--checkpoint/--resume/--verify/--flush-policy prefix "
+            "--verify/--flush-policy prefix "
             "(the flush parser may change mid-stream)"
         )
     with _Run(args, "stream") as run:
@@ -1447,7 +1445,7 @@ def _cmd_stream(args) -> int:
             max_pending=args.max_pending,
             overflow=args.overflow,
         )
-        checkpoint = None
+        factory, ladder, checkpoint = _factory(args.parser, args), None, None
         if budgeted:
             ladder = _build_stream_ladder(args)
             budget = ResourceBudget.of(
@@ -1455,32 +1453,31 @@ def _cmd_stream(args) -> int:
                 memory_mb=args.budget_mem,
                 queue_depth=args.budget_queue,
             )
+            factory = ladder.current.build_parser
+            gauge = telemetry.metrics.get("repro_ladder_position")
+            telemetry.metrics.register_collector(
+                lambda: gauge.set(ladder.position)
+            )
+        if args.resume:
+            checkpoint, engine = resume_streaming_parser(
+                args.checkpoint, factory, parser=args.parser, ladder=ladder,
+                io=run.io, **engine_kwargs,
+            )
+        else:
+            engine = StreamingParser(factory, **fresh_kwargs)
+        if ladder is None:
+            session = ParseSession(engine, track_matrix=args.mine)
+        else:
             print(budget.describe())
             print(ladder.describe())
             session = DegradedSession(
-                ladder,
-                BudgetMonitor(budget),
-                check_every=args.check_every,
-                track_matrix=args.mine,
-                **fresh_kwargs,
+                engine, ladder, BudgetMonitor(budget),
+                check_every=args.check_every, track_matrix=args.mine,
             )
-        else:
-            factory = _factory(args.parser, args)
-            if args.resume:
-                checkpoint, engine = resume_streaming_parser(
-                    args.checkpoint,
-                    factory,
-                    parser=args.parser,
-                    io=run.io,
-                    **engine_kwargs,
-                )
-            else:
-                engine = StreamingParser(factory, **fresh_kwargs)
-            session = ParseSession(engine, track_matrix=args.mine)
-            if checkpoint is not None and args.mine:
-                restored = restore_accumulator(checkpoint)
-                if restored is not None:
-                    session.accumulator = restored
+        if checkpoint is not None and args.mine:
+            restored = restore_accumulator(checkpoint)
+            if restored is not None:
+                session.accumulator = restored
 
         def _checkpoint() -> None:
             save_checkpoint(
@@ -1492,6 +1489,7 @@ def _cmd_stream(args) -> int:
                 accumulator=session.accumulator,
                 telemetry=telemetry,
                 artifacts=artifact_offsets(sink, args.checkpoint),
+                ladder=ladder,
                 io=run.io,
             )
 
@@ -1510,8 +1508,7 @@ def _cmd_stream(args) -> int:
                 # finalize + checkpoint below commit a resumable run.
                 interrupted = ShutdownRequested(guard.signum)
                 break
-        outcome = session.finalize()
-        result = outcome.result if budgeted else outcome
+        result = session.finalize()
         if args.checkpoint:
             _checkpoint()
             run.artifacts.append((args.checkpoint, CODEC_OPAQUE))
@@ -1519,9 +1516,8 @@ def _cmd_stream(args) -> int:
                 (record_log_path(args.checkpoint), CODEC_FRAMED)
             )
         print(
-            outcome.describe()
-            if budgeted
-            else summary_from_registry(telemetry.metrics)
+            summary_from_registry(telemetry.metrics) if ladder is None
+            else session.describe()
         )
         if sink is not None and len(sink):
             print(sink.describe())
@@ -1533,7 +1529,7 @@ def _cmd_stream(args) -> int:
             print(f"{interrupted}; artifacts finalized", file=sys.stderr)
             return interrupted.exit_code
         if args.mine:
-            _mine_matrix(outcome.matrix if budgeted else session.matrix())
+            _mine_matrix(session.matrix())
         if args.verify and result is not None:
             equivalent = _verify(
                 args, args.parser, preprocessor, result.records, result

@@ -43,7 +43,7 @@ from repro.degradation.ledger import (
     MiningImpactLedger,
     TransitionCost,
 )
-from repro.degradation.runtime import DegradedRunReport, DegradedSession
+from repro.degradation.runtime import DegradedSession
 from repro.degradation.soak import (
     SCENARIO_KINDS,
     SoakReport,
@@ -67,7 +67,6 @@ __all__ = [
     "ImpactEstimate",
     "MiningImpactLedger",
     "TransitionCost",
-    "DegradedRunReport",
     "DegradedSession",
     "SCENARIO_KINDS",
     "SoakReport",

@@ -176,6 +176,24 @@ class DegradationLadder:
             return None
         return self.rungs[self.position + 1]
 
+    def state(self) -> dict | None:
+        """What decides the next step, for a checkpoint: the rung
+        names, the position and the soft-breach streak.  ``None`` for
+        a one-rung ladder, which can never step."""
+        if len(self.rungs) < 2:
+            return None
+        return {
+            "rungs": [rung.parser for rung in self.rungs],
+            "position": self.position,
+            "streak": self._pressure_streak,
+        }
+
+    def restore(self, state: dict | None) -> None:
+        """Adopt a :meth:`state` snapshot (the caller matched the rungs)."""
+        if state is not None:
+            self.position = state["position"]
+            self._pressure_streak = state["streak"]
+
     def note_check(self, breached: bool) -> None:
         """Record one budget check's outcome for the soft cooldown."""
         if breached:
@@ -212,7 +230,7 @@ class DegradationLadder:
         self.position += 1
         self._pressure_streak = 0
         event = DegradationEvent(
-            sequence=len(self.events) + 1,
+            sequence=self.position,
             from_rung=from_rung,
             to_rung=self.current.parser,
             trigger=trigger,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from repro.common.errors import ValidationError
+from repro.common.types import ParseResult
 from repro.datasets.hdfs import generate_hdfs_sessions
 from repro.degradation.budget import (
     BudgetLimit,
@@ -36,9 +37,9 @@ from repro.degradation.budget import (
     ResourceBudget,
 )
 from repro.degradation.ladder import DegradationLadder, LadderRung
-from repro.degradation.runtime import DegradedRunReport, DegradedSession
+from repro.degradation.runtime import DegradedSession
 from repro.resilience.quarantine import QuarantineSink
-from repro.streaming.engine import PENDING_EVENT_ID
+from repro.streaming.engine import PENDING_EVENT_ID, StreamingParser
 
 #: Scenario kinds the harness can replay.
 KIND_MEMORY = "memory-pressure"
@@ -180,16 +181,17 @@ def build_session(
             clock=_scripted_clock(scenario.seed),
             memory_probe=lambda: 0.0,
         )
-    session = DegradedSession(
-        ladder,
-        monitor,
-        check_every=scenario.check_every,
+    engine = StreamingParser(
+        ladder.current.build_parser,
         # Larger than any soak stream: the miss buffer drains only at
         # finalize, so the queue-depth signal grows monotonically.
         flush_size=5000,
         error_policy="quarantine",
         quarantine=sink,
         telemetry=telemetry,
+    )
+    session = DegradedSession(
+        engine, ladder, monitor, check_every=scenario.check_every
     )
     return list(dataset.records), session, sink
 
@@ -199,7 +201,8 @@ class SoakReport:
     """Outcome of one soak run plus every contract violation found."""
 
     scenario: SoakScenario
-    report: DegradedRunReport
+    session: DegradedSession
+    result: ParseResult | None
     quarantined: int
     violations: list[str] = field(default_factory=list)
 
@@ -215,19 +218,20 @@ class SoakReport:
         )
         return (
             f"soak {self.scenario.name}: {verdict}\n"
-            + self.report.describe()
+            + self.session.describe()
         )
 
 
 def _audit(
     scenario: SoakScenario,
-    report: DegradedRunReport,
+    session: DegradedSession,
+    result: ParseResult | None,
     quarantined: int,
 ) -> list[str]:
     """Grade one finished run against the degradation contract."""
     violations: list[str] = []
     rungs = [rung.parser for rung in soak_ladder().rungs]
-    events = report.events
+    events = session.ladder.events
     if len(events) < scenario.min_transitions:
         violations.append(
             f"only {len(events)} transition(s), "
@@ -251,14 +255,13 @@ def _audit(
             violations.append(
                 f"transition #{event.sequence} lacks a mining-impact estimate"
             )
-    result = report.result
     if result is None:
         violations.append("run did not retain a structured result")
     else:
-        if len(result.assignments) != report.counters.stream.lines:
+        if len(result.assignments) != session.parser.counters.lines:
             violations.append(
                 f"{len(result.assignments)} assignments for "
-                f"{report.counters.stream.lines} admitted lines"
+                f"{session.parser.counters.lines} admitted lines"
             )
         pending = sum(
             1 for event_id in result.assignments if event_id == PENDING_EVENT_ID
@@ -277,19 +280,17 @@ def _audit(
             violations.append(
                 f"assignments reference unknown events: {sorted(unknown)[:3]}"
             )
-        if report.matrix is None:
-            violations.append("no event matrix was accumulated")
-        else:
-            assigned_sessions = {
-                record.session_id
-                for record, event_id in zip(result.records, result.assignments)
-                if record.session_id and event_id != result.OUTLIER_EVENT_ID
-            }
-            if report.matrix.n_sessions < len(assigned_sessions):
-                violations.append(
-                    f"matrix covers {report.matrix.n_sessions} sessions, "
-                    f"stream assigned {len(assigned_sessions)}"
-                )
+        assigned_sessions = {
+            record.session_id
+            for record, event_id in zip(result.records, result.assignments)
+            if record.session_id and event_id != result.OUTLIER_EVENT_ID
+        }
+        covered = session.matrix().n_sessions
+        if covered < len(assigned_sessions):
+            violations.append(
+                f"matrix covers {covered} sessions, "
+                f"stream assigned {len(assigned_sessions)}"
+            )
     if quarantined:
         violations.append(
             f"{quarantined} clean record(s) quarantined under pure pressure"
@@ -301,11 +302,12 @@ def run_soak(scenario: SoakScenario, telemetry=None) -> SoakReport:
     """Replay *scenario* end to end and audit the outcome."""
     records, session, sink = build_session(scenario, telemetry=telemetry)
     session.consume(records)
-    report = session.finalize()
+    result = session.finalize()
     quarantined = len(sink.records)
     return SoakReport(
         scenario=scenario,
-        report=report,
+        session=session,
+        result=result,
         quarantined=quarantined,
-        violations=_audit(scenario, report, quarantined),
+        violations=_audit(scenario, session, result, quarantined),
     )

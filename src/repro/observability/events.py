@@ -26,6 +26,9 @@ from collections.abc import Callable
 from repro.common.errors import ValidationError
 from repro.resilience.durability import DurableJsonlWriter
 
+#: The keys every event carries besides its own fields.
+ENVELOPE = ("seq", "t", "kind")
+
 
 class EventLog:
     """Append-only, sequence-numbered timeline of structured events.
@@ -63,7 +66,7 @@ class EventLog:
         """Append one event; returns the enveloped dict. Thread-safe."""
         if not kind:
             raise ValidationError("event kind must be non-empty")
-        for reserved in ("seq", "t", "kind"):
+        for reserved in ENVELOPE:
             if reserved in fields:
                 raise ValidationError(
                     f"field {reserved!r} is part of the event envelope"

@@ -30,6 +30,9 @@ the checkpoint that the replayed stream will re-emit — via
 checkpoint's own **record log** (:func:`record_log_path`): a save
 appends the records retained since the last one and fsyncs them
 before it renames the checkpoint, so the JSON never holds the history.
+
+A run on a ladder that can step saves its ``ladder`` state too, and a
+resume rebuilds the flush parser from the rung it names.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.resilience.durability import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.degradation.ladder import DegradationLadder
     from repro.mining.event_matrix import EventMatrixAccumulator
     from repro.parsers.base import ParserFactory
     from repro.parsers.preprocess import Preprocessor
@@ -92,6 +96,8 @@ class StreamCheckpoint:
             resumed shard suppresses resends of lines it already
             owns.  Optional and backward-compatible (older
             checkpoints simply lack it), so no version bump.
+        ladder: the run's ``DegradationLadder.state()``, or ``None``
+            (then absent from the file, so no version bump either).
         records / record_log: what :func:`load_checkpoint` read back.
     """
 
@@ -103,6 +109,7 @@ class StreamCheckpoint:
     accumulator: dict | None = None
     artifacts: dict = field(default_factory=dict)
     delivery: dict | None = None
+    ladder: dict | None = None
     records: list = field(default_factory=list, repr=False)
     record_log: tuple | None = field(default=None, repr=False)
 
@@ -118,6 +125,8 @@ class StreamCheckpoint:
         }
         if self.delivery is not None:
             data["delivery"] = self.delivery
+        if self.ladder is not None:
+            data["ladder"] = self.ladder
         return data
 
 
@@ -144,6 +153,7 @@ def save_checkpoint(
     accumulator: "EventMatrixAccumulator | None" = None,
     artifacts: dict | None = None,
     delivery: dict | None = None,
+    ladder: "DegradationLadder | None" = None,
     io: "RealIO | None" = None,
     telemetry=None,
 ) -> StreamCheckpoint:
@@ -169,6 +179,7 @@ def save_checkpoint(
         accumulator=accumulator.state() if accumulator is not None else None,
         artifacts=artifacts,
         delivery=dict(delivery) if delivery else None,
+        ladder=ladder.state() if ladder is not None else None,
     )
     try:
         atomic_write_text(
@@ -226,14 +237,16 @@ def _append_record_log(path: str, engine, io) -> dict:
 
 
 def load_checkpoint(
-    path: str, telemetry=None, *, parser: str
+    path: str, telemetry=None, *, parser: str,
+    ladder: "DegradationLadder | None" = None,
 ) -> StreamCheckpoint:
     """Read and validate a checkpoint file and its record log.
 
     Raises :class:`~repro.common.errors.CheckpointError` when the file
     is missing, is not valid JSON, lacks required fields, or was
-    written by an incompatible schema version or another *parser*, or
-    when its record log holds fewer intact records than it pins.
+    written by an incompatible schema version, another *parser* or
+    another *ladder* (one that cannot step counts as none), or when its
+    record log holds fewer intact records than it pins.
     """
     started = time.perf_counter()
     if not os.path.exists(path):
@@ -265,6 +278,7 @@ def load_checkpoint(
             accumulator=data.get("accumulator"),
             artifacts=data.get("artifacts") or {},
             delivery=data.get("delivery"),
+            ladder=data.get("ladder"),
         )
     except KeyError as error:
         raise CheckpointError(
@@ -274,6 +288,13 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path} was written by parser "
             f"{checkpoint.parser!r}; it cannot resume under {parser!r}"
+        )
+    saved = (checkpoint.ladder or {}).get("rungs")
+    rungs = ((ladder and ladder.state()) or {}).get("rungs")
+    if saved != rungs:
+        raise CheckpointError(
+            f"checkpoint {path} was written on the ladder "
+            f"{saved or '(none)'}; it cannot resume on {rungs or '(none)'}"
         )
     log = record_log_path(path)
     pin = checkpoint.artifacts.get(os.path.basename(log), {})
@@ -363,15 +384,22 @@ def resume_streaming_parser(
     factory: "ParserFactory",
     *,
     parser: str,
+    ladder: "DegradationLadder | None" = None,
     io: "RealIO | None" = None,
     telemetry=None,
     **engine_kwargs,
 ) -> "tuple[StreamCheckpoint, StreamingParser]":
     """Load *path*, roll pinned artifacts (the log too) back, restore.
 
-    *engine_kwargs* go to :func:`restore_streaming_parser`.
+    A *ladder* takes the saved position, and its rung replaces
+    *factory*.  *engine_kwargs* go to :func:`restore_streaming_parser`.
     """
-    checkpoint = load_checkpoint(path, telemetry=telemetry, parser=parser)
+    checkpoint = load_checkpoint(
+        path, telemetry=telemetry, parser=parser, ladder=ladder
+    )
+    if ladder is not None:
+        ladder.restore(checkpoint.ladder)
+        factory = ladder.current.build_parser
     for artifact_path, offsets in checkpoint.artifacts.items():
         reconcile_jsonl(
             os.path.join(os.path.dirname(path), artifact_path),

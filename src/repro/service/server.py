@@ -86,7 +86,7 @@ class IngestionService:
     Args:
         data_dir: root directory; each tenant owns a subdirectory.
         factory: zero-argument flush-parser factory shared by all
-            (unbudgeted) shards — each shard still builds its *own*
+            unbudgeted shards — each shard still builds its *own*
             engine and cache from it.
         admission: optional :class:`AdmissionController`; wire its
             monitor's ``queue_probe`` to :meth:`total_pending` for
@@ -100,10 +100,10 @@ class IngestionService:
             in process mode (``watchdog``, ``checkpoint_every``,
             ``poison_threshold``, ``fence_threshold``, ``faults``,
             ``drain_timeout``, ...); rejected in thread mode.
-        shard_kwargs: forwarded to every :class:`TenantShard`
-            (``flush_policy``, ``flush_size``, ``cache_capacity``,
-            ``max_pending``, ``overflow``, ``budget``, ``ladder``,
-            ``breaker_threshold``, ...).
+        shard_kwargs: forwarded to every :class:`TenantShard`, on
+            either host (``flush_policy``, ``flush_size``,
+            ``cache_capacity``, ``max_pending``, ``overflow``,
+            ``budget``, ``ladder``, ``breaker_threshold``, ...).
     """
 
     def __init__(
@@ -134,15 +134,6 @@ class IngestionService:
         if worker_kwargs and isolation != ISOLATION_PROCESS:
             raise ValidationError(
                 "worker_kwargs only apply to process isolation"
-            )
-        if isolation == ISOLATION_PROCESS and (
-            shard_kwargs.get("budget") is not None
-            or shard_kwargs.get("ladder") is not None
-        ):
-            raise ValidationError(
-                "per-tenant budgets/ladders require thread isolation: "
-                "a budgeted shard cannot resume from its checkpoint "
-                "after a worker restart"
             )
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)

@@ -46,6 +46,7 @@ so two runs of the same stream diff cleanly via ``verify-run
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
 import threading
@@ -141,19 +142,19 @@ class TenantShard(FrontStage):
         data_dir: service data root; the shard owns
             ``data_dir/tenant/``.
         factory: zero-argument parser factory for the flush parser
-            (ignored when *ladder* is given — rungs build their own).
+            (a budgeted shard builds it from its ladder's rung).
         parser_name: registry name recorded in checkpoints/manifests.
         flush_policy / flush_size / cache_capacity / max_pending /
             overflow: engine shape (prefix policy by default, which is
             what makes drained outputs byte-identical to batch).
         budget: optional per-tenant resource envelope; requires
-            *ladder* (the shard degrades before it dies) and runs the
-            engine under a
-            :class:`~repro.degradation.runtime.DegradedSession` with
-            the delta policy and the shape above, so until a breach it
-            writes what an unbudgeted delta shard writes.
-        ladder: rung order for the budgeted mode; a step swaps only
-            the flush parser.
+            *ladder* (the shard degrades before it dies).  The delta
+            engine is fed through a
+            :class:`~repro.degradation.runtime.DegradedSession`, so
+            until a breach it writes what an unbudgeted delta shard
+            writes.
+        ladder: rung order for the budgeted mode, copied per shard; a
+            step swaps only the flush parser.
         breaker_threshold: consecutive ``feed`` crashes that trip the
             circuit breaker.
         exactly_once: open the front's v2 side
@@ -199,11 +200,6 @@ class TenantShard(FrontStage):
                 "a budgeted shard needs a degradation ladder "
                 "(it must be able to shed fidelity before it trips)"
             )
-        if exactly_once and budget is not None:
-            raise ValidationError(
-                "exactly-once delivery requires checkpoint resume, "
-                "which budgeted shards do not support"
-            )
         self.tenant = tenant
         self.dir = os.path.join(data_dir, tenant)
         os.makedirs(self.dir, exist_ok=True)
@@ -224,7 +220,6 @@ class TenantShard(FrontStage):
         self.breaker_open = False
         self.breaker_reason: str | None = None
         self._failures = 0
-        self._budgeted = budget is not None
         self._drained: dict | None = None
         # ``_ack_high`` is the checkpointed view of the delivery
         # front's windows — highest acknowledged sequence per client —
@@ -242,54 +237,42 @@ class TenantShard(FrontStage):
         self._published: dict[str, float] = {}
         self._publish_lock = threading.Lock()
 
-        resuming = os.path.exists(self.checkpoint_path)
-        delivery_state: dict | None = None
+        #: This shard's own copy of the ladder (``None`` unbudgeted):
+        #: its position is checkpoint state.
+        self.ladder = copy.deepcopy(ladder) if budget is not None else None
+        if self.ladder is not None:
+            factory, flush_policy = self.ladder.current.build_parser, "delta"
         engine_kwargs = dict(
             error_policy="quarantine",
             quarantine=self.quarantine,
             source_label=f"tenant:{tenant}",
             telemetry=telemetry,
         )
-        shape = dict(
-            flush_size=flush_size,
-            cache_capacity=cache_capacity,
-            max_pending=max_pending,
-            overflow=overflow,
-            **engine_kwargs,
-        )
-        if self._budgeted:
-            if resuming:
-                raise ValidationError(
-                    f"tenant {tenant!r} has a checkpoint but the service "
-                    "is budgeted; budgeted shards (delta policy, live "
-                    "ladder state) do not support resume — clear the "
-                    "tenant directory or drop the budget"
-                )
-            self._session = DegradedSession(
-                ladder,
-                BudgetMonitor(budget),
-                check_every=check_every,
-                track_matrix=False,
-                flush_policy="delta",
-                **shape,
-            )
-            self.engine = self._session.engine
-        elif resuming:
+        delivery_state: dict | None = None
+        if os.path.exists(self.checkpoint_path):
             checkpoint, self.engine = resume_streaming_parser(
                 self.checkpoint_path,
                 factory,
                 parser=parser_name,
+                ladder=self.ladder,
                 io=io,
                 **engine_kwargs,
             )
-            self._session = ParseSession(self.engine, track_matrix=False)
             self.position = checkpoint.records_consumed
             delivery_state = checkpoint.delivery
         else:
             self.engine = StreamingParser(
-                factory, flush_policy=flush_policy, **shape
+                factory, flush_policy=flush_policy, flush_size=flush_size,
+                cache_capacity=cache_capacity, max_pending=max_pending,
+                overflow=overflow, **engine_kwargs,
             )
-            self._session = ParseSession(self.engine, track_matrix=False)
+        self._session = (
+            ParseSession(self.engine, track_matrix=False) if budget is None
+            else DegradedSession(
+                self.engine, self.ladder, BudgetMonitor(budget),
+                check_every=check_every, track_matrix=False,
+            )
+        )
 
         for client, high in (delivery_state or {}).get("clients", {}).items():
             self._ack_high[client] = int(high)
@@ -333,6 +316,7 @@ class TenantShard(FrontStage):
             "exact_hits": counters.exact_hits,
             "template_hits": counters.template_hits,
             "misses": counters.misses,
+            "rung": self.ladder and self.ladder.current.parser,
         }
         for key, histogram in (
             ("latency", self._latency), ("queue_wait", self._queue_wait)
@@ -536,6 +520,7 @@ class TenantShard(FrontStage):
                 self.quarantine, self.checkpoint_path
             ),
             delivery=self._delivery_state(),
+            ladder=self.ladder,
             io=self.io,
             telemetry=self.telemetry,
         )
@@ -555,11 +540,7 @@ class TenantShard(FrontStage):
                 span = self.telemetry.tracer.start(
                     SPAN_TENANT_DRAIN, tenant=self.tenant
                 )
-            if self._budgeted:
-                report = self._session.finalize()
-                result = report.result
-            else:
-                result = self._session.finalize()
+            result = self._session.finalize()
             artifacts: list[tuple[str, str]] = []
             if result is not None:
                 events_path, structured_path = write_parse_result(

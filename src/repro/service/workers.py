@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
-from repro.observability.events import EventLog
+from repro.observability.events import ENVELOPE, EventLog
 from repro.observability.metrics import MetricsRegistry, merge_histogram_states
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import Tracer
@@ -147,20 +147,14 @@ class WorkerSpec:
 
     A fresh spec is built per life (the ``life`` number gates
     :class:`~repro.resilience.faults.ProcessFault` scripts), so the
-    worker never inherits parent state beyond the two queues.
+    worker never inherits parent state beyond the two queues;
+    *shard_kwargs* are :class:`TenantShard`'s, budget and ladder too.
     """
 
     tenant: str
     data_dir: str
     factory: object
-    parser_name: str = "parser"
-    flush_policy: str = "prefix"
-    flush_size: int = 200
-    cache_capacity: int = 512
-    max_pending: int | None = None
-    overflow: str = "block"
-    breaker_threshold: int = 5
-    check_every: int = 100
+    shard_kwargs: dict = field(default_factory=dict)
     checkpoint_every: int = 500
     heartbeat_interval: float = 0.2
     life: int = 1
@@ -195,8 +189,8 @@ class ShardWorker:
         self.tracer: Tracer | None = None
         self.telemetry = None
         self._root = None
-        # serialize_new cursor: spans already shipped to the parent.
-        self._span_cursor = 0
+        # Cursors over the spans and ladder steps shipped home.
+        self._span_cursor = self._steps_shipped = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -211,33 +205,26 @@ class ShardWorker:
                 SPAN_SHARD_WORKER, tenant=spec.tenant, life=spec.life
             )
         return _SteppedShard(
-            spec.tenant,
-            spec.data_dir,
-            spec.factory,
-            parser_name=spec.parser_name,
-            flush_policy=spec.flush_policy,
-            flush_size=spec.flush_size,
-            cache_capacity=spec.cache_capacity,
-            max_pending=spec.max_pending,
-            overflow=spec.overflow,
-            breaker_threshold=spec.breaker_threshold,
-            check_every=spec.check_every,
-            telemetry=self.telemetry,
+            spec.tenant, spec.data_dir, spec.factory,
+            telemetry=self.telemetry, **spec.shard_kwargs,
         )
 
-    def _new_spans(self) -> list[dict]:
-        """Finished spans not yet shipped home (continuous sync)."""
+    def _news(self) -> tuple[list[dict], list[dict]]:
+        """Finished spans and ladder steps not yet shipped home."""
         if self.tracer is None:
-            return []
+            return [], []
         spans, self._span_cursor = self.tracer.serialize_new(
             self._span_cursor
         )
-        return spans
+        steps = self.telemetry.events.of_kind("ladder_step")
+        steps = steps[self._steps_shipped:]
+        self._steps_shipped += len(steps)
+        return spans, steps
 
     def _checkpointed(self, shard: TenantShard) -> None:
-        """Ship a checkpoint's position home, with stats and spans."""
+        """Ship a checkpoint's position home, with stats and news."""
         self.outbox.put(
-            ("checkpointed", shard.position, shard.stats(), self._new_spans())
+            ("checkpointed", shard.position, shard.stats(), self._news())
         )
 
     def run(self) -> int:
@@ -319,17 +306,15 @@ class ShardWorker:
                     if fault.should_fire_at_drain(spec.life):
                         fault.fire()
                 summary = shard.drain()
-                spans: list[dict] = []
                 if self.tracer is not None:
                     self._root.attrs.update(
                         lines=summary["lines"], events=summary["events"]
                     )
                     self.tracer.finish(self._root)
-                    # Only the spans not already shipped on checkpoint
-                    # acks — repeated adoption must never duplicate.
-                    spans = self._new_spans()
+                # Only what checkpoint acks did not already ship —
+                # repeated adoption must never duplicate.
                 self.outbox.put(
-                    ("drained", summary, spans, shard.stats())
+                    ("drained", summary, self._news(), shard.stats())
                 )
                 self.outbox.close()
                 self.outbox.join_thread()
@@ -392,19 +377,10 @@ class ShardSupervisor(FrontStage):
         faults=(),
         clock=time.monotonic,
         sleep=time.sleep,
-        budget=None,
-        ladder=None,
         on_checkpoint=None,
         exactly_once: bool = False,
         **shard_kwargs,
     ) -> None:
-        if budget is not None or ladder is not None:
-            raise ValidationError(
-                "per-tenant budgets/ladders are thread-isolation only: "
-                "a budgeted shard cannot resume from a checkpoint, so "
-                "it cannot survive the restarts process isolation exists "
-                "to provide"
-            )
         if watchdog <= heartbeat_interval:
             raise ValidationError(
                 f"watchdog ({watchdog}s) must exceed the heartbeat "
@@ -423,7 +399,6 @@ class ShardSupervisor(FrontStage):
         self.dir = os.path.join(data_dir, tenant)
         os.makedirs(self.dir, exist_ok=True)
         self.factory = factory
-        self.parser_name = parser_name
         self.telemetry = telemetry
         self.io = io
         self.watchdog = watchdog
@@ -434,7 +409,7 @@ class ShardSupervisor(FrontStage):
         self.drain_timeout = drain_timeout
         self.term_grace = term_grace
         self.faults = tuple(faults)
-        self.shard_kwargs = dict(shard_kwargs)
+        self.shard_kwargs = dict(shard_kwargs, parser_name=parser_name)
         self._clock = clock
         self._sleep = sleep
         self._mp = _mp_context()
@@ -444,7 +419,10 @@ class ShardSupervisor(FrontStage):
         position, watermarks = 0, {}
         checkpoint_path = os.path.join(self.dir, CHECKPOINT_NAME)
         if os.path.exists(checkpoint_path):
-            checkpoint = load_checkpoint(checkpoint_path, parser=parser_name)
+            checkpoint = load_checkpoint(
+                checkpoint_path, parser=parser_name,
+                ladder=shard_kwargs.get("ladder"),
+            )
             position = checkpoint.records_consumed
             watermarks = (checkpoint.delivery or {}).get("clients", {})
         # (index, record, enqueued_at monotonic stamp, delivery meta)
@@ -503,6 +481,10 @@ class ShardSupervisor(FrontStage):
     def breaker_open(self) -> bool:
         return self.state == STATE_FENCED
 
+    def stats(self) -> dict:
+        """The worker's :meth:`TenantShard.stats`, as last shipped."""
+        return dict(self._stats)
+
     @property
     def pending(self) -> int:
         """Records submitted but not yet checkpoint-covered."""
@@ -552,7 +534,7 @@ class ShardSupervisor(FrontStage):
             return self._drained_summary
 
     def describe(self) -> str:
-        stats = dict(self._stats)
+        stats = self.stats()
         return (
             f"{self.tenant}: {stats.get('lines', 0)} lines, "
             f"{stats.get('events', 0)} events, "
@@ -597,6 +579,18 @@ class ShardSupervisor(FrontStage):
             self.telemetry.metrics, self._synced, self.tenant, stats
         )
 
+    def _adopt(self, news) -> None:
+        """Adopt a worker's shipped spans into the trace and replay its
+        ladder steps onto the event log, as a thread host records them."""
+        if self.telemetry is None or not news:
+            return
+        spans, steps = news
+        if spans:
+            self.telemetry.tracer.adopt(spans)
+        for step in steps:
+            fields = {k: v for k, v in step.items() if k not in ENVELOPE}
+            self.telemetry.events.emit(step["kind"], **fields)
+
     def _emit(self, kind: str, **fields) -> None:
         if self.telemetry is not None:
             self.telemetry.events.emit(kind, tenant=self.tenant, **fields)
@@ -624,13 +618,12 @@ class ShardSupervisor(FrontStage):
             tenant=self.tenant,
             data_dir=self.data_dir,
             factory=self.factory,
-            parser_name=self.parser_name,
+            shard_kwargs=self.shard_kwargs,
             checkpoint_every=self.checkpoint_every,
             heartbeat_interval=self.heartbeat_interval,
             life=self.life,
             faults=self.faults,
             trace_context=trace_context,
-            **self.shard_kwargs,
         )
         # A message carries up to _FEED_BATCH records, so the bound
         # stays one on *records* in flight.
@@ -761,10 +754,9 @@ class ShardSupervisor(FrontStage):
                 self._emit("poison_diverted", index=index)
             return None
         if kind == "checkpointed":
-            _, position, stats, spans = message
+            _, position, stats, news = message
             self._sync_stats(stats)
-            if self.telemetry is not None and spans:
-                self.telemetry.tracer.adopt(spans)
+            self._adopt(news)
             self._prune(position)
             return None
         if kind == "gap":
@@ -773,10 +765,9 @@ class ShardSupervisor(FrontStage):
             stop_process(process, self.term_grace)
             return self._fence("protocol gap")
         if kind == "drained":
-            _, summary, spans, stats = message
+            _, summary, news, stats = message
             self._sync_stats(stats)
-            if self.telemetry is not None and spans:
-                self.telemetry.tracer.adopt(spans)
+            self._adopt(news)
             self._prune(self.seen, drained=True)
             process.join(timeout=self.term_grace + 5.0)
             if process.is_alive():  # pragma: no cover - stuck exit
@@ -804,7 +795,7 @@ class ShardSupervisor(FrontStage):
         return "fenced"
 
     def _fenced_summary(self) -> dict:
-        stats = dict(self._stats)
+        stats = self.stats()
         return {
             "tenant": self.tenant,
             "fenced": True,
@@ -1027,6 +1018,9 @@ def supervisor_status(service) -> dict:
             "quarantined": int(quarantined),
             "heartbeat_age": round(heartbeat_age, 3),
         }
+        rung = shard.stats().get("rung")
+        if rung is not None:
+            tenants[tenant]["rung"] = rung
     line = "supervisor: " + (
         " | ".join(
             f"{tenant} {info['state']} "

@@ -379,6 +379,11 @@ class StreamingParser(LogParser):
     def pending_count(self) -> int:
         return len(self._pending)
 
+    @property
+    def fed(self) -> int:
+        """Records offered to :meth:`feed`, rejected and shed ones too."""
+        return self._fed
+
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.common.errors import CheckpointError, DeliveryError, ValidationError
+from repro.degradation import DegradationLadder, LadderRung, ResourceBudget
 from repro.observability import Telemetry, TelemetryServer, parse_prometheus
 from repro.parsers import make_parser
 from repro.resilience import (
@@ -89,6 +90,27 @@ HOST_ARGS = {
 
 CLIENT = "certified-client"
 
+#: A deterministic per-tenant queue budget on the ladder LKE -> Drain,
+#: as ``serve LKE`` flags and as shard keywords.  A fresh tenant's
+#: lines are all misses until the first flush at 28, so its queue
+#: reaches the soft limit (16) at line 16 and the ladder steps at line
+#: 20, before a process host's checkpoint at 24.  A resume from there
+#: that lost the rung would need two more checks to step again, and
+#: the flush at 28 comes first: it would parse with LKE.
+BUDGET_ARGS = (
+    "--tenant-budget-queue", "32", "--check-every", "4", "--flush-size", "28"
+)
+
+
+def budget_kwargs() -> dict:
+    return dict(
+        parser_name="LKE",
+        budget=ResourceBudget.of(queue_depth=32),
+        ladder=DegradationLadder([LadderRung("LKE"), LadderRung("Drain")]),
+        check_every=4,
+        flush_size=28,
+    )
+
 
 def factory(name: str = "Drain"):
     return functools.partial(make_parser, name)
@@ -132,7 +154,7 @@ def run_cli(*argv: str, timeout: float = 120.0):
 
 
 @contextlib.contextmanager
-def serving(data_dir, *extra: str):
+def serving(data_dir, *extra: str, parser: str = "Drain"):
     """A live ``serve`` subprocess and its published port.
 
     It runs in its own process group, so signalling the group takes
@@ -140,7 +162,7 @@ def serving(data_dir, *extra: str):
     no orphan writing to the tenant directories.
     """
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "Drain", str(data_dir),
+        [sys.executable, "-m", "repro", "serve", parser, str(data_dir),
          *extra],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env_with_src(), cwd=REPO_ROOT, preexec_fn=os.setsid,
@@ -257,7 +279,9 @@ class Perturbation:
     threads throughout; *tamper* breaks a drained first life's
     checkpoint, which a resume under *resume_parser* must refuse;
     *mid_batch* is a record the first life's feed batches must hold
-    strictly inside one batch (the premise of a mid-batch kill).
+    strictly inside one batch (the premise of a mid-batch kill);
+    *budget* runs every life, and the calm run, under
+    :data:`BUDGET_ARGS`.
     """
 
     streams: tuple
@@ -271,6 +295,7 @@ class Perturbation:
     tamper: object = None
     resume_parser: str = "Drain"
     mid_batch: int | None = None
+    budget: bool = False
 
     @property
     def tenants(self) -> list[str]:
@@ -364,6 +389,19 @@ PERTURBATIONS = {
         ),
         hammer=True,
     ),
+    # The rung is checkpoint state: a resume, on either host, goes on
+    # from the rung the cut run had reached.
+    "budget-sigkill": Perturbation(  # LKE and Drain part these lines apart
+        _streams("alpha", conn_lines(30)) + _streams("beta", conn_lines(20)),
+        net=True, signal=signal.SIGKILL, budget=True,
+    ),
+    "budget-proc-kill": Perturbation(
+        _streams("t", conn_lines(60)),
+        faults={"t": (ProcessFault(PROC_KILL, at_record=26),)},
+        worker=dict(checkpoint_every=8),
+        restarts={"t": 1},
+        budget=True,
+    ),
     "checkpoint-parser": Perturbation(  # an intact checkpoint, resumed
         _streams("t", conn_lines(20)), tamper=lambda path: None,
         resume_parser="IPLoM",
@@ -427,6 +465,8 @@ GRID = {
     "net-storm":        (NO_HELLO,  OK,        NO_HELLO,  OK),
     "service-sigkill":  (OK,        OK,        OK,        OK),
     "service-sigterm":  (OK,        OK,        OK,        OK),
+    "budget-sigkill":   (OK,        OK,        OK,        OK),
+    "budget-proc-kill": (NO_WORKER, NO_WORKER, OK,        OK),
     "scrape-hammer":    (OK,        OK,        OK,        OK),
     "checkpoint-parser": (BAD_CP,   BAD_CP,    BAD_CP,    BAD_CP),
     "checkpoint-torn":  (BAD_CP,    BAD_CP,    BAD_CP,    BAD_CP),
@@ -463,16 +503,20 @@ OWNED = {
 # ---------------------------------------------------------------------------
 
 
-def calm_run(root, streams) -> str:
+def calm_run(root, streams, budget: bool = False) -> str:
     """The reference: *streams* replayed through a calm thread-mode v1
-    service.  Cached under *root* by input, so a session computes each
-    reference once; returns the data directory."""
-    key = hashlib.sha256(json.dumps(list(streams)).encode()).hexdigest()
+    service, under :data:`BUDGET_ARGS` with *budget*.  Cached under
+    *root* by input, so a session computes each reference once;
+    returns the data directory."""
+    key = hashlib.sha256(
+        json.dumps([list(streams), budget]).encode()
+    ).hexdigest()
     data_dir = os.path.join(str(root), f"calm-{key[:16]}")
     if not os.path.isdir(data_dir):
         building = data_dir + ".building"
         shutil.rmtree(building, ignore_errors=True)
-        service = IngestionService(building, factory(), parser_name="Drain")
+        kwargs = budget_kwargs() if budget else dict(parser_name="Drain")
+        service = IngestionService(building, factory(), **kwargs)
         replay_lines(service, tagged(streams))
         service.drain()
         os.rename(building, data_dir)
@@ -490,10 +534,11 @@ def _service(data_dir, host, protocol, p, telemetry=None, parser="Drain"):
         worker_kwargs = dict(FAST, faults=p.faults, **p.worker)
     elif p.faults:
         worker_kwargs = dict(faults=p.faults)  # refused: no worker here
+    kwargs = budget_kwargs() if p.budget else dict(parser_name=parser)
     return IngestionService(
-        str(data_dir), factory(parser), parser_name=parser,
-        telemetry=telemetry, isolation=host, protocol=protocol,
-        worker_kwargs=worker_kwargs,
+        str(data_dir), factory(parser), telemetry=telemetry,
+        isolation=host, protocol=protocol, worker_kwargs=worker_kwargs,
+        **kwargs,
     )
 
 
@@ -621,10 +666,12 @@ def _serve_lives(row, p, data_dir) -> dict:
     """
     life1 = p.streams[: p.life1]
     rest = p.streams[len(life1):]
-    args1 = HOST_ARGS[row.host]
-    args2 = HOST_ARGS[row.resume]
+    budget = BUDGET_ARGS if p.budget else ()
+    args1 = (*HOST_ARGS[row.host], *budget)
+    args2 = (*HOST_ARGS[row.resume], *budget)
+    parser = "LKE" if p.budget else "Drain"
     if row.protocol == "v1":
-        with serving(data_dir, *args1) as (proc, port):
+        with serving(data_dir, *args1, parser=parser) as (proc, port):
             send_v1(port, tagged(life1))
             # Until every tenant's shard exists: its lines are being read.
             wait_for(lambda: all(
@@ -637,7 +684,7 @@ def _serve_lives(row, p, data_dir) -> dict:
         replay = f"{data_dir}.replay.log"
         with open(replay, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in tagged(p.streams))
-        done = run_cli("serve", "Drain", str(data_dir), "--replay", replay,
+        done = run_cli("serve", parser, str(data_dir), "--replay", replay,
                        *args2)
         assert done.returncode == 0, done.stdout
         assert f"adopted {len(p.tenants)} tenant(s)" in done.stdout
@@ -646,7 +693,9 @@ def _serve_lives(row, p, data_dir) -> dict:
         return {}
     spool = f"{data_dir}.spool.jsonl"
     crashed = f"{data_dir}.crashed.spool.jsonl"
-    with serving(data_dir, "--protocol", "v2", *args1) as (proc, port):
+    with serving(
+        data_dir, "--protocol", "v2", *args1, parser=parser
+    ) as (proc, port):
         with DurableSender(
             "127.0.0.1", port, CLIENT, spool, faults=storm(len(life1)),
             base_backoff=0.01, max_backoff=0.2,
@@ -659,7 +708,8 @@ def _serve_lives(row, p, data_dir) -> dict:
     _assert_life1_ended(proc, p, out, data_dir)
     metrics = f"{data_dir}.metrics.json"
     with serving(
-        data_dir, "--protocol", "v2", "--metrics-out", metrics, *args2
+        data_dir, "--protocol", "v2", "--metrics-out", metrics, *args2,
+        parser=parser,
     ) as (proc, port):
         with DurableSender(
             "127.0.0.1", port, CLIENT, crashed,
@@ -756,7 +806,7 @@ def certify(row_id: str, tmp_path, calm_root) -> None:
     )
     compare(
         data_dir,
-        calm_run(calm_root, perturbation.streams),
+        calm_run(calm_root, perturbation.streams, perturbation.budget),
         perturbation.tenants,
         ignore=() if strict else (CHECKPOINT_NAME,),
     )

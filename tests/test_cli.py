@@ -478,21 +478,48 @@ class TestBudgetedStream:
         assert code == 2
         assert "unknown" in capsys.readouterr().err.lower()
 
-    def test_budget_flags_reject_checkpointing(self, tmp_path, capsys):
-        code = main(
-            [
-                "stream",
-                "IPLoM",
-                "--dataset",
-                "HDFS",
-                "--budget-mem",
-                "64",
-                "--checkpoint",
-                str(tmp_path / "cp.json"),
-            ]
-        )
-        assert code == 2
-        assert "budget" in capsys.readouterr().err.lower()
+    def test_budgeted_stream_resumes_to_the_uncut_bytes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        argv = [
+            "stream", "LKE", "--dataset", "HDFS", "--size", "400",
+            "--seed", "5", "--budget-queue", "40", "--check-every", "10",
+            "--flush-size", "30",
+        ]
+        assert main([*argv, "--output-stem", str(tmp_path / "uncut")]) == 0
+
+        class Cut(BaseException):
+            """A kill: no finalize, no last checkpoint."""
+
+        islice = cli.islice
+
+        def cut_at_175(records, start, stop):
+            for index, record in enumerate(islice(records, start, stop)):
+                if index == 175:
+                    raise Cut
+                yield record
+
+        checkpointed = [
+            "--checkpoint", str(tmp_path / "cp.json"),
+            "--checkpoint-every", "50",
+            "--output-stem", str(tmp_path / "resumed"),
+        ]
+        monkeypatch.setattr(cli, "islice", cut_at_175)
+        with pytest.raises(Cut):
+            main([*argv, *checkpointed])
+        monkeypatch.undo()
+        saved = json.loads((tmp_path / "cp.json").read_text())
+        assert saved["records_consumed"] == 150
+        # The ladder stepped at line 90, before the cut's checkpoint.
+        assert saved["ladder"]["rungs"] == ["LKE", "Drain"]
+        assert saved["ladder"]["position"] == 1
+        assert main([*argv, *checkpointed, "--resume"]) == 0
+        assert "ladder: LKE -> [Drain]" in capsys.readouterr().out
+        for ext in (".events", ".structured"):
+            resumed = (tmp_path / f"resumed{ext}").read_bytes()
+            assert resumed == (tmp_path / f"uncut{ext}").read_bytes()
 
     def test_backpressure_shed_flags(self, capsys):
         code = main(
@@ -594,20 +621,39 @@ class TestServeIsolation:
         assert (data / "alpha" / "out.manifest.json").exists()
         assert (data / "beta" / "out.manifest.json").exists()
 
-    def test_process_isolation_rejects_tenant_budget_flags(
+    def test_process_isolation_accepts_tenant_budget_flags(
         self, tmp_path, capsys
     ):
         stream = self._write_stream(tmp_path)
-        code = main(
-            [
-                "serve", "Drain", str(tmp_path / "data"),
-                "--replay", str(stream),
-                "--isolation", "process",
-                "--tenant-budget-mem", "64",
-            ]
-        )
+
+        def serve(label, *extra):
+            assert main(
+                [
+                    "serve", "LKE", str(tmp_path / label),
+                    "--replay", str(stream),
+                    "--tenant-budget-queue", "10", "--check-every", "2",
+                    "--flush-size", "10", *extra,
+                ]
+            ) == 0
+
+        serve("thread")
+        serve("process", "--isolation", "process", "--checkpoint-every", "8")
         capsys.readouterr()
-        assert code == 2
+        for tenant in ("alpha", "beta"):
+            checkpoint = tmp_path / "process" / tenant / "out.checkpoint.json"
+            # Both stepped LKE -> Drain at line 8.
+            assert json.loads(checkpoint.read_text())["ladder"] == {
+                "rungs": ["LKE", "Drain"], "position": 1, "streak": 0,
+            }
+            assert main(
+                [
+                    "verify-run",
+                    str(tmp_path / "process" / tenant / "out.manifest.json"),
+                    "--against",
+                    str(tmp_path / "thread" / tenant / "out.manifest.json"),
+                    "--ignore", "out.checkpoint.json",
+                ]
+            ) == 0
 
 
 class TestMaxRetriesUnderBudget:

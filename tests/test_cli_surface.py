@@ -314,7 +314,7 @@ REFUSALS = [
     (
         [*_STREAM, "--budget-mem", "64", "--verify"],
         "resource budgets cannot be combined with "
-        "--checkpoint/--resume/--verify/--flush-policy prefix "
+        "--verify/--flush-policy prefix "
         "(the flush parser may change mid-stream)",
     ),
     (

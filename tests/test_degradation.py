@@ -333,25 +333,31 @@ def fast_ladder(cooldown: int = 1) -> DegradationLadder:
     return soak_ladder(cooldown_checks=cooldown)
 
 
+def budgeted(ladder, monitor, check_every, **engine_kwargs):
+    """A session over a fresh engine on the ladder's current rung."""
+    engine = StreamingParser(ladder.current.build_parser, **engine_kwargs)
+    return DegradedSession(
+        engine, ladder, monitor, check_every=check_every, track_matrix=False
+    )
+
+
 def test_degraded_session_steps_down_under_soft_pressure():
     mb = 1024 * 1024
     budget = ResourceBudget(memory_bytes=BudgetLimit(soft=32 * mb, hard=64 * mb))
     monitor = BudgetMonitor(
         budget, memory_probe=ramp_probe([10 * mb, 40 * mb, 40 * mb, 40 * mb])
     )
-    session = DegradedSession(
-        fast_ladder(cooldown=2), monitor, check_every=10, track_matrix=False
-    )
+    session = budgeted(fast_ladder(cooldown=2), monitor, check_every=10)
     session.consume(distinct_records(60))
-    report = session.finalize()
-    assert report.degraded
-    assert report.events[0].from_rung == "LKE"
-    assert report.events[0].to_rung == "LogSig"
-    assert report.events[0].trigger == TRIGGER_SOFT
-    assert report.events[0].breaches and report.events[0].sample is not None
-    assert report.events[0].mining_impact  # non-empty estimate
-    assert report.final_rung in ("LogSig", "Drain")
-    assert "degradation" in report.describe()
+    session.finalize()
+    first = session.ladder.events[0]
+    assert first.from_rung == "LKE"
+    assert first.to_rung == "LogSig"
+    assert first.trigger == TRIGGER_SOFT
+    assert first.breaches and first.sample is not None
+    assert first.mining_impact  # non-empty estimate
+    assert session.ladder.current.parser in ("LogSig", "Drain")
+    assert "degradation" in session.describe()
 
 
 def test_drain_headed_ladder_steps_down_under_pressure():
@@ -366,23 +372,22 @@ def test_drain_headed_ladder_steps_down_under_pressure():
     ladder = DegradationLadder(
         [LadderRung("Drain"), LadderRung("IPLoM")], cooldown_checks=2
     )
-    session = DegradedSession(ladder, monitor, check_every=10, track_matrix=False)
+    session = budgeted(ladder, monitor, check_every=10)
     session.consume(distinct_records(60))
-    report = session.finalize()
-    assert report.degraded
-    assert report.events[0].from_rung == "Drain"
-    assert report.events[0].to_rung == "IPLoM"
-    assert report.events[0].mining_impact  # priced by the ledger
-    assert session.engine.counters.lines == 60
+    session.finalize()
+    first = session.ladder.events[0]
+    assert first.from_rung == "Drain"
+    assert first.to_rung == "IPLoM"
+    assert first.mining_impact  # priced by the ledger
+    assert session.parser.counters.lines == 60
 
 
 def test_degraded_session_hard_breach_steps_without_cooldown():
     budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=20))
     monitor = BudgetMonitor(budget, memory_probe=ramp_probe([5, 25]))
-    session = DegradedSession(
-        fast_ladder(cooldown=99), monitor, check_every=5, track_matrix=False
-    )
-    session.consume(distinct_records(10))
+    session = budgeted(fast_ladder(cooldown=99), monitor, check_every=5)
+    # Checks run before the 6th and the 11th record.
+    session.consume(distinct_records(11))
     assert [event.trigger for event in session.ladder.events] == [TRIGGER_HARD]
 
 
@@ -390,7 +395,7 @@ def test_degraded_session_raises_when_hard_breach_meets_exhausted_ladder():
     budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=20))
     monitor = BudgetMonitor(budget, memory_probe=lambda: 100.0)
     ladder = DegradationLadder([LadderRung("Passthrough")])
-    session = DegradedSession(ladder, monitor, check_every=5, track_matrix=False)
+    session = budgeted(ladder, monitor, check_every=5)
     with pytest.raises(BudgetExceededError) as excinfo:
         session.consume(distinct_records(10))
     assert excinfo.value.breaches
@@ -401,20 +406,18 @@ def test_degraded_session_admits_every_line():
     # hands every offered record to the engine.
     budget = ResourceBudget(memory_bytes=BudgetLimit(soft=10, hard=20))
     monitor = BudgetMonitor(budget, memory_probe=lambda: 25.0)
-    session = DegradedSession(
-        fast_ladder(), monitor, check_every=3, track_matrix=False
-    )
+    session = budgeted(fast_ladder(), monitor, check_every=3)
     session.consume(distinct_records(7))
     assert session.ladder.current.parser == "Drain"
-    report = session.finalize()
-    assert report.counters.stream.lines == 7
-    assert len(report.result.assignments) == 7
+    result = session.finalize()
+    assert session.parser.counters.lines == 7
+    assert len(result.assignments) == 7
 
 
 def test_degraded_session_rejects_bad_check_every():
     monitor = BudgetMonitor(ResourceBudget(), memory_probe=lambda: 0.0)
     with pytest.raises(ValidationError):
-        DegradedSession(fast_ladder(), monitor, check_every=0)
+        budgeted(fast_ladder(), monitor, check_every=0)
 
 
 # ----------------------------------------------------------------------

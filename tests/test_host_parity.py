@@ -253,8 +253,7 @@ SURFACE = {
         "poison_threshold: 'int' = 3, fence_threshold: 'int' = 5, "
         "drain_timeout: 'float' = 60.0, term_grace: 'float' = 2.0, "
         "faults=(), clock=<built-in function monotonic>, "
-        "sleep=<built-in function sleep>, budget=None, "
-        "ladder=None, on_checkpoint=None, "
+        "sleep=<built-in function sleep>, on_checkpoint=None, "
         "exactly_once: 'bool' = False, **shard_kwargs) -> 'None'"
     ),
     "ShardSupervisor.checkpoint": "(self) -> 'None'",

@@ -18,15 +18,30 @@ import threading
 
 import pytest
 
-from certify import FakeClock, factory, tagged, tenant_lines, wait_for
+from certify import (
+    FakeClock,
+    budget_kwargs,
+    compare,
+    conn_lines,
+    factory,
+    tagged,
+    tenant_lines,
+    wait_for,
+)
 from repro.cli import main
 from repro.common.errors import (
     BudgetExceededError,
+    CheckpointError,
     ConcurrencyError,
     ValidationError,
 )
 from repro.common.types import LogRecord
-from repro.degradation import BudgetMonitor, ResourceBudget
+from repro.degradation import (
+    BudgetMonitor,
+    DegradationLadder,
+    LadderRung,
+    ResourceBudget,
+)
 from repro.parsers import make_parser
 from repro.service import (
     AdmissionController,
@@ -340,20 +355,51 @@ class TestTenantShard:
         )
         assert len(quarantined) == 1
 
-    def test_budgeted_shard_refuses_resume(self, tmp_path):
-        shard = TenantShard("alpha", str(tmp_path), factory())
-        shard.submit(_record("x"))
-        shard.drain()
-        from repro.degradation import DegradationLadder, LadderRung
+    def test_budgeted_shard_resumes_on_its_rung(self, tmp_path):
+        lines = [_record(line) for line in conn_lines(60)]
 
-        with pytest.raises(ValidationError):
-            TenantShard(
-                "alpha",
-                str(tmp_path),
-                factory(),
-                budget=ResourceBudget.of(memory_mb=512),
-                ladder=DegradationLadder([LadderRung("Drain")]),
+        def shard(label):
+            return TenantShard(
+                "t", str(tmp_path / label), factory(), **budget_kwargs()
             )
+
+        calm = shard("calm")
+        for record in lines:
+            calm.submit(record)
+        calm.drain()
+        first = shard("cut")
+        for record in lines[:25]:
+            first.submit(record)
+        assert first.stats()["rung"] == "Drain"  # stepped at line 20
+        first.checkpoint()
+        first.quarantine.close()  # crash: no drain
+        resumed = shard("cut")
+        assert resumed.stats()["rung"] == "Drain"
+        assert [resumed.submit(r) for r in lines[:25]] == [REPLAYED] * 25
+        for record in lines[25:]:
+            resumed.submit(record)
+        resumed.drain()
+        compare(tmp_path / "cut", tmp_path / "calm", ["t"])
+
+    @pytest.mark.parametrize(
+        "resume",
+        [
+            dict(parser_name="LKE", flush_policy="delta"),
+            dict(
+                budget_kwargs(),
+                ladder=DegradationLadder(
+                    [LadderRung("LKE"), LadderRung("IPLoM")]
+                ),
+            ),
+        ],
+        ids=["no-budget", "other-rungs"],
+    )
+    def test_resume_off_the_saved_ladder_is_refused(self, tmp_path, resume):
+        first = TenantShard("t", str(tmp_path), factory(), **budget_kwargs())
+        first.submit(_record("x"))
+        first.drain()
+        with pytest.raises(CheckpointError, match="ladder"):
+            TenantShard("t", str(tmp_path), factory(), **resume)
 
 
 def _framed_payloads(path):

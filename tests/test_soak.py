@@ -40,7 +40,7 @@ def test_soak_scenario_passes_audit(kind, seed):
 def test_soak_transitions_follow_the_ladder_in_order():
     report = run_soak(SoakScenario(kind="memory-pressure", seed=7))
     rungs = [rung.parser for rung in soak_ladder().rungs]
-    events = report.report.events
+    events = report.session.ladder.events
     assert len(events) >= 2
     for event in events:
         at = rungs.index(event.from_rung)
@@ -55,12 +55,11 @@ def test_soak_transitions_follow_the_ladder_in_order():
 
 def test_soak_always_finalizes_valid_outputs():
     report = run_soak(SoakScenario(kind="slow-consumer", seed=7))
-    result = report.report.result
+    result = report.result
     assert result is not None
-    assert len(result.assignments) == report.report.counters.stream.lines
+    assert len(result.assignments) == report.session.parser.counters.lines
     assert "PENDING" not in result.assignments
-    matrix = report.report.matrix
-    assert matrix is not None
+    matrix = report.session.matrix()
     assert matrix.n_sessions > 0
 
 
@@ -69,9 +68,11 @@ def test_soak_deadline_squeeze_uses_scripted_clock():
     first = run_soak(SoakScenario(kind="deadline-squeeze", seed=23))
     second = run_soak(SoakScenario(kind="deadline-squeeze", seed=23))
     assert first.ok and second.ok
-    assert len(first.report.events) == len(second.report.events)
-    assert [e.to_rung for e in first.report.events] == [
-        e.to_rung for e in second.report.events
+    first_steps = first.session.ladder.events
+    second_steps = second.session.ladder.events
+    assert len(first_steps) == len(second_steps)
+    assert [e.to_rung for e in first_steps] == [
+        e.to_rung for e in second_steps
     ]
 
 

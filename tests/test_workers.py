@@ -35,6 +35,7 @@ import certify
 from certify import FAST, PROC_SEED, FakeClock, conn_lines, factory, wait_for
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
+from repro.degradation import DegradationLadder, LadderRung, ResourceBudget
 from repro.observability import Telemetry
 from repro.resilience import (
     ProcessFault,
@@ -365,13 +366,6 @@ class TestSupervisedShard:
         summary = sup.drain()
         assert summary["lines"] == 5
         assert summary["restarts"] == 0
-
-    def test_budget_is_rejected_in_process_mode(self, tmp_path):
-        with pytest.raises(ValidationError):
-            ShardSupervisor(
-                "t", str(tmp_path), factory(), parser_name="Drain",
-                budget=object(),
-            )
 
     def test_bad_timing_shapes_are_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -1077,18 +1071,68 @@ class TestCrashStormService:
         assert summary["tenants"]["calm"]["restarts"] == 0
         assert summary["tenants"]["calm"]["lines"] == 30
 
-    def test_process_isolation_rejects_tenant_budgets(self, tmp_path):
-        with pytest.raises(ValidationError):
-            IngestionService(
-                str(tmp_path), factory(),
-                isolation="process", budget=object(), ladder=object(),
-            )
+    def test_bad_isolation_and_thread_worker_kwargs_are_rejected(
+        self, tmp_path
+    ):
         with pytest.raises(ValidationError):
             IngestionService(str(tmp_path), factory(), isolation="rocket")
         with pytest.raises(ValidationError):
             IngestionService(
                 str(tmp_path), factory(), worker_kwargs=dict(watchdog=1.0)
             )
+
+
+class TestBudgetedHosts:
+    """A budget is shard state, so both hosts run a budgeted tenant
+    the same way."""
+
+    def _service(self, tmp_path, host, **kwargs):
+        return IngestionService(
+            str(tmp_path), factory(), isolation=host,
+            worker_kwargs=dict(FAST) if host == "process" else None,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_every_line_is_parsed_or_quarantined_once(self, tmp_path, host):
+        # The check before line 10 finds the queue at its hard limit
+        # on the floor rung: that line and every later one are
+        # quarantined, and none of them is also parsed.
+        service = self._service(
+            tmp_path, host, parser_name="Drain",
+            budget=ResourceBudget.of(queue_depth=10),
+            ladder=DegradationLadder([LadderRung("Drain")]),
+            check_every=5, flush_size=50,
+        )
+        for i in range(40):
+            service.submit_line(f"t\tevent kind{i} happened on node{i}")
+        summary = service.drain()["tenants"]["t"]
+        assert summary["breaker_open"]
+        assert summary["seen"] == summary["lines"] + summary["quarantined"]
+        assert summary["accepted"] == summary["lines"] == 10
+        rows = (tmp_path / "t" / "out.structured").read_text().splitlines()
+        assert len(rows) == 10
+
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_each_budgeted_tenant_reports_its_own_rung(self, tmp_path, host):
+        telemetry = Telemetry.create(trace_id="t")
+        service = self._service(
+            tmp_path, host, telemetry=telemetry, **certify.budget_kwargs()
+        )
+        # alpha's 30 lines step its ladder at line 20; beta's 20 never
+        # reach the check that would.
+        replay_lines(service, certify.tagged(
+            certify.tenant_lines("alpha", 30)
+            + certify.tenant_lines("beta", 20)
+        ))
+        service.drain()
+        tenants = supervisor_status(service)["tenants"]
+        assert tenants["alpha"]["rung"] == "Drain"
+        assert tenants["beta"]["rung"] == "LKE"
+        steps = telemetry.events.of_kind("ladder_step")
+        assert [(step["from"], step["to"]) for step in steps] == [
+            ("LKE", "Drain")
+        ]
 
 
 class TestSupervisorStatus:
