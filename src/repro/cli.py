@@ -18,9 +18,9 @@ Subcommands:
   error policies with quarantine, deterministic fault injection, and
   checkpoint/resume.
 * ``supervise`` — parse under the fault-tolerant supervision runtime:
-  a fallback chain of parsers with deadlines, retries, and circuit
-  breakers, input screening into a quarantine file, and optional
-  injected faults to demonstrate the recovery paths.
+  a fallback chain of parsers with deadlines and retries, input
+  screening into a quarantine file, and optional injected faults to
+  demonstrate the recovery paths.
 * ``soak`` — replay a deterministic chaos-soak scenario (memory
   pressure, slow consumer, deadline squeeze) against the
   resource-budgeted degradation runtime and audit the graceful-
@@ -596,7 +596,7 @@ def _add_supervise(subparsers) -> None:
     cmd = subparsers.add_parser(
         "supervise",
         help="parse under the fault-tolerant supervision runtime "
-        "(fallback chain, deadlines, retries, circuit breakers)",
+        "(fallback chain, deadlines, retries)",
     )
     _add_source_flags(cmd, size=2000)
     cmd.add_argument(
@@ -729,7 +729,8 @@ def _add_serve(subparsers) -> None:
         "--breaker-threshold",
         type=int,
         default=5,
-        help="consecutive parser crashes before a tenant's circuit "
+        help="consecutive crashed flushes before a budgeted tenant steps "
+        "down its ladder or, on its floor or unbudgeted, its circuit "
         "breaker opens (its lines then go to its quarantine)",
     )
     cmd.add_argument(

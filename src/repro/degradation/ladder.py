@@ -22,6 +22,9 @@ The policy is deliberately simple and auditable:
   and only after the breach has persisted for ``cooldown_checks``
   consecutive checks (so a single noisy sample cannot shed fidelity);
 * a **hard** breach steps down immediately, ignoring the cooldown;
+* on a service shard, ``breaker_threshold`` consecutive crashed
+  flushes step down too (trigger ``crash``), and only a crash streak
+  on the floor rung opens the shard's breaker;
 * the ladder never skips a rung and never steps back up mid-run —
   recovery is a restart decision, not a flapping one;
 * every transition emits a :class:`DegradationEvent` carrying the
@@ -41,9 +44,11 @@ from repro.degradation.budget import BudgetBreach, BudgetSample
 from repro.parsers.base import LogParser
 from repro.parsers.registry import make_parser
 
-#: Transition trigger tags recorded on :class:`DegradationEvent`.
+#: Transition trigger tags recorded on :class:`DegradationEvent`
+#: (``crash``: the rung's flush parser kept raising).
 TRIGGER_SOFT = "soft-breach"
 TRIGGER_HARD = "hard-breach"
+TRIGGER_CRASH = "crash"
 
 #: The measured step-down rule, ``(parser, the rung below it)``.  A
 #: parser with no step here is its own floor.

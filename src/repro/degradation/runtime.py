@@ -7,7 +7,9 @@ records its engine was fed.  Sustained *soft* breaches walk the
 :class:`~repro.degradation.ladder.DegradationLadder` one rung at a
 time; a *hard* breach steps immediately, and on the floor rung
 escalates as :class:`~repro.common.errors.BudgetExceededError`.  A
-step swaps the flush parser through
+service shard whose flush parser keeps crashing steps through the
+same :meth:`DegradedSession.step_down`.  A step swaps the flush
+parser through
 :meth:`~repro.streaming.engine.StreamingParser.reconfigure` and
 nothing else; the ladder position is ordinary checkpoint state.
 """
@@ -117,10 +119,11 @@ class DegradedSession(ParseSession):
         self.ladder.note_check(True)
         if hard or (self.ladder.ready() and not self.ladder.exhausted):
             trigger = TRIGGER_HARD if hard else TRIGGER_SOFT
-            self._step_down(trigger, sample, breaches)
+            self.step_down(trigger, sample, breaches)
 
-    def _step_down(self, trigger, sample, breaches) -> None:
-        """Swap in the next rung's parser and record the event."""
+    def step_down(self, trigger, sample=None, breaches=()) -> None:
+        """Swap in the next rung's parser and record the event (a
+        budget breach's, or a shard's ``crash`` streak's)."""
         to_rung = self.ladder.peek_next()
         assert to_rung is not None  # callers checked exhausted
         cost = self.ledger.record(

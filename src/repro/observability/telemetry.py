@@ -157,11 +157,6 @@ def _register_schema(metrics: MetricsRegistry) -> None:
         "Retries scheduled after failed attempts",
         labelnames=("parser",),
     )
-    metrics.counter(
-        "repro_breaker_transitions_total",
-        "Circuit-breaker state entries",
-        labelnames=("parser", "state"),
-    )
     # Degradation --------------------------------------------------------
     metrics.counter(
         "repro_budget_breaches_total",

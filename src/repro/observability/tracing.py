@@ -10,7 +10,7 @@ spans following the pipeline's natural shape::
                                (flush parse, fallback attempt, worker call)
 
 plus zero-duration *instant* events for state changes (ladder rung
-steps, circuit-breaker transitions, checkpoint saves).
+steps).
 
 Spans cross the ``ChunkedParallelParser`` process boundary by value:
 the parent serializes a :meth:`Tracer.worker_context`, the worker
@@ -179,7 +179,7 @@ class Tracer:
         return _SpanHandle(self, self.start(name, parent=parent, **attrs))
 
     def instant(self, name: str, parent: Span | None = None, **attrs) -> Span:
-        """A zero-duration marker (rung change, breaker transition)."""
+        """A zero-duration marker (a rung change)."""
         if parent is None and self._stack:
             parent = self._stack[-1]
         now = self._clock_us()

@@ -12,9 +12,9 @@ containment layer, in four parts:
   engine;
 * :mod:`~repro.resilience.supervisor` — :class:`ParserSupervisor`,
   which runs parses under wall-clock deadlines with
-  exponential-backoff retries, per-parser circuit breakers, and a
-  configurable fallback chain (e.g. LKE → IPLoM → SLCT), recording
-  every attempt in a :class:`FailureReport`;
+  exponential-backoff retries and a configurable fallback chain (e.g.
+  LKE → IPLoM → SLCT), recording every attempt in a
+  :class:`FailureReport`;
 * :mod:`~repro.resilience.checkpoint` — serialize a streaming
   session's full state so a killed run resumes mid-stream and
   finalizes to the identical (prefix-policy: byte-identical) result;
@@ -82,7 +82,6 @@ from repro.resilience.quarantine import (
 )
 from repro.resilience.supervisor import (
     Attempt,
-    CircuitBreaker,
     FailureReport,
     ParserSupervisor,
     RetryPolicy,
@@ -133,7 +132,6 @@ __all__ = [
     "is_clean_content",
     "screen_records",
     "Attempt",
-    "CircuitBreaker",
     "FailureReport",
     "ParserSupervisor",
     "RetryPolicy",

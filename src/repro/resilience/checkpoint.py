@@ -32,7 +32,8 @@ appends the records retained since the last one and fsyncs them
 before it renames the checkpoint, so the JSON never holds the history.
 
 A run on a ladder that can step saves its ``ladder`` state too, and a
-resume rebuilds the flush parser from the rung it names.
+resume rebuilds the flush parser from the rung it names.  A service
+shard whose parser crashed saves its ``breaker`` state the same way.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ class StreamCheckpoint:
             checkpoints simply lack it), so no version bump.
         ladder: the run's ``DegradationLadder.state()``, or ``None``
             (then absent from the file, so no version bump either).
+        breaker: a service shard's breaker, or ``None`` (then absent):
+            ``{"crashes": n}`` — consecutive crashed flushes — plus,
+            once the breaker is open, the ``reason`` it quarantines
+            with.
         records / record_log: what :func:`load_checkpoint` read back.
     """
 
@@ -110,6 +115,7 @@ class StreamCheckpoint:
     artifacts: dict = field(default_factory=dict)
     delivery: dict | None = None
     ladder: dict | None = None
+    breaker: dict | None = None
     records: list = field(default_factory=list, repr=False)
     record_log: tuple | None = field(default=None, repr=False)
 
@@ -127,6 +133,8 @@ class StreamCheckpoint:
             data["delivery"] = self.delivery
         if self.ladder is not None:
             data["ladder"] = self.ladder
+        if self.breaker is not None:
+            data["breaker"] = self.breaker
         return data
 
 
@@ -154,6 +162,7 @@ def save_checkpoint(
     artifacts: dict | None = None,
     delivery: dict | None = None,
     ladder: "DegradationLadder | None" = None,
+    breaker: dict | None = None,
     io: "RealIO | None" = None,
     telemetry=None,
 ) -> StreamCheckpoint:
@@ -180,6 +189,7 @@ def save_checkpoint(
         artifacts=artifacts,
         delivery=dict(delivery) if delivery else None,
         ladder=ladder.state() if ladder is not None else None,
+        breaker=dict(breaker) if breaker else None,
     )
     try:
         atomic_write_text(
@@ -279,6 +289,7 @@ def load_checkpoint(
             artifacts=data.get("artifacts") or {},
             delivery=data.get("delivery"),
             ladder=data.get("ladder"),
+            breaker=data.get("breaker"),
         )
     except KeyError as error:
         raise CheckpointError(

@@ -1,4 +1,4 @@
-"""Supervised parsing: deadlines, retries, circuit breakers, fallbacks.
+"""Supervised parsing: deadlines, retries, fallbacks.
 
 The paper evaluates four parsers with sharply different failure
 envelopes — LKE's clustering is quadratic and routinely infeasible on
@@ -13,13 +13,9 @@ a deadline, fall back to the cheap one when it times out or crashes.
 * failures are retried with **exponential backoff** per
   :class:`RetryPolicy` (deterministic — no jitter — so tests can
   assert the exact sleep schedule);
-* a per-parser :class:`CircuitBreaker` skips a parser that keeps
-  failing, so a chain consulted repeatedly (e.g. once per stream
-  flush) stops paying the deadline for a known-bad stage until its
-  cooldown expires; and
-* every attempt — success, error, timeout, or breaker skip — lands in
-  a structured :class:`FailureReport` so "what happened" is never a
-  matter of scrolling logs.
+* every attempt — success, error, or timeout — lands in a structured
+  :class:`FailureReport` so "what happened" is never a matter of
+  scrolling logs.
 
 The attempt loop itself is :func:`run_chain`, and it is the only one:
 :class:`~repro.parsers.parallel.ChunkedParallelParser` walks each chunk
@@ -29,8 +25,7 @@ in-process try) on the same loop, and
 death as an :class:`Attempt` in the same status set.
 
 All time sources (``sleep``, ``clock``) are injectable, which the test
-suite uses to drive breaker transitions and backoff schedules without
-real waiting.
+suite uses to drive backoff schedules without real waiting.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from repro.parsers.base import ParserFactory
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
-STATUS_SKIPPED = "skipped"
 STATUS_BUDGET = "budget"
 
 
@@ -115,91 +109,9 @@ class RetryPolicy:
         return max(0.0, min(self.max_delay, base + (2 * rng.random() - 1) * spread))
 
 
-class CircuitBreaker:
-    """Classic closed → open → half-open breaker around one parser.
-
-    Args:
-        failure_threshold: consecutive failures that trip the breaker.
-        reset_timeout: seconds the breaker stays open before allowing
-            one half-open probe.
-        clock: monotonic time source (injectable for tests).
-        on_transition: optional callback ``(old_state, new_state)``
-            fired whenever the stored state changes (trip, re-open,
-            close).  The supervisor uses it to count transitions and
-            put them on the event timeline.
-
-    State machine: ``closed`` admits every call; *failure_threshold*
-    consecutive failures move to ``open``, which rejects calls until
-    *reset_timeout* has elapsed; the next call then runs as a
-    ``half-open`` probe — success closes the breaker, failure re-opens
-    it (and restarts the cooldown).
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_timeout: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        on_transition: Callable[[str, str], None] | None = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValidationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout < 0:
-            raise ValidationError(
-                f"reset_timeout must be >= 0, got {reset_timeout}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self._clock = clock
-        self.on_transition = on_transition
-        self._failures = 0
-        self._state = self.CLOSED
-        self._opened_at: float | None = None
-
-    def _set_state(self, new_state: str) -> None:
-        old_state = self._state
-        self._state = new_state
-        if old_state != new_state and self.on_transition is not None:
-            self.on_transition(old_state, new_state)
-
-    @property
-    def state(self) -> str:
-        if (
-            self._state == self.OPEN
-            and self._opened_at is not None
-            and self._clock() - self._opened_at >= self.reset_timeout
-        ):
-            return self.HALF_OPEN
-        return self._state
-
-    def allow(self) -> bool:
-        """May the protected call run right now?"""
-        return self.state != self.OPEN
-
-    def record_success(self) -> None:
-        self._failures = 0
-        self._set_state(self.CLOSED)
-        self._opened_at = None
-
-    def record_failure(self) -> None:
-        self._failures += 1
-        if self._state == self.OPEN or self._failures >= self.failure_threshold:
-            # A half-open probe failing re-opens immediately (the
-            # cooldown restarts, so _opened_at moves even when the
-            # stored state was already OPEN).
-            self._set_state(self.OPEN)
-            self._opened_at = self._clock()
-
-
 @dataclass(frozen=True)
 class Attempt:
-    """One try of one unit on one chain entry (or a breaker skip).
+    """One try of one unit on one chain entry.
 
     *parser* names the chain entry; *unit* names what was tried when
     a loop runs more than one (a chunk index, a tenant), else ``None``.
@@ -258,10 +170,6 @@ class FailureReport:
     @property
     def timed_out(self) -> list[Attempt]:
         return [a for a in self.attempts if a.status == STATUS_TIMEOUT]
-
-    @property
-    def skipped(self) -> list[Attempt]:
-        return [a for a in self.attempts if a.status == STATUS_SKIPPED]
 
     @property
     def budget_breached(self) -> list[Attempt]:
@@ -376,7 +284,6 @@ class ChainEntry:
     name: str
     tries: int
     wave: Callable[[list, int], AbstractContextManager[list]]
-    breaker: CircuitBreaker | None = None
     first: int = 1  # number of the entry's first try
 
 
@@ -396,11 +303,10 @@ def run_chain(
     Each try is settled into one status, booked as an :class:`Attempt`
     and counted on ``repro_supervisor_attempts_total``.  After an
     entry's n-th wave its failed units wait ``retry.delay(n)`` and try
-    again; they move on to the next entry when its tries are spent or
-    its breaker opens, and at once on ``budget`` — a blown budget does
-    not heal by re-running.  An entry whose breaker is open is booked
-    ``skipped`` (attempt 0).  Returns ``{unit: result}`` of the units
-    some entry settled ``ok``.
+    again; they move on to the next entry when its tries are spent,
+    and at once on ``budget`` — a blown budget does not heal by
+    re-running.  Returns ``{unit: result}`` of the units some entry
+    settled ``ok``.
     """
     # concurrent.futures' own deadline error before Python 3.11; a
     # local import, so the vocabulary alone loads no executor module.
@@ -418,12 +324,6 @@ def run_chain(
     for entry in chain:
         if not pending:
             break
-        breaker = entry.breaker
-        if breaker is not None and not breaker.allow():
-            for unit in pending:
-                book(Attempt(entry.name, 0, STATUS_SKIPPED, unit=unit,
-                             error="circuit breaker open"))
-            continue
         # From here on *pending* collects the next entry's units.
         trying, pending = pending, []
         for n in range(1, entry.tries + 1):
@@ -443,11 +343,6 @@ def run_chain(
                     except Exception as exc:  # noqa: BLE001 - booked
                         status = STATUS_ERROR
                         error = f"{type(exc).__name__}: {exc}"
-                    if breaker is not None:
-                        if status == STATUS_OK:
-                            breaker.record_success()
-                        else:
-                            breaker.record_failure()
                     book(Attempt(entry.name, attempt, status,
                                  clock() - started, error, unit))
                     if status == STATUS_OK:
@@ -458,7 +353,7 @@ def run_chain(
                         failed.append(unit)
             if not failed:
                 break
-            if n == entry.tries or (breaker is not None and not breaker.allow()):
+            if n == entry.tries:
                 pending += failed
                 break
             if telemetry is not None:
@@ -478,9 +373,6 @@ class ParserSupervisor:
             first, fallbacks after it.
         timeout: wall-clock deadline per attempt (``None`` = no limit).
         retry: per-parser retry/backoff policy.
-        breaker_threshold / breaker_reset: circuit breaker parameters,
-            one breaker per chain entry, persistent across
-            :meth:`parse` calls.
         sleep / clock: injectable time sources for tests.
         rng: random source for retry jitter; ``None`` (default) keeps
             the backoff schedule fully deterministic even when the
@@ -488,8 +380,7 @@ class ParserSupervisor:
         telemetry: optional
             :class:`~repro.observability.telemetry.Telemetry` handle.
             When set, every attempt is counted by parser and status,
-            runs inside a ``parser_call`` span, breaker state changes
-            are counted and land on the event timeline, and each
+            runs inside a ``parser_call`` span, and each
             :meth:`parse` emits its :class:`FailureReport` as a
             ``fallback_report`` timeline event.
 
@@ -512,8 +403,6 @@ class ParserSupervisor:
         *,
         timeout: float | None = None,
         retry: RetryPolicy | None = None,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 30.0,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         rng: Random | None = None,
@@ -530,35 +419,8 @@ class ParserSupervisor:
         self._clock = clock
         self._rng = rng
         self.telemetry = telemetry
-        self.breakers = {
-            name: CircuitBreaker(
-                failure_threshold=breaker_threshold,
-                reset_timeout=breaker_reset,
-                clock=clock,
-                on_transition=(
-                    self._breaker_observer(name)
-                    if telemetry is not None
-                    else None
-                ),
-            )
-            for name, _ in self.chain
-        }
         #: Report of the most recent :meth:`parse` call.
         self.last_report: FailureReport | None = None
-
-    def _breaker_observer(self, name: str) -> Callable[[str, str], None]:
-        def observe(old_state: str, new_state: str) -> None:
-            self.telemetry.metrics.get(
-                "repro_breaker_transitions_total"
-            ).labels(parser=name, state=new_state).inc()
-            self.telemetry.events.emit(
-                "breaker_transition",
-                parser=name,
-                old_state=old_state,
-                new_state=new_state,
-            )
-
-        return observe
 
     def parse(self, records: Sequence[LogRecord]) -> SupervisedResult:
         records = list(records)
@@ -568,7 +430,6 @@ class ParserSupervisor:
                 name,
                 self.retry.attempts,
                 partial(self._wave, report, name, factory, records),
-                self.breakers[name],
             )
             for name, factory in self.chain
         ]

@@ -10,20 +10,24 @@ file, optionally a per-tenant
 :class:`~repro.degradation.budget.ResourceBudget` +
 :class:`~repro.degradation.ladder.DegradationLadder` (via
 :class:`~repro.degradation.runtime.DegradedSession`), and a circuit
-breaker.  The shard serializes all engine access behind its own lock —
-that lock *is* the single-writer ownership the lock-free engine
-demands (see :mod:`repro.streaming.cache`), and the engine's
-``ConcurrencyError`` tripwire enforces it.
+breaker, which is checkpoint state like the rest.  The shard
+serializes all engine access behind its own lock — that lock *is* the
+single-writer ownership the lock-free engine demands (see
+:mod:`repro.streaming.cache`), and the engine's ``ConcurrencyError``
+tripwire enforces it.
 
 Isolation invariants:
 
 * a parser crash inside ``feed``/flush quarantines the record and
-  counts a consecutive failure; ``breaker_threshold`` consecutive
-  failures trip the breaker, after which every further line is
-  quarantined with reason ``breaker-open`` — the engine is never
-  touched again until drain;
+  counts one crashed flush (a cache hit neither adds to the streak
+  nor resets it; a flush that succeeds resets it);
+  ``breaker_threshold`` crashed flushes in a row step a budgeted
+  shard's ladder (trigger ``crash``), and on the floor rung, or on an
+  unbudgeted shard, open the breaker, after which every further line
+  is quarantined with reason ``breaker-open`` — the engine is never
+  touched again, and drain does not finalize it;
 * an exhausted per-tenant budget
-  (:class:`~repro.common.errors.BudgetExceededError`) trips the
+  (:class:`~repro.common.errors.BudgetExceededError`) opens the
   breaker immediately;
 * nothing in this module reaches outside the tenant's directory, so a
   tripped tenant cannot perturb a neighbor's bytes.
@@ -36,7 +40,9 @@ Per-tenant stats reach a registry through :func:`sync_tenant_stats`
 on either host.
 
 Drain writes the standard ``.events``/``.structured`` outputs through
-the engine's prefix finalize (byte-identical to a batch parse), saves
+the engine's prefix finalize (byte-identical to a batch parse) — none
+when the parser crashed, and a ``finalize`` that raises opens the
+breaker instead of leaving ``drain`` — saves
 a final checkpoint pinning its record log and quarantine, commits a
 per-tenant :class:`~repro.resilience.durability.RunManifest` — written
 last, inside the tenant directory, with artifact keys relative to it,
@@ -56,7 +62,7 @@ from repro.common.errors import BudgetExceededError, ValidationError
 from repro.common.types import LogRecord
 from repro.datasets.loader import write_parse_result
 from repro.degradation.budget import BudgetMonitor, ResourceBudget
-from repro.degradation.ladder import DegradationLadder
+from repro.degradation.ladder import TRIGGER_CRASH, DegradationLadder
 from repro.degradation.runtime import DegradedSession
 from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.observability.tracing import SPAN_TENANT_DRAIN
@@ -155,8 +161,9 @@ class TenantShard(FrontStage):
             writes.
         ladder: rung order for the budgeted mode, copied per shard; a
             step swaps only the flush parser.
-        breaker_threshold: consecutive ``feed`` crashes that trip the
-            circuit breaker.
+        breaker_threshold: consecutive crashed flushes that step a
+            budgeted shard's ladder, or on its floor rung (or
+            unbudgeted) open the circuit breaker.
         exactly_once: open the front's v2 side
             (:class:`~repro.service.protocol.FrontStage`):
             :meth:`submit_seq` deduplicates per client and journals
@@ -219,7 +226,9 @@ class TenantShard(FrontStage):
         self.accepted = 0
         self.breaker_open = False
         self.breaker_reason: str | None = None
-        self._failures = 0
+        #: Consecutive crashed flushes, and the engine's flush count at
+        #: the last one: a later successful flush ends the streak.
+        self._failures = self._crash_mark = 0
         self._drained: dict | None = None
         # ``_ack_high`` is the checkpointed view of the delivery
         # front's windows — highest acknowledged sequence per client —
@@ -260,6 +269,11 @@ class TenantShard(FrontStage):
             )
             self.position = checkpoint.records_consumed
             delivery_state = checkpoint.delivery
+            breaker = checkpoint.breaker or {}
+            self._failures = breaker.get("crashes", 0)
+            self._crash_mark = self.engine.counters.flushes
+            self.breaker_reason = breaker.get("reason")
+            self.breaker_open = self.breaker_reason is not None
         else:
             self.engine = StreamingParser(
                 factory, flush_policy=flush_policy, flush_size=flush_size,
@@ -317,6 +331,7 @@ class TenantShard(FrontStage):
             "template_hits": counters.template_hits,
             "misses": counters.misses,
             "rung": self.ladder and self.ladder.current.parser,
+            "breaker": self.breaker_reason,
         }
         for key, histogram in (
             ("latency", self._latency), ("queue_wait", self._queue_wait)
@@ -436,19 +451,26 @@ class TenantShard(FrontStage):
             return BREAKER
         except Exception as error:  # noqa: BLE001 - isolation boundary
             self._failures += 1
+            self._crash_mark = self.engine.counters.flushes
             self._quarantine(
                 record,
                 index,
                 REASON_CRASH,
                 f"{type(error).__name__}: {error}",
             )
-            if self._failures >= self.breaker_threshold:
+            if self._failures < self.breaker_threshold:
+                return QUARANTINED
+            if self.ladder is not None and not self.ladder.exhausted:
+                self._session.step_down(TRIGGER_CRASH)
+                self._failures = 0
+            else:
                 self._trip(
                     f"{self._failures} consecutive parser crashes "
                     f"(last: {type(error).__name__}: {error})"
                 )
             return QUARANTINED
-        self._failures = 0
+        if self._failures and self.engine.counters.flushes > self._crash_mark:
+            self._failures = 0
         if line_no < 0:
             return REJECTED
         self.accepted += 1
@@ -503,6 +525,16 @@ class TenantShard(FrontStage):
             self._checkpoint_locked()
             self._front_checkpointed()  # everything journaled is fed
 
+    def _breaker_state(self) -> dict | None:
+        """Checkpoint-ready breaker state; ``None`` for a shard whose
+        parser never crashed and whose breaker is closed."""
+        if not (self._failures or self.breaker_open):
+            return None
+        state = {"crashes": self._failures}
+        if self.breaker_open:
+            state["reason"] = self.breaker_reason
+        return state
+
     def _delivery_state(self) -> dict | None:
         """Checkpoint-ready acknowledgement watermarks (sorted, stable)."""
         if not self._ack_high:
@@ -521,6 +553,7 @@ class TenantShard(FrontStage):
             ),
             delivery=self._delivery_state(),
             ladder=self.ladder,
+            breaker=self._breaker_state(),
             io=self.io,
             telemetry=self.telemetry,
         )
@@ -531,6 +564,8 @@ class TenantShard(FrontStage):
         The engine keeps accepting ``feed`` after ``finalize`` — a
         resumed service restores the drained checkpoint and simply
         continues — so drain is a durable pause, not a terminal state.
+        A breaker opened on crashes skips ``finalize``, and a raising
+        one opens it: either way only the outputs are left out.
         """
         with self._lock:
             if self._drained is not None:
@@ -540,7 +575,16 @@ class TenantShard(FrontStage):
                 span = self.telemetry.tracer.start(
                     SPAN_TENANT_DRAIN, tenant=self.tenant
                 )
-            result = self._session.finalize()
+            result = None
+            if self._failures < self.breaker_threshold:
+                try:
+                    result = self._session.finalize()
+                except Exception as error:  # noqa: BLE001 - isolation
+                    if not self.breaker_open:
+                        self._trip(
+                            f"finalize crashed: {type(error).__name__}: "
+                            f"{error}"
+                        )
             artifacts: list[tuple[str, str]] = []
             if result is not None:
                 events_path, structured_path = write_parse_result(

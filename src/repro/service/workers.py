@@ -45,10 +45,11 @@ Correctness hangs on three pieces of bookkeeping:
   :class:`~repro.resilience.supervisor.Attempt` — ``timeout`` for a
   hung worker or a blown drain deadline, ``error`` (with the signal or
   exit code) for the rest — and counts one more consecutive death;
-  completing a careful replay (or diverting a poison pill) resets the
-  count.  A shard that keeps dying on *distinct* records therefore
-  reaches ``fence_threshold`` deaths in a row and is fenced: no
-  further restarts, neighbors unaffected.
+  completing a careful replay (or diverting a poison pill) forgives
+  the deaths while feeding, never one in drain.  A shard that keeps
+  dying on *distinct* records, or in every drain, therefore reaches
+  ``fence_threshold`` deaths in a row and is fenced: no further
+  restarts, neighbors unaffected.
 
 All deadlines here — watchdog, drain, restart backoff, status — are
 ``time.monotonic`` based with injectable clocks, so they survive
@@ -349,7 +350,8 @@ class ShardSupervisor(FrontStage):
         poison_threshold: consecutive careful-replay deaths on one
             record before it is diverted to quarantine.
         fence_threshold: consecutive deaths (without a completed
-            replay between) before the shard is fenced.
+            replay between, which never forgives a death in drain)
+            before the shard is fenced.
         drain_timeout: drain deadline; on expiry the worker is
             escalated SIGTERM → SIGKILL and the shard fenced.
         term_grace: seconds between SIGTERM and SIGKILL.
@@ -436,10 +438,12 @@ class ShardSupervisor(FrontStage):
         self._in_flight: int | None = None
         self._kill_counts: dict[int, int] = {}
         self._poisoned: dict[int, str] = {}
-        self.state = STATE_STARTING
+        self._state = STATE_STARTING
         self.restarts = 0
         self.life = 0
-        self._deaths_in_row = 0
+        # Deaths in drain: a replay gains nothing toward a drain, so
+        # these are never forgiven (see _maybe_finish_replay).
+        self._deaths_in_row = self._drain_deaths = 0
         #: Every worker death, booked in the shared vocabulary.
         self.report = FailureReport()
         self._drain_requested = False
@@ -478,8 +482,17 @@ class ShardSupervisor(FrontStage):
     # -- public surface, beside the front stage's ----------------------
 
     @property
+    def state(self) -> str:
+        """Lifecycle state, but ``breaker`` while the worker's shard
+        reports an open breaker (as a thread host reads), unless the
+        shard is fenced or drained."""
+        if self._state in (STATE_FENCED, STATE_DRAINED):
+            return self._state
+        return "breaker" if self._stats.get("breaker") else self._state
+
+    @property
     def breaker_open(self) -> bool:
-        return self.state == STATE_FENCED
+        return self._state == STATE_FENCED or bool(self._stats.get("breaker"))
 
     def stats(self) -> dict:
         """The worker's :meth:`TenantShard.stats`, as last shipped."""
@@ -494,7 +507,7 @@ class ShardSupervisor(FrontStage):
         return max(0.0, self._clock() - self._last_seen)
 
     def _refusal(self) -> str | None:
-        return FENCED if self.state == STATE_FENCED else None
+        return FENCED if self._state == STATE_FENCED else None
 
     def _deliver(self, entries: list[tuple]) -> list[str]:
         """The process host appends a released batch to the outbox."""
@@ -555,7 +568,7 @@ class ShardSupervisor(FrontStage):
         for state in SUPERVISOR_STATES:
             metrics.get("repro_shard_state").labels(
                 tenant=self.tenant, state=state
-            ).set(1.0 if state == self.state else 0.0)
+            ).set(1.0 if state == self._state else 0.0)
 
     def _sync_stats(self, stats: dict) -> None:
         """Fold a worker stats message into the parent registry, live.
@@ -680,9 +693,9 @@ class ShardSupervisor(FrontStage):
         """Careful region fully acknowledged → back to normal mode."""
         if self._mode_careful and self._sent_through >= self._careful_high:
             self._mode_careful = False
-            self._deaths_in_row = 0
-            if self.state == STATE_REPLAYING:
-                self.state = STATE_RUNNING
+            self._deaths_in_row = self._drain_deaths
+            if self._state == STATE_REPLAYING:
+                self._state = STATE_RUNNING
 
     def _prune(self, position: int, drained: bool = False) -> None:
         """Count a worker checkpoint covering *position*, prune, tell;
@@ -722,7 +735,7 @@ class ShardSupervisor(FrontStage):
                 self._in_flight = None
                 if self._mode_careful and self._careful_high <= self._acked:
                     self._mode_careful = False
-                self.state = (
+                self._state = (
                     STATE_REPLAYING if self._mode_careful else STATE_RUNNING
                 )
             return None
@@ -744,7 +757,7 @@ class ShardSupervisor(FrontStage):
                 was_pending = self._poisoned.pop(index, None)
                 self._kill_counts.pop(index, None)
                 if was_pending is not None:
-                    self._deaths_in_row = 0
+                    self._deaths_in_row = self._drain_deaths
                 self._maybe_finish_replay()
             if was_pending is not None:
                 if self.telemetry is not None:
@@ -776,7 +789,7 @@ class ShardSupervisor(FrontStage):
             summary["restarts"] = self.restarts
             summary["isolation"] = "process"
             with self._lock:
-                self.state = STATE_DRAINED
+                self._state = STATE_DRAINED
                 self._drained_summary = summary
             self._emit("worker_drained", restarts=self.restarts)
             self._done.set()
@@ -785,7 +798,7 @@ class ShardSupervisor(FrontStage):
 
     def _fence(self, why: str) -> str:
         with self._lock:
-            self.state = STATE_FENCED
+            self._state = STATE_FENCED
             if self._drained_summary is None:
                 self._drained_summary = self._fenced_summary()
             # Submits are refused from here on.
@@ -817,7 +830,7 @@ class ShardSupervisor(FrontStage):
             STATUS_TIMEOUT, f"drain deadline of {self.drain_timeout}s exceeded"
         )
 
-    def _handle_death(self, process, hung: bool) -> str:
+    def _handle_death(self, process, hung: bool, in_drain: bool) -> str:
         process.join(timeout=1.0)
         code = process.exitcode
         if hung:
@@ -838,11 +851,14 @@ class ShardSupervisor(FrontStage):
                 )
                 self._hist_live[key] = None
             self._deaths_in_row += 1
+            # Its "draining" message can die with it: the drain counts
+            # from when it was sent.
+            self._drain_deaths += in_drain
             killer = self._in_flight
             self._in_flight = None
             self._mode_careful = True
             self._careful_high = self._acked + len(self._outbox)
-            self.state = STATE_RESTARTING
+            self._state = STATE_RESTARTING
             if killer is not None:
                 count = self._kill_counts.get(killer, 0) + 1
                 self._kill_counts[killer] = count
@@ -945,9 +961,9 @@ class ShardSupervisor(FrontStage):
                     self._checkpoint_requested = False  # drain saves too
                     if drain:
                         drain_sent = True
-                        self.state = STATE_DRAINING
+                        self._state = STATE_DRAINING
             # Worker died (or was terminated as hung).
-            return self._handle_death(process, hung)
+            return self._handle_death(process, hung, drain_sent)
         finally:
             inbox.close()
             results.close()

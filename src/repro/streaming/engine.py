@@ -507,10 +507,12 @@ class StreamingParser(LogParser):
         if not self._pending:
             return
         batch = self._pending
-        self._pending = []
+        # A flush parser that raises leaves the batch buffered, so the
+        # next flush (or the next rung's parser) still parses it.
         result = self._parse_flush(
             [entry.flush_record for entry in batch], scope="delta"
         )
+        self._pending = []
         self._flushes += 1
         slot_of = {
             event.event_id: self._integrate_template(event.template)

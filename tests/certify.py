@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.common.errors import CheckpointError, DeliveryError, ValidationError
+from repro.common.types import LogRecord
 from repro.degradation import DegradationLadder, LadderRung, ResourceBudget
 from repro.observability import Telemetry, TelemetryServer, parse_prometheus
 from repro.parsers import make_parser
@@ -114,6 +115,23 @@ def budget_kwargs() -> dict:
 
 def factory(name: str = "Drain"):
     return functools.partial(make_parser, name)
+
+
+class Crashing:
+    """A flush parser whose every parse raises: under
+    :func:`crash_kwargs` the tenant it serves opens its breaker at its
+    second line."""
+
+    name = "Crashing"
+
+    def parse(self, records):
+        raise RuntimeError("flush parser crashed")
+
+
+def crash_kwargs() -> dict:
+    """Shard keywords for a :class:`Crashing` tenant: every miss
+    flushes, and two crashed flushes open the breaker."""
+    return dict(parser_name="Drain", flush_size=1, breaker_threshold=2)
 
 
 def conn_lines(n: int, start: int = 0) -> list[str]:
@@ -221,24 +239,31 @@ class FakeClock:
 
 class Host:
     """One life of one shard host on the tenant ``t``, with a
-    synchronous checkpoint whichever host it is.
+    synchronous checkpoint whichever host it is.  With *crash* its
+    flush parser is :class:`Crashing`.
 
     :meth:`kill` stands in for SIGKILL: a thread host is dropped with
     no checkpoint and no drain; a process host has its worker stopped
     and is fenced, the same path a blown drain deadline takes.
     """
 
-    def __init__(self, kind: str, data_dir: str, exactly_once: bool = False):
+    def __init__(
+        self, kind: str, data_dir: str, exactly_once: bool = False,
+        crash: bool = False,
+    ):
         self.kind = kind
         self.checkpoints = []
+        parser, kwargs = (
+            (Crashing, crash_kwargs()) if crash
+            else (factory(), dict(parser_name="Drain"))
+        )
         if kind == "thread":
             self.shard = TenantShard(
-                "t", data_dir, factory(), parser_name="Drain",
-                exactly_once=exactly_once,
+                "t", data_dir, parser, exactly_once=exactly_once, **kwargs,
             )
         else:
             self.shard = ShardSupervisor(
-                "t", data_dir, factory(), parser_name="Drain",
+                "t", data_dir, parser, **kwargs,
                 exactly_once=exactly_once, checkpoint_every=10_000,
                 on_checkpoint=lambda _t, position: self.checkpoints.append(
                     position
@@ -281,7 +306,9 @@ class Perturbation:
     *mid_batch* is a record the first life's feed batches must hold
     strictly inside one batch (the premise of a mid-batch kill);
     *budget* runs every life, and the calm run, under
-    :data:`BUDGET_ARGS`.
+    :data:`BUDGET_ARGS`; *crash* runs them on :class:`Crashing`;
+    *cut* is the line count after which an in-process first life
+    checkpoints and is killed.
     """
 
     streams: tuple
@@ -296,6 +323,8 @@ class Perturbation:
     resume_parser: str = "Drain"
     mid_batch: int | None = None
     budget: bool = False
+    crash: bool = False
+    cut: int | None = None
 
     @property
     def tenants(self) -> list[str]:
@@ -304,7 +333,9 @@ class Perturbation:
     @property
     def resumes(self) -> bool:
         """Whether a second life exists that another host could run."""
-        return self.signal is not None or self.tamper is not None
+        return any(
+            x is not None for x in (self.signal, self.tamper, self.cut)
+        )
 
 
 def _streams(tenant, lines):
@@ -402,6 +433,11 @@ PERTURBATIONS = {
         restarts={"t": 1},
         budget=True,
     ),
+    # The breaker is checkpoint state: a tenant cut after its trip
+    # resumes tripped, and its crash count survives a cut before it.
+    "breaker-cut": Perturbation(
+        _streams("t", conn_lines(12)), crash=True, cut=6
+    ),
     "checkpoint-parser": Perturbation(  # an intact checkpoint, resumed
         _streams("t", conn_lines(20)), tamper=lambda path: None,
         resume_parser="IPLoM",
@@ -467,6 +503,7 @@ GRID = {
     "service-sigterm":  (OK,        OK,        OK,        OK),
     "budget-sigkill":   (OK,        OK,        OK,        OK),
     "budget-proc-kill": (NO_WORKER, NO_WORKER, OK,        OK),
+    "breaker-cut":      (OK,        OK,        OK,        OK),
     "scrape-hammer":    (OK,        OK,        OK,        OK),
     "checkpoint-parser": (BAD_CP,   BAD_CP,    BAD_CP,    BAD_CP),
     "checkpoint-torn":  (BAD_CP,    BAD_CP,    BAD_CP,    BAD_CP),
@@ -503,20 +540,25 @@ OWNED = {
 # ---------------------------------------------------------------------------
 
 
-def calm_run(root, streams, budget: bool = False) -> str:
+def calm_run(root, streams, budget: bool = False, crash: bool = False) -> str:
     """The reference: *streams* replayed through a calm thread-mode v1
-    service, under :data:`BUDGET_ARGS` with *budget*.  Cached under
-    *root* by input, so a session computes each reference once;
-    returns the data directory."""
+    service, under :data:`BUDGET_ARGS` with *budget*, on
+    :class:`Crashing` with *crash*.  Cached under *root* by input, so
+    a session computes each reference once; returns the data
+    directory."""
     key = hashlib.sha256(
-        json.dumps([list(streams), budget]).encode()
+        json.dumps([list(streams), budget, crash]).encode()
     ).hexdigest()
     data_dir = os.path.join(str(root), f"calm-{key[:16]}")
     if not os.path.isdir(data_dir):
         building = data_dir + ".building"
         shutil.rmtree(building, ignore_errors=True)
-        kwargs = budget_kwargs() if budget else dict(parser_name="Drain")
-        service = IngestionService(building, factory(), **kwargs)
+        parser, kwargs = factory(), dict(parser_name="Drain")
+        if budget:
+            kwargs = budget_kwargs()
+        elif crash:
+            parser, kwargs = Crashing, crash_kwargs()
+        service = IngestionService(building, parser, **kwargs)
         replay_lines(service, tagged(streams))
         service.drain()
         os.rename(building, data_dir)
@@ -751,11 +793,37 @@ def _tampered_resume(row, p, data_dir) -> None:
     service.drain()
 
 
+def _cut_lives(row, p, data_dir) -> dict:
+    """Life 1 takes the first ``cut`` lines, checkpoints and is
+    killed; life 2, on ``resume``, takes the whole stream again (under
+    v2 as resends the restored windows drop) and drains.  Returns
+    life 2's drain summary."""
+    records = [LogRecord(content=content) for _, content in p.streams]
+    exactly_once = row.protocol == "v2"
+
+    def feed(host, upto):
+        for seq, record in enumerate(records[:upto], start=1):
+            if exactly_once:
+                host.shard.submit_seq(record, CLIENT, seq)
+            else:
+                host.shard.submit(record)
+
+    first = Host(row.host, str(data_dir), exactly_once, crash=p.crash)
+    feed(first, p.cut)
+    first.checkpoint()
+    first.kill()
+    second = Host(row.resume, str(data_dir), exactly_once, crash=p.crash)
+    feed(second, len(records))
+    return second.shard.drain()
+
+
 def perturbed_run(row: Row, data_dir) -> dict:
     """Run *row*'s cell; returns the drain summary or life-2 samples."""
     p = PERTURBATIONS[row.perturbation]
     if p.tamper is not None:
         return _tampered_resume(row, p, data_dir)
+    if p.cut is not None:
+        return _cut_lives(row, p, data_dir)
     if p.signal is not None:
         return _serve_lives(row, p, data_dir)
     return _in_process(row, p, data_dir)
@@ -806,10 +874,18 @@ def certify(row_id: str, tmp_path, calm_root) -> None:
     )
     compare(
         data_dir,
-        calm_run(calm_root, perturbation.streams, perturbation.budget),
+        calm_run(
+            calm_root, perturbation.streams, perturbation.budget,
+            perturbation.crash,
+        ),
         perturbation.tenants,
         ignore=() if strict else (CHECKPOINT_NAME,),
     )
+    if perturbation.cut is not None:  # one life-2 shard, not a service
+        assert outcome["breaker_open"] == perturbation.crash
+        assert not outcome.get("restarts")
+        assert outcome["seen"] == len(perturbation.streams)
+        return
     if perturbation.signal is not None:
         if row.protocol == "v2":
             # Life 2's windows, restored from the journal or the

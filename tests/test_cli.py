@@ -315,6 +315,25 @@ class TestSupervise:
         assert code == 4
         assert "fallback chain failed" in capsys.readouterr().err
 
+    def test_every_retry_runs_before_the_fallback(self, capsys):
+        # --retries is the one cap on a parser's attempts: the fifth
+        # try of a parser that fails four times wins.
+        code = main(
+            [
+                "supervise", "--dataset", "HDFS", "--size", "100",
+                "--chain", "IPLoM,SLCT", "--fault-parser", "IPLoM",
+                "--fault-parser-fails", "4", "--retries", "5",
+                "--retry-delay", "0.001",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        for attempt in (1, 2, 3, 4):
+            assert f"IPLoM attempt {attempt}: error" in out
+        assert "IPLoM attempt 5: ok" in out
+        assert "SLCT attempt" not in out
+        assert "winner: IPLoM" in out
+
     def test_unknown_chain_parser_exits_2(self, capsys):
         assert main(["supervise", "--chain", "NoSuch", "--dataset", "HDFS"]) == 2
         assert "unknown parser" in capsys.readouterr().err

@@ -100,16 +100,6 @@ GOLDEN = {
         ],
         [0.01],
     ),
-    "supervisor-breaker": (
-        [
-            (0, "bad", 1, "error"),
-            (0, "bad", 2, "error"),
-            (0, "IPLoM", 1, "ok"),
-            (1, "bad", 0, "skipped"),
-            (1, "IPLoM", 1, "ok"),
-        ],
-        [0.01],
-    ),
     "supervisor-budget": (
         [
             (0, "A", 1, "budget"),
@@ -187,18 +177,15 @@ def _renamed(golden):
 # ----------------------------------------------------------------------
 
 
-def _supervise(chain, calls=1, **kwargs):
+def _supervise(chain, **kwargs):
     clock = _Recorder()
     supervisor = ParserSupervisor(
         chain, sleep=clock.sleep, clock=clock, **kwargs
     )
-    booked = []
-    for call in range(calls):
-        outcome = supervisor.parse(_records(40))
-        booked += [
-            (call, a.parser, a.attempt, a.status)
-            for a in outcome.report.attempts
-        ]
+    outcome = supervisor.parse(_records(40))
+    booked = [
+        (0, a.parser, a.attempt, a.status) for a in outcome.report.attempts
+    ]
     return booked, clock.sleeps
 
 
@@ -257,13 +244,6 @@ SCRIPTS = {
         ],
         timeout=0.05,
         retry=RetryPolicy(attempts=2, base_delay=0.01),
-    ),
-    "supervisor-breaker": lambda _: _supervise(
-        [("bad", FlakyFactory(_iplom, fail_times=99)), ("IPLoM", _iplom)],
-        calls=2,
-        retry=RetryPolicy(attempts=3, base_delay=0.01),
-        breaker_threshold=2,
-        breaker_reset=60.0,
     ),
     "supervisor-budget": lambda _: _supervise(
         [("A", _BudgetBlown), ("B", _iplom)],

@@ -1,4 +1,4 @@
-"""Tests for the supervision runtime: retries, breakers, fallbacks, screening."""
+"""Tests for the supervision runtime: retries, fallbacks, screening."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.common.errors import (
 from repro.common.types import LogRecord
 from repro.parsers import make_parser
 from repro.resilience import (
-    CircuitBreaker,
     ErrorPolicy,
     ParserSupervisor,
     QuarantineSink,
@@ -25,13 +24,12 @@ from repro.resilience.faults import FlakyFactory, InjectedFault
 from repro.resilience.supervisor import (
     STATUS_ERROR,
     STATUS_OK,
-    STATUS_SKIPPED,
     STATUS_TIMEOUT,
 )
 
 
 class FakeClock:
-    """Manually advanced monotonic clock for breaker/backoff tests."""
+    """Manually advanced monotonic clock for backoff tests."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -64,49 +62,6 @@ def test_retry_policy_rejects_bad_parameters():
         RetryPolicy(attempts=0)
     with pytest.raises(ValidationError):
         RetryPolicy(backoff=0.5)
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker state machine
-# ----------------------------------------------------------------------
-
-
-def test_breaker_closed_to_open_to_half_open_to_closed():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0, clock=clock)
-    assert breaker.state == CircuitBreaker.CLOSED
-    breaker.record_failure()
-    assert breaker.state == CircuitBreaker.CLOSED  # below threshold
-    breaker.record_failure()
-    assert breaker.state == CircuitBreaker.OPEN
-    assert not breaker.allow()
-    clock.now += 10.0  # cooldown elapses
-    assert breaker.state == CircuitBreaker.HALF_OPEN
-    assert breaker.allow()  # one probe admitted
-    breaker.record_success()
-    assert breaker.state == CircuitBreaker.CLOSED
-
-
-def test_breaker_half_open_probe_failure_reopens_immediately():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=3, reset_timeout=5.0, clock=clock)
-    for _ in range(3):
-        breaker.record_failure()
-    clock.now += 5.0
-    assert breaker.state == CircuitBreaker.HALF_OPEN
-    breaker.record_failure()  # single probe failure, not threshold-many
-    assert breaker.state == CircuitBreaker.OPEN
-    assert not breaker.allow()
-    clock.now += 5.0
-    assert breaker.state == CircuitBreaker.HALF_OPEN  # cooldown restarted
-
-
-def test_breaker_success_resets_failure_count():
-    breaker = CircuitBreaker(failure_threshold=2)
-    breaker.record_failure()
-    breaker.record_success()
-    breaker.record_failure()
-    assert breaker.state == CircuitBreaker.CLOSED
 
 
 # ----------------------------------------------------------------------
@@ -216,34 +171,6 @@ def test_supervisor_exhaustion_raises_with_report(toy_records):
     assert report.winner is None
     assert len(report.failures) == 2
     assert "no parser succeeded" in report.describe()
-
-
-def test_supervisor_breaker_skips_known_bad_parser(toy_records):
-    clock = FakeClock()
-    broken = FlakyFactory(_iplom_factory, fail_times=99, name="bad")
-    supervisor = ParserSupervisor(
-        [("bad", broken), ("IPLoM", _iplom_factory)],
-        retry=RetryPolicy(attempts=3, base_delay=0.01),
-        breaker_threshold=3,
-        breaker_reset=60.0,
-        sleep=clock.sleep,
-        clock=clock,
-    )
-    first = supervisor.parse(toy_records)
-    assert first.parser == "IPLoM"
-    assert len([a for a in first.report.attempts if a.parser == "bad"]) == 3
-    # Second call: the breaker is open, "bad" is skipped without running.
-    second = supervisor.parse(toy_records)
-    skipped = second.report.skipped
-    assert [a.parser for a in skipped] == ["bad"]
-    assert skipped[0].status == STATUS_SKIPPED
-    # After the cooldown the probe runs again.
-    clock.now += 60.0
-    third = supervisor.parse(toy_records)
-    assert any(
-        a.parser == "bad" and a.status == STATUS_ERROR
-        for a in third.report.attempts
-    )
 
 
 def test_supervisor_rejects_empty_chain():

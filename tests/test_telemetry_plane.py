@@ -614,6 +614,27 @@ class TestLiveProcessSync:
             assert payload["tenants"]["t"]["state"] == "fenced"
         service.drain()
 
+    @pytest.mark.parametrize("host", ["thread", "process"])
+    def test_healthz_flips_503_when_a_breaker_opens(self, tmp_path, host):
+        # A process worker ships its breaker home with its stats.
+        service = IngestionService(
+            str(tmp_path / "data"), certify.Crashing, isolation=host,
+            worker_kwargs=dict(FAST) if host == "process" else None,
+            **certify.crash_kwargs(),
+        )
+        with TelemetryServer(
+            Telemetry.create(trace_id="t").metrics, health=service.health
+        ) as server:
+            for line in conn_lines(12):
+                service.submit_line(f"t\t{line}")
+            wait_for(lambda: not service.health()["ok"])
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(f"{server.url}/healthz")
+            assert excinfo.value.code == 503
+            tenant = json.loads(excinfo.value.read().decode())["tenants"]["t"]
+            assert tenant == {"state": "breaker", "breaker_open": True}
+        service.drain()
+
     def test_crash_storm_fires_burn_rate_alert_surviving_torn_tail(
         self, tmp_path
     ):

@@ -6,9 +6,9 @@ The contracts tested here:
   ``poison_threshold`` consecutive times is diverted to quarantine
   with ``poison:<tenant>`` provenance after a deterministic number of
   worker deaths, and the stream completes without it.
-* **Fencing** — a shard dying on *distinct* records accumulates
-  breaker failures until it is fenced: no more restarts, submits
-  refused, neighbors unaffected.
+* **Fencing** — a shard dying on *distinct* records, or in every
+  drain, accumulates deaths until it is fenced: no more restarts,
+  submits refused, neighbors unaffected.
 * **The worker wire** — batched feeds, per-record checkpoint cadence,
   careful replay, and the journal's ownership of every ack.
 
@@ -355,6 +355,24 @@ class TestSupervisedShard:
         assert any(
             e["kind"] == "worker_fenced" for e in telemetry.events.events
         )
+
+    @pytest.mark.parametrize("checkpoint_every", [10, 1000])
+    def test_deaths_in_drain_fence_the_shard(self, tmp_path, checkpoint_every):
+        # Without a checkpoint before drain every life replays all 30
+        # lines carefully first; completing that replay must not
+        # forgive the drain deaths.
+        sup = ShardSupervisor(
+            "t", str(tmp_path), factory(), parser_name="Drain",
+            checkpoint_every=checkpoint_every, fence_threshold=3,
+            faults=(ProcessFault(
+                PROC_EXIT, at_drain=True, lives=tuple(range(1, 40))
+            ),),
+            **FAST,
+        )
+        _feed(sup, conn_lines(30))
+        summary = sup.drain()
+        assert summary["fenced"] is True
+        assert sup.restarts == 3, "exactly fence_threshold deaths"
 
     def test_slow_start_delays_but_completes(self, tmp_path):
         fault = ProcessFault(PROC_SLOW_START, delay_seconds=0.1)
