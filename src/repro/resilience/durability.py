@@ -662,10 +662,15 @@ def _hash_file(path: str) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-def _count_records(path: str, codec: str) -> int | None:
-    """Record count per the entry's codec; ``None`` for opaque."""
+def _count_records(path: str, codec: str, size: int, pin) -> int | None:
+    """Record count per the entry's codec (or its writer's *pin*)."""
     if codec == CODEC_OPAQUE:
         return None
+    if pin is not None:
+        if size != pin[0]:
+            raise IntegrityError(f"artifact {path} holds {size} bytes, "
+                                 f"not the {pin[0]} its writer pinned")
+        return pin[1]
     with open(path, "rb") as handle:
         data = handle.read()
     if codec == CODEC_LINES:
@@ -679,7 +684,7 @@ def _count_records(path: str, codec: str) -> int | None:
     return len(records)
 
 
-def artifact_entry(path: str, codec: str = CODEC_OPAQUE) -> dict:
+def artifact_entry(path: str, codec: str = CODEC_OPAQUE, pin=None) -> dict:
     """Measure one artifact: sha256 + bytes (+ records per codec)."""
     if codec not in ARTIFACT_CODECS:
         raise IntegrityError(
@@ -688,7 +693,7 @@ def artifact_entry(path: str, codec: str = CODEC_OPAQUE) -> dict:
         )
     sha, size = _hash_file(path)
     entry = {"sha256": sha, "bytes": size, "codec": codec}
-    records = _count_records(path, codec)
+    records = _count_records(path, codec, size, pin)
     if records is not None:
         entry["records"] = records
     return entry
@@ -709,9 +714,9 @@ class RunManifest:
         self.run = dict(run or {})
         self.artifacts: dict[str, dict] = {}
 
-    def add(self, path: str, *, codec: str = CODEC_OPAQUE) -> dict:
+    def add(self, path: str, *, codec: str = CODEC_OPAQUE, pin=None) -> dict:
         """Measure the artifact at *path* and record it."""
-        entry = artifact_entry(path, codec)
+        entry = artifact_entry(path, codec, pin)
         self.artifacts[path] = entry
         return entry
 

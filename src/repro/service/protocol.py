@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import groupby
 
 from repro.common.errors import ValidationError
 from repro.common.types import LogRecord
@@ -94,6 +95,7 @@ DEFAULT_HOLDBACK = 512
 #: Basename of a tenant's ownership journal (protocol v2 only; a v1
 #: service writes none).
 JOURNAL_NAME = "out.journal.jsonl"
+_SEQ = ', "seq": %d'
 
 
 def hello_line(client_id: str) -> bytes:
@@ -129,7 +131,7 @@ def parse_data(text: str) -> tuple[int, str] | None:
     router — and a v2 reject quarantines with the same provenance.
     """
     seq_text, sep, payload = text.partition(" ")
-    if not sep or not seq_text.isdigit():
+    if not sep or not (seq_text.isascii() and seq_text.isdigit()):
         return None
     seq = int(seq_text)
     if seq < 1:
@@ -256,19 +258,30 @@ class BatchJournal:
 
     @staticmethod
     def _frame(index: int, record: LogRecord, delivery=None) -> bytes:
-        """``frame_record`` of the entry's payload, in one pass."""
-        client = seq = ""
-        if delivery is not None:
-            client = f'"client": {_json_str(delivery[0])}, '
-            seq = f'"seq": {delivery[1]}, '
-        return frame_bytes(
-            f'{{{client}"content": {_json_str(record.content)}, '
-            f'"index": {index}, {seq}'
-            f'"session_id": {_json_or_null(record.session_id)}, '
-            f'"timestamp": {_json_or_null(record.timestamp)}, '
-            f'"truth_event": {_json_or_null(record.truth_event)}}}'
-            .encode()
-        )
+        return BatchJournal._frames([(index, record, delivery)])[0]
+
+    @staticmethod
+    def _frames(entries) -> list[bytes]:
+        """``frame_record`` of each entry's payload; a run of entries
+        sharing client and header fields encodes those once."""
+        frames = []
+        for (client, *header), run in groupby(entries, lambda e: (
+            e[2] and e[2][0], e[1].session_id, e[1].timestamp,
+            e[1].truth_event,
+        )):
+            head = "{" if client is None else (
+                f'{{"client": {_json_str(client)}, '
+            )
+            tail = "".join(
+                f', "{key}": {_json_or_null(value)}' for key, value
+                in zip(("session_id", "timestamp", "truth_event"), header)
+            ) + "}"
+            frames += [frame_bytes((
+                f'{head}"content": {_json_str(record.content)}, '
+                f'"index": {index}'
+                + ("" if delivery is None else _SEQ % delivery[1]) + tail
+            ).encode()) for index, record, delivery in run]
+        return frames
 
     @staticmethod
     def _thaw(payload: dict) -> tuple[int, LogRecord, tuple | None]:
@@ -289,7 +302,7 @@ class BatchJournal:
         Not thread-safe, and must not interleave with :meth:`reset`
         (see :class:`DeliveryFront`, which states the invariant).
         """
-        self._log.extend([self._frame(*entry) for entry in entries])
+        self._log.extend(self._frames(entries))
 
     def append(self, index: int, record: LogRecord, delivery=None) -> None:
         """Journal one entry: a batch of one."""
@@ -303,7 +316,7 @@ class BatchJournal:
         """Atomically rewrite the journal to exactly *entries*:
         ``(index, record)`` pairs or ``(index, record, delivery)``
         triples."""
-        self._log.rewrite([self._frame(*entry) for entry in entries])
+        self._log.rewrite(self._frames((*e, None)[:3] for e in entries))
 
     def remove(self) -> None:
         self._log.remove()
@@ -366,56 +379,55 @@ class DeliveryFront:
         """*client*'s cumulative acknowledgement watermark."""
         return self._window(client).high
 
-    def admit(
-        self, record: LogRecord, client: str | None = None, seq: int = 0
-    ) -> tuple[str, int | None, list[tuple]]:
-        """Take ownership of one arrival: a batch of one."""
-        return self.admit_all([(record, seq)], client)[0]
-
     def admit_all(
         self, arrivals, client: str | None = None
-    ) -> list[tuple[str, int | None, list[tuple]]]:
+    ) -> tuple[list, list[tuple]]:
         """Take ownership of one client's ``(record, seq)`` arrivals,
-        all or nothing: one ``(status, high, entries)`` per arrival.
+        all or nothing: returns ``(firsts, entries)``, the released
+        ``(index, record, (client, seq))`` triples in index order and
+        per arrival the position of the first entry it released, or
+        the window's verdict (``duplicate`` / ``pending``).
 
-        *status* is the window's verdict (``duplicate`` / ``pending`` /
-        ``release``), *high* the watermark to acknowledge, *entries*
-        the ``(index, record, (client, seq))`` triples the arrival
-        released, in sequence order.  The batch is journaled with one
-        write + flush (the commit) before this returns, so whatever
-        the caller then acks or feeds, a ``SIGKILL`` replays.  A failed
-        commit rewinds the window and :attr:`next_index` and re-raises:
-        nothing of the batch is owned, so resends are admitted.  With
-        no *client* the records are v1 lines on a v2 host: never
-        deduplicated or acked, but indexed and journaled, because a
-        resumed worker treats a hole in the journal's indices as a
-        lost record.
+        The batch is journaled with one write + flush (the commit)
+        before this returns, so whatever the caller then acks or
+        feeds, a ``SIGKILL`` replays.  A failed commit rewinds the
+        window and :attr:`next_index` and re-raises: nothing of the
+        batch is owned, so resends are admitted.  With no *client* the
+        records are v1 lines on a v2 host: never deduplicated or acked,
+        but indexed and journaled, because a resumed worker treats a
+        hole in the journal's indices as a lost record.
         """
         window = None if client is None else self._window(client)
-        undo = self.next_index, window and (window.high, dict(window._pending))
-        results, entries = [], []
-        for record, seq in arrivals:
-            if window is None:
-                status, high, released = "release", None, [(None, record)]
-            else:
-                status, released = window.observe(seq, record)
-                high = window.high
-            fresh = [
-                (self.next_index + offset, rrecord,
-                 None if client is None else (client, rseq))
-                for offset, (rseq, rrecord) in enumerate(released)
+        start = self.next_index
+        undo = window and (window.high, dict(window._pending))
+        if window is None or not window._pending and [
+            seq for _, seq in arrivals
+        ] == list(range(window.high + 1, window.high + 1 + len(arrivals))):
+            entries = [
+                (start + offset, record, window and (client, seq))
+                for offset, (record, seq) in enumerate(arrivals)
             ]
-            self.next_index += len(fresh)
-            entries += fresh
-            results.append((status, high, fresh))
+            firsts = list(range(len(entries)))
+            if window is not None:
+                window.high += len(entries)
+        else:
+            firsts, entries = [], []
+            for record, seq in arrivals:
+                status, released = window.observe(seq, record)
+                firsts.append(len(entries) if released else status)
+                entries += [
+                    (start + len(entries) + offset, rrecord, (client, rseq))
+                    for offset, (rseq, rrecord) in enumerate(released)
+                ]
+        self.next_index = start + len(entries)
         try:
             self._journal.extend(entries)
         except Exception:
-            self.next_index = undo[0]
+            self.next_index = start
             if window is not None:
-                window.high, window._pending = undo[1]
+                window.high, window._pending = undo
             raise
-        return results
+        return firsts, entries
 
     def prune(self, survivors) -> None:
         """A checkpoint landed: rewrite the journal to *survivors*."""
@@ -443,9 +455,9 @@ class FrontStage:
     A host supplies ``_lock`` (the front's one critical section) and
     :meth:`_deliver`, the way a released batch of ``(index, record,
     delivery)`` entries reaches its engine: inline on the thread host,
-    into the worker's outbox on the process host.  :meth:`submit_seqs`
-    is the one v2 path: it delivers a batch only after the batch's
-    journal commit, and :meth:`submit_seq` is its batch of one.
+    into the worker's outbox on the process host.  :meth:`submit_many`
+    and :meth:`submit_seqs` (v2: delivered only after its commit) take
+    batches; :meth:`submit` and :meth:`submit_seq` batches of one.
     """
 
     def _open_front(
@@ -484,22 +496,27 @@ class FrontStage:
         raise NotImplementedError
 
     def submit(self, record: LogRecord) -> str:
-        """Take one unsequenced record; returns its outcome tag.
+        """Take one unsequenced record: a batch of one."""
+        return self.submit_many([record])[0]
 
-        A v2 host indexes and journals it like its acked neighbours,
-        but never deduplicates or acks it.
-        """
+    def submit_many(self, records: list[LogRecord]) -> list[str]:
+        """Take unsequenced records, one outcome tag each; a v2 host
+        journals them, but never deduplicates or acks them."""
         with self._lock:
             refusal = self._refusal()
             if refusal is not None:
-                return refusal
+                return [refusal] * len(records)
             if self._front is not None:
-                return self._deliver(self._front.admit(record)[2])[0]
-            index = self._next_index
-            self._next_index += 1
-            if index < self._skip:
-                return REPLAYED
-            return self._deliver([(index, record, None)])[0]
+                return self._deliver(
+                    self._front.admit_all([(r, 0) for r in records])[1]
+                )
+            start = self._next_index
+            self._next_index += len(records)
+            replayed = min(len(records), max(0, self._skip - start))
+            return [REPLAYED] * replayed + self._deliver([
+                (start + offset, record, None)
+                for offset, record in enumerate(records[replayed:], replayed)
+            ])
 
     def submit_seq(
         self, record: LogRecord, client: str, seq: int
@@ -529,15 +546,12 @@ class FrontStage:
             refusal = self._refusal()
             if refusal is not None:
                 return [refusal] * len(arrivals), self._front.high(client)
-            admitted = self._front.admit_all(arrivals, client)
-            tags = self._deliver(
-                [entry for _, _, entries in admitted for entry in entries]
-            )
-            outcomes, at = [], 0
-            for status, _, entries in admitted:
-                outcomes.append(tags[at] if entries else status)
-                at += len(entries)
-            return outcomes, self._front.high(client)
+            firsts, released = self._front.admit_all(arrivals, client)
+            tags = self._deliver(released)
+            return [
+                first if isinstance(first, str) else tags[first]
+                for first in firsts
+            ], self._front.high(client)
 
     def _front_checkpointed(self, survivors=()) -> None:
         """A checkpoint landed: keep *survivors* journaled (under the

@@ -15,7 +15,7 @@ Front ends:
   tenant-attributed quarantine records, never crashes.
 * :func:`replay_lines` — the in-process adapter: feed any iterable of
   tagged lines (a file, a generator, a test) through the same
-  admission/routing path the TCP server uses.
+  admission/routing path the TCP server uses, one chunk at a time.
 
 Protocol-level garbage — lines with no tab, tenant keys outside
 ``[A-Za-z0-9._-]{1,64}``, partial lines cut by a disconnect — lands in
@@ -31,6 +31,7 @@ import re
 import socket
 import threading
 import time
+from collections import defaultdict
 from collections.abc import Iterable
 
 from repro.common.errors import ValidationError
@@ -247,72 +248,100 @@ class IngestionService:
     # Ingest
     # ------------------------------------------------------------------
 
-    def _protocol_reject(
-        self, payload: str, origin: str, detail: str, tenant: str | None = None
-    ) -> None:
-        """Quarantine unroutable input.  A *tenant* label marks a whole
-        submitted line (counted); ``None`` a dangling fragment."""
-        with self._lock:
-            self.quarantine.add(
-                QuarantineRecord(
-                    source=origin,
-                    line_no=self._submitted,
-                    byte_offset=-1,
-                    reason=REASON_PROTOCOL,
-                    detail=detail,
-                    preview=payload[:200],
-                )
-            )
-            if tenant is not None:
-                self._submitted += 1
-        if tenant is not None:
-            self._count_rejection(tenant, PROTOCOL)
+    def _reject(self, payload: str, line_no: int, origin: str, detail: str):
+        """Quarantine unroutable input (under the lock)."""
+        self.quarantine.add(QuarantineRecord(
+            source=origin, line_no=line_no, byte_offset=-1,
+            reason=REASON_PROTOCOL, detail=detail, preview=payload[:200],
+        ))
 
-    def _count_rejection(self, tenant: str, cause: str) -> None:
+    def _route(self, lines: list[str], origin: str, client: str | None):
+        """The one router: a chunk of lines, one batch per tenant (see
+        DESIGN §11).  Returns one ``(outcome, tenant, high)`` per line,
+        *high* being the client's ack watermark after the tenant's
+        batch, or ``None`` when no ack may be sent, and the errors of
+        the batches that raised (their lines' outcome is ``error``)."""
+        shape = ("" if client is None else "seq ") + "tenant<TAB>content"
+        results: list = [None] * len(lines)
+        batches: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+        refused, valid = [], set()
+        with self._lock:
+            base = self._submitted  # line k is submission base + k
+            for at, line in enumerate(lines):
+                line = payload = line.rstrip("\r")
+                if client is not None:
+                    parsed = parse_data(line)
+                    if parsed is None:
+                        self._reject(line, base + at, origin,
+                                     f"no sequence number (expected {shape})")
+                        refused.append(("<none>", PROTOCOL))
+                        results[at] = (PROTOCOL, None, None)
+                        continue
+                    seq, payload = parsed
+                tenant, sep, content = payload.partition("\t")
+                if not sep or tenant not in valid:
+                    if not sep or not TENANT_KEY_RE.match(tenant):
+                        self._reject(line, base + at, origin, (
+                            f"invalid tenant key {tenant[:64]!r}" if sep
+                            else f"no tenant key (expected {shape})"
+                        ))
+                        refused.append((tenant or "<none>", PROTOCOL))
+                        results[at] = (PROTOCOL, None, None)
+                        continue
+                    valid.add(tenant)
+                if self.admission is not None:
+                    admitted, cause = self.admission.admit(tenant)
+                    if not admitted:
+                        refused.append((tenant, cause))
+                        results[at] = (cause, tenant, None)
+                        continue
+                ats, items = batches[tenant]
+                ats.append(at)
+                record = LogRecord(content)
+                items.append(record if client is None else (record, seq))
+            self._submitted += len(lines)
         if self.telemetry is not None:
-            self.telemetry.metrics.get(
+            rejected = self.telemetry.metrics.get(
                 "repro_service_rejected_total"
-            ).labels(tenant=tenant, cause=cause).inc()
-
-    def _route(self, line: str, payload: str, origin: str, shape: str):
-        """The one router: tenant split, key validation, admission.
-
-        *payload* is the ``tenant<TAB>content`` part of *line* (all of
-        it under v1); a reject quarantines *line* and names *shape* as
-        the expected format.  Returns ``(refusal, tenant, content)``;
-        *refusal* is ``None`` when the tenant's shard should see it.
-        """
-        tenant, sep, content = payload.partition("\t")
-        if not sep or not TENANT_KEY_RE.match(tenant):
-            detail = (
-                f"invalid tenant key {tenant[:64]!r}" if sep
-                else f"no tenant key (expected {shape})"
             )
-            self._protocol_reject(line, origin, detail, tenant or "<none>")
-            return PROTOCOL, None, content
-        with self._lock:
-            self._submitted += 1
-            if self.admission is not None:
-                admitted, cause = self.admission.admit(tenant)
-                if not admitted:
-                    self._count_rejection(tenant, cause)
-                    return cause, tenant, content
-        return None, tenant, content
+            for tenant, cause in refused:
+                rejected.labels(tenant=tenant, cause=cause).inc()
+        errors = []
+        for tenant, (ats, items) in batches.items():
+            high = None
+            try:
+                shard = self.shard(tenant)
+                if client is None:
+                    outcomes = shard.submit_many(items)
+                else:
+                    outcomes, high = shard.submit_seqs(items, client)
+            except Exception as error:  # noqa: BLE001 - other tenants go on
+                errors.append(error)
+                outcomes, high = [ERROR] * len(items), None
+            for at, outcome in zip(ats, outcomes):
+                results[at] = (outcome, tenant, high)
+            duplicates = outcomes.count(DUPLICATE)
+            if duplicates and self.telemetry is not None:
+                self.telemetry.metrics.get(
+                    "repro_delivery_duplicates_suppressed_total"
+                ).labels(tenant=tenant).inc(duplicates)
+        return results, errors
 
     def submit_line(self, line: str, origin: str = "<stream>") -> str:
-        """Route one tagged line; returns the outcome tag.
+        """Route one tagged line (a chunk of one); returns the outcome.
 
         Outcomes: the shard tags (``accepted``/``replayed``/
         ``rejected``/``quarantined``/``breaker``) or the service tags
         (``protocol``/``rate``/``sampled``/``shed``).
         """
-        line = line.rstrip("\r")
-        refusal, tenant, content = self._route(
-            line, line, origin, "tenant<TAB>content"
-        )
-        if refusal is not None:
-            return refusal
-        return self.shard(tenant).submit(LogRecord(content=content))
+        results, errors = self.submit_lines([line], origin)
+        if errors:
+            raise errors[0]
+        return results[0][0]
+
+    def submit_lines(self, lines: list[str], origin: str = "<stream>"):
+        """Route ``tenant<TAB>content`` lines (see :meth:`_route`)."""
+        return self._route(lines, origin, None)
 
     def submit_line_v2(
         self, line: str, client: str, origin: str = "<stream>"
@@ -330,65 +359,20 @@ class IngestionService:
     def submit_lines_v2(
         self, lines: list[str], client: str, origin: str = "<stream>"
     ) -> tuple[list[tuple[str, str | None, int | None]], list[Exception]]:
-        """Route sequence-tagged lines (protocol v2), one batch per tenant.
-
-        Every line is routed in arrival order; then each tenant's
-        lines go to its shard as one ``submit_seqs`` batch.  Returns
-        one ``(outcome, tenant, high)`` per line and the errors of the
-        batches that raised.  *high* is the client's ack watermark
-        after the tenant's batch — every sequence it covers is durably
-        owned — or ``None`` when no ack may be sent: the line was
-        unroutable (``protocol``), shed by admission, or in a batch
-        that raised (``error``); the client must resend.
-        """
+        """Route sequence-tagged lines (protocol v2; see :meth:`_route`):
+        every sequence a returned *high* covers is durably owned, and a
+        line with no *high* must be resent."""
         if self.protocol != PROTOCOL_V2:
             raise ValidationError(
                 "sequence-tagged lines require a protocol-v2 service"
             )
-        results: list = []
-        batches: dict[str, list] = {}
-        detail = "no sequence number (expected seq<SP>tenant<TAB>content)"
-        for line in lines:
-            line = line.rstrip("\r")
-            parsed = parse_data(line)
-            if parsed is None:
-                self._protocol_reject(line, origin, detail, "<none>")
-                results.append((PROTOCOL, None, None))
-                continue
-            seq, payload = parsed
-            refusal, tenant, content = self._route(
-                line, payload, origin, "seq tenant<TAB>content"
-            )
-            if refusal is None:
-                batches.setdefault(tenant, []).append(
-                    (len(results), LogRecord(content=content), seq)
-                )
-            results.append((refusal, tenant, None))
-        errors = []
-        for tenant, batch in batches.items():
-            try:
-                outcomes, high = self.shard(tenant).submit_seqs(
-                    [(record, seq) for _, record, seq in batch], client
-                )
-            except Exception as error:  # noqa: BLE001 - other tenants go on
-                errors.append(error)
-                outcomes, high = [ERROR] * len(batch), None
-            for (at, _, _), outcome in zip(batch, outcomes):
-                results[at] = (outcome, tenant, high)
-            duplicates = outcomes.count(DUPLICATE)
-            if duplicates and self.telemetry is not None:
-                self.telemetry.metrics.get(
-                    "repro_delivery_duplicates_suppressed_total"
-                ).labels(tenant=tenant).inc(duplicates)
-        return results, errors
+        return self._route(lines, origin, client)
 
     def note_partial(self, fragment: str, origin: str) -> None:
         """A connection died mid-line; quarantine the dangling bytes."""
-        self._protocol_reject(
-            fragment,
-            origin,
-            "partial line: connection closed before newline",
-        )
+        with self._lock:
+            self._reject(fragment, self._submitted, origin,
+                         "partial line: connection closed before newline")
 
     # ------------------------------------------------------------------
     # Drain
@@ -476,6 +460,10 @@ class IngestionService:
         return "\n".join(lines)
 
 
+#: Lines :func:`replay_lines` routes as one chunk.
+REPLAY_CHUNK = 512
+
+
 def replay_lines(
     service: IngestionService,
     lines: Iterable[str],
@@ -483,22 +471,36 @@ def replay_lines(
     *,
     guard=None,
 ) -> dict[str, int]:
-    """In-process source adapter: submit *lines*, count outcomes.
+    """In-process source adapter: submit *lines* by chunks, count outcomes.
 
     *guard* is an optional
     :class:`~repro.service.signals.ShutdownGuard`; it is checked
-    between lines, so a graceful-shutdown signal stops the replay at a
-    line boundary with every shard in a drainable state.
+    before each line, and a trip submits the lines before it, so a
+    graceful-shutdown signal stops the replay at a line boundary.
     """
     outcomes: dict[str, int] = {}
-    for line in lines:
-        if guard is not None:
-            guard.check()
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        outcome = service.submit_line(line, origin)
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    chunk: list[str] = []
+
+    def submit() -> None:
+        results, errors = service.submit_lines(chunk, origin)
+        chunk.clear()
+        if errors:
+            raise errors[0]
+        for outcome, _, _ in results:
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+
+    try:
+        for line in lines:
+            if guard is not None:
+                guard.check()
+            line = line.rstrip("\n")
+            if line:
+                chunk.append(line)
+            if len(chunk) == REPLAY_CHUNK:
+                submit()
+    finally:
+        if chunk:
+            submit()
     return outcomes
 
 
@@ -582,10 +584,10 @@ class LineServer:
             telemetry.metrics.get("repro_delivery_acked_total").inc(frames)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
-        """One connection's read loop: after a v2 ``HELLO``, each
-        chunk's complete lines go to one ``submit_lines_v2`` call (one
-        journal commit per tenant), and the owed ``ACK`` frames leave
-        in one write after it returns."""
+        """One connection's read loop: each chunk's complete lines go
+        to one route call, ``submit_lines_v2`` after a v2 ``HELLO`` (one
+        journal commit per tenant) or ``submit_lines``, and the owed
+        ``ACK`` frames leave in one write after it returns."""
         origin = f"tcp:{addr[0]}:{addr[1]}"
         buffer = b""
         outcome = "eof"
@@ -618,10 +620,11 @@ class LineServer:
                     break
                 if not data:
                     break
-                *lines, buffer = (buffer + data).split(b"\n")
-                texts = [
-                    raw.decode("utf-8", errors="replace") for raw in lines
-                ]
+                # No UTF-8 sequence holds b"\n": decode once, then split.
+                complete, newline, buffer = (buffer + data).rpartition(b"\n")
+                texts = complete.decode("utf-8", errors="replace").split(
+                    "\n"
+                ) if newline else []
                 if texts and first_line:
                     first_line = False
                     # A first line that is not a HELLO is a v1 client's:
@@ -636,28 +639,21 @@ class LineServer:
                             buffer = b""
                             raise _ConnectionDone()
                         del texts[0]
-                # Highest cumulative watermark owed per tenant for this
-                # chunk; each came back after its tenant's batch commit.
-                owed: dict[str, int] = {}
-                errors = []
-                if client_id is None:
-                    for text in texts:
-                        try:
-                            self.service.submit_line(text, origin)
-                            ingested = True
-                        except Exception as error:  # noqa: BLE001
-                            errors.append(error)
-                elif texts:
+                results, errors = [], []
+                if texts:
                     try:
-                        results, errors = self.service.submit_lines_v2(
-                            texts, client_id, origin
+                        results, errors = (
+                            self.service.submit_lines(texts, origin)
+                            if client_id is None else
+                            self.service.submit_lines_v2(
+                                texts, client_id, origin
+                            )
                         )
                         ingested = True
                     except Exception as error:  # noqa: BLE001
-                        results, errors = [], [error]
-                    for _, tenant, high in results:
-                        if high is not None and high > owed.get(tenant, -1):
-                            owed[tenant] = high
+                        errors = [error]
+                # One ack per tenant batch, each after its commit.
+                owed = {t: h for _, t, h in results if h is not None}
                 for error in errors:
                     # Shards never let tenant faults escape; anything
                     # landing here is a service bug or a failed journal

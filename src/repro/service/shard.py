@@ -33,7 +33,7 @@ Isolation invariants:
   tripped tenant cannot perturb a neighbor's bytes.
 
 Replay/at-least-once contract: every entry reaches the engine
-through :meth:`TenantShard.step`, on either host, which answers an
+through :meth:`TenantShard.step_many`, on either host, which answers an
 index below the restored ``position`` ``replayed``, so a source that
 replays from the beginning produces no duplicates and loses nothing.
 Per-tenant stats reach a registry through :func:`sync_tenant_stats`
@@ -396,37 +396,49 @@ class TenantShard(FrontStage):
                 self._mirror_ack(delivery)
         return super().submit(record)
 
-    def _deliver(self, entries: list[tuple]) -> list[str]:
-        """The thread host feeds a released batch inline."""
-        return [self.step(*entry) for entry in entries]
-
     def step(
         self, index: int, record: LogRecord, delivery=None,
         enqueued_at: float | None = None,
     ) -> str:
-        """Take one ``(index, record, delivery)`` entry a front released.
+        """Take one entry a front released: a batch of one."""
+        return self.step_many([(index, record, delivery)], enqueued_at)[0]
+
+    def step_many(
+        self, entries: list[tuple], enqueued_at: float | None = None
+    ) -> list[str]:
+        """Take ``(index, record, delivery)`` entries a front released.
 
         An *index* below :attr:`position` is ``replayed``; one above it
         is a ``gap``, refused; the one at it is fed and gets a
-        :meth:`submit` tag.  *enqueued_at* is the process host's
-        enqueue stamp (``time.monotonic``): latency counts from it.
-        The caller holds the lock or is the worker's one thread.
+        :meth:`submit` tag.  Latency runs from the previous entry's end
+        (the first's: *enqueued_at*, the process host's enqueue stamp,
+        or the batch start).  The caller holds the lock or is the
+        worker's one thread.
         """
-        if index != self.position:
-            return REPLAYED if index < self.position else GAP
-        self.position += 1
-        if delivery is not None:
+        outcomes, acked = [], {}
+        feed, clock, latency = self._feed, time.monotonic, self._latency
+        if latency is not None:
+            mark = clock()
+            if enqueued_at is not None:
+                self._queue_wait.observe(max(0.0, mark - enqueued_at))
+                mark = enqueued_at
+        for index, record, delivery in entries:
+            if index != self.position:
+                outcomes.append(REPLAYED if index < self.position else GAP)
+                continue
+            self.position += 1
+            if delivery is not None:  # a client's seqs rise with index
+                acked[delivery[0]] = delivery[1]
+            outcomes.append(feed(record, index))
+            if latency is not None:
+                now = clock()
+                latency.observe(max(0.0, now - mark))
+                mark = now
+        for delivery in acked.items():
             self._mirror_ack(delivery)
-        if self._latency is None:
-            return self._feed(record, index)
-        started = time.monotonic()
-        if enqueued_at is None:
-            enqueued_at = started
-        else:
-            self._queue_wait.observe(max(0.0, started - enqueued_at))
-        outcome = self._feed(record, index)
-        self._latency.observe(max(0.0, time.monotonic() - enqueued_at))
-        return outcome
+        return outcomes
+
+    _deliver = step_many  # the thread host steps a released batch inline
 
     def _mirror_ack(self, delivery) -> None:
         """Fold a fed record's ``(client, seq)`` into the watermarks."""
@@ -585,29 +597,32 @@ class TenantShard(FrontStage):
                             f"finalize crashed: {type(error).__name__}: "
                             f"{error}"
                         )
-            artifacts: list[tuple[str, str]] = []
+            artifacts: list[tuple] = []
             if result is not None:
                 events_path, structured_path = write_parse_result(
                     result, os.path.join(self.dir, STEM), io=self.io
                 )
-                artifacts.append((events_path, CODEC_LINES))
-                artifacts.append((structured_path, CODEC_LINES))
+                artifacts.append((events_path, CODEC_LINES, None))
+                artifacts.append((structured_path, CODEC_LINES, None))
             self._checkpoint_locked()
             # A clean tenant directory holds only manifest-covered
             # files.
             self._front_drained()
+            # Framed logs count from their writers' pins, not a decode.
             artifacts += [
-                (self.checkpoint_path, CODEC_OPAQUE),
-                (record_log_path(self.checkpoint_path), CODEC_FRAMED),
+                (self.checkpoint_path, CODEC_OPAQUE, None),
+                (record_log_path(self.checkpoint_path), CODEC_FRAMED,
+                 self.engine.record_log[1:]),
             ]
             self.quarantine.close()
             if os.path.exists(self.quarantine_path):
-                artifacts.append((self.quarantine_path, CODEC_FRAMED))
+                pin = self.quarantine.offset()
+                artifacts.append((self.quarantine_path, CODEC_FRAMED, pin))
             manifest = RunManifest(
                 run={"tenant": self.tenant, "parser": self.parser_name}
             )
-            for path, codec in artifacts:
-                manifest.add(path, codec=codec)
+            for path, codec, pin in artifacts:
+                manifest.add(path, codec=codec, pin=pin)
             manifest.write(self.manifest_path, io=self.io)
             counters = self.engine.counters
             summary = {

@@ -200,10 +200,13 @@ class TestDeliveryFrontRecovery:
         assert front.next_index == 6
 
         # Resends of the backlog are duplicates; new work takes the
-        # next index and is on disk before admit returns.
-        assert front.admit(self._record(3), "a", 3) == (DUPLICATE, 3, [])
-        status, high, entries = front.admit(self._record(6), "b", 3)
-        assert (status, high) == ("release", 3)
+        # next index and is on disk before admit_all returns.
+        assert front.admit_all([(self._record(3), 3)], "a") == (
+            [DUPLICATE], []
+        )
+        assert front.high("a") == 3
+        firsts, entries = front.admit_all([(self._record(6), 3)], "b")
+        assert (firsts, front.high("b")) == ([0], 3)
         assert [(i, d) for i, _, d in entries] == [(6, ("b", 3))]
         assert read_jsonl_payloads(str(tmp_path / JOURNAL_NAME))[-1][
             "index"
@@ -212,16 +215,17 @@ class TestDeliveryFrontRecovery:
 
     def test_gap_is_held_then_released_in_sequence_order(self, tmp_path):
         front = DeliveryFront(str(tmp_path), 0, {})
-        assert front.admit(self._record(2), "a", 2) == (PENDING, 0, [])
+        assert front.admit_all([(self._record(2), 2)], "a") == ([PENDING], [])
+        assert front.high("a") == 0
         assert not os.path.exists(tmp_path / JOURNAL_NAME), "held ≠ owned"
-        status, high, entries = front.admit(self._record(1), "a", 1)
-        assert (status, high) == ("release", 2)
+        firsts, entries = front.admit_all([(self._record(1), 1)], "a")
+        assert (firsts, front.high("a")) == ([0], 2)
         assert [(i, r.content, d) for i, r, d in entries] == [
             (0, "line 1", ("a", 1)), (1, "line 2", ("a", 2)),
         ]
         # An unsequenced line is owned and indexed, never acked.
-        assert front.admit(self._record(9)) == (
-            "release", None, [(2, self._record(9), None)]
+        assert front.admit_all([(self._record(9), 0)]) == (
+            [0], [(2, self._record(9), None)]
         )
         front.prune(entries[1:])
         front.close()
