@@ -41,7 +41,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
-from repro.observability.events import EventLog, load_events
+from repro.observability.events import EventLog
 from repro.observability.metrics import Histogram, MetricsRegistry
 
 #: Alert lifecycle states.
@@ -496,15 +496,11 @@ def default_rules(
 
 
 def load_alerts(path: str, io=None) -> list[dict]:
-    """Read back a durable alert log, recovering any torn tail first.
+    """Read back a durable alert log, once, through its writer's
+    recovery, which truncates a torn tail as quarantine's does."""
+    from repro.resilience.durability import DurableJsonlWriter
 
-    The same crash-consistency contract as quarantine: a process that
-    died mid-append leaves a torn frame, which recovery truncates back
-    to the last complete alert before reading.
-    """
-    from repro.resilience.durability import recover_jsonl
-
-    recover_jsonl(path, io=io)
     return [
-        event for event in load_events(path) if event.get("kind") == "alert"
+        event for event in DurableJsonlWriter(path, io=io).recovered
+        if event.get("kind") == "alert"
     ]

@@ -27,7 +27,9 @@ containment layer, in four parts:
   --proc-faults`` / ``send --net-faults`` CLI;
 * :mod:`~repro.resilience.durability` — crash-consistent artifact IO:
   atomic whole-file writes (temp + fsync + rename + dir fsync),
-  length+CRC32-framed JSONL with torn-tail recovery, and run-end
+  length+CRC32-framed JSONL whose one writer,
+  :class:`DurableJsonlWriter`, is the only code that recovers a torn
+  tail or rolls a file back to a checkpoint's pin, and run-end
   integrity manifests checked by ``repro verify-run``.
 """
 
@@ -45,7 +47,6 @@ from repro.resilience.checkpoint import (
 from repro.resilience.durability import (
     AtomicWriter,
     DurableJsonlWriter,
-    JsonlRecovery,
     ManifestReport,
     RealIO,
     RunManifest,
@@ -54,8 +55,6 @@ from repro.resilience.durability import (
     ensure_artifact,
     load_manifest,
     read_jsonl_payloads,
-    reconcile_jsonl,
-    recover_jsonl,
     verify_manifest,
 )
 from repro.resilience.faults import (
@@ -101,7 +100,6 @@ __all__ = [
     "save_checkpoint",
     "AtomicWriter",
     "DurableJsonlWriter",
-    "JsonlRecovery",
     "ManifestReport",
     "RealIO",
     "RunManifest",
@@ -110,8 +108,6 @@ __all__ = [
     "ensure_artifact",
     "load_manifest",
     "read_jsonl_payloads",
-    "reconcile_jsonl",
-    "recover_jsonl",
     "verify_manifest",
     "ChunkFault",
     "FaultyIO",

@@ -23,13 +23,14 @@ the rebuilt engine, failing with
 
 Checkpoints also carry the byte/record offsets of the run's
 append-mode JSONL artifacts (quarantine sinks) at save time, keyed by
-path relative to the checkpoint's directory, so a resume can reconcile
-those files — truncating records written after
-the checkpoint that the replayed stream will re-emit — via
-:func:`~repro.resilience.durability.reconcile_jsonl`.  One is the
-checkpoint's own **record log** (:func:`record_log_path`): a save
-appends the records retained since the last one and fsyncs them
-before it renames the checkpoint, so the JSON never holds the history.
+path relative to the checkpoint's directory, so a resume can roll
+those files back — cutting records written after the checkpoint that
+the replayed stream will re-emit — through
+:meth:`~repro.resilience.durability.DurableJsonlWriter.cut`.  One is
+the checkpoint's own **record log** (:func:`record_log_path`): a save
+cuts it to its pin, appends the records retained since the last one
+and fsyncs them before it renames the checkpoint, so the JSON never
+holds the history.
 
 A run on a ladder that can step saves its ``ladder`` state too, and a
 resume rebuilds the flush parser from the rung it names.  A service
@@ -53,7 +54,6 @@ from repro.resilience.durability import (
     frame_bytes,
     json_or_null,
     json_str,
-    reconcile_jsonl,
     scan_framed,
 )
 
@@ -400,10 +400,14 @@ def resume_streaming_parser(
     telemetry=None,
     **engine_kwargs,
 ) -> "tuple[StreamCheckpoint, StreamingParser]":
-    """Load *path*, roll pinned artifacts (the log too) back, restore.
+    """Load *path*, roll pinned artifacts back, restore the engine.
 
-    A *ladder* takes the saved position, and its rung replaces
-    *factory*.  *engine_kwargs* go to :func:`restore_streaming_parser`.
+    The ``quarantine`` sink's own writer cuts its pinned file back (it
+    recovers once, then cuts); a fresh writer cuts any other pinned
+    path.  The record log is left to the first save, which cuts it to
+    the engine's pin.  A *ladder* takes the saved position, and its
+    rung replaces *factory*.  *engine_kwargs* go to
+    :func:`restore_streaming_parser`.
     """
     checkpoint = load_checkpoint(
         path, telemetry=telemetry, parser=parser, ladder=ladder
@@ -411,13 +415,17 @@ def resume_streaming_parser(
     if ladder is not None:
         ladder.restore(checkpoint.ladder)
         factory = ladder.current.build_parser
-    for artifact_path, offsets in checkpoint.artifacts.items():
-        reconcile_jsonl(
-            os.path.join(os.path.dirname(path), artifact_path),
-            offsets["bytes"],
-            io=io,
-            telemetry=telemetry,
-        )
+    sink = engine_kwargs.get("quarantine")
+    for name, pin in checkpoint.artifacts.items():
+        if name == os.path.basename(checkpoint.record_log[0]):
+            continue
+        artifact = os.path.abspath(os.path.join(os.path.dirname(path), name))
+        writer = getattr(sink, "writer", None)
+        if writer is None or os.path.abspath(writer.path) != artifact:
+            writer = DurableJsonlWriter(artifact, io=io, telemetry=telemetry)
+        with writer:  # a close only gives the handle back
+            if writer.offset()[0] != pin["bytes"]:
+                writer.cut((pin["bytes"], pin["records"]))
     engine = restore_streaming_parser(
         checkpoint, factory, telemetry=telemetry, **engine_kwargs
     )

@@ -15,15 +15,17 @@ module is the durability layer those writers now share:
   Readers see either the complete old artifact or the complete new
   one, never a half-written hybrid.
 
-* :class:`DurableJsonlWriter` / :func:`recover_jsonl` — the one
-  append-mode writer of JSONL with per-record length+CRC32 framing::
+* :class:`DurableJsonlWriter` — the one append-mode writer of JSONL
+  with per-record length+CRC32 framing::
 
       0000002f c47ab1e9 {"kind": "quarantine", ...}
 
-  A torn tail (the record a crashing writer got halfway through) fails
-  the frame check, and recovery truncates the file back to the last
-  complete record instead of letting garbage propagate.  The payload
-  stays on the line in plain JSON, so ``grep`` keeps working.
+  and the only code that recovers or rolls one back.  A torn tail
+  (the record a crashing writer got halfway through) fails the frame
+  check, and recovery truncates the file back to the last complete
+  record instead of letting garbage propagate; ``cut`` rolls it back
+  to a checkpoint's pin.  The payload stays on the line in plain
+  JSON, so ``grep`` keeps working.
 
 * :class:`RunManifest` / :func:`verify_manifest` /
   :func:`diff_manifests` — a run-end integrity manifest recording
@@ -120,6 +122,17 @@ class RealIO:
 
 def _coerce_io(io: RealIO | None) -> RealIO:
     return io if io is not None else RealIO()
+
+
+def _file_size(path: str) -> int:
+    return os.path.getsize(path) if os.path.exists(path) else 0
+
+
+def _ends_frame(path: str, offset: int) -> bool:
+    """Whether the byte before *offset* is a newline."""
+    with open(path, "rb") as handle:
+        handle.seek(offset - 1)
+        return handle.read(1) == b"\n"
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +295,7 @@ def _note_artifact_write(telemetry, kind: str, outcome: str, path: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Framed JSONL: append, recover, reconcile
+# Framed JSONL: frames, and the one writer that appends, recovers, cuts
 # ----------------------------------------------------------------------
 
 
@@ -329,23 +342,6 @@ def parse_frame(line: bytes) -> dict | list | None:
     return record if isinstance(record, (dict, list)) else None
 
 
-@dataclass
-class JsonlRecovery:
-    """What :func:`recover_jsonl` found (and possibly repaired).
-
-    Attributes:
-        path: the file inspected.
-        records: the decoded complete-record prefix.
-        valid_bytes: length of that prefix on disk.
-        truncated: True when the torn tail was cut off on disk.
-    """
-
-    path: str
-    records: list[dict] = field(default_factory=list)
-    valid_bytes: int = 0
-    truncated: bool = False
-
-
 def scan_framed(data: bytes) -> tuple[list[dict], int]:
     """Decode the longest valid framed prefix of *data*.
 
@@ -365,100 +361,6 @@ def scan_framed(data: bytes) -> tuple[list[dict], int]:
         records.append(record)
         pos = newline + 1
     return records, pos
-
-
-def recover_jsonl(
-    path: str, *, io: RealIO | None = None, telemetry=None
-) -> JsonlRecovery:
-    """Validate a framed JSONL file and cut off its torn tail.
-
-    A missing file recovers to an empty, zero-byte state.  Otherwise
-    the file is physically truncated to the last complete record and
-    fsynced, so downstream consumers — and the appending writer about
-    to reopen it — see only intact records.
-    """
-    io = _coerce_io(io)
-    recovery = JsonlRecovery(path=path)
-    if not os.path.exists(path):
-        return recovery
-    with open(path, "rb") as handle:
-        data = handle.read()
-    recovery.records, recovery.valid_bytes = scan_framed(data)
-    dropped = len(data) - recovery.valid_bytes
-    if dropped:
-        try:
-            io.truncate(path, recovery.valid_bytes)
-        except OSError as error:
-            raise ArtifactWriteError(
-                f"could not truncate torn tail of {path}: {error}"
-            ) from error
-        recovery.truncated = True
-        if telemetry is not None:
-            telemetry.metrics.get(
-                "repro_jsonl_recovered_bytes_total"
-            ).inc(dropped)
-            telemetry.events.emit(
-                "jsonl_recovery",
-                path=path,
-                dropped_bytes=dropped,
-                records=len(recovery.records),
-            )
-    return recovery
-
-
-def reconcile_jsonl(
-    path: str,
-    valid_bytes: int,
-    *,
-    io: RealIO | None = None,
-    telemetry=None,
-) -> JsonlRecovery:
-    """Roll a framed JSONL artifact back to a checkpointed offset.
-
-    On resume, records appended *after* the last checkpoint was taken
-    would be re-emitted by the replayed stream and duplicated; this
-    truncates the (already torn-tail-recovered) file to the byte
-    offset the checkpoint recorded.  The offset must fall on a record
-    boundary of the surviving prefix — anything else means the file
-    and checkpoint disagree about history, which is corruption, not
-    a tail to trim.
-    """
-    io = _coerce_io(io)
-    recovery = recover_jsonl(path, io=io, telemetry=telemetry)
-    if recovery.valid_bytes < valid_bytes:
-        raise IntegrityError(
-            f"artifact {path} holds {recovery.valid_bytes} valid bytes "
-            f"but the checkpoint recorded {valid_bytes}; the file lost "
-            "checkpointed records and cannot be reconciled"
-        )
-    if recovery.valid_bytes == valid_bytes:
-        return recovery
-    with open(path, "rb") as handle:
-        prefix = handle.read(valid_bytes)
-    records, boundary = scan_framed(prefix)
-    if boundary != valid_bytes:
-        raise IntegrityError(
-            f"checkpointed offset {valid_bytes} of {path} is not a "
-            "record boundary; refusing to reconcile"
-        )
-    try:
-        io.truncate(path, valid_bytes)
-    except OSError as error:
-        raise ArtifactWriteError(
-            f"could not reconcile {path} to {valid_bytes} bytes: {error}"
-        ) from error
-    dropped = recovery.valid_bytes - valid_bytes
-    if telemetry is not None:
-        telemetry.events.emit(
-            "jsonl_reconcile",
-            path=path,
-            dropped_bytes=dropped,
-            records=len(records),
-        )
-    recovery.records = records
-    recovery.valid_bytes = valid_bytes
-    recovery.truncated = True
-    return recovery
 
 
 class DurableJsonlWriter:
@@ -503,21 +405,43 @@ class DurableJsonlWriter:
         self._recovered: list = []
 
     def _recover(self) -> None:
-        if self._at is None:
-            recovery = recover_jsonl(
-                self.path, io=self.io, telemetry=self.telemetry
-            )
-            self._recovered = recovery.records
-            self._at = recovery.valid_bytes, len(recovery.records)
+        """Read the file once, keep its intact prefix, cut the rest."""
+        if self._at is not None:
+            return
+        if not os.path.exists(self.path):
+            self._at = 0, 0
+            return
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        records, valid = scan_framed(data)
+        dropped = len(data) - valid
+        if dropped:
+            self._truncate(valid)
+            if self.telemetry is not None:
+                self.telemetry.metrics.get(
+                    "repro_jsonl_recovered_bytes_total"
+                ).inc(dropped)
+                self.telemetry.events.emit(
+                    "jsonl_recovery", path=self.path, dropped_bytes=dropped,
+                    records=len(records),
+                )
+        self._recovered, self._at = records, (valid, len(records))
+
+    def _truncate(self, length: int) -> None:
+        try:
+            self.io.truncate(self.path, length)
+        except OSError as error:
+            raise ArtifactWriteError(
+                f"could not truncate {self.path} to {length} bytes: {error}"
+            ) from error
 
     def _open(self) -> None:
         """Hold the append handle on a file cut to the known offset."""
         if self._handle is not None:
             return
         self._recover()
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        if size != self._at[0]:
-            self.io.truncate(self.path, self._at[0])
+        if _file_size(self.path) != self._at[0]:
+            self._truncate(self._at[0])
         self._handle = self.io.open(self.path, "ab")
 
     @property
@@ -586,11 +510,27 @@ class DurableJsonlWriter:
         self._at = sum(map(len, frames)), len(frames)
 
     def cut(self, offset: tuple[int, int]) -> None:
-        """Cut the file back to a pinned ``(bytes, records)`` *offset*
-        and hold it open there (an empty file is created)."""
+        """Roll the file back to a pinned ``(bytes, records)`` *offset*
+        and hold it open there (an empty file is created).  A pin past
+        the valid bytes (the recovered offset, else the file's size) or
+        off a frame boundary (only a newline ends a frame) raises
+        :class:`~repro.common.errors.IntegrityError`, touching nothing.
+        """
         self.close()
+        pin = offset[0]
+        valid = _file_size(self.path) if self._at is None else self._at[0]
+        if pin > valid or (pin and not _ends_frame(self.path, pin)):
+            raise IntegrityError(
+                f"cannot cut {self.path} to {pin} of its {valid} valid "
+                "bytes: the pin is past them or not a record boundary"
+            )
         self._at = tuple(offset)
         self._open()
+        if self.telemetry is not None and valid > pin:
+            self.telemetry.events.emit(
+                "jsonl_reconcile", path=self.path,
+                dropped_bytes=valid - pin, records=offset[1],
+            )
 
     def remove(self) -> None:
         """Delete the file; a later append starts a new one."""

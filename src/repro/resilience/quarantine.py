@@ -121,7 +121,7 @@ class QuarantineSink:
         self.path = path
         self.telemetry = telemetry
         self.records: list[QuarantineRecord] = []
-        self._writer = None if path is None else DurableJsonlWriter(
+        self.writer = None if path is None else DurableJsonlWriter(
             path, io=io, telemetry=telemetry
         )
 
@@ -133,8 +133,8 @@ class QuarantineSink:
 
     def add(self, record: QuarantineRecord) -> None:
         self.records.append(record)
-        if self._writer is not None:
-            self._writer.append(asdict(record))
+        if self.writer is not None:
+            self.writer.append(asdict(record))
         if self.telemetry is not None:
             self.telemetry.metrics.get(
                 "repro_quarantine_records_total"
@@ -149,14 +149,14 @@ class QuarantineSink:
         sink with a path reports the on-disk state (a file it has not
         appended to yet is recovered first), not the in-memory count.
         """
-        return (0, 0) if self._writer is None else self._writer.offset()
+        return (0, 0) if self.writer is None else self.writer.offset()
 
     def close(self) -> None:
-        if self._writer is not None:
+        if self.writer is not None:
             try:
-                self._writer.sync()
+                self.writer.sync()
             finally:
-                self._writer.close()
+                self.writer.close()
 
     def __enter__(self) -> "QuarantineSink":
         return self

@@ -147,7 +147,9 @@ def ack_line(tenant: str, high: int) -> bytes:
 def parse_ack(text: str) -> tuple[str, int] | None:
     """Split an ``ACK`` line into ``(tenant, high)``; ``None`` if torn."""
     parts = text.rstrip("\r").split(" ")
-    if len(parts) != 3 or parts[0] != "ACK" or not parts[2].isdigit():
+    if len(parts) != 3 or parts[0] != "ACK" or not (
+        parts[2].isascii() and parts[2].isdigit()
+    ):
         return None
     return parts[1], int(parts[2])
 

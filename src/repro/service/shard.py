@@ -377,25 +377,6 @@ class TenantShard(FrontStage):
 
     # ------------------------------------------------------------------
 
-    def submit(self, record: LogRecord, delivery=None) -> str:
-        """Feed one record through the tenant's failure domain.
-
-        Returns an outcome tag: ``accepted`` (parsed or buffered),
-        ``replayed`` (skipped — a resumed shard already holds it),
-        ``rejected`` (the engine's screen or backpressure refused it;
-        already quarantined/counted by the engine), ``quarantined``
-        (this feed crashed the parser; the record is in quarantine),
-        or ``breaker`` (the circuit breaker is open).  Never raises on
-        tenant-attributable faults — that is the isolation contract.
-
-        *delivery*, a ``(client_id, seq)`` pair, is mirrored into the
-        checkpointed watermarks.
-        """
-        if delivery is not None:
-            with self._lock:
-                self._mirror_ack(delivery)
-        return super().submit(record)
-
     def step(
         self, index: int, record: LogRecord, delivery=None,
         enqueued_at: float | None = None,
@@ -409,11 +390,14 @@ class TenantShard(FrontStage):
         """Take ``(index, record, delivery)`` entries a front released.
 
         An *index* below :attr:`position` is ``replayed``; one above it
-        is a ``gap``, refused; the one at it is fed and gets a
-        :meth:`submit` tag.  Latency runs from the previous entry's end
-        (the first's: *enqueued_at*, the process host's enqueue stamp,
-        or the batch start).  The caller holds the lock or is the
-        worker's one thread.
+        is a ``gap``, refused; the one at it is fed and tagged
+        ``accepted``, ``rejected`` (screen or backpressure),
+        ``quarantined`` (its feed crashed the parser) or ``breaker``,
+        never raising for a tenant's fault, and its *delivery* is
+        mirrored into the checkpointed watermarks.  Latency runs from
+        the previous entry's end (the first's: *enqueued_at*, the
+        process host's enqueue stamp, or the batch start).  The caller
+        holds the lock or is the worker's one thread.
         """
         outcomes, acked = [], {}
         feed, clock, latency = self._feed, time.monotonic, self._latency

@@ -730,6 +730,10 @@ class ShardSupervisor(FrontStage):
         kind = message[0]
         self._last_seen = self._clock()
         if kind == "ready":
+            if message[2] > self._acked:
+                # The save this life restored from outran its
+                # ``checkpointed``, which died with the last life.
+                self._prune(message[2])
             with self._lock:
                 self._sent_through = self._acked
                 self._in_flight = None

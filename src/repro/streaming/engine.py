@@ -316,6 +316,10 @@ class StreamingParser(LogParser):
         self._busy_depth = 0
         self._flush_parser: LogParser = factory()
         if telemetry is not None:
+            # What this engine synced; two collects must not apply one
+            # delta twice.
+            self._published: dict[str, float] = {}
+            self._publish_lock = threading.Lock()
             telemetry.metrics.register_collector(self._collect_metrics)
         self.reset()
 
@@ -911,21 +915,37 @@ class StreamingParser(LogParser):
         Collector pattern: the hot path keeps its existing plain-int
         counters as the source of truth; this runs only when the
         registry is read (export, snapshot, summary), so instrumenting
-        costs the fast path nothing.
+        costs the fast path nothing.  Each engine adds only its change
+        since its last collect (counters by high-water mark, as
+        :func:`~repro.service.shard.sync_tenant_stats` does), so the
+        engines of a thread-host service sum instead of the last one
+        collected winning.
         """
-        metrics = self.telemetry.metrics
-        metrics.get("repro_stream_lines_total").sync(self._n_lines)
-        metrics.get("repro_stream_flushes_total").sync(self._flushes)
-        metrics.get("repro_stream_outliers_total").sync(self._outliers)
-        metrics.get("repro_stream_rejected_total").sync(self._rejected)
-        metrics.get("repro_stream_shed_total").sync(self._shed)
-        metrics.get("repro_stream_events").set(self.n_events)
-        metrics.get("repro_stream_pending").set(len(self._pending))
-        hits = metrics.get("repro_cache_hits_total")
-        hits.labels(kind="exact").sync(self.cache.exact_hits)
-        hits.labels(kind="template").sync(self.cache.template_hits)
-        metrics.get("repro_cache_misses_total").sync(self.cache.misses)
-        metrics.get("repro_cache_evictions_total").sync(self.cache.evictions)
+        metrics, marks, cache = (
+            self.telemetry.metrics, self._published, self.cache
+        )
+        with self._publish_lock:
+            for name, value in (
+                ("repro_stream_lines_total", self._n_lines),
+                ("repro_stream_flushes_total", self._flushes),
+                ("repro_stream_outliers_total", self._outliers),
+                ("repro_stream_rejected_total", self._rejected),
+                ("repro_stream_shed_total", self._shed),
+                ("repro_cache_misses_total", cache.misses),
+                ("repro_cache_evictions_total", cache.evictions),
+            ):
+                metrics.sync_high_water(marks, name, name, value)
+            for kind in ("exact", "template"):
+                metrics.sync_high_water(
+                    marks, "repro_cache_hits_total", kind,
+                    getattr(cache, f"{kind}_hits"), kind=kind,
+                )
+            for gauge, value in (
+                ("repro_stream_events", self.n_events),
+                ("repro_stream_pending", len(self._pending)),
+            ):
+                metrics.get(gauge).inc(value - marks.get(gauge, 0))
+                marks[gauge] = value
 
     def _prepare(self, record: LogRecord) -> tuple[str, LogRecord]:
         """Preprocessed content + the record handed to flushes."""

@@ -107,6 +107,7 @@ class TestWireFormat:
         assert parse_ack("ACK beta") is None
         assert parse_ack("NAK beta 3") is None
         assert parse_ack("ACK beta x") is None
+        assert parse_ack("ACK beta \u00b2") is None  # a digit int() refuses
 
 
 class TestDeliveryWindow:
@@ -283,6 +284,16 @@ class TestDurableSenderSpool:
         assert sender.send("beta", "uno") == 1
         assert sender.spool_depth == 3
         assert os.path.exists(spool)
+
+    def test_an_ack_int_refuses_is_ignored_as_torn(self, tmp_path):
+        sender = DurableSender(
+            "127.0.0.1", 1, "client-a", str(tmp_path / "spool.jsonl")
+        )
+        sender.send("alpha", "one")
+        sender._handle_ack("ACK alpha \u00b2")
+        assert sender.spool_depth == 1
+        sender._handle_ack("ACK alpha 1")
+        assert sender.spool_depth == 0
 
     def test_recovery_rebuilds_sequences_conservatively(self, tmp_path):
         spool = str(tmp_path / "spool.jsonl")

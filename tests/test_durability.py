@@ -5,9 +5,11 @@ Three families of guarantees are exercised here:
 * **Atomic whole-file writes** — :class:`AtomicWriter` either commits
   the full new content or leaves the previous file untouched, under
   injected EIO/ENOSPC/fsync faults at scripted byte offsets.
-* **Framed JSONL recovery** — :func:`recover_jsonl` finds the longest
-  valid prefix of a length+CRC32-framed file for *every possible*
-  truncation offset (the property sweep walks each byte), and
+* **Framed JSONL recovery** — a :class:`DurableJsonlWriter` finds the
+  longest valid prefix of a length+CRC32-framed file for *every
+  possible* truncation offset (the property sweep walks each byte),
+  its ``cut`` rolls back to a pin or refuses one that is past the
+  valid bytes or off a frame boundary, and
   :class:`QuarantineSink` reopened after a simulated crash neither
   loses nor duplicates records.
 * **Run manifests** — ``verify_manifest`` catches a single flipped
@@ -36,8 +38,6 @@ from repro.resilience.durability import (
     load_manifest,
     parse_frame,
     read_jsonl_payloads,
-    reconcile_jsonl,
-    recover_jsonl,
     verify_manifest,
 )
 from repro.resilience.faults import (
@@ -167,13 +167,19 @@ class TestFraming:
         assert b'"reason": "oversized"' in line
 
 
+def _writer_recovery(path):
+    """What a fresh writer recovers from *path*: ``(records, bytes)``."""
+    writer = DurableJsonlWriter(str(path))
+    return writer.recovered, writer.offset()[0]
+
+
 class TestRecovery:
     def test_recovers_every_torn_byte_offset(self, tmp_path):
         """Property sweep: truncate a framed file at *every* byte.
 
-        Whatever the cut point, recovery must keep exactly the records
-        whose final newline survived, and the truncated file must
-        recover to itself (idempotence).
+        Whatever the cut point, a writer's recovery must keep exactly
+        the records whose final newline survived, and the truncated
+        file must recover to itself (idempotence).
         """
         payloads = [{"i": i, "body": "x" * i} for i in range(8)]
         data = b"".join(frame_record(p) for p in payloads)
@@ -185,19 +191,20 @@ class TestRecovery:
         path = tmp_path / "torn.jsonl"
         for cut in range(len(data) + 1):
             path.write_bytes(data[:cut])
-            recovery = recover_jsonl(str(path))
+            records, valid = _writer_recovery(path)
             expected_records = sum(1 for b in boundaries if b <= cut)
             expected_bytes = max(
                 [0] + [b for b in boundaries if b <= cut]
             )
-            assert len(recovery.records) == expected_records, f"cut={cut}"
-            assert recovery.valid_bytes == expected_bytes, f"cut={cut}"
+            assert records == payloads[:expected_records], f"cut={cut}"
+            assert valid == expected_bytes, f"cut={cut}"
             assert os.path.getsize(path) == expected_bytes
-            again = recover_jsonl(str(path))
-            assert not again.truncated
+            assert _writer_recovery(path) == (records, valid)
 
     def test_recovers_torn_tail_with_seeded_garbage(self, tmp_path):
         from random import Random
+
+        from repro.observability.telemetry import Telemetry
 
         rng = Random(IO_SEED)
         payloads = [{"i": i} for i in range(5)]
@@ -207,31 +214,62 @@ class TestRecovery:
         )
         path = tmp_path / "garbage.jsonl"
         path.write_bytes(data + garbage)
-        recovery = recover_jsonl(str(path))
-        assert len(recovery.records) == 5
-        assert recovery.truncated
+        telemetry = Telemetry.create(trace_id="t")
+        writer = DurableJsonlWriter(str(path), telemetry=telemetry)
+        assert writer.recovered == payloads
         assert path.read_bytes() == data
+        assert telemetry.metrics.value(
+            "repro_jsonl_recovered_bytes_total"
+        ) == len(garbage)
+        [event] = telemetry.events.of_kind("jsonl_recovery")
+        assert (event["path"], event["dropped_bytes"], event["records"]) == (
+            str(path), len(garbage), 5
+        )
 
     def test_reconcile_truncates_to_checkpointed_offset(self, tmp_path):
+        from repro.observability.telemetry import Telemetry
+
         payloads = [{"i": i} for i in range(6)]
         frames = [frame_record(p) for p in payloads]
         path = tmp_path / "q.jsonl"
         path.write_bytes(b"".join(frames))
         keep = len(frames[0]) + len(frames[1])
-        reconcile_jsonl(str(path), keep)
+        telemetry = Telemetry.create(trace_id="t")
+        with DurableJsonlWriter(str(path), telemetry=telemetry) as writer:
+            writer.cut((keep, 2))
+            assert writer.offset() == (keep, 2)
         assert read_jsonl_payloads(str(path)) == payloads[:2]
+        [event] = telemetry.events.of_kind("jsonl_reconcile")
+        assert (event["dropped_bytes"], event["records"]) == (
+            len(b"".join(frames)) - keep, 2
+        )
 
     def test_reconcile_rejects_lost_records(self, tmp_path):
         path = tmp_path / "q.jsonl"
-        path.write_bytes(frame_record({"i": 0}))
+        data = frame_record({"i": 0})
+        path.write_bytes(data)
+        for recovered in (False, True):  # pin checked against either
+            writer = DurableJsonlWriter(str(path))
+            if recovered:
+                writer.offset()
+            with pytest.raises(IntegrityError):
+                writer.cut((len(data) + 100, 2))
+            assert path.read_bytes() == data, "a refused cut extends nothing"
         with pytest.raises(IntegrityError):
-            reconcile_jsonl(str(path), os.path.getsize(path) + 100)
+            DurableJsonlWriter(str(tmp_path / "missing.jsonl")).cut((1, 1))
+        assert not (tmp_path / "missing.jsonl").exists()
 
     def test_reconcile_rejects_mid_record_offset(self, tmp_path):
         path = tmp_path / "q.jsonl"
-        path.write_bytes(frame_record({"i": 0}) + frame_record({"i": 1}))
-        with pytest.raises(IntegrityError):
-            reconcile_jsonl(str(path), len(frame_record({"i": 0})) + 1)
+        data = frame_record({"i": 0}) + frame_record({"i": 1})
+        path.write_bytes(data)
+        for recovered in (False, True):
+            writer = DurableJsonlWriter(str(path))
+            if recovered:
+                writer.offset()
+            with pytest.raises(IntegrityError):
+                writer.cut((len(frame_record({"i": 0})) + 1, 1))
+            assert path.read_bytes() == data
 
 
 class TestDurableJsonlWriter:
@@ -333,7 +371,8 @@ class TestQuarantineSinkDurability:
         pin = {"q.jsonl": {"bytes": held, "records": 3}}
         assert artifact_offsets(sink, checkpoint) == pin
         assert os.path.getsize(path) == held
-        assert len(reconcile_jsonl(path, held).records) == 3
+        sink.writer.cut((held, 3))  # the resume's rollback: kept
+        assert sink.offset() == (held, 3)
         sink.add(records[4])  # the device came back
         sink.close()
         assert [r.line_no for r in QuarantineSink.read(path)] == [0, 1, 2, 4]

@@ -10,7 +10,8 @@ the list of committed records:
   ``enospc`` or ``torn`` at a drawn byte) and no retry is left, leaves
   no byte behind and raises;
 * ``rewrite`` compacts to the survivors, and ``cut`` rolls back to a
-  record boundary (a checkpoint pin);
+  record boundary (a checkpoint pin), while a pin past the committed
+  bytes or off a boundary raises and leaves the file as it was;
 * a crash — handles dropped, possibly half a frame appended behind the
   flushed ones — and a reopen recover exactly the committed records.
 
@@ -21,6 +22,9 @@ decodes to the model.
 import os
 import shutil
 import tempfile
+from itertools import accumulate
+
+import pytest
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -30,7 +34,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.common.errors import ArtifactWriteError
+from repro.common.errors import ArtifactWriteError, IntegrityError
 from repro.resilience.durability import (
     DurableJsonlWriter,
     RealIO,
@@ -96,6 +100,26 @@ class FramedLogMachine(RuleBasedStateMachine):
         self.writer.cut((size, records))
         self.model = self.model[:records]
 
+    @rule(data=st.data())
+    def refused_cut(self, data) -> None:
+        sizes = [len(frame_record(p)) for p in self.model]
+        boundaries = {0, *accumulate(sizes)}
+        size = data.draw(
+            st.integers(0, sum(sizes) + 40).filter(
+                lambda n: n not in boundaries
+            )
+        )
+        before = self._on_disk()
+        with pytest.raises(IntegrityError):
+            self.writer.cut((size, len(self.model)))
+        assert self._on_disk() == before
+
+    def _on_disk(self) -> bytes:
+        if not os.path.exists(self.path):
+            return b""
+        with open(self.path, "rb") as handle:
+            return handle.read()
+
     @rule(torn=st.integers(0, 30))
     def crash_and_reopen(self, torn: int) -> None:
         self.writer.close()  # SIGKILL: no more writes, no fsync
@@ -109,10 +133,7 @@ class FramedLogMachine(RuleBasedStateMachine):
     def offset_is_the_bytes_on_disk(self) -> None:
         if not hasattr(self, "writer"):
             return
-        on_disk = b""
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as handle:
-                on_disk = handle.read()
+        on_disk = self._on_disk()
         assert self.writer.offset() == (len(on_disk), len(self.model))
         assert scan_framed(on_disk) == (self.model, len(on_disk))
 

@@ -278,9 +278,7 @@ SURFACE = {
     ),
     "TenantShard.checkpoint": "(self) -> 'None'",
     "TenantShard.drain": "(self) -> 'dict'",
-    "TenantShard.submit": (
-        "(self, record: 'LogRecord', delivery=None) -> 'str'"
-    ),
+    "TenantShard.submit": "(self, record: 'LogRecord') -> 'str'",
     "TenantShard.submit_seq": (
         "(self, record: 'LogRecord', client: 'str', "
         "seq: 'int') -> 'tuple[str, int]'"

@@ -844,3 +844,74 @@ class TestThreadModeTenantMetrics:
         for _ in range(5):  # repeated scrapes must not re-apply deltas
             assert value("repro_tenant_lines_total", tenant="a") == 50.0
         service.drain()
+
+    def test_engine_families_sum_the_tenant_engines(self, tmp_path):
+        """Every tenant engine adds its own change to the unlabeled
+        ``repro_stream_*``/``repro_cache_*`` families: 30 + 7 lines read
+        37, however often the registry is collected."""
+        telemetry = Telemetry.create(trace_id="t")
+        service = IngestionService(
+            str(tmp_path / "data"), factory(), parser_name="Drain",
+            telemetry=telemetry,
+        )
+        lines = conn_lines(30)
+        for n, line in enumerate(lines):
+            service.submit_line(f"a\t{line}")
+            if n < 7:
+                service.submit_line(f"b\t{line}")
+        value = telemetry.metrics.value
+        for _ in range(3):
+            assert value("repro_stream_lines_total") == 37.0
+            assert [
+                value("repro_tenant_lines_total", tenant=t) for t in "ab"
+            ] == [30.0, 7.0]
+        hits = sum(
+            value("repro_cache_hits_total", kind=kind)
+            for kind in ("exact", "template")
+        )
+        assert hits + value("repro_cache_misses_total") == 37.0
+        service.drain()
+        engines = [service.shard(t).engine for t in "ab"]
+        assert value("repro_stream_events") == sum(
+            engine.n_events for engine in engines
+        )
+        assert value("repro_stream_pending") == sum(
+            len(engine._pending) for engine in engines
+        )
+
+    def test_concurrent_collects_apply_each_delta_once(self, tmp_path):
+        """Scrapes race the feed and each other; every engine delta
+        still lands once (a lost mark update would add lines twice)."""
+        import sys
+
+        telemetry = Telemetry.create(trace_id="t")
+        service = IngestionService(
+            str(tmp_path / "data"), factory(), parser_name="Drain",
+            telemetry=telemetry,
+        )
+        lines, stop = conn_lines(400), threading.Event()
+
+        def scrape():
+            while not stop.is_set():
+                telemetry.metrics.collect()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        scrapers = [threading.Thread(target=scrape) for _ in range(6)]
+        try:
+            for thread in scrapers:
+                thread.start()
+            for n, line in enumerate(lines):
+                service.submit_line(f"{'ab'[n % 2]}\t{line}")
+        finally:
+            stop.set()
+            for thread in scrapers:
+                thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in scrapers)
+        value = telemetry.metrics.value
+        assert value("repro_stream_lines_total") == 400.0
+        assert value("repro_stream_pending") == sum(
+            len(service.shard(t).engine._pending) for t in "ab"
+        )
+        service.drain()

@@ -65,6 +65,7 @@ from repro.service.workers import (
     STATE_DRAINED,
     STATE_FENCED,
     STATE_RUNNING,
+    ShardWorker,
     supervisor_status,
 )
 
@@ -469,8 +470,9 @@ class TestBatchedFeed:
         assert summary["restarts"] == 1 and summary["lines"] == 150
         second_life = wire_log[wire_log.index(("life", 2)) + 1:]
         # Replay confirms each record before the next one leaves.  It
-        # restarts at the checkpoint (50) — or at 0 when the SIGKILL
-        # beat the worker's feeder thread to the checkpoint ack.
+        # restarts at the checkpoint (50), even when the SIGKILL beat
+        # the worker's feeder thread to the checkpoint ack: the next
+        # life's ``ready`` carries the position it restored.
         conversation = [
             (direction, certify.feed_batches([(direction, message)])[0])
             if message[0] == "feed" else (direction, message[1])
@@ -478,7 +480,7 @@ class TestBatchedFeed:
             if message[0] in ("feed", "done")
         ]
         start = conversation[0][1][0]
-        assert start in (0, 50)
+        assert start == 50
         expected = []
         for index in range(start, 150):
             expected += [("put", [index]), ("got", index)]
@@ -488,6 +490,41 @@ class TestBatchedFeed:
             for direction, message in second_life
             if direction == "put" and message[0] == "feed"
         ), "every careful feed asks for its confirm"
+
+    def test_ready_prunes_to_the_restored_checkpoint(
+        self, tmp_path, wire_log, monkeypatch
+    ):
+        """A ``checkpointed`` that dies with its worker leaves the
+        parent's ack behind the durable checkpoint; the next life's
+        ``ready`` position prunes to it, counting that save once, so
+        the careful replay starts at the checkpoint, not at 0.  Every
+        ack is suppressed here, forked workers inheriting the patch."""
+        monkeypatch.setattr(ShardWorker, "_checkpointed", lambda *_: None)
+        telemetry = Telemetry.create(trace_id="t")
+        sup = ShardSupervisor(
+            "t", str(tmp_path), factory(), parser_name="Drain",
+            checkpoint_every=50, telemetry=telemetry,
+            faults=(self.SLOW_START, ProcessFault(PROC_KILL, at_record=70)),
+            **FAST,
+        )
+        _feed(sup, conn_lines(150))
+        summary = sup.drain()
+        assert summary["restarts"] == 1 and summary["lines"] == 150
+        assert [a.status for a in sup.report.attempts] == ["error"]
+        second_life = wire_log[wire_log.index(("life", 2)) + 1:]
+        assert ("got", ("ready", 2, 50)) in second_life
+        feeds = [
+            ([entry[0] for entry in message[1]], message[2])
+            for direction, message in second_life
+            if direction == "put" and message[0] == "feed"
+        ]
+        assert feeds == [([i], True) for i in range(50, 150)]
+        assert sup.state == STATE_DRAINED
+        # The save at 50 (counted at ``ready``) and the drain's; the
+        # save at 100 lost its ack like the rest.
+        assert telemetry.metrics.value(
+            "repro_checkpoint_ops_total", op="save"
+        ) == 2.0
 
     def test_calm_tenant_ships_few_messages_and_observes_every_record(
         self, tmp_path, wire_log
