@@ -50,10 +50,6 @@ class ParserTimeoutError(ReproError):
         self.leaked_thread = leaked_thread
 
 
-class WorkerCrashError(ReproError):
-    """A parallel parsing worker died or hung and could not be recovered."""
-
-
 class CheckpointError(ReproError):
     """A streaming checkpoint could not be written, read, or applied."""
 

@@ -501,6 +501,6 @@ def load_alerts(path: str, io=None) -> list[dict]:
     from repro.resilience.durability import DurableJsonlWriter
 
     return [
-        event for event in DurableJsonlWriter(path, io=io).recovered
+        event for event in DurableJsonlWriter(path, io=io).recover()
         if event.get("kind") == "alert"
     ]

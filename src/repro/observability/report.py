@@ -61,10 +61,10 @@ def format_stream_summary(
 
 def summary_from_registry(registry: MetricsRegistry) -> str:
     """The same summary line, read entirely from the registry."""
-    lines = registry.value("repro_stream_lines_total")
     elapsed = registry.value("repro_run_elapsed_seconds")
+    fed = registry.value("repro_run_lines")
     return format_stream_summary(
-        lines=int(lines),
+        lines=int(registry.value("repro_stream_lines_total")),
         events=int(registry.value("repro_stream_events")),
         exact_hits=int(registry.value("repro_cache_hits_total", kind="exact")),
         template_hits=int(
@@ -72,7 +72,7 @@ def summary_from_registry(registry: MetricsRegistry) -> str:
         ),
         misses=int(registry.value("repro_cache_misses_total")),
         flushes=int(registry.value("repro_stream_flushes_total")),
-        lines_per_second=lines / elapsed if elapsed > 0 else 0.0,
+        lines_per_second=fed / elapsed if elapsed > 0 else 0.0,
         rejected=int(registry.value("repro_stream_rejected_total")),
         shed=int(registry.value("repro_stream_shed_total")),
     )
@@ -140,7 +140,8 @@ def _render_metrics_section(path: str) -> list[str]:
     misses = _sample(samples, "repro_cache_misses_total")
     seen = exact + template + misses
     out = ["## Throughput"]
-    rate = lines_total / elapsed if elapsed > 0 else 0.0
+    fed = _sample(samples, "repro_run_lines")
+    rate = fed / elapsed if elapsed > 0 else 0.0
     out.append(
         f"  {int(lines_total)} lines in {elapsed:.2f}s "
         f"({rate:,.0f} lines/s), "

@@ -113,6 +113,11 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     metrics.gauge(
         "repro_run_elapsed_seconds", "Wall-clock duration of the session"
     )
+    metrics.gauge(
+        "repro_run_lines",
+        "Records the session fed in its elapsed time (a resume's restored "
+        "records excluded)",
+    )
     # Template cache -----------------------------------------------------
     metrics.counter(
         "repro_cache_hits_total",
@@ -149,7 +154,7 @@ def _register_schema(metrics: MetricsRegistry) -> None:
     )
     metrics.counter(
         "repro_supervisor_attempts_total",
-        "Supervised attempts (parses, chunk tries) by chain entry and outcome",
+        "Supervised parse attempts by chain entry and outcome",
         labelnames=("parser", "status"),
     )
     metrics.counter(

@@ -20,7 +20,7 @@ containment layer, in four parts:
   finalizes to the identical (prefix-policy: byte-identical) result;
 * :mod:`~repro.resilience.faults` — a deterministic, seeded
   fault-injection harness (corrupt records, crashing/stalling
-  parsers, killed chunk workers) plus one seeded scheduler,
+  parsers) plus one seeded scheduler,
   :func:`fault_schedule`, for IO, worker-process, and network fault
   scripts, so every recovery path above is exercised by tests and the
   ``repro supervise`` / ``stream --faults --io-faults`` / ``serve
@@ -58,7 +58,6 @@ from repro.resilience.durability import (
     verify_manifest,
 )
 from repro.resilience.faults import (
-    ChunkFault,
     FaultyIO,
     FlakyFactory,
     InjectedFault,
@@ -109,7 +108,6 @@ __all__ = [
     "load_manifest",
     "read_jsonl_payloads",
     "verify_manifest",
-    "ChunkFault",
     "FaultyIO",
     "FlakyFactory",
     "InjectedFault",

@@ -368,8 +368,8 @@ class DurableJsonlWriter:
 
     Every framed log appends through one: the ownership journal, the
     client spool, the checkpoint record log, quarantine and the event
-    log.  The file opens lazily: the first append (or a look at
-    :attr:`recovered` or :meth:`offset`) truncates a torn tail to the
+    log.  The file opens lazily: the first append (or a call of
+    :meth:`recover` or :meth:`offset`) truncates a torn tail to the
     last complete record, so an untouched writer leaves no file.
 
     **One failure rule.**  :meth:`extend` writes a batch of frames with
@@ -402,15 +402,15 @@ class DurableJsonlWriter:
         self._handle = None
         #: ``(bytes, records)`` the file holds; ``None`` until recovered.
         self._at: tuple[int, int] | None = None
-        self._recovered: list = []
 
-    def _recover(self) -> None:
-        """Read the file once, keep its intact prefix, cut the rest."""
+    def _recover(self) -> list:
+        """Read the file once, keep its intact prefix, cut the rest;
+        return the prefix's records (none once recovered)."""
         if self._at is not None:
-            return
+            return []
         if not os.path.exists(self.path):
             self._at = 0, 0
-            return
+            return []
         with open(self.path, "rb") as handle:
             data = handle.read()
         records, valid = scan_framed(data)
@@ -425,7 +425,8 @@ class DurableJsonlWriter:
                     "jsonl_recovery", path=self.path, dropped_bytes=dropped,
                     records=len(records),
                 )
-        self._recovered, self._at = records, (valid, len(records))
+        self._at = valid, len(records)
+        return records
 
     def _truncate(self, length: int) -> None:
         try:
@@ -444,11 +445,16 @@ class DurableJsonlWriter:
             self._truncate(self._at[0])
         self._handle = self.io.open(self.path, "ab")
 
-    @property
-    def recovered(self) -> list:
-        """The intact records the file held when it was recovered."""
-        self._recover()
-        return self._recovered
+    def recover(self) -> list:
+        """Recover the file and hand over the intact records it held.
+
+        Only an owner that reads its log back (the journal, the client
+        spool, :func:`~repro.observability.alerts.load_alerts`) calls
+        this, first thing.  The writer keeps no copy: a writer already
+        recovered, by an append, :meth:`offset` or :meth:`cut`, has
+        none to hand over and returns ``[]``.
+        """
+        return self._recover()
 
     def offset(self) -> tuple[int, int]:
         """``(bytes, records)`` framed on disk: what a checkpoint pins."""

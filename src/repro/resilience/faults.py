@@ -1,9 +1,9 @@
 """Deterministic, seeded fault injection for the resilience suite.
 
 Every recovery path in the runtime — quarantine, retry, circuit
-breaking, worker re-dispatch, checkpoint resume, exactly-once
-delivery — is only trustworthy if it is *exercised*, and real faults
-are rare and irreproducible.  This module manufactures them on a fixed
+breaking, worker restart, checkpoint resume, exactly-once delivery —
+is only trustworthy if it is *exercised*, and real faults are rare
+and irreproducible.  This module manufactures them on a fixed
 schedule derived from a seed, so a failing resilience test replays
 bit-for-bit:
 
@@ -15,10 +15,6 @@ bit-for-bit:
   first *n* calls — exercised against
   :class:`~repro.resilience.supervisor.ParserSupervisor` retries,
   deadlines, and fallback chains;
-* :class:`ChunkFault` fires inside chunk workers on scheduled
-  ``(chunk, attempt)`` pairs — exercised against
-  :class:`~repro.parsers.parallel.ChunkedParallelParser` re-dispatch
-  and in-process fallback;
 * :class:`IoFault` (EIO, ENOSPC, fsync failure, torn write — enacted
   by :class:`FaultyIO`), :class:`ProcessFault` (killed, exited, or
   wedged shard workers), and :class:`NetworkFault` (partition,
@@ -183,8 +179,8 @@ class FlakyFactory:
 
     Call-count state lives on the factory instance, so it spans the
     fresh parser objects a supervisor builds per attempt.  That makes
-    the factory in-process only; use :class:`ChunkFault` for faults
-    that must fire inside worker processes.
+    the factory in-process only: the count does not cross into worker
+    processes.
     """
 
     def __init__(
@@ -234,78 +230,6 @@ class _FlakyParser(LogParser):
 
     def _cluster(self, token_lists):  # pragma: no cover - parse() overridden
         raise NotImplementedError("_FlakyParser overrides parse() directly")
-
-
-# ----------------------------------------------------------------------
-# Worker-chunk faults
-# ----------------------------------------------------------------------
-
-#: Chunk fault modes.
-MODE_RAISE = "raise"
-MODE_EXIT = "exit"
-MODE_HANG = "hang"
-CHUNK_MODES = (MODE_RAISE, MODE_EXIT, MODE_HANG)
-
-
-@dataclass(frozen=True)
-class ChunkFault:
-    """Scheduled fault firing inside chunk parses.
-
-    Args:
-        chunks: chunk indices to sabotage.
-        attempts: the fault fires on attempts ``1..attempts`` of a
-            sabotaged chunk and then lets it succeed — raise
-            ``attempts`` past the dispatcher's ``max_chunk_attempts``
-            to force the in-process fallback.
-        mode: ``raise`` (exception in the worker), ``exit`` (hard
-            ``os._exit``, i.e. a dead worker process and a broken
-            pool), or ``hang`` (sleep ``hang_seconds`` before parsing,
-            tripping a chunk deadline).
-        hang_seconds: stall length for ``hang`` mode.
-        worker_only: when True (default), the fault never fires for
-            in-process parses — so the dispatcher's in-process
-            fallback, which models escaping a poisoned worker
-            environment, genuinely recovers.
-
-    Frozen and built from plain data, so it pickles into workers and
-    the schedule is identical on every replay.
-    """
-
-    chunks: tuple[int, ...]
-    attempts: int = 1
-    mode: str = MODE_RAISE
-    hang_seconds: float = 5.0
-    worker_only: bool = True
-
-    def __post_init__(self) -> None:
-        if self.mode not in CHUNK_MODES:
-            raise ValidationError(
-                f"chunk fault mode must be one of {CHUNK_MODES}, "
-                f"got {self.mode!r}"
-            )
-        if self.attempts < 1:
-            raise ValidationError(
-                f"attempts must be >= 1, got {self.attempts}"
-            )
-
-    def should_fire(
-        self, chunk_index: int, attempt: int, in_process: bool
-    ) -> bool:
-        if in_process and self.worker_only:
-            return False
-        return chunk_index in self.chunks and attempt <= self.attempts
-
-    def fire(self, chunk_index: int, attempt: int) -> None:
-        """Enact the fault (called from inside the chunk parse)."""
-        if self.mode == MODE_EXIT:
-            os._exit(13)
-        if self.mode == MODE_HANG:
-            time.sleep(self.hang_seconds)
-            return
-        raise InjectedFault(
-            f"injected worker crash on chunk {chunk_index} "
-            f"attempt {attempt}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +387,7 @@ PROC_KINDS = (PROC_KILL, PROC_EXIT, PROC_HANG, PROC_SLOW_START)
 class ProcessFault:
     """Scheduled fault enacted *inside* a shard worker process.
 
-    Unlike :class:`ChunkFault` (which sabotages one stateless chunk
-    parse), a process fault kills, wedges, or delays a long-lived
+    A process fault kills, wedges, or delays a long-lived
     :class:`~repro.service.workers.ShardWorker` — the thing the
     supervisor's watchdog, restart backoff, and poison-pill protocol
     exist to survive.

@@ -17,12 +17,15 @@ a deadline, fall back to the cheap one when it times out or crashes.
   :class:`FailureReport` so "what happened" is never a matter of
   scrolling logs.
 
-The attempt loop itself is :func:`run_chain`, and it is the only one:
-:class:`~repro.parsers.parallel.ChunkedParallelParser` walks each chunk
-down a two-entry chain (a fresh worker pool per wave, then one
-in-process try) on the same loop, and
-:class:`~repro.service.workers.ShardSupervisor` books every worker
-death as an :class:`Attempt` in the same status set.
+:meth:`ParserSupervisor.parse` walks its chain itself, and it is the
+one loop that retries a parse.  A parser composes with it instead of
+supervising itself: wrapping
+:class:`~repro.parsers.parallel.ChunkedParallelParser` as the chain
+``[("pool", ...workers=2), ("in-process", ...workers=1)]`` retries a
+parse that lost a worker, then parses in-process.  The other
+supervision stack, :class:`~repro.service.workers.ShardSupervisor`,
+restarts worker processes and books every death as an
+:class:`Attempt` in the same status set.
 
 All time sources (``sleep``, ``clock``) are injectable, which the test
 suite uses to drive backoff schedules without real waiting.
@@ -33,9 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable, Hashable, Sequence
-from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from random import Random
 
 from repro.common.errors import (
@@ -114,7 +115,7 @@ class Attempt:
     """One try of one unit on one chain entry.
 
     *parser* names the chain entry; *unit* names what was tried when
-    a loop runs more than one (a chunk index, a tenant), else ``None``.
+    a loop runs more than one (a tenant), else ``None``.
     """
 
     parser: str
@@ -149,8 +150,7 @@ class Attempt:
 class FailureReport:
     """Structured record of every attempt a supervised run made.
 
-    ``winner`` is the chain entry that settled the last unit to
-    succeed: the parser that won, for a single parse.
+    ``winner`` is the chain entry whose parse succeeded, if any.
 
     ``leaked_threads`` counts deadline-expired parses whose worker
     thread was still running after the grace-period join — abandoned
@@ -271,100 +271,6 @@ def stop_process(process, grace: float = 2.0) -> None:
         process.join(timeout=1.0)
 
 
-@dataclass(frozen=True)
-class ChainEntry:
-    """One entry of a chain :func:`run_chain` walks.
-
-    ``wave(units, attempt)`` is a context manager that starts try
-    *attempt* of every unit and yields one callable per unit, which
-    returns its result or raises once the try's deadline passes.  The
-    loop books every try before the context exits.
-    """
-
-    name: str
-    tries: int
-    wave: Callable[[list, int], AbstractContextManager[list]]
-    first: int = 1  # number of the entry's first try
-
-
-def run_chain(
-    units: Sequence[Hashable],
-    chain: Sequence[ChainEntry],
-    report: FailureReport,
-    *,
-    retry: RetryPolicy,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
-    rng: Random | None = None,
-    telemetry=None,
-) -> dict:
-    """Walk every unit down *chain*: the one attempt loop.
-
-    Each try is settled into one status, booked as an :class:`Attempt`
-    and counted on ``repro_supervisor_attempts_total``.  After an
-    entry's n-th wave its failed units wait ``retry.delay(n)`` and try
-    again; they move on to the next entry when its tries are spent,
-    and at once on ``budget`` — a blown budget does not heal by
-    re-running.  Returns ``{unit: result}`` of the units some entry
-    settled ``ok``.
-    """
-    # concurrent.futures' own deadline error before Python 3.11; a
-    # local import, so the vocabulary alone loads no executor module.
-    from concurrent.futures import TimeoutError as FuturesTimeoutError
-
-    def book(attempt: Attempt) -> None:
-        report.attempts.append(attempt)
-        if telemetry is not None:
-            telemetry.metrics.get("repro_supervisor_attempts_total").labels(
-                parser=attempt.parser, status=attempt.status
-            ).inc()
-
-    done: dict = {}
-    pending = list(units)
-    for entry in chain:
-        if not pending:
-            break
-        # From here on *pending* collects the next entry's units.
-        trying, pending = pending, []
-        for n in range(1, entry.tries + 1):
-            attempt, started, failed = entry.first + n - 1, clock(), []
-            with entry.wave(trying, attempt) as calls:
-                for unit, call in zip(trying, calls):
-                    status, error = STATUS_OK, None
-                    try:
-                        done[unit] = call()
-                    except (FuturesTimeoutError, ParserTimeoutError) as exc:
-                        status = STATUS_TIMEOUT
-                        error = str(exc) or "no result before the deadline"
-                        if getattr(exc, "leaked_thread", False):
-                            report.leaked_threads += 1
-                    except BudgetExceededError as exc:
-                        status, error = STATUS_BUDGET, str(exc)
-                    except Exception as exc:  # noqa: BLE001 - booked
-                        status = STATUS_ERROR
-                        error = f"{type(exc).__name__}: {exc}"
-                    book(Attempt(entry.name, attempt, status,
-                                 clock() - started, error, unit))
-                    if status == STATUS_OK:
-                        report.winner = entry.name
-                    elif status == STATUS_BUDGET:
-                        pending.append(unit)  # straight to the next entry
-                    else:
-                        failed.append(unit)
-            if not failed:
-                break
-            if n == entry.tries:
-                pending += failed
-                break
-            if telemetry is not None:
-                telemetry.metrics.get("repro_supervisor_retries_total").labels(
-                    parser=entry.name
-                ).inc(len(failed))
-            sleep(retry.delay(n, rng))
-            trying = failed
-    return done
-
-
 class ParserSupervisor:
     """Run a parse down a fallback chain of supervised parsers.
 
@@ -425,42 +331,70 @@ class ParserSupervisor:
     def parse(self, records: Sequence[LogRecord]) -> SupervisedResult:
         records = list(records)
         report = self.last_report = FailureReport()
-        chain = [
-            ChainEntry(
-                name,
-                self.retry.attempts,
-                partial(self._wave, report, name, factory, records),
-            )
-            for name, factory in self.chain
-        ]
-        done = run_chain(
-            [None], chain, report, retry=self.retry, sleep=self._sleep,
-            clock=self._clock, rng=self._rng, telemetry=self.telemetry,
-        )
+        result = self._walk(records, report)
         if self.telemetry is not None:
             self.telemetry.events.record(report)
-        if not done:
+        if report.winner is None:
             raise FallbackExhaustedError(
                 "every parser in the fallback chain failed:\n"
                 + report.describe(),
                 report=report,
             )
-        return SupervisedResult(done[None], report.winner, report)
+        return SupervisedResult(result, report.winner, report)
 
-    @contextmanager
-    def _wave(self, report, name, factory, records, _units, attempt):
-        """One deadline-bounded parse, inside a ``parser_call`` span."""
+    def _walk(self, records: list[LogRecord], report: FailureReport):
+        """Walk the chain: the one attempt loop.
+
+        An entry's n-th failed try waits ``retry.delay(n)`` and tries
+        again until its tries are spent, then the next entry takes
+        over — at once on ``budget``: a blown budget does not heal by
+        re-running.  Returns the first ``ok`` result, else ``None``.
+        """
+        for name, factory in self.chain:
+            for n in range(1, self.retry.attempts + 1):
+                status, result = self._attempt(
+                    report, name, factory, records, n
+                )
+                if status == STATUS_OK:
+                    report.winner = name
+                    return result
+                if status == STATUS_BUDGET or n == self.retry.attempts:
+                    break
+                if self.telemetry is not None:
+                    self.telemetry.metrics.get(
+                        "repro_supervisor_retries_total"
+                    ).labels(parser=name).inc()
+                self._sleep(self.retry.delay(n, self._rng))
+        return None
+
+    def _attempt(self, report, name, factory, records, attempt):
+        """One deadline-bounded parse inside a ``parser_call`` span,
+        settled into one status, booked as an :class:`Attempt` and
+        counted on ``repro_supervisor_attempts_total``."""
         tracer = None if self.telemetry is None else self.telemetry.tracer
         span = None if tracer is None else tracer.start(
             SPAN_PARSER_CALL, parser=name, attempt=attempt
         )
-        yield [
-            partial(
-                run_with_deadline,
-                lambda: factory().parse(records),
-                self.timeout,
+        started, status, error, result = self._clock(), STATUS_OK, None, None
+        try:
+            result = run_with_deadline(
+                lambda: factory().parse(records), self.timeout
             )
-        ]
-        if span is not None:
-            span.attrs["status"] = report.attempts[-1].status
+        except ParserTimeoutError as exc:
+            status, error = STATUS_TIMEOUT, str(exc)
+            if exc.leaked_thread:
+                report.leaked_threads += 1
+        except BudgetExceededError as exc:
+            status, error = STATUS_BUDGET, str(exc)
+        except Exception as exc:  # noqa: BLE001 - booked
+            status, error = STATUS_ERROR, f"{type(exc).__name__}: {exc}"
+        report.attempts.append(
+            Attempt(name, attempt, status, self._clock() - started, error)
+        )
+        if tracer is not None:
+            self.telemetry.metrics.get(
+                "repro_supervisor_attempts_total"
+            ).labels(parser=name, status=status).inc()
+            span.attrs["status"] = status
             tracer.finish(span)
+        return status, result

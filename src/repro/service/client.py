@@ -159,7 +159,7 @@ class DurableSender:
         self._rxbuf = b""
         #: The caller of :meth:`send` is the spool's retry.
         self._spool = DurableJsonlWriter(spool_path, retries=0, io=self._io)
-        for payload in self._spool.recovered:
+        for payload in self._spool.recover():
             tenant = payload.get("tenant", "")
             if not tenant:
                 continue  # a foreign frame; skip, never invent

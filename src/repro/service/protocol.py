@@ -252,7 +252,7 @@ class BatchJournal:
         self.recovered: list[tuple[int, LogRecord, tuple | None]] = []
         if recover:
             self.recovered = sorted(
-                (self._thaw(payload) for payload in self._log.recovered),
+                (self._thaw(payload) for payload in self._log.recover()),
                 key=lambda entry: entry[0],
             )
         else:

@@ -485,6 +485,8 @@ class TenantShard(FrontStage):
         ``(client_id, seq)`` metadata into the checkpointed watermarks
         exactly as :meth:`submit` does — a poisoned line was still
         acknowledged, so its sequence must not regress on restart.
+        It runs in the worker, whose telemetry never leaves it: the
+        supervisor counts the diversion and emits ``poison_diverted``.
         """
         with self._lock:
             index = self.position
@@ -501,16 +503,6 @@ class TenantShard(FrontStage):
                     preview=record.content[:200],
                 )
             )
-            if self.telemetry is not None:
-                self.telemetry.metrics.get(
-                    "repro_shard_poison_records_total"
-                ).labels(tenant=self.tenant).inc()
-                self.telemetry.events.emit(
-                    "poison_record",
-                    tenant=self.tenant,
-                    index=index,
-                    detail=detail,
-                )
             return QUARANTINED
 
     # ------------------------------------------------------------------

@@ -40,16 +40,22 @@ def _factory_name(factory) -> str:
 
 @dataclass(frozen=True)
 class SessionCounters:
-    """Engine counters plus wall-clock throughput."""
+    """Engine counters plus this life's wall-clock throughput.
+
+    ``fed`` counts the lines this life of the session fed: a resumed
+    engine's ``stream.lines`` also counts the lines it restored, which
+    took no time in this life.
+    """
 
     stream: StreamingCounters
     elapsed_seconds: float
+    fed: int
 
     @property
     def lines_per_second(self) -> float:
         if self.elapsed_seconds <= 0:
             return 0.0
-        return self.stream.lines / self.elapsed_seconds
+        return self.fed / self.elapsed_seconds
 
     def describe(self) -> str:
         """One human-readable progress line (used by the CLI).
@@ -92,6 +98,8 @@ class ParseSession:
         #: (see :meth:`_elapsed`), so ``feed`` reads no clock.
         self._started: float | None = None
         self._finished: float | None = None
+        #: Lines a resumed engine restored: not fed, so not timed.
+        self._restored = parser.counters.lines
         self.telemetry = parser.telemetry
         self._run_span = None
         if self.telemetry is not None:
@@ -100,9 +108,10 @@ class ParseSession:
         parser.on_remap = self._on_remap
 
     def _collect_metrics(self) -> None:
-        self.telemetry.metrics.get("repro_run_elapsed_seconds").set(
-            self._elapsed()
-        )
+        counters = self.counters()
+        metrics = self.telemetry.metrics
+        metrics.get("repro_run_elapsed_seconds").set(counters.elapsed_seconds)
+        metrics.get("repro_run_lines").set(counters.fed)
 
     # ------------------------------------------------------------------
 
@@ -170,8 +179,11 @@ class ParseSession:
         return (self._finished or time.perf_counter()) - self._started
 
     def counters(self) -> SessionCounters:
+        stream = self.parser.counters
         return SessionCounters(
-            stream=self.parser.counters, elapsed_seconds=self._elapsed()
+            stream=stream,
+            elapsed_seconds=self._elapsed(),
+            fed=stream.lines - self._restored,
         )
 
     def snapshot(self) -> ParseResult:

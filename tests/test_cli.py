@@ -16,7 +16,6 @@ from repro.common.errors import (
     ParserConfigurationError,
     ParserTimeoutError,
     ValidationError,
-    WorkerCrashError,
 )
 
 
@@ -203,7 +202,6 @@ class TestExitCodes:
             (MiningError("x"), 2),
             (DatasetError("x"), 3),
             (ParserTimeoutError("x"), 4),
-            (WorkerCrashError("x"), 4),
             (CheckpointError("x"), 4),
             (FallbackExhaustedError("x"), 4),
             (BindError("x"), 4),
@@ -435,6 +433,58 @@ class TestStreamResilience:
     def test_resume_requires_checkpoint(self, capsys):
         assert main(["stream", "IPLoM", "--dataset", "HDFS", "--resume"]) == 2
         assert "--resume requires" in capsys.readouterr().err
+
+    def test_a_resumed_stream_prints_this_lifes_rate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The rate divides the lines this life fed by this life's time;
+        # the line total still counts the restored lines.
+        import re
+
+        import repro.cli as cli
+
+        argv = [
+            "stream", "SLCT", "--dataset", "HDFS", "--size", "5000",
+            "--seed", "7",
+        ]
+
+        def printed() -> tuple[str, float]:
+            [(lines, rate)] = re.findall(
+                r"(\d+) lines \|.*\| ([\d,]+) lines/s",
+                capsys.readouterr().out,
+            )
+            return lines, float(rate.replace(",", ""))
+
+        assert main(argv) == 0
+        _, uncut = printed()
+
+        class Cut(BaseException):
+            """A kill: no finalize, no last checkpoint."""
+
+        islice = cli.islice
+
+        def cut_at_2500(records, start, stop):
+            for index, record in enumerate(islice(records, start, stop)):
+                if index == 2500:
+                    raise Cut
+                yield record
+
+        final = ["--checkpoint", str(tmp_path / "final.json")]
+        mid = [
+            "--checkpoint", str(tmp_path / "mid.json"),
+            "--checkpoint-every", "500",
+        ]
+        assert main([*argv, *final]) == 0
+        monkeypatch.setattr(cli, "islice", cut_at_2500)
+        with pytest.raises(Cut):
+            main([*argv, *mid])
+        monkeypatch.undo()
+        capsys.readouterr()
+        for checkpoint in (final, mid):
+            assert main([*argv, *checkpoint, "--resume"]) == 0
+            lines, rate = printed()
+            assert lines == "5000"
+            assert rate <= 2 * uncut
 
 
 class TestBudgetedStream:

@@ -170,7 +170,7 @@ class TestFraming:
 def _writer_recovery(path):
     """What a fresh writer recovers from *path*: ``(records, bytes)``."""
     writer = DurableJsonlWriter(str(path))
-    return writer.recovered, writer.offset()[0]
+    return writer.recover(), writer.offset()[0]
 
 
 class TestRecovery:
@@ -216,7 +216,7 @@ class TestRecovery:
         path.write_bytes(data + garbage)
         telemetry = Telemetry.create(trace_id="t")
         writer = DurableJsonlWriter(str(path), telemetry=telemetry)
-        assert writer.recovered == payloads
+        assert writer.recover() == payloads
         assert path.read_bytes() == data
         assert telemetry.metrics.value(
             "repro_jsonl_recovered_bytes_total"

@@ -23,7 +23,6 @@ from repro.common.errors import (
     ParserTimeoutError,
     ReproError,
     ValidationError,
-    WorkerCrashError,
 )
 
 ALL_ERRORS = [
@@ -33,7 +32,6 @@ ALL_ERRORS = [
     ParserConfigurationError,
     ValidationError,
     ParserTimeoutError,
-    WorkerCrashError,
     CheckpointError,
     FallbackExhaustedError,
 ]

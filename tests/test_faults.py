@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from functools import partial
 
 import pytest
 
-from repro.common.errors import DatasetError, WorkerCrashError
+from repro.common.errors import DatasetError
 from repro.common.types import LogRecord
 from repro.datasets import (
     generate_dataset,
@@ -17,14 +16,14 @@ from repro.datasets import (
     read_raw_log,
     write_raw_log,
 )
-from repro.observability import Telemetry
-from repro.parsers import make_parser
+from repro.parsers import LogParser, make_parser
 from repro.parsers.parallel import ChunkedParallelParser
 from repro.resilience import (
-    ChunkFault,
     FlakyFactory,
     InjectedFault,
+    ParserSupervisor,
     QuarantineSink,
+    RetryPolicy,
     corrupt_raw_file,
     corrupt_records,
 )
@@ -239,7 +238,8 @@ class TestFlakyFactory:
 
 
 # ----------------------------------------------------------------------
-# Worker-crash recovery in chunked dispatch
+# Worker-crash recovery by composition: the chunked parser fails, the
+# supervisor retries and falls back
 # ----------------------------------------------------------------------
 
 
@@ -247,180 +247,55 @@ def _no_sleep(_seconds):
     return None
 
 
-class TestChunkRecovery:
-    def _baseline(self, records, chunk_size=20):
-        return ChunkedParallelParser(
-            _parser_factory, chunk_size=chunk_size
-        ).parse(records)
+class _DiesInWorkers(LogParser):
+    """Exits hard in any process but *home*; parses normally at home."""
 
-    def test_raise_fault_is_redispatched(self):
+    def __init__(self, home: int) -> None:
+        super().__init__(preprocessor=None)
+        self._home = home
+        self._inner = _parser_factory()
+        self.name = self._inner.name
+
+    def parse(self, records):
+        if os.getpid() != self._home:
+            os._exit(13)
+        return self._inner.parse(records)
+
+    def _cluster(self, token_lists):  # pragma: no cover - parse() overridden
+        raise NotImplementedError
+
+
+class TestChunkedUnderSupervision:
+    def test_dead_worker_falls_back_to_the_in_process_parse(self):
         records = _records(60)
-        baseline = self._baseline(records)
-        parser = ChunkedParallelParser(
-            _parser_factory,
-            chunk_size=20,
-            workers=2,
-            fault=ChunkFault(chunks=(1,), attempts=1, mode="raise"),
-            sleep=_no_sleep,
-        )
-        result = parser.parse(records)
-        assert result.events_file_lines() == baseline.events_file_lines()
-        report = parser.last_recovery
-        assert {a.unit for a in report.attempts if a.attempt > 1} == {1}
-        assert len(report.failures) == 1
-        assert "InjectedFault" in report.failures[0].error
-
-    def test_dead_worker_process_is_survived(self):
-        # mode="exit" hard-kills the worker mid-chunk: the pool breaks,
-        # the wave fails, and a fresh pool parses the chunk cleanly.
-        records = _records(60)
-        baseline = self._baseline(records)
-        parser = ChunkedParallelParser(
-            _parser_factory,
-            chunk_size=20,
-            workers=2,
-            fault=ChunkFault(chunks=(0,), attempts=1, mode="exit"),
-            sleep=_no_sleep,
-        )
-        result = parser.parse(records)
-        assert result.events_file_lines() == baseline.events_file_lines()
-        assert any(a.attempt > 1 for a in parser.last_recovery.attempts)
-
-    def test_hung_worker_is_abandoned_on_timeout(self):
-        records = _records(40)
-        baseline = self._baseline(records)
-        parser = ChunkedParallelParser(
-            _parser_factory,
-            chunk_size=20,
-            workers=2,
-            chunk_timeout=0.5,
-            fault=ChunkFault(
-                chunks=(1,), attempts=1, mode="hang", hang_seconds=30.0
-            ),
-            sleep=_no_sleep,
-        )
-        result = parser.parse(records)
-        assert result.events_file_lines() == baseline.events_file_lines()
-        timeouts = [
-            a for a in parser.last_recovery.attempts if a.status == "timeout"
-        ]
-        assert len(timeouts) == 1
-        assert "deadline" in timeouts[0].error
-
-    def test_timed_out_wave_stops_its_hung_worker(self):
-        # A 30 s hang must not outlive the parse: the timed-out wave's
-        # workers are stopped (SIGTERM, then SIGKILL), not left running.
+        factory = partial(_DiesInWorkers, os.getpid())
+        baseline = ChunkedParallelParser(factory, 20, 1).parse(records)
         before = {p.pid for p in multiprocessing.active_children()}
-        parser = ChunkedParallelParser(
-            _parser_factory,
-            chunk_size=20,
-            workers=2,
-            chunk_timeout=0.5,
-            fault=ChunkFault(
-                chunks=(1,), attempts=1, mode="hang", hang_seconds=30.0
-            ),
+        supervisor = ParserSupervisor(
+            [
+                ("pool", partial(ChunkedParallelParser, factory, 20, 2)),
+                ("in-process", partial(ChunkedParallelParser, factory, 20, 1)),
+            ],
+            retry=RetryPolicy(attempts=1),
             sleep=_no_sleep,
         )
-        parser.parse(_records(40))
-        time.sleep(2.0)
+        outcome = supervisor.parse(records)
+        assert outcome.result.assignments == baseline.assignments
+        assert outcome.result.events == baseline.events
+        assert [
+            (a.parser, a.attempt, a.status) for a in outcome.report.attempts
+        ] == [("pool", 1, "error"), ("in-process", 1, "ok")]
+        assert "BrokenProcessPool" in outcome.report.attempts[0].error
         alive = {p.pid for p in multiprocessing.active_children()} - before
         assert alive == set()
 
-    def test_persistent_fault_falls_back_in_process(self):
-        records = _records(60)
-        baseline = self._baseline(records)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_chunk_raises_its_own_exception(self, workers):
         parser = ChunkedParallelParser(
-            _parser_factory,
-            chunk_size=20,
-            workers=2,
-            max_chunk_attempts=2,
-            fault=ChunkFault(chunks=(2,), attempts=99, mode="raise"),
-            sleep=_no_sleep,
+            FlakyFactory(_parser_factory, fail_times=99), 20, workers
         )
-        result = parser.parse(records)
-        assert result.events_file_lines() == baseline.events_file_lines()
-        report = parser.last_recovery
-        rescued = {a.unit for a in report.attempts if a.parser == "in-process"}
-        assert rescued == {2}
-        assert "winner: in-process" in report.describe()
-
-    def test_fault_that_survives_fallback_raises_worker_crash(self):
-        records = _records(40)
-        parser = ChunkedParallelParser(
-            _parser_factory,
-            chunk_size=20,
-            workers=1,
-            max_chunk_attempts=2,
-            fault=ChunkFault(
-                chunks=(0,), attempts=99, mode="raise", worker_only=False
-            ),
-            sleep=_no_sleep,
-        )
-        with pytest.raises(WorkerCrashError, match="in-process fallback"):
-            parser.parse(records)
-
-    def test_fault_schedule_is_deterministic(self):
-        fault = ChunkFault(chunks=(0, 2), attempts=2, mode="raise")
-        assert fault.should_fire(0, 1, in_process=False)
-        assert fault.should_fire(2, 2, in_process=False)
-        assert not fault.should_fire(2, 3, in_process=False)
-        assert not fault.should_fire(1, 1, in_process=False)
-        assert not fault.should_fire(0, 1, in_process=True)  # worker_only
-
-    @pytest.mark.parametrize("mode", ["raise", "exit", "hang"])
-    def test_recovery_books_the_same_attempts_traced_and_untraced(self, mode):
-        # One _run_chunk and one attempt loop serve every dispatch, so
-        # telemetry can only add spans and counters: the recovery report
-        # cannot diverge between a traced and an untraced parse.  Every
-        # chunk is sabotaged, so no outcome hangs on which worker a
-        # broken pool caught mid-chunk.
-        records = _records(40)
-        baseline = self._baseline(records)
-
-        def run(telemetry):
-            parser = ChunkedParallelParser(
-                _parser_factory,
-                chunk_size=20,
-                workers=2,
-                max_chunk_attempts=2,
-                chunk_timeout=0.25 if mode == "hang" else None,
-                fault=ChunkFault(
-                    chunks=(0, 1), attempts=2, mode=mode, hang_seconds=3.0
-                ),
-                sleep=_no_sleep,
-                telemetry=telemetry,
-            )
-            result = parser.parse(records)
-            assert result.events_file_lines() == baseline.events_file_lines()
-            return [
-                (a.unit, a.attempt, a.status)
-                for a in parser.last_recovery.attempts
-            ]
-
-        telemetry = Telemetry.create()
-        traced = run(telemetry)
-        assert traced == run(None)
-        # Both pool waves lose both chunks; the in-process last resort
-        # (where a worker_only fault does not fire) rescues them.
-        failed = "timeout" if mode == "hang" else "error"
-        assert traced == [
-            (0, 1, failed), (1, 1, failed),
-            (0, 2, failed), (1, 2, failed),
-            (0, 3, "ok"), (1, 3, "ok"),
-        ]
-        calls = [
-            s for s in telemetry.tracer.spans if s.name == "parser_call"
-        ]
-        assert [s.attrs["in_process"] for s in calls] == [True, True]
-
-    def test_fault_free_run_reports_clean(self):
-        records = _records(40)
-        parser = ChunkedParallelParser(_parser_factory, chunk_size=20)
-        parser.parse(records)
-        assert parser.last_recovery.failures == []
-        assert [
-            (a.unit, a.attempt) for a in parser.last_recovery.attempts
-        ] == [(0, 1), (1, 1)]
+        with pytest.raises(InjectedFault, match="injected crash"):
+            parser.parse(_records(60))
 
 
 @pytest.mark.parametrize("dataset", ["HDFS", "BGL"])

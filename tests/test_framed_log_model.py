@@ -127,7 +127,7 @@ class FramedLogMachine(RuleBasedStateMachine):
             with open(self.path, "ab") as handle:
                 handle.write(frame_record({"torn": "x" * 40})[:torn])
         self.writer = DurableJsonlWriter(self.path, retries=self.retries)
-        assert self.writer.recovered == self.model
+        assert self.writer.recover() == self.model
 
     @invariant()
     def offset_is_the_bytes_on_disk(self) -> None:

@@ -292,9 +292,6 @@ class TestWorkerSpanPropagation:
             assert call.parent_id == chunk.span_id
             assert call.span_id.startswith("w")
             assert call.end_us >= call.start_us
-        assert telemetry.metrics.value(
-            "repro_supervisor_attempts_total", parser="pool", status="ok"
-        ) == 3.0
 
     def test_parallel_factory_spans_nest_under_the_engines_flush_spans(self):
         # The engine has no parallel mode: the paper's §V design is a

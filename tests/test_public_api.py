@@ -1,6 +1,9 @@
 """The public API surface: everything README advertises must exist."""
 
+import ast
+import glob
 import importlib
+import os
 
 import pytest
 
@@ -95,3 +98,37 @@ def test_every_module_imports_and_is_documented(module_name):
     module = importlib.import_module(module_name)
     assert module.__doc__, f"{module_name} lacks a module docstring"
     assert len(module.__doc__.strip()) > 40
+
+
+def _bench_imports():
+    """``(file, module, name)`` for every ``from repro... import`` in
+    the benchmark harness's modules."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    for path in sorted(glob.glob(os.path.join(bench, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and node.module.split(".")[0] == "repro"
+            ):
+                for alias in node.names:
+                    yield os.path.basename(path), node.module, alias.name
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # The benchmark runs the committed tree of two revisions: a name it
+    # imports that a change removed fails the whole run, not one metric.
+    found = list(_bench_imports())
+    assert any(name == "ChunkedParallelParser" for _, _, name in found)
+    missing = []
+    for filename, module_name, name in found:
+        module = importlib.import_module(module_name)
+        if hasattr(module, name):
+            continue
+        try:
+            importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            missing.append(f"{filename}: from {module_name} import {name}")
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Goldens for the recovery schedules of the three supervision stacks.
+"""Goldens for the recovery schedules of the two supervision stacks.
 
 Each scenario drives one stack through a fixed fault script and pins
 two things: the ``(unit, entry, attempt, status)`` sequence the stack
@@ -6,9 +6,6 @@ books, and the exact sleep schedule it asks its injected ``sleep`` for.
 
 * ``ParserSupervisor`` — the unit is the ``parse`` call, the entry the
   chain entry's name.
-* ``ChunkedParallelParser`` — the unit is the chunk index, the entry
-  ``pool`` for a worker-pool try and ``in-process`` for the last
-  resort; the attempt is the chunk's running count.
 * ``ShardSupervisor`` — the unit is the tenant, the entry ``worker``,
   the attempt the worker life that died.
 
@@ -31,9 +28,7 @@ from repro.common.errors import BudgetExceededError
 from repro.common.types import LogRecord
 from repro.observability import Telemetry
 from repro.parsers import make_parser
-from repro.parsers.parallel import ChunkedParallelParser
 from repro.resilience import (
-    ChunkFault,
     FlakyFactory,
     ParserSupervisor,
     ProcessFault,
@@ -107,42 +102,6 @@ GOLDEN = {
         ],
         [],
     ),
-    "chunks-raise": (
-        [
-            (0, "pool", 1, "ok"),
-            (1, "pool", 1, "error"),
-            (2, "pool", 1, "ok"),
-            (1, "pool", 2, "ok"),
-        ],
-        [0.05],
-    ),
-    # Only the faulted chunk: whether the broken pool also takes its
-    # neighbour down depends on which worker finished first.
-    "chunks-exit": (
-        [
-            (0, "pool", 1, "error"),
-            (0, "pool", 2, "ok"),
-        ],
-        [0.05],
-    ),
-    "chunks-hang": (
-        [
-            (0, "pool", 1, "ok"),
-            (1, "pool", 1, "timeout"),
-            (1, "pool", 2, "ok"),
-        ],
-        [0.05],
-    ),
-    "chunks-rescued": (
-        [
-            (0, "pool", 1, "ok"),
-            (1, "pool", 1, "error"),
-            (2, "pool", 1, "ok"),
-            (1, "pool", 2, "error"),
-            (1, "in-process", 3, "fallback-ok"),
-        ],
-        [0.05],
-    ),
     "shard-kill-exit-hang": (
         [
             ("t", "worker", 1, "signal"),
@@ -157,7 +116,6 @@ GOLDEN = {
 #: Old status word → the shared vocabulary's.  Applied to the goldens
 #: above; nothing else about them may change.
 RENAMED = {
-    "fallback-ok": "ok",
     "signal": "error",
     "exit": "error",
     "hung": "timeout",
@@ -185,26 +143,6 @@ def _supervise(chain, **kwargs):
     outcome = supervisor.parse(_records(40))
     booked = [
         (0, a.parser, a.attempt, a.status) for a in outcome.report.attempts
-    ]
-    return booked, clock.sleeps
-
-
-def _chunks(fault, n=60, max_chunk_attempts=3, chunk_timeout=None, only=None):
-    clock = _Recorder()
-    parser = ChunkedParallelParser(
-        _iplom,
-        chunk_size=20,
-        workers=2,
-        max_chunk_attempts=max_chunk_attempts,
-        chunk_timeout=chunk_timeout,
-        fault=fault,
-        sleep=clock.sleep,
-    )
-    parser.parse(_records(n))
-    booked = [
-        (a.unit, a.parser, a.attempt, a.status)
-        for a in parser.last_recovery.attempts
-        if only is None or a.unit in only
     ]
     return booked, clock.sleeps
 
@@ -248,21 +186,6 @@ SCRIPTS = {
     "supervisor-budget": lambda _: _supervise(
         [("A", _BudgetBlown), ("B", _iplom)],
         retry=RetryPolicy(attempts=3, base_delay=0.5),
-    ),
-    "chunks-raise": lambda _: _chunks(
-        ChunkFault(chunks=(1,), attempts=1, mode="raise")
-    ),
-    "chunks-exit": lambda _: _chunks(
-        ChunkFault(chunks=(0,), attempts=1, mode="exit"), n=40, only={0}
-    ),
-    "chunks-hang": lambda _: _chunks(
-        ChunkFault(chunks=(1,), attempts=1, mode="hang", hang_seconds=5.0),
-        n=40,
-        chunk_timeout=0.5,
-    ),
-    "chunks-rescued": lambda _: _chunks(
-        ChunkFault(chunks=(1,), attempts=99, mode="raise"),
-        max_chunk_attempts=2,
     ),
     "shard-kill-exit-hang": _shard,
 }

@@ -104,3 +104,22 @@ def test_a_resume_decodes_each_log_once(host, tmp_path, monkeypatch):
         str(tenant / MANIFEST_NAME), str(calm / "t" / MANIFEST_NAME),
         ignore=(CHECKPOINT_NAME,),
     ) == []
+
+
+def test_a_resumed_quarantine_writer_holds_no_payloads(tmp_path):
+    # Recovery decodes the quarantine to find its intact prefix, but
+    # the sink never reads its records back: its writer keeps only the
+    # offset, not the 43 decoded payloads.
+    root = tmp_path / "data"
+    first = _run(root, "thread", LINES[:300])
+    assert (first["seen"], first["quarantined"]) == (300, 43)
+    service = _service(root, "thread")
+    replay_lines(service, LINES)  # the first 300 answer ``replayed``
+    writer = service.shard("t").quarantine.writer
+    assert writer.offset()[1] == 46
+    held = [
+        name for name, value in vars(writer).items()
+        if isinstance(value, list) and value
+    ]
+    assert held == []
+    assert service.drain()["tenants"]["t"]["quarantined"] == 3
