@@ -23,34 +23,54 @@ from repro.common.types import LogRecord
 PLACEHOLDER_PATTERN = re.compile(r"<([a-z_]+)>")
 
 
+def _randint(rng: Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)``, draw for draw, without its three frames.
+
+    CPython's ``randint`` → ``randrange`` → ``_randbelow`` ends in this
+    rejection loop, so the Mersenne Twister state advances exactly as
+    it does there; ``tests/test_dataset_golden.py`` pins the equality.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def _choice(rng: Random, seq):
+    """``rng.choice(seq)``, draw for draw (see :func:`_randint`)."""
+    return seq[_randint(rng, 0, len(seq) - 1)]
+
+
 def _random_ip(rng: Random) -> str:
     return (
-        f"10.{rng.randint(0, 255)}.{rng.randint(0, 255)}"
-        f".{rng.randint(1, 254)}"
+        f"10.{_randint(rng, 0, 255)}.{_randint(rng, 0, 255)}"
+        f".{_randint(rng, 1, 254)}"
     )
 
 
 def _random_port(rng: Random) -> str:
-    return str(rng.randint(1024, 65535))
+    return str(_randint(rng, 1024, 65535))
 
 
 def _random_block_id(rng: Random) -> str:
     sign = "-" if rng.random() < 0.5 else ""
-    return f"blk_{sign}{rng.randint(10**15, 10**19 - 1)}"
+    return f"blk_{sign}{_randint(rng, 10**15, 10**19 - 1)}"
 
 
 def _random_number(rng: Random) -> str:
-    return str(rng.randint(0, 99999))
+    return str(_randint(rng, 0, 99999))
 
 
 def _random_small_number(rng: Random) -> str:
-    return str(rng.randint(0, 9))
+    return str(_randint(rng, 0, 9))
 
 
 def _random_responder(rng: Random) -> str:
     # HDFS PacketResponder indices are pipeline positions (0..2 for the
     # default replication factor of 3).
-    return str(rng.randint(0, 2))
+    return str(_randint(rng, 0, 2))
 
 
 def _random_hex(rng: Random) -> str:
@@ -61,28 +81,29 @@ def _random_size(rng: Random) -> str:
     # Full 64 MB blocks recur; file-tail blocks vary freely.
     if rng.random() < 0.15:
         return "67108864"
-    return str(rng.randint(1, 67108863))
+    return str(_randint(rng, 1, 67108863))
 
 
 def _random_path(rng: Random) -> str:
     parts = rng.sample(
         ["user", "root", "data", "tmp", "jobs", "randtxt", "output",
          "part", "task", "mnt", "hadoop", "spool"],
-        k=rng.randint(2, 4),
+        k=_randint(rng, 2, 4),
     )
-    return "/" + "/".join(parts) + f"/part-{rng.randint(0, 99999):05d}"
+    return "/" + "/".join(parts) + f"/part-{_randint(rng, 0, 99999):05d}"
 
 
 def _random_host(rng: Random) -> str:
     return (
-        f"{rng.choice(['node', 'cn', 'worker', 'dn', 'srv'])}-"
-        f"{rng.randint(0, 4095)}"
+        f"{_choice(rng, ['node', 'cn', 'worker', 'dn', 'srv'])}-"
+        f"{_randint(rng, 0, 4095)}"
     )
 
 
 def _random_user(rng: Random) -> str:
-    return rng.choice(
-        ["root", "hadoop", "zookeeper", "admin", "svc", "operator", "nobody"]
+    return _choice(
+        rng,
+        ["root", "hadoop", "zookeeper", "admin", "svc", "operator", "nobody"],
     )
 
 
@@ -91,7 +112,7 @@ def _random_float(rng: Random) -> str:
 
 
 def _random_duration(rng: Random) -> str:
-    return f"{rng.randint(0, 23):02d}:{rng.randint(0, 59):02d}"
+    return f"{_randint(rng, 0, 23):02d}:{_randint(rng, 0, 59):02d}"
 
 
 #: Failing cores dump repeatedly, so core ids in real BGL logs are
@@ -104,19 +125,20 @@ _HOT_CORES = tuple(range(256, 4096, 512))
 
 def _random_core(rng: Random) -> str:
     if rng.random() < 0.7:
-        return f"core.{rng.choice(_HOT_CORES)}"
-    return f"core.{rng.randint(0, 4095)}"
+        return f"core.{_choice(rng, _HOT_CORES)}"
+    return f"core.{_randint(rng, 0, 4095)}"
 
 
 def _random_cluster_node(rng: Random) -> str:
     # The paper's HPC cluster has 49 nodes; node names repeat heavily.
-    return f"node-{rng.randint(0, 48)}"
+    return f"node-{_randint(rng, 0, 48)}"
 
 
 def _random_node_location(rng: Random) -> str:
     return (
-        f"R{rng.randint(0, 77):02d}-M{rng.randint(0, 1)}"
-        f"-N{rng.randint(0, 15)}-C:J{rng.randint(0, 17):02d}-U{rng.randint(1, 11):02d}"
+        f"R{_randint(rng, 0, 77):02d}-M{_randint(rng, 0, 1)}"
+        f"-N{_randint(rng, 0, 15)}-C:J{_randint(rng, 0, 17):02d}"
+        f"-U{_randint(rng, 1, 11):02d}"
     )
 
 
@@ -168,12 +190,20 @@ class Template:
             raise DatasetError(
                 f"template {self.event_id}: weight must be positive"
             )
-        for kind in PLACEHOLDER_PATTERN.findall(self.pattern):
+        pieces = PLACEHOLDER_PATTERN.split(self.pattern)  # lit, kind, lit…
+        for kind in pieces[1::2]:
             if kind not in FIELD_GENERATORS:
                 raise DatasetError(
                     f"template {self.event_id}: unknown placeholder "
                     f"<{kind}>"
                 )
+        # Compiled once: the leading literal, then (sampler, literal)
+        # pairs in pattern order — the order re.sub would call them.
+        object.__setattr__(self, "_head", pieces[0])
+        object.__setattr__(self, "_fields", tuple(
+            (FIELD_GENERATORS[kind], literal)
+            for kind, literal in zip(pieces[1::2], pieces[2::2])
+        ))
 
     @property
     def truth_template(self) -> str:
@@ -190,10 +220,10 @@ class Template:
 
     def render(self, rng: Random) -> str:
         """Instantiate the pattern with randomly sampled field values."""
-        return PLACEHOLDER_PATTERN.sub(
-            lambda match: FIELD_GENERATORS[match.group(1)](rng),
-            self.pattern,
-        )
+        out = self._head
+        for sampler, literal in self._fields:
+            out += sampler(rng) + literal
+        return out
 
 
 @dataclass(frozen=True)
@@ -206,9 +236,10 @@ class TemplateBank:
     def __post_init__(self) -> None:
         if not self.templates:
             raise DatasetError(f"bank {self.name}: no templates")
-        ids = [t.event_id for t in self.templates]
-        if len(set(ids)) != len(ids):
+        by_id = {t.event_id: t for t in self.templates}
+        if len(by_id) != len(self.templates):
             raise DatasetError(f"bank {self.name}: duplicate event ids")
+        object.__setattr__(self, "_by_id", by_id)
         truths = [t.truth_template for t in self.templates]
         duplicates = {t for t in truths if truths.count(t) > 1}
         if duplicates:
@@ -224,10 +255,7 @@ class TemplateBank:
         return iter(self.templates)
 
     def by_id(self, event_id: str) -> Template:
-        for template in self.templates:
-            if template.event_id == event_id:
-                return template
-        raise KeyError(event_id)
+        return self._by_id[event_id]
 
     @property
     def length_range(self) -> tuple[int, int]:

@@ -9,20 +9,34 @@ files look like real logs and loaders can exercise header stripping.
 from __future__ import annotations
 
 import datetime
+import functools
 from collections.abc import Iterator
 
 from repro.common.errors import DatasetError
 from repro.common.rng import spawn
 from repro.common.types import LogRecord
 from repro.datasets.base import DatasetSpec, SyntheticDataset, Template
+from repro.datasets.base import _choice
 
 #: Fixed origin for synthetic timestamps (date of the HDFS trace in Fig. 1).
 _EPOCH = datetime.datetime(2008, 11, 9, 20, 35, 32)
+_EPOCH_SECOND = _EPOCH.hour * 3600 + _EPOCH.minute * 60 + _EPOCH.second
+
+#: Clock steps in seconds, drawn once per record.
+_STEPS = (0, 0, 1, 1, 2, 5)
+
+
+@functools.lru_cache(maxsize=8)
+def _date_prefix(day: int) -> str:
+    return f"{_EPOCH.date() + datetime.timedelta(days=day)} "
 
 
 def _timestamp(step: int) -> str:
-    moment = _EPOCH + datetime.timedelta(seconds=step)
-    return moment.strftime("%Y-%m-%d %H:%M:%S")
+    """``_EPOCH + step`` seconds as ``%Y-%m-%d %H:%M:%S``, by arithmetic."""
+    day, second = divmod(_EPOCH_SECOND + step, 86400)
+    hour, second = divmod(second, 3600)
+    minute, second = divmod(second, 60)
+    return f"{_date_prefix(day)}{hour:02d}:{minute:02d}:{second:02d}"
 
 
 def generate_dataset(
@@ -73,10 +87,14 @@ def iter_dataset(
     rng.shuffle(chosen)
 
     clock = 0
+    stamp = _timestamp(clock)
     for template in chosen:
-        clock += rng.choice([0, 0, 1, 1, 2, 5])
+        step = _choice(rng, _STEPS)
+        if step:
+            clock += step
+            stamp = _timestamp(clock)
         yield LogRecord(
             content=template.render(rng),
-            timestamp=_timestamp(clock),
+            timestamp=stamp,
             truth_event=template.event_id,
         )

@@ -21,6 +21,7 @@ from repro.common.errors import DatasetError
 from repro.common.rng import spawn
 from repro.common.types import LogRecord
 from repro.datasets.base import DatasetSpec, Template, TemplateBank
+from repro.datasets.base import _choice, _randint
 
 #: The 29 HDFS block-operation event templates (Xu et al., SOSP 2009).
 _HDFS_TEMPLATES = [
@@ -119,25 +120,27 @@ DATANODE_PORT = 50010
 _IP_PATTERN = re.compile(r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}")
 _IP_PORT_PATTERN = re.compile(r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}:\d+")
 
+#: One session's lines as ``(event_id, line)`` pairs, in emission order.
+_Trace = list[tuple[str, str]]
+
 
 def _emit(
-    trace: list[str],
+    trace: _Trace,
     event_id: str,
     rng: Random,
     block_id: str,
     transfer_target: str | None = None,
 ) -> None:
-    """Append one rendered instance of *event_id*, pinned to *block_id*.
+    """Append ``(event_id, line)``, the line pinned to *block_id*.
 
     When *transfer_target* is given, the final ip:port of the message
     (the transfer destination) is pinned to that node on the standard
     DataNode port.
     """
-    template = HDFS_BANK.by_id(event_id)
-    content = template.render(rng)
+    content = HDFS_BANK.by_id(event_id).render(rng)
     # Draw every IP from the fixed cluster pool.
     content = _IP_PATTERN.sub(
-        lambda _match: rng.choice(CLUSTER_NODES), content
+        lambda _match: _choice(rng, CLUSTER_NODES), content
     )
     if transfer_target is not None:
         matches = list(_IP_PORT_PATTERN.finditer(content))
@@ -154,12 +157,12 @@ def _emit(
         block_id if token.startswith("blk_") else token
         for token in content.split()
     ]
-    trace.append(" ".join(tokens))
+    trace.append((event_id, " ".join(tokens)))
 
 
-def _normal_session(rng: Random, block_id: str) -> list[str]:
+def _normal_session(rng: Random, block_id: str) -> _Trace:
     """A healthy block lifecycle: allocate → 3 replicas → optional extras."""
-    trace: list[str] = []
+    trace: _Trace = []
     _emit(trace, "E2", rng, block_id)
     replicas = 3
     for _ in range(replicas):
@@ -172,7 +175,7 @@ def _normal_session(rng: Random, block_id: str) -> list[str]:
         _emit(trace, "E3", rng, block_id)
         _emit(trace, "E5", rng, block_id)
     if rng.random() < 0.30:
-        for _ in range(rng.randint(1, 4)):
+        for _ in range(_randint(rng, 1, 4)):
             _emit(trace, "E8", rng, block_id)
     if rng.random() < 0.15:
         _emit(trace, "E6", rng, block_id)
@@ -185,21 +188,21 @@ def _normal_session(rng: Random, block_id: str) -> list[str]:
     if rng.random() < 0.025:
         # Routine re-replication (balancer) — still normal.  Transfers
         # target the currently under-loaded nodes.
-        target = rng.choice(REBALANCE_TARGETS)
+        target = _choice(rng, REBALANCE_TARGETS)
         _emit(trace, "E15", rng, block_id, transfer_target=target)
         _emit(trace, "E13", rng, block_id, transfer_target=target)
     return trace
 
 
-def _anomaly_write_failure(rng: Random, block_id: str) -> list[str]:
+def _anomaly_write_failure(rng: Random, block_id: str) -> _Trace:
     """Write pipeline breaks: exceptions, interrupted responders, retry."""
-    trace: list[str] = []
+    trace: _Trace = []
     _emit(trace, "E2", rng, block_id)
     _emit(trace, "E1", rng, block_id)
-    for _ in range(rng.randint(2, 4)):
+    for _ in range(_randint(rng, 2, 4)):
         _emit(trace, "E11", rng, block_id)
     if rng.random() < 0.5:
-        _emit(trace, rng.choice(["E27", "E25"]), rng, block_id)
+        _emit(trace, _choice(rng, ["E27", "E25"]), rng, block_id)
     _emit(trace, "E26", rng, block_id)
     if rng.random() < 0.5:
         _emit(trace, "E10", rng, block_id)
@@ -211,16 +214,16 @@ def _anomaly_write_failure(rng: Random, block_id: str) -> list[str]:
     return trace
 
 
-def _anomaly_replication(rng: Random, block_id: str) -> list[str]:
+def _anomaly_replication(rng: Random, block_id: str) -> _Trace:
     """Replication stalls: transfer failures and monitor timeouts."""
-    trace: list[str] = []
+    trace: _Trace = []
     _emit(trace, "E2", rng, block_id)
     _emit(trace, "E1", rng, block_id)
     _emit(trace, "E4", rng, block_id)
     _emit(trace, "E3", rng, block_id)
     _emit(trace, "E5", rng, block_id)
-    for _ in range(rng.randint(1, 3)):
-        target = rng.choice(REBALANCE_TARGETS)
+    for _ in range(_randint(rng, 1, 3)):
+        target = _choice(rng, REBALANCE_TARGETS)
         _emit(trace, "E15", rng, block_id, transfer_target=target)
         _emit(trace, "E14", rng, block_id, transfer_target=target)
     _emit(trace, "E24", rng, block_id)
@@ -230,16 +233,16 @@ def _anomaly_replication(rng: Random, block_id: str) -> list[str]:
     return trace
 
 
-def _anomaly_metadata(rng: Random, block_id: str) -> list[str]:
+def _anomaly_metadata(rng: Random, block_id: str) -> _Trace:
     """Namespace inconsistencies: redundant/orphan addStoredBlock, bad delete."""
-    trace: list[str] = []
+    trace: _Trace = []
     _emit(trace, "E2", rng, block_id)
     for _ in range(3):
         _emit(trace, "E1", rng, block_id)
         _emit(trace, "E4", rng, block_id)
         _emit(trace, "E3", rng, block_id)
         _emit(trace, "E5", rng, block_id)
-    for _ in range(rng.randint(2, 4)):
+    for _ in range(_randint(rng, 2, 4)):
         _emit(trace, "E22", rng, block_id)
     choice = rng.random()
     if choice < 0.35:
@@ -253,31 +256,31 @@ def _anomaly_metadata(rng: Random, block_id: str) -> list[str]:
     return trace
 
 
-def _anomaly_serving(rng: Random, block_id: str) -> list[str]:
+def _anomaly_serving(rng: Random, block_id: str) -> _Trace:
     """Read-path failures: repeated exceptions while serving the block."""
-    trace: list[str] = []
+    trace: _Trace = []
     _emit(trace, "E2", rng, block_id)
     for _ in range(3):
         _emit(trace, "E1", rng, block_id)
         _emit(trace, "E29", rng, block_id)
         _emit(trace, "E3", rng, block_id)
         _emit(trace, "E5", rng, block_id)
-    for _ in range(rng.randint(2, 5)):
-        _emit(trace, rng.choice(["E9", "E28"]), rng, block_id)
+    for _ in range(_randint(rng, 2, 5)):
+        _emit(trace, _choice(rng, ["E9", "E28"]), rng, block_id)
     _emit(trace, "E8", rng, block_id)
     return trace
 
 
-def _anomaly_subtle(rng: Random, block_id: str) -> list[str]:
+def _anomaly_subtle(rng: Random, block_id: str) -> _Trace:
     """Under-replication with no error events: only the counts are off.
 
     These anomalies look like truncated normal sessions, which is why
     even the ground-truth parse cannot reach 100% detection (the paper's
     Table III detects 66% of true anomalies with perfect parsing).
     """
-    trace: list[str] = []
+    trace: _Trace = []
     _emit(trace, "E2", rng, block_id)
-    replicas = rng.choice([1, 2])
+    replicas = _choice(rng, [1, 2])
     for _ in range(replicas):
         _emit(trace, "E1", rng, block_id)
         _emit(trace, "E4", rng, block_id)
@@ -321,7 +324,6 @@ def generate_hdfs_sessions(
     labels: dict[str, bool] = {}
     scenarios: dict[str, str] = {}
     tagged: list[tuple[float, int, LogRecord]] = []
-    truth = HDFS_BANK.truth_templates()
     for index in range(n_blocks):
         block_id = f"blk_{7000000000000000000 + index}"
         anomalous = rng.random() < anomaly_rate
@@ -338,8 +340,7 @@ def generate_hdfs_sessions(
         # Interleave sessions: each session starts at a random global
         # offset and its events follow at small increments.
         start = rng.random() * n_blocks
-        for step, content in enumerate(trace):
-            event_id = _event_id_of(content, truth)
+        for step, (event_id, content) in enumerate(trace):
             tagged.append(
                 (
                     start + step * rng.uniform(0.01, 0.5),
@@ -360,14 +361,3 @@ def generate_hdfs_sessions(
         scenarios=scenarios,
     )
 
-
-def _event_id_of(content: str, truth: dict[str, str]) -> str:
-    """Recover the event id of a rendered-and-pinned trace line."""
-    tokens = content.split()
-    for event_id, template in truth.items():
-        t_tokens = template.split()
-        if len(t_tokens) != len(tokens):
-            continue
-        if all(t == "*" or t == m for t, m in zip(t_tokens, tokens)):
-            return event_id
-    raise DatasetError(f"trace line matches no HDFS template: {content!r}")

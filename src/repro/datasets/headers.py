@@ -24,63 +24,62 @@ from collections.abc import Callable
 from repro.common.errors import DatasetError
 from repro.common.rng import spawn
 from repro.common.types import LogRecord
+from repro.datasets.base import _choice, _randint
 
 _EPOCH = datetime.datetime(2005, 6, 3, 15, 42, 50)
 
 
 def _bgl_header(rng: Random, moment: datetime.datetime) -> str:
     node = (
-        f"R{rng.randint(0, 77):02d}-M{rng.randint(0, 1)}"
-        f"-N{rng.randint(0, 15)}-C:J{rng.randint(0, 17):02d}"
-        f"-U{rng.randint(1, 11):02d}"
+        f"R{_randint(rng, 0, 77):02d}-M{_randint(rng, 0, 1)}"
+        f"-N{_randint(rng, 0, 15)}-C:J{_randint(rng, 0, 17):02d}"
+        f"-U{_randint(rng, 1, 11):02d}"
     )
-    level = rng.choice(["INFO", "WARNING", "ERROR", "FATAL", "SEVERE"])
-    component = rng.choice(["KERNEL", "APP", "DISCOVERY", "HARDWARE", "MMCS"])
+    level = _choice(rng, ["INFO", "WARNING", "ERROR", "FATAL", "SEVERE"])
+    component = _choice(
+        rng, ["KERNEL", "APP", "DISCOVERY", "HARDWARE", "MMCS"]
+    )
     epoch = int(moment.timestamp())
     date = moment.strftime("%Y.%m.%d")
     full = moment.strftime("%Y-%m-%d-%H.%M.%S.%f")
     return f"- {epoch} {date} {node} {full} {node} RAS {component} {level}"
 
 def _hpc_header(rng: Random, moment: datetime.datetime) -> str:
-    ident = rng.randint(100000, 999999)
-    node = f"node-{rng.randint(0, 48)}"
-    component = rng.choice(["unix.hw", "action", "boot_cmd", "state"])
-    state = rng.choice(["state_change.unavailable", "error", "normal"])
+    ident = _randint(rng, 100000, 999999)
+    node = f"node-{_randint(rng, 0, 48)}"
+    component = _choice(rng, ["unix.hw", "action", "boot_cmd", "state"])
+    state = _choice(rng, ["state_change.unavailable", "error", "normal"])
     return f"{ident} {node} {component} {state} {int(moment.timestamp())}"
 
 def _hdfs_header(rng: Random, moment: datetime.datetime) -> str:
     date = moment.strftime("%y%m%d")
     time = moment.strftime("%H%M%S")
-    pid = rng.randint(10, 9999)
-    level = rng.choice(["INFO", "WARN"])
-    cls = rng.choice(
-        [
-            "dfs.DataNode$PacketResponder",
-            "dfs.DataNode$DataXceiver",
-            "dfs.FSNamesystem",
-            "dfs.DataBlockScanner",
-        ]
-    )
+    pid = _randint(rng, 10, 9999)
+    level = _choice(rng, ["INFO", "WARN"])
+    cls = _choice(rng, [
+        "dfs.DataNode$PacketResponder",
+        "dfs.DataNode$DataXceiver",
+        "dfs.FSNamesystem",
+        "dfs.DataBlockScanner",
+    ])
     return f"{date} {time} {pid} {level} {cls}:"
 
 def _zookeeper_header(rng: Random, moment: datetime.datetime) -> str:
     stamp = moment.strftime("%Y-%m-%d %H:%M:%S,%f")[:-3]
-    level = rng.choice(["INFO", "WARN", "ERROR"])
-    thread = rng.choice(
-        [
-            "main",
-            "QuorumPeer[myid=1]/0.0.0.0:2181",
-            "NIOServerCxn.Factory:0.0.0.0/0.0.0.0:2181",
-            "SyncThread:0",
-            "WorkerReceiver[myid=2]",
-        ]
-    )
+    level = _choice(rng, ["INFO", "WARN", "ERROR"])
+    thread = _choice(rng, [
+        "main",
+        "QuorumPeer[myid=1]/0.0.0.0:2181",
+        "NIOServerCxn.Factory:0.0.0.0/0.0.0.0:2181",
+        "SyncThread:0",
+        "WorkerReceiver[myid=2]",
+    ])
     return f"{stamp} - {level} [{thread}] -"
 
 def _proxifier_header(rng: Random, moment: datetime.datetime) -> str:
     stamp = moment.strftime("%m.%d %H:%M:%S")
-    program = rng.choice(
-        ["chrome.exe", "firefox.exe", "Dropbox.exe", "thunderbird.exe"]
+    program = _choice(
+        rng, ["chrome.exe", "firefox.exe", "Dropbox.exe", "thunderbird.exe"]
     )
     return f"[{stamp}] {program} -"
 
@@ -133,7 +132,7 @@ class HeaderFormat:
         moment = _EPOCH
         for record in records:
             moment += datetime.timedelta(
-                seconds=rng.choice([0, 0, 1, 1, 2])
+                seconds=_choice(rng, [0, 0, 1, 1, 2])
             )
             lines.append(
                 f"{self.render(rng, moment)} {record.content}"

@@ -240,23 +240,25 @@ class BatchJournal:
     resend is the retry.
 
     With ``recover=True`` — how :class:`DeliveryFront` opens it — the
-    surviving entries of a previous life are parsed (torn tail
-    truncated) and exposed as :attr:`recovered`.  The default starts
-    from an empty file.
+    file of a previous life is kept, and :meth:`recover` hands its
+    surviving entries to the caller; the journal keeps none of them.
+    The default starts from an empty file.
     """
 
     def __init__(
         self, path: str, io: RealIO | None = None, *, recover: bool = False
     ) -> None:
         self._log = DurableJsonlWriter(path, retries=0, io=io)
-        self.recovered: list[tuple[int, LogRecord, tuple | None]] = []
-        if recover:
-            self.recovered = sorted(
-                (self._thaw(payload) for payload in self._log.recover()),
-                key=lambda entry: entry[0],
-            )
-        else:
+        if not recover:
             self.reset(())
+
+    def recover(self) -> list[tuple[int, LogRecord, tuple | None]]:
+        """The previous life's entries in index order (torn tail
+        truncated); ``[]`` once the file was recovered or written."""
+        return sorted(
+            (self._thaw(payload) for payload in self._log.recover()),
+            key=lambda entry: entry[0],
+        )
 
     @staticmethod
     def _frame(index: int, record: LogRecord, delivery=None) -> bytes:
@@ -360,7 +362,7 @@ class DeliveryFront:
         )
         #: ``(index, record, delivery)`` entries owned past *position*.
         self.backlog = [
-            entry for entry in self._journal.recovered
+            entry for entry in self._journal.recover()
             if entry[0] >= position
         ]
         for _, _, delivery in self.backlog:

@@ -214,6 +214,30 @@ class TestDeliveryFrontRecovery:
         ] == 6
         front.close()
 
+    def test_the_journal_keeps_none_of_the_recovered_entries(
+        self, tmp_path
+    ):
+        # The front keeps only the entries past the checkpoint; the
+        # 990 it covers must not stay decoded in the journal.
+        journal = BatchJournal(str(tmp_path / JOURNAL_NAME))
+        journal.extend(
+            (index, self._record(index), ("c", index + 1))
+            for index in range(1000)
+        )
+        journal.close()
+        front = DeliveryFront(str(tmp_path), 990, {"c": 990})
+        assert [index for index, _, _ in front.backlog] == list(
+            range(990, 1000)
+        )
+        held = [
+            name
+            for owner in (front._journal, front._journal._log)
+            for name, value in vars(owner).items()
+            if isinstance(value, list) and value
+        ]
+        assert held == []
+        front.close()
+
     def test_gap_is_held_then_released_in_sequence_order(self, tmp_path):
         front = DeliveryFront(str(tmp_path), 0, {})
         assert front.admit_all([(self._record(2), 2)], "a") == ([PENDING], [])

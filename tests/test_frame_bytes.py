@@ -8,7 +8,8 @@ writer builds them, against that reference:
 
 * ``frame_record`` of any JSON object;
 * ``BatchJournal._frame`` against ``frame_record`` of the same
-  payload, and an append → ``BatchJournal(recover=True)`` round trip;
+  payload, and an append → ``BatchJournal(recover=True).recover()``
+  round trip;
 * the spool bytes ``DurableSender.send`` writes (after a floor frame,
   so sequences reach 2**63) against ``frame_record``, and a recovered
   sender's unacked entries.
@@ -106,7 +107,7 @@ def test_journal_appends_recover(tmp_path_factory, entries):
         assert handle.read() == b"".join(
             frame_record(journal_payload(*entry)) for entry in entries
         )
-    recovered = BatchJournal(path, recover=True).recovered
+    recovered = BatchJournal(path, recover=True).recover()
     assert recovered == sorted(entries, key=lambda entry: entry[0])
 
 

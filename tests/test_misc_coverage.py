@@ -10,7 +10,8 @@ import pytest
 from repro.cli import main
 from repro.common.errors import DatasetError
 from repro.common.types import LogRecord
-from repro.datasets.hdfs import HDFS_BANK, _event_id_of
+from repro.common.tokenize import template_matches
+from repro.datasets.hdfs import HDFS_BANK, generate_hdfs_sessions
 from repro.datasets.base import Template
 from repro.mining.pca import q_statistic_threshold
 from repro.mining.verification import compare_deployments
@@ -60,15 +61,20 @@ class TestQStatisticDegenerateSpectra:
 
 
 class TestHdfsEventRecovery:
-    def test_known_line_recovers_id(self):
-        truth = HDFS_BANK.truth_templates()
-        line = "Verification succeeded for blk_123"
-        assert _event_id_of(line, truth) == "E6"
-
-    def test_unknown_line_raises(self):
-        truth = HDFS_BANK.truth_templates()
-        with pytest.raises(DatasetError):
-            _event_id_of("completely unknown line shape", truth)
+    def test_emitted_id_is_the_first_matching_template(self):
+        # Session lines carry the id of the template that emitted them;
+        # no earlier bank template may also cover the line, or a parser
+        # scored against the first match would disagree with the label.
+        truth = list(HDFS_BANK.truth_templates().items())
+        for seed in range(5):
+            sessions = generate_hdfs_sessions(150, seed=seed, anomaly_rate=0.5)
+            for record in sessions.records:
+                first = next(
+                    event_id
+                    for event_id, template in truth
+                    if template_matches(template, record.content)
+                )
+                assert first == record.truth_event, record.content
 
 
 class TestTemplateValidation:

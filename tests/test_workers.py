@@ -160,7 +160,7 @@ class TestBatchJournal:
         journal.reset([(2, LogRecord(content="r2"), ("c", 3))])
         journal.append(3, LogRecord(content="r3"), ("c", 4))
         journal.close()
-        recovered = BatchJournal(path, recover=True).recovered
+        recovered = BatchJournal(path, recover=True).recover()
         assert [(index, record.content, delivery)
                 for index, record, delivery in recovered] == [
             (2, "r2", ("c", 3)), (3, "r3", ("c", 4)),
@@ -177,7 +177,7 @@ class TestBatchJournal:
         with open(path, "ab") as handle:
             handle.write(frame_record({"index": 2, "content": "c"})[:9])
         survivor = BatchJournal(path, recover=True)
-        assert [entry[0] for entry in survivor.recovered] == [0, 1]
+        assert [entry[0] for entry in survivor.recover()] == [0, 1]
         assert os.path.getsize(path) == intact
         survivor.append(2, LogRecord(content="c"))
         survivor.close()
