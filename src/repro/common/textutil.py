@@ -1,66 +1,15 @@
 """Low-level string/sequence helpers used by the parsers.
 
-Includes the weighted edit distance LKE clusters with, longest common
-subsequence extraction for template generation, and small formatting
-helpers for the report renderers.
+Longest common subsequence extraction for LKE's template generation,
+and a small table formatter for the report renderers.  LKE's weighted
+edit distance lives with its clustering in :mod:`repro.parsers.lke`.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.common.errors import ValidationError
-
-
-def edit_distance(
-    a: Sequence[str],
-    b: Sequence[str],
-    weight: Callable[[int], float] | None = None,
-) -> float:
-    """Token-level (weighted) edit distance between token sequences.
-
-    With *weight* ``None`` this is the classic Levenshtein distance over
-    tokens (each insert/delete/substitute costs 1).  With a *weight*
-    function, an edit touching position ``i`` (0-based, in whichever
-    sequence the operation indexes) costs ``weight(i)`` — LKE uses a
-    weight that decays with the token index so that early tokens (likely
-    constants) dominate the distance.
-    """
-    cost = weight if weight is not None else (lambda _i: 1.0)
-    n, m = len(a), len(b)
-    # dp[j] = distance between a[:i] and b[:j] for the current row i.
-    previous = [0.0] * (m + 1)
-    for j in range(1, m + 1):
-        previous[j] = previous[j - 1] + cost(j - 1)
-    for i in range(1, n + 1):
-        current = [previous[0] + cost(i - 1)] + [0.0] * m
-        for j in range(1, m + 1):
-            if a[i - 1] == b[j - 1]:
-                substitution = previous[j - 1]
-            else:
-                substitution = previous[j - 1] + cost(max(i, j) - 1)
-            deletion = previous[j] + cost(i - 1)
-            insertion = current[j - 1] + cost(j - 1)
-            current[j] = min(substitution, deletion, insertion)
-        previous = current
-    return previous[m]
-
-
-def sigmoid_position_weight(length_a: int, length_b: int) -> Callable[[int], float]:
-    """LKE's position weight: high for early tokens, decaying smoothly.
-
-    Fu et al. weight an edit at token index ``x`` by a logistic curve
-    centred mid-message, ``1 / (1 + e^(x - midpoint))`` — edits near the
-    head of the message (where constants live) cost nearly 1, edits in
-    the tail (where parameters live) cost nearly 0.
-    """
-    midpoint = min(length_a, length_b) / 2.0
-
-    def weight(index: int) -> float:
-        return 1.0 / (1.0 + math.exp(index - midpoint))
-
-    return weight
 
 
 def longest_common_subsequence(

@@ -16,9 +16,9 @@ a production trade-off this package makes explicit and enforceable:
 * :mod:`~repro.degradation.ledger` — what each downgrade is expected
   to cost downstream mining, seeded from the measured Table III
   reproduction (:class:`MiningImpactLedger`).
-* :mod:`~repro.degradation.runtime` — the wiring:
-  :class:`DegradedSession` (budgeted streaming; a step swaps the flush
-  parser and nothing else).
+* :mod:`~repro.degradation.runtime` — the wiring: ``BudgetGovernor``
+  (the one budget check; a step swaps the flush parser and nothing
+  else), fed by a budgeted shard and by :class:`DegradedSession`.
 * :mod:`~repro.degradation.soak` — deterministic chaos-soak scenarios
   that replay seeded pressure schedules and audit the contract.
 """

@@ -1,15 +1,15 @@
 """The adaptive runtime: a budget and a ladder wired into a live stream.
 
-:class:`DegradedSession` is a
-:class:`~repro.streaming.session.ParseSession` that checks the
-:class:`~repro.degradation.budget.BudgetMonitor` every ``check_every``
-records its engine was fed.  Sustained *soft* breaches walk the
-:class:`~repro.degradation.ladder.DegradationLadder` one rung at a
-time; a *hard* breach steps immediately, and on the floor rung
+:class:`BudgetGovernor` feeds an engine and checks the
+:class:`~repro.degradation.budget.BudgetMonitor` first every
+``check_every`` records the engine was fed.  Sustained *soft* breaches
+walk the :class:`~repro.degradation.ladder.DegradationLadder` one rung
+at a time; a *hard* breach steps immediately, and on the floor rung
 escalates as :class:`~repro.common.errors.BudgetExceededError`.  A
-service shard whose flush parser keeps crashing steps through the
-same :meth:`DegradedSession.step_down`.  A step swaps the flush
-parser through
+budgeted service shard feeds through a governor, and steps through its
+:meth:`~BudgetGovernor.step_down` when its flush parser keeps
+crashing; :class:`DegradedSession` feeds through one.  A step swaps
+the flush parser through
 :meth:`~repro.streaming.engine.StreamingParser.reconfigure` and
 nothing else; the ladder position is ordinary checkpoint state.
 """
@@ -29,25 +29,20 @@ from repro.streaming.engine import StreamingParser
 from repro.streaming.session import ParseSession
 
 
-class DegradedSession(ParseSession):
-    """A :class:`~repro.streaming.session.ParseSession` under a budget.
-
-    The engine is built fresh or resumed exactly as an unbudgeted one
-    is, with the ladder's current rung as its flush parser; until a
-    step the session parses exactly as a plain one over it.
+class BudgetGovernor:
+    """Feeds one engine, checking its budget and stepping its ladder.
+    The engine runs on the ladder's current rung, so until a step,
+    feeding through the governor is feeding the engine.
 
     Args:
-        parser: the streaming engine.  Its fed count, which a
+        engine: the streaming engine.  Its fed count, which a
             checkpoint restores, keys the checks, so a resumed run
             checks at the same lines as a run that was never cut.
         ladder: rung order and step-down policy, positioned at the
             engine's flush parser.
-        monitor: the budget to check; the cache and queue dimensions
-            are read from the engine.
-        ledger: mining-impact accounting (defaults to the reference
-            table).
+        monitor: the budget to check (cache and queue read the engine).
+        ledger: mining-impact accounting (default: the reference table).
         check_every: fed records between budget checks.
-        track_matrix: maintain the live session-by-event matrix.
 
     With the engine's telemetry, budget breaches are counted by
     dimension and level, ladder steps by trigger, and every ladder
@@ -57,26 +52,24 @@ class DegradedSession(ParseSession):
 
     def __init__(
         self,
-        parser: StreamingParser,
+        engine: StreamingParser,
         ladder: DegradationLadder,
         monitor: BudgetMonitor,
         *,
         ledger: MiningImpactLedger | None = None,
         check_every: int = 100,
-        track_matrix: bool = True,
     ) -> None:
         if check_every < 1:
             raise ValidationError(
                 f"check_every must be >= 1, got {check_every}"
             )
-        super().__init__(parser, track_matrix=track_matrix)
+        self.engine = engine
+        self.telemetry = engine.telemetry
         self.ladder = ladder
         self.monitor = monitor
         self.ledger = ledger if ledger is not None else MiningImpactLedger()
         self.check_every = check_every
         self.checks = 0
-
-    # ------------------------------------------------------------------
 
     def feed(self, record: LogRecord) -> int:
         """Check the budget if the fed count is due, then feed.
@@ -87,17 +80,17 @@ class DegradedSession(ParseSession):
         line number, or -1 when the engine rejected or shed the record.
         """
         self.monitor.start_if_needed()
-        fed = self.parser.fed
+        fed = self.engine.fed
         if fed and fed % self.check_every == 0:
             self.check_budget()
-        return super().feed(record)
+        return self.engine.feed(record)
 
     def check_budget(self) -> None:
         """Sample the budget now and apply the step-down policy."""
         self.checks += 1
         sample, breaches = self.monitor.evaluate(
-            cache_entries=len(self.parser.cache),
-            queue_depth=self.parser.pending_count,
+            cache_entries=len(self.engine.cache),
+            queue_depth=self.engine.pending_count,
         )
         if self.telemetry is not None:
             family = self.telemetry.metrics.get("repro_budget_breaches_total")
@@ -131,10 +124,10 @@ class DegradedSession(ParseSession):
             self.ladder.current.parser,
             to_rung.parser,
         )
-        actions = self.parser.reconfigure(to_rung.build_parser)
+        actions = self.engine.reconfigure(to_rung.build_parser)
         event = self.ladder.step_down(
             trigger=trigger,
-            at_line=self.parser.counters.lines,
+            at_line=self.engine.counters.lines,
             sample=sample,
             breaches=tuple(breaches),
             actions=actions,
@@ -153,16 +146,27 @@ class DegradedSession(ParseSession):
                 at_line=event.at_line,
             )
 
-    # ------------------------------------------------------------------
+
+class DegradedSession(ParseSession):
+    """A ``stream`` run feeding through a :class:`BudgetGovernor`
+    (every keyword but *track_matrix* is the governor's)."""
+
+    def __init__(
+        self, parser, ladder, monitor, *, track_matrix=True, **governor
+    ) -> None:
+        self.governor = BudgetGovernor(parser, ladder, monitor, **governor)
+        super().__init__(parser, track_matrix=track_matrix)
+        self.ladder = ladder
+        self._feed = self.governor.feed
 
     def describe(self) -> str:
         """The audit trail: the final rung, every step with its
         evidence, and the mining-impact ledger."""
         return "\n".join([
             f"finished on rung {self.ladder.current.parser} after "
-            f"{len(self.ladder.events)} degradation(s), {self.checks} "
+            f"{len(self.ladder.events)} degradation(s), {self.governor.checks} "
             f"budget check(s)",
             self.counters().describe(),
             *(event.describe() for event in self.ladder.events),
-            self.ledger.describe(),
+            self.governor.ledger.describe(),
         ])

@@ -161,22 +161,27 @@ def model_violates_nfby(
 
     The merged initial model over-generalizes: it may contain a path
     that no logged session took, violating a mined NFby invariant —
-    the signal Synoptic refines on.
+    the signal Synoptic refines on.  States may be context-split
+    (``event←predecessor``); every state of an event counts as it.
     """
     if invariant.kind != "NFby":
         raise MiningError("model checking implemented for NFby only")
+
+    def is_event(state: str, event: str) -> bool:
+        return state == event or state.startswith(f"{event}←")
+
     # BFS from the states reachable after emitting `first`.
-    start = invariant.first
-    if start not in model.states:
-        return False
     visited: set[str] = set()
-    frontier = [start]
+    frontier = [
+        state for state in model.states
+        if is_event(state, invariant.first)
+    ]
     while frontier:
         state = frontier.pop()
         for successor in model.successors(state):
             if successor in visited:
                 continue
-            if successor == invariant.second:
+            if is_event(successor, invariant.second):
                 return True
             visited.add(successor)
             frontier.append(successor)
@@ -246,7 +251,7 @@ def refine_model(
     while progress and splits < max_splits:
         progress = False
         for invariant in nfby:
-            if not _refined_violates(model, invariant):
+            if not model_violates_nfby(model, invariant):
                 continue
             candidate = _split_candidate(
                 model, invariant, split_events
@@ -259,9 +264,9 @@ def refine_model(
                 break
 
     satisfied = [
-        inv for inv in nfby if not _refined_violates(model, inv)
+        inv for inv in nfby if not model_violates_nfby(model, inv)
     ]
-    unsatisfied = [inv for inv in nfby if _refined_violates(model, inv)]
+    unsatisfied = [inv for inv in nfby if model_violates_nfby(model, inv)]
     return RefinedModel(
         model=model,
         splits=splits,
@@ -334,28 +339,3 @@ def _split_candidate(
     if invariant.first not in already_split:
         return invariant.first
     return None
-
-
-def _refined_violates(
-    model: SystemModel, invariant: TemporalInvariant
-) -> bool:
-    """NFby check on a model whose states may be context-split."""
-    def is_event(state: str, event: str) -> bool:
-        return state == event or state.startswith(f"{event}←")
-
-    starts = [
-        state for state in model.states
-        if is_event(state, invariant.first)
-    ]
-    visited: set[str] = set()
-    frontier = list(starts)
-    while frontier:
-        state = frontier.pop()
-        for successor in model.successors(state):
-            if successor in visited:
-                continue
-            if is_event(successor, invariant.second):
-                return True
-            visited.add(successor)
-            frontier.append(successor)
-    return False

@@ -3,14 +3,17 @@
 A :class:`Tracer` records where a run spent its time as a tree of
 spans following the pipeline's natural shape::
 
-    parse_run                  one session (ParseSession / DegradedSession)
+    parse_run                  one ``stream`` run (ParseSession / DegradedSession)
       chunk                    one flush of the streaming engine, or one
                                dispatched chunk of ChunkedParallelParser
         parser_call            one invocation of an underlying parser
                                (flush parse, fallback attempt, worker call)
 
 plus zero-duration *instant* events for state changes (ladder rung
-steps).
+steps).  A service is not a run: its tree is ``service_drain >
+tenant_drain > chunk > parser_call``, one ``tenant_drain`` per tenant.
+Each thread has its own stack of open spans, so a span nests only
+under spans its own thread opened.
 
 Spans cross the ``ChunkedParallelParser`` process boundary by value:
 the parent serializes a :meth:`Tracer.worker_context`, the worker
@@ -31,7 +34,9 @@ Export formats:
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -135,23 +140,25 @@ class Tracer:
         self.trace_id = trace_id
         self._clock_us = clock_us
         self._id_prefix = id_prefix
-        self._next_id = 0
+        self._ids = itertools.count(1)  # next() is atomic across threads
         self.spans: list[Span] = []
-        self._stack: list[Span] = []
+        #: Open spans per thread, keyed by thread id: a span nests only
+        #: under its own thread's open spans.
+        self._stacks: dict[int, list[Span]] = {}
 
     # -- span lifecycle -------------------------------------------------
 
     def _new_id(self) -> str:
-        self._next_id += 1
-        return f"{self._id_prefix}{self._next_id}"
+        return f"{self._id_prefix}{next(self._ids)}"
 
     def start(
         self, name: str, parent: Span | None = None, **attrs
     ) -> Span:
         """Open a span.  Without an explicit parent, nests under the
-        innermost span still open on this tracer's stack."""
-        if parent is None and self._stack:
-            parent = self._stack[-1]
+        innermost span the calling thread still has open."""
+        stack = self._stacks.setdefault(threading.get_ident(), [])
+        if parent is None and stack:
+            parent = stack[-1]
         span = Span(
             trace_id=self.trace_id,
             span_id=self._new_id(),
@@ -160,7 +167,7 @@ class Tracer:
             start_us=self._clock_us(),
             attrs=dict(attrs),
         )
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def finish(self, span: Span) -> Span:
@@ -169,8 +176,17 @@ class Tracer:
                 f"span {span.span_id} ({span.name}) already finished"
             )
         span.end_us = self._clock_us()
-        if span in self._stack:
-            self._stack.remove(span)
+        ident = threading.get_ident()
+        own = self._stacks.get(ident)
+        if own is not None and span in own:
+            own.remove(span)
+            if not own:
+                del self._stacks[ident]
+        else:  # finished off the thread that opened it
+            for stack in list(self._stacks.values()):
+                if span in stack:
+                    stack.remove(span)
+                    break
         self.spans.append(span)
         return span
 
@@ -180,8 +196,8 @@ class Tracer:
 
     def instant(self, name: str, parent: Span | None = None, **attrs) -> Span:
         """A zero-duration marker (a rung change)."""
-        if parent is None and self._stack:
-            parent = self._stack[-1]
+        if parent is None:
+            parent = self.current
         now = self._clock_us()
         span = Span(
             trace_id=self.trace_id,
@@ -197,16 +213,18 @@ class Tracer:
 
     @property
     def current(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span."""
+        stack = self._stacks.get(threading.get_ident())
+        return stack[-1] if stack else None
 
     # -- process-boundary propagation ----------------------------------
 
     def worker_context(self, prefix: str, parent: Span | None = None) -> dict:
         """A picklable context for a worker-side tracer.
 
-        The worker's spans parent under ``parent`` (default: current
-        innermost open span) and draw ids from ``prefix`` so they never
-        collide with this tracer's.
+        The worker's spans parent under ``parent`` (default: the
+        calling thread's innermost open span) and draw ids from
+        ``prefix`` so they never collide with this tracer's.
         """
         if parent is None:
             parent = self.current

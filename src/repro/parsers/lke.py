@@ -43,18 +43,10 @@ from repro.parsers.base import Clustering, LogParser
 _WEIGHT_TABLES: dict[tuple[int, int], list[float]] = {}
 
 
-def _weight_function(length_a: int, length_b: int):
-    """LKE's logistic position weight, centred mid-message."""
-    midpoint = min(length_a, length_b) / 2.0
-
-    def weight(index: int) -> float:
-        return 1.0 / (1.0 + math.exp(index - midpoint))
-
-    return weight
-
-
 def _weight_table(length_a: int, length_b: int) -> list[float]:
-    """Precomputed ``weight(0..max(len)-1)`` for one length pair."""
+    """LKE's position weights for one length pair: an edit at token
+    index ``x`` costs ``1 / (1 + e^(x - mid))``, a logistic centred at
+    ``mid = min(len) / 2``, precomputed for ``x`` in ``0..max(len)``."""
     shorter = min(length_a, length_b)
     longer = max(length_a, length_b)
     key = (shorter, longer)

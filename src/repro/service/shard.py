@@ -8,13 +8,13 @@ its own :class:`~repro.streaming.cache.TemplateCache`), a
 :class:`~repro.resilience.quarantine.QuarantineSink`, a checkpoint
 file, optionally a per-tenant
 :class:`~repro.degradation.budget.ResourceBudget` +
-:class:`~repro.degradation.ladder.DegradationLadder` (via
-:class:`~repro.degradation.runtime.DegradedSession`), and a circuit
-breaker, which is checkpoint state like the rest.  The shard
-serializes all engine access behind its own lock — that lock *is* the
-single-writer ownership the lock-free engine demands (see
-:mod:`repro.streaming.cache`), and the engine's ``ConcurrencyError``
-tripwire enforces it.
+:class:`~repro.degradation.ladder.DegradationLadder` (a
+:class:`~repro.degradation.runtime.BudgetGovernor`), and a circuit
+breaker, which is checkpoint state like the rest.  The shard feeds its
+engine itself (it is not a ``stream`` run), behind its own lock — that
+lock *is* the single-writer ownership the lock-free engine demands
+(see :mod:`repro.streaming.cache`), and the engine's
+``ConcurrencyError`` tripwire enforces it.
 
 Isolation invariants:
 
@@ -63,7 +63,7 @@ from repro.common.types import LogRecord
 from repro.datasets.loader import write_parse_result
 from repro.degradation.budget import BudgetMonitor, ResourceBudget
 from repro.degradation.ladder import TRIGGER_CRASH, DegradationLadder
-from repro.degradation.runtime import DegradedSession
+from repro.degradation.runtime import BudgetGovernor
 from repro.observability.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.observability.tracing import SPAN_TENANT_DRAIN
 from repro.resilience.checkpoint import (
@@ -81,7 +81,6 @@ from repro.resilience.durability import (
 from repro.resilience.quarantine import QuarantineRecord, QuarantineSink
 from repro.service.protocol import REPLAYED, FrontStage
 from repro.streaming.engine import StreamingParser
-from repro.streaming.session import ParseSession
 
 #: Quarantine reason tags specific to the service layer.
 REASON_BREAKER = "breaker-open"
@@ -154,11 +153,8 @@ class TenantShard(FrontStage):
             overflow: engine shape (prefix policy by default, which is
             what makes drained outputs byte-identical to batch).
         budget: optional per-tenant resource envelope; requires
-            *ladder* (the shard degrades before it dies).  The delta
-            engine is fed through a
-            :class:`~repro.degradation.runtime.DegradedSession`, so
-            until a breach it writes what an unbudgeted delta shard
-            writes.
+            *ladder* (the shard degrades before it dies).  Until a
+            breach, it writes what an unbudgeted delta shard writes.
         ladder: rung order for the budgeted mode, copied per shard; a
             step swaps only the flush parser.
         breaker_threshold: consecutive crashed flushes that step a
@@ -280,13 +276,12 @@ class TenantShard(FrontStage):
                 cache_capacity=cache_capacity, max_pending=max_pending,
                 overflow=overflow, **engine_kwargs,
             )
-        self._session = (
-            ParseSession(self.engine, track_matrix=False) if budget is None
-            else DegradedSession(
+        self._session = self.engine  # the feed target
+        if budget is not None:
+            self._session = BudgetGovernor(
                 self.engine, self.ladder, BudgetMonitor(budget),
-                check_every=check_every, track_matrix=False,
+                check_every=check_every,
             )
-        )
 
         for client, high in (delivery_state or {}).get("clients", {}).items():
             self._ack_high[client] = int(high)
@@ -566,7 +561,8 @@ class TenantShard(FrontStage):
             result = None
             if self._failures < self.breaker_threshold:
                 try:
-                    result = self._session.finalize()
+                    self.engine.finalize()
+                    result = self.engine.result()
                 except Exception as error:  # noqa: BLE001 - isolation
                     if not self.breaker_open:
                         self._trip(

@@ -81,12 +81,16 @@ class ParseSession:
     """One streaming parse run: engine + clock + live event matrix.
 
     Args:
-        parser: the streaming engine to drive.  Its ``on_assign`` /
-            ``on_remap`` hooks are claimed by the session.
+        parser: the streaming engine to drive.
         track_matrix: maintain a live
             :class:`EventMatrixAccumulator` keyed by each record's
             ``session_id`` (records without one are skipped, as in
-            :func:`~repro.mining.event_matrix.build_event_matrix`).
+            :func:`~repro.mining.event_matrix.build_event_matrix`);
+            only then does the session claim the engine's
+            ``on_assign`` / ``on_remap`` hooks.
+
+    A session is one ``stream`` run (its ``parse_run`` span, its
+    ``repro_run_*`` gauges); a service shard builds none.
     """
 
     def __init__(
@@ -104,8 +108,10 @@ class ParseSession:
         self._run_span = None
         if self.telemetry is not None:
             self.telemetry.metrics.register_collector(self._collect_metrics)
-        parser.on_assign = self._on_assign
-        parser.on_remap = self._on_remap
+        self._feed = parser.feed  # DegradedSession feeds its governor
+        if self.accumulator is not None:
+            parser.on_assign = self._on_assign
+            parser.on_remap = self._on_remap
 
     def _collect_metrics(self) -> None:
         counters = self.counters()
@@ -116,12 +122,11 @@ class ParseSession:
     # ------------------------------------------------------------------
 
     def _on_assign(self, line_no: int, record: LogRecord, slot: int) -> None:
-        if self.accumulator is not None and record.session_id:
+        if record.session_id:
             self.accumulator.add(record.session_id, slot)
 
     def _on_remap(self, old_slot: int, new_slot: int) -> None:
-        if self.accumulator is not None:
-            self.accumulator.remap(old_slot, new_slot)
+        self.accumulator.remap(old_slot, new_slot)
 
     # ------------------------------------------------------------------
 
@@ -132,7 +137,7 @@ class ParseSession:
                 self._run_span = self.telemetry.tracer.start(
                     SPAN_PARSE_RUN, parser=_factory_name(self.parser.factory)
                 )
-        return self.parser.feed(record)
+        return self._feed(record)
 
     def consume(
         self,

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import ParserConfigurationError
 from repro.parsers import Lke
 from repro.parsers.lke import (
+    _weight_table,
     _weighted_edit_distance,
     estimate_threshold_two_means,
 )
@@ -24,6 +25,18 @@ class TestConfiguration:
     def test_rejects_tiny_threshold_sample(self):
         with pytest.raises(ParserConfigurationError):
             Lke(threshold_sample=1)
+
+
+class TestWeightTable:
+    def test_decreasing(self):
+        values = _weight_table(10, 10)
+        assert values == sorted(values, reverse=True)
+
+    def test_bounded(self):
+        assert all(0 < weight < 1 for weight in _weight_table(8, 12))
+
+    def test_midpoint_is_half(self):
+        assert _weight_table(10, 10)[5] == pytest.approx(0.5)
 
 
 class TestWeightedEditDistance:

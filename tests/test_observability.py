@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -257,6 +259,80 @@ class TestTracer:
         assert spans["parser_call"].trace_id == "run"
         assert spans["parser_call"].span_id.startswith("w1-")
 
+    def test_each_thread_nests_under_its_own_open_spans(self):
+        tracer = Tracer()
+        opened, nested = threading.Event(), threading.Event()
+        spans = {}
+
+        def first() -> None:
+            with tracer.span("a") as outer:
+                opened.set()
+                nested.wait(5)
+                with tracer.span("a.child") as child:
+                    spans["a"] = (outer, child)
+
+        def second() -> None:
+            opened.wait(5)
+            with tracer.span("b") as outer:
+                with tracer.span("b.child") as child:
+                    spans["b"] = (outer, child)
+                nested.set()
+
+        threads = [threading.Thread(target=fn) for fn in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in threads)
+        for outer, child in spans.values():
+            assert outer.parent_id is None
+            assert child.parent_id == outer.span_id
+        assert len(spans) == 2 and tracer.current is None
+
+    def test_concurrent_threads_keep_their_own_trees(self):
+        tracer = Tracer()
+
+        def work(worker: int) -> None:
+            for _ in range(200):
+                with tracer.span("outer", worker=worker):
+                    with tracer.span("inner", worker=worker):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tracer.spans) == 8 * 200 * 2
+        assert len({span.span_id for span in tracer.spans}) == len(tracer.spans)
+        by_id = {span.span_id: span for span in tracer.spans}
+        for span in tracer.spans:
+            if span.name == "inner":
+                parent = by_id[span.parent_id]
+                assert parent.name == "outer"
+                assert parent.attrs["worker"] == span.attrs["worker"]
+            else:
+                assert span.parent_id is None
+        assert tracer._stacks == {}
+
+    def test_finish_off_thread_leaves_the_opening_stack(self):
+        tracer = Tracer()
+        outer = tracer.start("outer")
+        inner = tracer.start("inner")
+        closer = threading.Thread(target=tracer.finish, args=(inner,))
+        closer.start()
+        closer.join(5)
+        assert not closer.is_alive() and inner.end_us is not None
+        assert tracer.current is outer
+
     def test_jsonl_and_chrome_exports(self, tmp_path):
         tracer = Tracer()
         with tracer.span("parse_run"):
@@ -412,6 +488,11 @@ class TestRegistrySummary:
         assert metrics.value("repro_stream_flush_seconds") >= 1.0  # count
         assert metrics.value("repro_run_elapsed_seconds") > 0.0
 
+    def test_untracked_session_leaves_the_engine_hooks_alone(self):
+        engine = StreamingParser(_slct)
+        ParseSession(engine, track_matrix=False)
+        assert engine.on_assign is None and engine.on_remap is None
+
     def test_elapsed_is_read_live_and_frozen_by_finalize(self):
         telemetry = Telemetry.create()
         dataset = generate_dataset(get_dataset_spec("HDFS"), 200, seed=5)
@@ -437,6 +518,59 @@ class TestRegistrySummary:
         assert frozen >= first
         assert session.counters().elapsed_seconds == frozen
         assert collected() == frozen
+
+
+# ---------------------------------------------------------------------------
+# A service hosts engines, not runs
+# ---------------------------------------------------------------------------
+
+
+def _span_tenant(span, by_id) -> str | None:
+    """The tenant whose tree holds *span*: its own or its nearest
+    ancestor's ``tenant`` attribute."""
+    while span is not None:
+        if "tenant" in span.attrs:
+            return span.attrs["tenant"]
+        span = by_id.get(span.parent_id)
+    return None
+
+
+class TestServiceTelemetry:
+    @pytest.fixture
+    def drained(self, tmp_path):
+        from repro.service import IngestionService
+
+        telemetry = Telemetry.create()
+        service = IngestionService(
+            str(tmp_path), partial(make_parser, "Drain"),
+            telemetry=telemetry, flush_size=8,
+        )
+        lines = [f"{tenant}\tConnection from 10.0.{i}.{i % 7} closed"
+                 for tenant, n in (("a", 30), ("b", 10)) for i in range(n)]
+        service.submit_lines(lines)
+        service.drain()
+        return telemetry
+
+    def test_each_tenant_drain_is_its_own_tree(self, drained):
+        spans = drained.tracer._closed_spans()
+        by_id = {span.span_id: span for span in spans}
+        names = [span.name for span in spans]
+        assert "parse_run" not in names
+        assert names.count("tenant_drain") == 2
+        for span in spans:
+            if span.name == "tenant_drain":
+                assert by_id[span.parent_id].name == "service_drain"
+            parent = by_id.get(span.parent_id)
+            if "tenant" in span.attrs and parent is not None:
+                assert _span_tenant(parent, by_id) in (
+                    None, span.attrs["tenant"]
+                )
+
+    def test_publishes_no_run_gauges(self, drained):
+        samples = parse_prometheus(render_prometheus(drained.metrics))
+        assert samples["samples"]["repro_stream_lines_total"] == 40.0
+        for name in ("repro_run_lines", "repro_run_elapsed_seconds"):
+            assert name not in samples["samples"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.textutil import edit_distance, longest_common_subsequence
+from repro.common.textutil import longest_common_subsequence
 from repro.common.tokenize import (
     template_from_cluster,
     template_matches,
@@ -37,27 +37,6 @@ corpus = st.lists(
     min_size=1,
     max_size=40,
 )
-
-
-class TestEditDistanceAxioms:
-    @given(token_list)
-    def test_identity(self, tokens):
-        assert edit_distance(tokens, tokens) == 0
-
-    @given(token_list, token_list)
-    def test_symmetry(self, a, b):
-        assert edit_distance(a, b) == edit_distance(b, a)
-
-    @given(token_list, token_list)
-    def test_bounded_by_longer_length(self, a, b):
-        assert edit_distance(a, b) <= max(len(a), len(b))
-
-    @given(token_list, token_list, token_list)
-    @settings(max_examples=30)
-    def test_triangle_inequality(self, a, b, c):
-        assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(
-            b, c
-        ) + 1e-9
 
 
 class TestWeightedDistanceProperties:

@@ -2,59 +2,7 @@
 
 import pytest
 
-from repro.common.textutil import (
-    edit_distance,
-    format_table,
-    longest_common_subsequence,
-    sigmoid_position_weight,
-)
-
-
-class TestEditDistance:
-    def test_identical(self):
-        assert edit_distance(["a", "b"], ["a", "b"]) == 0
-
-    def test_single_substitution(self):
-        assert edit_distance(["a", "b"], ["a", "c"]) == 1
-
-    def test_insertion(self):
-        assert edit_distance(["a"], ["a", "b"]) == 1
-
-    def test_deletion(self):
-        assert edit_distance(["a", "b"], ["b"]) == 1
-
-    def test_empty_vs_nonempty(self):
-        assert edit_distance([], ["a", "b", "c"]) == 3
-
-    def test_both_empty(self):
-        assert edit_distance([], []) == 0
-
-    def test_disjoint(self):
-        assert edit_distance(["a", "b"], ["c", "d"]) == 2
-
-    def test_weighted_zero_late_positions(self):
-        # Weight 0 beyond index 0 -> edits past the head are free.
-        weight = lambda i: 1.0 if i == 0 else 0.0
-        assert edit_distance(["a", "b"], ["a", "c"], weight) == 0.0
-
-    def test_weighted_head_edit_costs(self):
-        weight = lambda i: 1.0 if i == 0 else 0.0
-        assert edit_distance(["x", "b"], ["y", "b"], weight) == 1.0
-
-
-class TestSigmoidWeight:
-    def test_decreasing(self):
-        weight = sigmoid_position_weight(10, 10)
-        values = [weight(i) for i in range(10)]
-        assert values == sorted(values, reverse=True)
-
-    def test_bounded(self):
-        weight = sigmoid_position_weight(8, 12)
-        assert all(0 < weight(i) < 1 for i in range(12))
-
-    def test_midpoint_is_half(self):
-        weight = sigmoid_position_weight(10, 10)
-        assert weight(5) == pytest.approx(0.5)
+from repro.common.textutil import format_table, longest_common_subsequence
 
 
 class TestLcs:
